@@ -12,7 +12,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError
-from .model import PopulationState, check_grid_fn, quad
+from .model import check_grid_fn, quad
 from .transform import AdjointData, pi_functional
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
@@ -142,22 +142,6 @@ def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
     return eq.u_star + num / den
 
 
-def control_in_x(
-    state: PopulationState,
-    adj: tuple[AdjointData, AdjointData],
-    eq: Equilibrium,
-    gains: GainsA,
-):
-    """Control A evaluated on population profiles via the Pi functionals."""
-    eta = np.array(
-        [
-            np.log(pi_functional(state.x1, adj[0], eq.grid)),
-            np.log(pi_functional(state.x2, adj[1], eq.grid)),
-        ]
-    )
-    return control_A(eta, gains, eq)
-
-
 @dataclass(frozen=True)
 class SensorSpec:
     """Sensor kernels with their equilibrium output values."""
@@ -232,7 +216,6 @@ class ControllerSpec:
     k1: float = 1.0
     k2: float = 2.0
     sensor: str = "interaction"  # interaction: c_i = g_j; birth: c_i = k_i; uniform
-    u_const: float | None = None  # open-loop override; defaults to u_star
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -284,7 +267,7 @@ class BoundController:
     def u_from_eta(self, eta) -> float:
         kind = self.spec.kind
         if kind == "open_loop":
-            return self.eq.u_star if self.spec.u_const is None else self.spec.u_const
+            return self.eq.u_star
         if kind == "control_a":
             return float(control_A(eta, self.gains_a, self.eq))
         if kind == "control_b":
@@ -298,7 +281,7 @@ class BoundController:
     def u_from_state(self, x1, x2) -> float:
         kind = self.spec.kind
         if kind == "open_loop":
-            return self.eq.u_star if self.spec.u_const is None else self.spec.u_const
+            return self.eq.u_star
         if kind == "measured":
             grid = self.eq.grid
             y1 = quad(self.sensors.c1 * x1, grid)

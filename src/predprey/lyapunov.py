@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden
 
 from .controllers import GainsA, GainsB, big_phi, control_A, phi
 from .equilibrium import Equilibrium
@@ -66,79 +65,34 @@ def lambda_min_q(eps: float, beta: float) -> float:
 # h and the history functionals
 
 
-def _h_integrand(z):
-    # (e^z - 1)^2 / z with the removable zero at z = 0; overflows to inf for
-    # arguments beyond the double range, which h propagates.
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    nz = z != 0.0
-    with np.errstate(over="ignore"):
-        out[nz] = np.expm1(z[nz]) ** 2 / z[nz]
-    return out
+def h_fn(p):
+    """Radially unbounded weight h(p) = integral_0^p (e^z - 1)^2 / z dz.
 
-
-# Relative floor on the Simpson acceptance test: for O(1) integrals the
-# absolute tolerance governs; for the astronomically large values h takes at
-# big arguments (integrand ~ e^{2p}/p) an absolute target is unreachable in
-# floating point and the recursion must switch to relative accuracy.
-H_REL_TOL = 1e-12
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if not np.isfinite(left + right):
-        return left + right
-    tol_eff = max(tol, H_REL_TOL * abs(left + right))
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol_eff:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-
-
-def _integrate_segment(a, b, tol):
-    f = lambda z: float(_h_integrand(z))
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 48)
-
-
-H_TOL = 1e-9
-
-
-def h_fn(p: float, tol: float = H_TOL) -> float:
-    """Radially unbounded weight h(p) = integral_0^p (e^z - 1)^2 / z dz."""
-    if p < 0:
-        raise ValueError(f"h is defined for nonnegative arguments, got {p}")
-    if p == 0.0:
-        return 0.0
-    return _integrate_segment(0.0, float(p), tol)
-
-
-def h_fn_many(ps, tol: float = H_TOL) -> np.ndarray:
-    """Vectorized h: integrates once over the sorted values and maps back."""
-    ps = np.asarray(ps, dtype=float)
-    flat = ps.ravel()
-    if flat.size == 0:
-        return np.zeros_like(ps)
-    if np.any(flat < 0):
+    Summed exactly as the series h(p) = sum_{n>=2} (2^n - 2) p^n / (n * n!),
+    which follows from (e^z - 1)^2 = sum_{n>=2} (2^n - 2) z^n / n!.  Every
+    term is positive, so the partial sums carry no cancellation, and the
+    2p + 12*sqrt(2p + 1) + 40 terms kept leave a tail below double precision.
+    Broadcasts over arrays and returns a float for scalar input; h is inf
+    where (e^p - 1)^2 overflows (p above ~354.9) and nan for nan.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0):
         raise ValueError("h is defined for nonnegative arguments")
-    uniq, inv = np.unique(flat, return_inverse=True)
-    vals = np.empty_like(uniq)
-    prev_p, prev_h = 0.0, 0.0
-    for j, p in enumerate(uniq):
-        if p == prev_p:
-            vals[j] = prev_h
-        else:
-            prev_h = prev_h + _integrate_segment(prev_p, float(p), tol)
-            prev_p = float(p)
-            vals[j] = prev_h
-    return vals[inv].reshape(ps.shape)
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(np.expm1(p) ** 2)
+    q = np.where(overflow, 0.0, p)
+    top = float(q[~np.isnan(q)].max(initial=0.0))
+    # (2p)^n/n! and p^n/n! by ratio recursion; their difference is
+    # (2^n - 2) p^n/n! without forming 2^n, which overflows past n = 1023
+    s2 = 2.0 * q * q
+    s1 = 0.5 * q * q
+    out = np.zeros_like(q)
+    for n in range(2, int(2.0 * top + 12.0 * math.sqrt(2.0 * top + 1.0)) + 40):
+        out += (s2 - 2.0 * s1) / n
+        s2 = s2 * (2.0 * q / (n + 1))
+        s1 = s1 * (q / (n + 1))
+    out[overflow] = np.inf
+    return float(out) if out.ndim == 0 else out
 
 
 def g_fn(psi: HistoryBuffer, sigma: float) -> float:
@@ -171,17 +125,17 @@ def find_sigma(
     ktilde,
     grid: AgeGrid,
     sigma_max: float = 50.0,
-    kappa_range: tuple[float, float] = (1e-3, 1e3),
     rel_gap: float = 1e-6,
 ) -> tuple[float, float]:
     """Certify the birth-kernel contraction and its decay exponent.
 
-    Minimizes J(kappa) = quad(|ktilde - z*kappa*int_a^A ktilde|) by
-    golden-section search (multi-start over log-spaced windows, since only
-    unimodality is guaranteed locally).  If the minimum is below one, the
-    largest sigma with the exp(sigma*a)-weighted integral still below one is
-    located by bisection; the weighted integral at the returned sigma lies in
-    [1 - rel_gap, 1).
+    Minimizes J(kappa) = quad(|ktilde - z*kappa*int_a^A ktilde|) exactly: on
+    the nodes with a positive tail, J = sum_j w_j z tail_j |r_j - kappa| plus
+    a constant, with r_j = ktilde_j / (z tail_j).  That is convex and
+    piecewise linear in kappa, so the weighted median of r_j is a minimizer.
+    If the minimum is below one, the largest sigma with the
+    exp(sigma*a)-weighted integral still below one is located by bisection;
+    the weighted integral at the returned sigma lies in [1 - rel_gap, 1).
     """
     ktilde = check_grid_fn(ktilde, grid, "ktilde")
     a = grid.nodes
@@ -192,14 +146,13 @@ def find_sigma(
     def J(kappa: float, sigma: float = 0.0) -> float:
         return quad(np.abs(ktilde - z * kappa * tail) * np.exp(sigma * a), grid)
 
-    lo, hi = kappa_range
-    edges = np.geomspace(lo, hi, 5)
-    best_kappa, best_val = None, np.inf
-    for wlo, whi in zip(edges[:-1], edges[1:]):
-        kap = float(golden(J, brack=(wlo, whi), tol=1e-10))
-        val = J(kap)
-        if val < best_val:
-            best_kappa, best_val = kap, val
+    pos = tail > 0
+    slope = grid.weights[pos] * z * tail[pos]
+    ratio = ktilde[pos] / (z * tail[pos])
+    order = np.argsort(ratio)
+    mass = np.cumsum(slope[order])
+    best_kappa = float(ratio[order][np.searchsorted(mass, 0.5 * mass[-1])])
+    best_val = J(best_kappa)
     if not best_val < 1.0:
         raise AssumptionUnverifiable(
             "birth-kernel contraction unverifiable at this resolution: "

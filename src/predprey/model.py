@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericalError
 
@@ -74,7 +73,9 @@ def quad(f, grid: AgeGrid) -> float:
 def cumulative(f, grid: AgeGrid) -> np.ndarray:
     """Running trapezoid integral of f from 0 to each node (starts at 0)."""
     f = check_grid_fn(f, grid)
-    return cumulative_trapezoid(f, dx=grid.da, initial=0.0)
+    out = np.zeros_like(f)
+    out[1:] = np.cumsum(grid.da * (f[1:] + f[:-1]) / 2.0)
+    return out
 
 
 @dataclass(frozen=True)

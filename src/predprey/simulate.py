@@ -30,7 +30,7 @@ import numpy as np
 from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
-from .lyapunov import find_sigma, g_fn_weights, h_fn_many, SIGMA_SAFETY
+from .lyapunov import find_sigma, g_fn_weights, h_fn, SIGMA_SAFETY
 from .model import AgeGrid, KernelSet, PopulationState, quad
 from .transform import (
     AdjointData,
@@ -194,8 +194,8 @@ class Trajectory:
         if lyap_cfg is not None and self.G1 is not None:
             self.V = (
                 self.V1
-                + lyap_cfg.gamma1 / lyap_cfg.sigma1 * h_fn_many(self.G1)
-                + lyap_cfg.gamma2 / lyap_cfg.sigma2 * h_fn_many(self.G2)
+                + lyap_cfg.gamma1 / lyap_cfg.sigma1 * h_fn(self.G1)
+                + lyap_cfg.gamma2 / lyap_cfg.sigma2 * h_fn(self.G2)
             )
         else:
             self.V = np.full_like(self.V0, np.nan)

@@ -81,10 +81,6 @@ class HistoryBuffer:
                 "the profile it encodes is nonpositive"
             )
 
-    @property
-    def window(self) -> float:
-        return self.grid.A
-
     def copy(self) -> "HistoryBuffer":
         return HistoryBuffer(self.grid, self.samples.copy())
 

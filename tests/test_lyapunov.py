@@ -19,7 +19,6 @@ from predprey.lyapunov import (
     g_fn,
     gamma_circ,
     h_fn,
-    h_fn_many,
     hyperbola_boundary,
     lambda_min_q,
     level_contour,
@@ -34,7 +33,8 @@ from predprey.lyapunov import (
     v_full,
     verify_level_set,
 )
-from predprey.model import quad
+from predprey.equilibrium import compute_equilibrium
+from predprey.model import AgeGrid, build_kernels, cumulative, quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
 from predprey.transform import HistoryBuffer, to_transformed, zero_history
 
@@ -142,38 +142,56 @@ def test_lambda_min_matches_eigensolve_on_grid():
 
 def test_h_small_values():
     assert h_fn(0.0) == 0.0
-    # integrand has a removable zero at the origin
-    from predprey.lyapunov import _h_integrand
-
-    assert _h_integrand(np.array([0.0]))[0] == 0.0
-    assert _h_integrand(np.array([1e-12]))[0] == pytest.approx(1e-12, rel=1e-3)
+    # leading series terms p^2/2 + p^3/3 + 7p^4/48 of the integral
+    assert h_fn(1e-12) == pytest.approx(0.5e-24, rel=1e-12)
+    assert h_fn(1e-3) == pytest.approx(0.5e-6 + 1e-9 / 3.0 + 7e-12 / 48.0, rel=1e-9)
 
 
 def test_h_one_matches_fine_simpson_oracle():
-    # fixed-step composite Simpson at h=1e-4 as an independent oracle
-    z = np.linspace(0.0, 1.0, 10001)
-    f = np.zeros_like(z)
-    f[1:] = np.expm1(z[1:]) ** 2 / z[1:]
-    oracle = (z[1] - z[0]) / 3.0 * (
-        f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()
-    )
-    assert h_fn(1.0) == pytest.approx(oracle, abs=1e-9)
+    # fixed-step composite Simpson on 200 000 intervals as an independent oracle
+    for p in (1e-6, 0.1, 1.0, 5.0, 20.0, 43.0, 60.0):
+        z = np.linspace(0.0, p, 200_001)
+        f = np.zeros_like(z)
+        f[1:] = np.expm1(z[1:]) ** 2 / z[1:]
+        oracle = (z[1] - z[0]) / 3.0 * (
+            f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()
+        )
+        assert h_fn(p) == pytest.approx(oracle, rel=1e-12)
     assert h_fn(1.0) == pytest.approx(1.048, abs=2e-3)
 
 
 def test_h_convex_increasing():
     ps = np.linspace(0.0, 5.0, 51)
-    vals = h_fn_many(ps)
+    vals = h_fn(ps)
     d1 = np.diff(vals)
     assert np.all(d1 > 0)
     assert np.all(np.diff(d1) > 0)
 
 
 def test_h_many_matches_scalar():
-    ps = np.array([0.0, 0.3, 2.2, 0.3, 4.0])
-    many = h_fn_many(ps)
+    # an array sums as many terms as its largest entry needs; a scalar, its own
+    ps = np.array([0.0, 0.3, 2.2, 0.3, 4.0, 70.0])
+    many = h_fn(ps)
     each = np.array([h_fn(p) for p in ps])
-    assert np.allclose(many, each, rtol=1e-9, atol=1e-9)
+    assert np.allclose(many, each, rtol=1e-14, atol=0.0)
+    assert h_fn(ps.reshape(2, 3)).shape == (2, 3)
+
+
+def test_h_edge_cases():
+    # (e^p - 1)^2 overflows just above p = 354.89; h is inf from there on
+    assert np.isfinite(h_fn(354.8))
+    assert h_fn(355.0) == np.inf
+    vals = h_fn(np.array([0.5, np.nan, 400.0, np.inf]))
+    assert vals[0] == h_fn(0.5)
+    assert np.isnan(vals[1])
+    assert np.all(vals[2:] == np.inf)
+    assert np.isnan(h_fn(np.nan))
+    with pytest.raises(ValueError, match="nonnegative"):
+        h_fn(-1e-3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        h_fn(np.array([1.0, -1.0]))
+    assert h_fn(np.array([])).shape == (0,)
+    assert type(h_fn(0.5)) is float
 
 
 def test_g_fn_values(setup400):
@@ -194,8 +212,6 @@ def test_find_sigma_reference_kernel(setup400):
     kappa, sigma = find_sigma(kt, grid)
     assert kappa > 0 and sigma > 0
     # the weighted integral sits just under one at the certified exponent
-    from predprey.model import cumulative
-
     kc = cumulative(kt, grid)
     tail = kc[-1] - kc
     z = 1.0 / quad(grid.nodes * kt, grid)
@@ -203,6 +219,35 @@ def test_find_sigma_reference_kernel(setup400):
     assert 1.0 - 1e-6 <= val < 1.0
     # and the unweighted residual is well below one
     assert quad(np.abs(kt - z * kappa * tail), grid) < 1.0
+
+
+def test_find_sigma_kappa_minimizes_residual(setup400):
+    grid = setup400.grid
+    for kt in (setup400.eq.ktilde1, setup400.eq.ktilde2):
+        kappa, _ = find_sigma(kt, grid)
+        kc = cumulative(kt, grid)
+        tail = kc[-1] - kc
+        z = 1.0 / quad(grid.nodes * kt, grid)
+
+        def J(k):
+            return quad(np.abs(kt - z * k * tail), grid)
+
+        best = J(kappa)
+        assert best <= min(J(k) for k in np.geomspace(1e-3, 1e3, 4001))
+        assert best <= J(kappa * (1.0 + 1e-9))
+        assert best <= J(kappa * (1.0 - 1e-9))
+
+
+def test_find_sigma_pinned_values():
+    # raw exponents of the reference kernels at u* = 0.15, as certified by the
+    # earlier golden-section search over kappa
+    pinned = {50: 3.161299228668213, 200: 3.164370357990265,
+              400: 3.1662344932556152, 800: 3.166225552558899}
+    for n, sigma_ref in pinned.items():
+        grid = AgeGrid(A=1.0, n_cells=n)
+        eq = compute_equilibrium(build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid), 0.15)
+        for kt in (eq.ktilde1, eq.ktilde2):
+            assert find_sigma(kt, grid)[1] == pytest.approx(sigma_ref, rel=1e-12)
 
 
 def test_v_full_additivity(setup400, cfg2):
