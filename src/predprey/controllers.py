@@ -175,18 +175,6 @@ def sensor_equilibrium(c1, c2, eq: Equilibrium) -> SensorSpec:
     return SensorSpec(c1=c1, c2=c2, y1_star=y1, y2_star=y2)
 
 
-def sensor_equilibrium_closed_form(c1, c2, eq: Equilibrium) -> tuple[float, float]:
-    """The y_i_star closed forms written on the unit-newborn profiles."""
-    grid = eq.grid
-    y1 = quad(np.asarray(c1, dtype=float) * eq.xtilde1, grid) / (
-        (eq.zeta2 - eq.u_star) * quad(eq.kernels.g2 * eq.xtilde1, grid)
-    )
-    y2 = (eq.zeta1 - eq.u_star) * quad(np.asarray(c2, dtype=float) * eq.xtilde2, grid) / quad(
-        eq.kernels.g1 * eq.xtilde2, grid
-    )
-    return y1, y2
-
-
 def control_measured(y1, y2, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
     """Measurement-based approximation of control A from scalar outputs.
 
@@ -245,6 +233,8 @@ class BoundController:
             self.gains_b = GainsB(eps=spec.eps, beta=spec.beta, delta=spec.delta).validate(eq)
         if spec.kind == "measured":
             self.sensors = sensor_equilibrium(*self._sensor_kernels(), eq)
+            w = eq.grid.weights
+            self._wc1, self._wc2 = w * self.sensors.c1, w * self.sensors.c2
 
     def _sensor_kernels(self):
         k = self.eq.kernels
@@ -283,9 +273,7 @@ class BoundController:
         if kind == "open_loop":
             return self.eq.u_star
         if kind == "measured":
-            grid = self.eq.grid
-            y1 = quad(self.sensors.c1 * x1, grid)
-            y2 = quad(self.sensors.c2 * x2, grid)
+            y1, y2 = float(self._wc1 @ x1), float(self._wc2 @ x2)
             return float(control_measured(y1, y2, self.sensors, self.gains_a, self.eq))
         eta = np.array(
             [

@@ -371,15 +371,6 @@ def phi_bound_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
     return out
 
 
-def hyperbola_boundary(q1, cfg: LyapConfig, eq: Equilibrium):
-    """saturated boundary in exponentiated variables q_i = e^{eta_i} - 1."""
-    q1 = np.asarray(q1, dtype=float)
-    s = -phi_lower_bound(cfg)
-    return (1.0 / (1.0 + q1) - (1.0 + eq.lambda1 * s)) / (
-        (1.0 + cfg.eps) * eq.lambda1 * eq.lambda2
-    )
-
-
 # ---------------------------------------------------------------------------
 # region-of-attraction level set
 
@@ -654,33 +645,3 @@ def control_b_discriminant(gains: GainsB, eq: Equilibrium) -> float:
     lam1, lam2 = eq.lambda1, eq.lambda2
     s_coeff = k * (1.0 / lam1 + lam2) + gains.eps * lam2 * (1.0 + k)
     return s_coeff**2 - 4.0 * (1.0 + gains.eps * (1.0 + k)) * lam2 / lam1
-
-
-def closed_loop_rhs(kind: str, gains, eq: Equilibrium):
-    """Vector field of the reduced closed loop, for cross-checks."""
-    from .controllers import control_B
-
-    def f(eta):
-        eta = np.asarray(eta, dtype=float)
-        phi1, phi2 = phi(eta, eq)
-        if kind == "control_a":
-            u = control_A(eta, gains, eq)
-        elif kind == "control_b":
-            u = control_B(eta, gains, eq)
-        else:
-            raise ValueError(f"unsupported controller kind {kind!r}")
-        return np.stack([eq.u_star - u - phi2, eq.u_star - u + phi1], axis=-1)
-
-    return f
-
-
-def fd_jacobian(f, x0, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian for validating the closed forms."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    cols = []
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = h
-        cols.append((np.asarray(f(x0 + dx)) - np.asarray(f(x0 - dx))) / (2.0 * h))
-    return np.column_stack(cols)

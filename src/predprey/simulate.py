@@ -6,7 +6,10 @@ Direct solver
     with an exponential loss factor: trapezoid-averaged mortality plus the
     dilution and interaction losses, the latter averaged over the step by a
     predictor pass.  The newborn node is solved implicitly from the trapezoid
-    renewal sum, which keeps the discrete birth identity exact.
+    renewal sum, which keeps the discrete birth identity exact.  One kernel,
+    ``_direct_update``, is this step for both ``step_direct`` and the
+    ``simulate_direct`` loop.  The loop evaluates the Pi functionals, hence
+    eta, once per step; the controller and the recorder share them.
 
 Transformed solver
     Marches the log-abundances by Heun's two-stage method, evaluating the
@@ -31,7 +34,7 @@ from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
 from .lyapunov import find_sigma, g_fn_weights, h_fn, SIGMA_SAFETY
-from .model import AgeGrid, KernelSet, PopulationState, quad
+from .model import AgeGrid, KernelSet, PopulationState
 from .transform import (
     AdjointData,
     HistoryBuffer,
@@ -138,17 +141,21 @@ def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
 def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float, float]:
     """Loss rates (I1, I2): predation pressure on the prey and starvation
     pressure 1/quad(g2*x1) on the predator."""
-    grid = kernels.grid
-    i1 = quad(kernels.g1 * state.x2, grid)
-    denom = quad(kernels.g2 * state.x1, grid)
-    if not denom > 0:
+    w = kernels.grid.weights
+    return _interaction_losses(state.x1, state.x2, w * kernels.g1, w * kernels.g2, t=state.t)
+
+
+def _interaction_losses(x1, x2, wg1, wg2, t=None) -> tuple[float, float]:
+    i1 = float(wg1 @ x2)
+    i2_denom = float(wg2 @ x1)
+    if not i2_denom > 0:
         raise NumericalError(
             "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
             "term is singular",
-            t=state.t,
+            t=t,
             reason="prey_collapse",
         )
-    return i1, 1.0 / denom
+    return i1, 1.0 / i2_denom
 
 
 @dataclass(frozen=True)
@@ -239,8 +246,15 @@ class _Recorder:
         self.G2[j] = np.max(np.abs(psi2) * self.w2) / (1.0 + m2)
         self.k += 1
 
-    def build(self, meta: dict) -> Trajectory:
+    def build(self, solver: str) -> Trajectory:
         n = self.k
+        meta = {
+            "solver": solver,
+            "controller": self.cfg.controller.kind,
+            "ic": self.cfg.ic.kind,
+            "n_cells": self.setup.grid.n_cells,
+            "dt": self.setup.grid.da,
+        }
         return Trajectory(
             times=self.times[:n],
             eta=self.eta[:n],
@@ -259,132 +273,104 @@ def _n_steps(t_final: float, dt: float) -> int:
 
 
 def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
-    """One characteristic step of the direct solver (pure-function form).
-
-    The dilution value u is held over the step; the interaction losses are
-    averaged between the current state and a predictor pass.
-    """
+    """One characteristic step of the direct solver (pure-function form)."""
     grid = kernels.grid
     if abs(dt - grid.da) > 1e-12 * grid.da:
         raise ValueError("the direct solver requires dt equal to the age step")
-    i1, i2 = interaction_terms(state, kernels)
-    y1 = _advance_profile(state.x1, kernels.mu1, kernels.k1, u + i1, grid, dt)
-    y2 = _advance_profile(state.x2, kernels.mu2, kernels.k2, u + i2, grid, dt)
-    j1, j2 = interaction_terms(PopulationState(t=state.t + dt, x1=y1, x2=y2), kernels)
-    x1 = _advance_profile(state.x1, kernels.mu1, kernels.k1, u + 0.5 * (i1 + j1), grid, dt)
-    x2 = _advance_profile(state.x2, kernels.mu2, kernels.k2, u + 0.5 * (i2 + j2), grid, dt)
+    try:
+        x1, x2 = _direct_update(state.x1, state.x2, u, _direct_ops(kernels))
+    except NumericalError as err:
+        raise NumericalError(str(err), t=state.t, reason=err.reason) from None
     return PopulationState(t=state.t + dt, x1=x1, x2=x2)
 
 
-def _advance_profile(x, mu, k, loss: float, grid: AgeGrid, dt: float) -> np.ndarray:
-    w = grid.weights
-    d = 1.0 - w[0] * k[0]
-    if d <= 0.0:
-        raise NumericalError(
-            "grid too coarse for the birth kernel: trapezoid weight times k(0) "
-            f"reaches {w[0] * k[0]:.6g} >= 1",
-            reason="renewal_weight",
-        )
-    mu_avg = 0.5 * (mu[:-1] + mu[1:])
+def _direct_ops(kernels: KernelSet):
+    """Step-invariant arrays of the direct step: dt, the weighted interaction
+    kernels w*g1 and w*g2, and per species the cell-averaged mortality, the
+    weighted birth kernel w*k on nodes 1.. and the newborn denominator
+    1 - w0*k(0) of the implicit renewal solve."""
+    w = kernels.grid.weights
+    species = []
+    for mu, k in ((kernels.mu1, kernels.k1), (kernels.mu2, kernels.k2)):
+        wk = w * k
+        d = 1.0 - wk[0]
+        if d <= 0.0:
+            raise NumericalError(
+                "grid too coarse for the birth kernel: trapezoid weight times "
+                f"k(0) reaches {wk[0]:.6g} >= 1",
+                reason="renewal_weight",
+            )
+        species.append((0.5 * (mu[:-1] + mu[1:]), wk[1:], d))
+    return kernels.grid.da, w * kernels.g1, w * kernels.g2, species[0], species[1]
+
+
+def _transport(x, species, loss: float, dt: float) -> np.ndarray:
+    """Shift x one node along the characteristics with its loss factor, then
+    solve the newborn node from the trapezoid renewal sum."""
+    mu_avg, wk, d = species
     out = np.empty_like(x)
     out[1:] = x[:-1] * np.exp(-(mu_avg + loss) * dt)
-    out[0] = (w[1:] * k[1:]) @ out[1:] / d
+    out[0] = (wk @ out[1:]) / d
     return out
+
+
+def _direct_update(x1, x2, u, ops):
+    """Predictor pass with the losses frozen at t, then the corrected step with
+    step-averaged interaction losses; u frozen."""
+    dt, wg1, wg2, s1, s2 = ops
+    i1, i2 = _interaction_losses(x1, x2, wg1, wg2)
+    y1, y2 = _transport(x1, s1, u + i1, dt), _transport(x2, s2, u + i2, dt)
+    j1, j2 = _interaction_losses(y1, y2, wg1, wg2)
+    return (_transport(x1, s1, u + 0.5 * (i1 + j1), dt),
+            _transport(x2, s2, u + 0.5 * (i2 + j2), dt))
 
 
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
     """Integrate the density profiles and record the transformed series."""
-    grid, kernels, eq = setup.grid, setup.kernels, setup.eq
+    grid, eq = setup.grid, setup.eq
     dt = grid.da
     n_steps = _n_steps(cfg.t_final, dt)
     controller = BoundController(cfg.controller, eq, setup.adj)
     rec = _Recorder(setup, cfg, n_steps, dt)
+    ops = _direct_ops(setup.kernels)
 
     state = ic_from_spec(cfg.ic, eq)
     x1, x2 = state.x1.copy(), state.x2.copy()
     w = grid.weights
-    wg1, wg2 = w * kernels.g1, w * kernels.g2
-    mu_avg1 = 0.5 * (kernels.mu1[:-1] + kernels.mu1[1:])
-    mu_avg2 = 0.5 * (kernels.mu2[:-1] + kernels.mu2[1:])
-    wk1, wk2 = w * kernels.k1, w * kernels.k2
-    d1, d2 = 1.0 - wk1[0], 1.0 - wk2[0]
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise NumericalError(
-            "grid too coarse for the birth kernel (implicit newborn solve "
-            "needs w0*k(0) < 1)",
-            reason="renewal_weight",
-        )
-    pi1, pi2 = setup.adj[0].pi0, setup.adj[1].pi0
+    wpi1, wpi2 = w * setup.adj[0].pi0, w * setup.adj[1].pi0
     den1, den2 = setup.adj[0].denom, setup.adj[1].denom
-    wpi1, wpi2 = w * pi1, w * pi2
     xs1, xs2 = eq.x1_star, eq.x2_star
 
     t = 0.0
     for step in range(n_steps + 1):
-        i1 = float(wg1 @ x2)
-        i2_denom = float(wg2 @ x1)
-        if not i2_denom > 0:
-            raise NumericalError(
-                "prey collapse: quad(g2*x1) is nonpositive",
-                t=t,
-                reason="prey_collapse",
-            )
-        u = controller.u_from_state(x1, x2)
-        if not np.isfinite(u) or not (np.isfinite(i1) and np.isfinite(i2_denom)):
+        # Pi functionals, once per step: they give eta for the controller
+        # and psi for the recorder, and catch any non-finite profile.
+        p1 = float(wpi1 @ x1) / den1
+        p2 = float(wpi2 @ x2) / den2
+        if not (0.0 < p1 < np.inf and 0.0 < p2 < np.inf):
+            raise NumericalError("nonpositive or non-finite abundance functional",
+                                 t=t, reason="nan_guard")
+        eta = np.array([np.log(p1), np.log(p2)])
+        if controller.needs_profiles:
+            u = controller.u_from_state(x1, x2)
+        else:
+            u = controller.u_from_eta(eta)
+        if not np.isfinite(u):
             raise NumericalError("non-finite value in the control loop", t=t,
                                  reason="nan_guard")
-
         if step % cfg.record_every == 0 or step == n_steps:
-            p1 = float(wpi1 @ x1) / den1
-            p2 = float(wpi2 @ x2) / den2
-            if not (p1 > 0 and p2 > 0):
-                raise NumericalError("nonpositive abundance functional", t=t,
-                                     reason="nan_guard")
-            psi1 = x1 / (xs1 * p1) - 1.0
-            psi2 = x2 / (xs2 * p2) - 1.0
-            rec.record(t, (np.log(p1), np.log(p2)), u, psi1, psi2)
-            if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-                raise NumericalError("non-finite density profile", t=t, reason="nan_guard")
+            rec.record(t, eta, u, x1 / (xs1 * p1) - 1.0, x2 / (xs2 * p2) - 1.0)
         if rec.want_snapshot(step):
             rec.snapshots.append((t, x1.copy(), x2.copy()))
         if step == n_steps:
             break
-
-        # predictor pass with the losses frozen at t, then the corrected step
-        # with step-averaged interaction losses (u stays frozen).
-        loss1 = u + i1
-        loss2 = u + 1.0 / i2_denom
-        y1, y2 = np.empty_like(x1), np.empty_like(x2)
-        y1[1:] = x1[:-1] * np.exp(-(mu_avg1 + loss1) * dt)
-        y2[1:] = x2[:-1] * np.exp(-(mu_avg2 + loss2) * dt)
-        y1[0] = (wk1[1:] @ y1[1:]) / d1
-        y2[0] = (wk2[1:] @ y2[1:]) / d2
-        i1_p = float(wg1 @ y2)
-        i2_denom_p = float(wg2 @ y1)
-        if not i2_denom_p > 0:
-            raise NumericalError(
-                "prey collapse: quad(g2*x1) is nonpositive",
-                t=t, reason="prey_collapse",
-            )
-        loss1 = u + 0.5 * (i1 + i1_p)
-        loss2 = u + 0.5 * (1.0 / i2_denom + 1.0 / i2_denom_p)
-        new1, new2 = np.empty_like(x1), np.empty_like(x2)
-        new1[1:] = x1[:-1] * np.exp(-(mu_avg1 + loss1) * dt)
-        new2[1:] = x2[:-1] * np.exp(-(mu_avg2 + loss2) * dt)
-        new1[0] = (wk1[1:] @ new1[1:]) / d1
-        new2[0] = (wk2[1:] @ new2[1:]) / d2
-        x1, x2 = new1, new2
+        try:
+            x1, x2 = _direct_update(x1, x2, u, ops)
+        except NumericalError as err:
+            raise NumericalError(str(err), t=t, reason=err.reason) from None
         t = (step + 1) * dt
 
-    return rec.build(
-        meta={
-            "solver": "direct",
-            "controller": cfg.controller.kind,
-            "ic": cfg.ic.kind,
-            "n_cells": grid.n_cells,
-            "dt": dt,
-        }
-    )
+    return rec.build("direct")
 
 
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
@@ -500,15 +486,7 @@ def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
             raise NumericalError(str(err), t=t, reason=err.reason) from None
         t = (step + 1) * dt
 
-    return rec.build(
-        meta={
-            "solver": "transformed",
-            "controller": cfg.controller.kind,
-            "ic": cfg.ic.kind,
-            "n_cells": grid.n_cells,
-            "dt": dt,
-        }
-    )
+    return rec.build("transformed")
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

@@ -256,3 +256,16 @@ def test_cli_verify_low_resolution_guard(tmp_path, capsys):
     # algebraic criteria still run and pass at any resolution
     by_id = {c["id"]: c for c in report["criteria"]}
     assert by_id["08"]["passed"] and by_id["12"]["passed"]
+
+
+@pytest.mark.parametrize("solver", ["direct", "transformed"])
+def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
+    # a huge control-A gain drives the populations to underflow within a step
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        "[model]\nn_cells = 100\n[controller]\nkind = control_a\neps = 0.2\n"
+        f"beta = 5000\n[simulation]\nt_final = 2\nic = SQ\nsolver = {solver}\n",
+    )
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -15,12 +15,13 @@ from predprey.controllers import (
     control_measured,
     phi,
     sensor_equilibrium,
-    sensor_equilibrium_closed_form,
 )
 from predprey.errors import GainConstraintError
 from predprey.model import quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
 from predprey.transform import to_transformed
+
+from oracles import sensor_equilibrium_closed_form
 
 GAINS_A = GainsA(eps=0.2, beta=0.6)
 GAINS_B = GainsB(eps=0.01, beta=0.13, delta=0.2)

@@ -7,19 +7,16 @@ from predprey.lyapunov import (
     LyapConfig,
     bounds_H,
     closed_loop_jacobian,
-    closed_loop_rhs,
     conservation_check,
     control_b_discriminant,
     decrease_rate,
     default_lyap_config,
     dini_check,
-    fd_jacobian,
     find_sigma,
     g_decrease_violations,
     g_fn,
     gamma_circ,
     h_fn,
-    hyperbola_boundary,
     lambda_min_q,
     level_contour,
     phi_lower_bound,
@@ -37,6 +34,8 @@ from predprey.equilibrium import compute_equilibrium
 from predprey.model import AgeGrid, build_kernels, cumulative, quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
 from predprey.transform import HistoryBuffer, to_transformed, zero_history
+
+from oracles import closed_loop_rhs, fd_jacobian, hyperbola_boundary
 
 GA = dict(eps=0.2, beta=0.6)
 GB = dict(eps=0.01, beta=0.13, delta=0.2)

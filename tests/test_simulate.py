@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from predprey.controllers import ControllerSpec
+from predprey.controllers import BoundController, ControllerSpec
 from predprey.errors import NumericalError
-from predprey.model import AgeGrid, PopulationState, bc_residual
+from predprey.model import AgeGrid, PopulationState, bc_residual, kernels_from_tables
 from predprey.simulate import (
     ICSpec,
     SimConfig,
-    _advance_profile,
+    _transport,
     cross_validate,
     ic_from_spec,
     interaction_terms,
@@ -90,28 +90,55 @@ def test_step_direct_fixed_point(setup400):
     assert np.max(np.abs(nxt.x2 - eq.x2_star) / eq.x2_star) < 1e-4
 
 
-def test_advance_profile_no_births():
+def test_step_direct_matches_simulate_direct(setup100):
+    # step_direct and the simulate_direct loop run the same kernel, so the
+    # eta and u series agree bitwise
+    eq, grid = setup100.eq, setup100.grid
+    spec = ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2)
+    traj = simulate_direct(
+        setup100, SimConfig(t_final=200 * grid.da, controller=spec, ic=ICSpec(kind="SQ")),
+    )
+    controller = BoundController(spec, eq, setup100.adj)
+    wpi = [grid.weights * adj.pi0 for adj in setup100.adj]
+    state = ic_from_spec(ICSpec(kind="SQ"), eq)
+    etas, us = [], []
+    for _ in range(201):
+        eta = np.array([np.log(float(wpi[i] @ x) / setup100.adj[i].denom)
+                        for i, x in enumerate((state.x1, state.x2))])
+        u = controller.u_from_eta(eta)
+        etas.append(eta)
+        us.append(u)
+        state = step_direct(state, u, setup100.kernels, grid.da)
+    assert len(traj.times) == 201
+    assert np.array_equal(traj.eta, np.array(etas))
+    assert np.array_equal(traj.u, np.array(us))
+
+
+def test_direct_kernel_no_births():
     grid = AgeGrid(A=1.0, n_cells=16)
     x = np.linspace(1.0, 2.0, grid.n_nodes)
-    out = _advance_profile(x, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes),
-                           0.0, grid, grid.da)
+    no_births = (np.zeros(grid.n_cells), np.zeros(grid.n_cells), 1.0)
+    out = _transport(x, no_births, 0.0, grid.da)
     assert out[0] == 0.0  # no birth kernel, no newborns
 
 
-def test_advance_profile_pure_transport():
+def test_direct_kernel_pure_transport():
     grid = AgeGrid(A=1.0, n_cells=16)
     x = np.linspace(1.0, 2.0, grid.n_nodes)
-    out = _advance_profile(x, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes),
-                           0.0, grid, grid.da)
+    no_losses = (np.zeros(grid.n_cells), np.zeros(grid.n_cells), 1.0)
+    out = _transport(x, no_losses, 0.0, grid.da)
     assert np.array_equal(out[1:], x[:-1])
 
 
-def test_advance_profile_rejects_coarse_renewal():
+def test_direct_kernel_rejects_coarse_renewal():
     grid = AgeGrid(A=1.0, n_cells=2)
+    ones = np.ones(grid.n_nodes)
     k = np.full(grid.n_nodes, 5.0)  # w0*k0 = 0.25*5 > 1
-    with pytest.raises(NumericalError, match="coarse"):
-        _advance_profile(np.ones(grid.n_nodes), np.zeros(grid.n_nodes), k,
-                         0.0, grid, grid.da)
+    kernels = kernels_from_tables(grid, ones, k, ones, ones, k, ones)
+    state = PopulationState(t=0.0, x1=ones.copy(), x2=ones.copy())
+    with pytest.raises(NumericalError, match="coarse") as err:
+        step_direct(state, 0.1, kernels, grid.da)
+    assert err.value.reason == "renewal_weight"
 
 
 def test_step_transformed_zero_history_is_invariant(setup200):
@@ -264,3 +291,18 @@ def test_controller_negative_dilution_recorded(setup200):
                     ic=ICSpec(kind="SQ"))
     assert simulate_direct(setup200, cfg).u.min() < 0.0
     assert simulate_transformed(setup200, cfg).u.min() < 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [
+        # the measured law holds a smooth function of the profiles: second order
+        (ControllerSpec(kind="measured"), 3.0, np.inf),
+        # the held eta feedback makes the closed loop first order in dt
+        (ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2), 1.6, 2.5),
+    ],
+)
+def test_cross_validate_closed_loop_order(spec, lo, hi, setup100, setup200):
+    cfg = SimConfig(t_final=5.0, controller=spec, ic=ICSpec(kind="SQ"))
+    ratio = cross_validate(setup100, cfg) / cross_validate(setup200, cfg)
+    assert lo <= ratio <= hi
