@@ -122,6 +122,9 @@ _CHOICES = {
     ("simulation", "solver"): ("direct", "transformed", "both"),
     ("lyapunov", "mode"): ("auto", "gradient", "saturated"),
 }
+# each sweep axis value overrides one key and must pass that key's choices
+_CHOICES[("sweep", "controller")] = _CHOICES[("controller", "kind")]
+_CHOICES[("sweep", "ic")] = _CHOICES[("simulation", "ic")]
 
 
 def _parse_scalar(raw: str, pytype, where: str):
@@ -171,10 +174,9 @@ def _apply_entry(blocks: dict, section: str, key: str, raw: str):
     default = getattr(cls(), key)
     value = _parse_value(raw, default, f"{section}.{key}")
     choice = _CHOICES.get((section, key))
-    if choice is not None and value not in choice:
-        raise ConfigError(
-            f"{section}.{key} must be one of {choice}, got {value!r}"
-        )
+    for item in value if isinstance(value, tuple) else (value,):
+        if choice is not None and item not in choice:
+            raise ConfigError(f"{section}.{key} must be one of {choice}, got {item!r}")
     blocks[section][key] = value
 
 

@@ -109,9 +109,6 @@ class Equilibrium:
     ktilde1: np.ndarray
     ktilde2: np.ndarray
 
-    def xtilde(self, i: int) -> np.ndarray:
-        return self.xtilde1 if i == 1 else self.xtilde2
-
     def x_star(self, i: int) -> np.ndarray:
         return self.x1_star if i == 1 else self.x2_star
 

@@ -124,9 +124,6 @@ class KernelSet:
     def k(self, i: int) -> np.ndarray:
         return self.k1 if i == 1 else self.k2
 
-    def g(self, i: int) -> np.ndarray:
-        return self.g1 if i == 1 else self.g2
-
     def cum_mu(self, i: int) -> np.ndarray:
         """Cumulative mortality integral from 0 to each node.
 

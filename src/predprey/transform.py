@@ -81,9 +81,6 @@ class HistoryBuffer:
                 "the profile it encodes is nonpositive"
             )
 
-    def copy(self) -> "HistoryBuffer":
-        return HistoryBuffer(self.grid, self.samples.copy())
-
 
 def zero_history(grid: AgeGrid) -> HistoryBuffer:
     return HistoryBuffer(grid, np.zeros(grid.n_nodes))
@@ -97,9 +94,6 @@ class TransformedState:
     eta: np.ndarray
     psi1: HistoryBuffer
     psi2: HistoryBuffer
-
-    def psi(self, i: int) -> HistoryBuffer:
-        return self.psi1 if i == 1 else self.psi2
 
 
 P_RESIDUAL_TOL = 1e-3

@@ -219,6 +219,20 @@ def test_cli_sweep_requires_axes(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("axis", ["ic = FQ, bogus", "ic = FQ, eta",
+                                  "controller = control_a, control_z"])
+def test_cli_sweep_rejects_bad_axis_value(tmp_path, capsys, axis):
+    # every axis value is checked when the config loads, before any run
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        f"[model]\nn_cells = 60\n[simulation]\nt_final = 1\n[sweep]\n{axis}\nworkers = 1\n",
+    )
+    rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_kernel_table(tmp_path):
     # a tabulated kernel file reproducing the closed-form family gives the
     # same equilibrium as the shape parameters

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,25 +92,41 @@ def test_step_direct_fixed_point(setup400):
     assert np.max(np.abs(nxt.x2 - eq.x2_star) / eq.x2_star) < 1e-4
 
 
-def test_step_direct_matches_simulate_direct(setup100):
-    # step_direct and the simulate_direct loop run the same kernel, so the
-    # eta and u series agree bitwise
+@pytest.mark.parametrize("solver", ["direct", "transformed"])
+def test_step_matches_simulate(setup100, solver):
+    # the pure-function step and the simulate loop run the same kernel, so
+    # the eta and u series agree bitwise
     eq, grid = setup100.eq, setup100.grid
     spec = ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2)
-    traj = simulate_direct(
-        setup100, SimConfig(t_final=200 * grid.da, controller=spec, ic=ICSpec(kind="SQ")),
-    )
+    cfg = SimConfig(t_final=200 * grid.da, controller=spec, ic=ICSpec(kind="SQ"))
     controller = BoundController(spec, eq, setup100.adj)
-    wpi = [grid.weights * adj.pi0 for adj in setup100.adj]
-    state = ic_from_spec(ICSpec(kind="SQ"), eq)
+    if solver == "direct":
+        traj = simulate_direct(setup100, cfg)
+        wpi = [grid.weights * adj.pi0 for adj in setup100.adj]
+        state = ic_from_spec(cfg.ic, eq)
+
+        def eta_of(s):
+            return np.array([np.log(float(wpi[i] @ x) / setup100.adj[i].denom)
+                             for i, x in enumerate((s.x1, s.x2))])
+
+        def step(s, u):
+            return step_direct(s, u, setup100.kernels, grid.da)
+    else:
+        traj = simulate_transformed(setup100, cfg)
+        state = transformed_ic(cfg.ic, setup100)
+
+        def eta_of(s):
+            return s.eta
+
+        def step(s, u):
+            return step_transformed(s, u, eq, grid.da)
     etas, us = [], []
     for _ in range(201):
-        eta = np.array([np.log(float(wpi[i] @ x) / setup100.adj[i].denom)
-                        for i, x in enumerate((state.x1, state.x2))])
+        eta = eta_of(state)
         u = controller.u_from_eta(eta)
         etas.append(eta)
         us.append(u)
-        state = step_direct(state, u, setup100.kernels, grid.da)
+        state = step(state, u)
     assert len(traj.times) == 201
     assert np.array_equal(traj.eta, np.array(etas))
     assert np.array_equal(traj.u, np.array(us))
@@ -139,6 +157,35 @@ def test_direct_kernel_rejects_coarse_renewal():
     with pytest.raises(NumericalError, match="coarse") as err:
         step_direct(state, 0.1, kernels, grid.da)
     assert err.value.reason == "renewal_weight"
+
+
+@pytest.mark.parametrize("solver", ["direct", "transformed"])
+def test_simulate_rejects_coarse_renewal_at_t0(setup100, solver):
+    # w0*k(0) = 0.005*300 > 1 for the direct kernel k1 or the discounted
+    # kernel ktilde1; both loops report it at t = 0 with the same message
+    big = np.full(setup100.grid.n_nodes, 300.0)
+    if solver == "direct":
+        setup = replace(setup100, kernels=replace(setup100.kernels, k1=big))
+        run, ic = simulate_direct, ICSpec(kind="FQ")
+    else:
+        setup = replace(setup100, eq=replace(setup100.eq, ktilde1=big))
+        run, ic = simulate_transformed, ICSpec(kind="eta", eta0=(0.1, -0.1))
+    with pytest.raises(NumericalError, match="kernel at age 0 reaches 1.5 ") as err:
+        run(setup, SimConfig(t_final=0.1, controller=OPEN, ic=ic))
+    assert err.value.reason == "renewal_weight"
+    assert err.value.t == 0.0
+
+
+def test_direct_snapshot_does_not_alias_table_ic(setup100):
+    eq = setup100.eq
+    x1, x2 = eq.x1_star * 1.1, eq.x2_star * 0.9
+    traj = simulate_direct(
+        setup100, SimConfig(t_final=0.1, controller=OPEN,
+                            ic=ICSpec(kind="table", x1=x1, x2=x2), snapshot_times=(0.0,)),
+    )
+    t0, s1, s2 = traj.snapshots[0]
+    assert t0 == 0.0 and np.array_equal(s1, x1) and np.array_equal(s2, x2)
+    assert not np.shares_memory(s1, x1) and not np.shares_memory(s2, x2)
 
 
 def test_step_transformed_zero_history_is_invariant(setup200):
