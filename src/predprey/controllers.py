@@ -13,7 +13,6 @@ import numpy as np
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError
 from .model import check_grid_fn, quad
-from .transform import AdjointData, pi_functional
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
 # realistic state (phi saturates long before |eta| = 700).
@@ -213,17 +212,16 @@ class ControllerSpec:
 
 
 class BoundController:
-    """A ControllerSpec bound to an equilibrium: callable on either state form.
+    """A ControllerSpec bound to an equilibrium.
 
-    Gain constraints are checked here, once, so the per-step evaluations stay
-    unguarded.
+    The eta-based laws are evaluated by ``u_from_eta``, the measurement-based
+    law by ``u_from_state`` on the population profiles.  Gain constraints are
+    checked here, once, so the per-step evaluations stay unguarded.
     """
 
-    def __init__(self, spec: ControllerSpec, eq: Equilibrium,
-                 adj: tuple[AdjointData, AdjointData]):
+    def __init__(self, spec: ControllerSpec, eq: Equilibrium):
         self.spec = spec
         self.eq = eq
-        self.adj = adj
         self.gains_a = None
         self.gains_b = None
         self.sensors = None
@@ -269,16 +267,9 @@ class BoundController:
         )
 
     def u_from_state(self, x1, x2) -> float:
-        kind = self.spec.kind
-        if kind == "open_loop":
-            return self.eq.u_star
-        if kind == "measured":
-            y1, y2 = float(self._wc1 @ x1), float(self._wc2 @ x2)
-            return float(control_measured(y1, y2, self.sensors, self.gains_a, self.eq))
-        eta = np.array(
-            [
-                np.log(pi_functional(x1, self.adj[0], self.eq.grid)),
-                np.log(pi_functional(x2, self.adj[1], self.eq.grid)),
-            ]
-        )
-        return self.u_from_eta(eta)
+        if not self.needs_profiles:
+            raise GainConstraintError(
+                f"the {self.spec.kind} law acts on eta, not on population profiles"
+            )
+        y1, y2 = float(self._wc1 @ x1), float(self._wc2 @ x2)
+        return float(control_measured(y1, y2, self.sensors, self.gains_a, self.eq))

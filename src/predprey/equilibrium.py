@@ -18,21 +18,18 @@ from .errors import InfeasibleSetpointError, NumericalError
 from .model import AgeGrid, KernelSet, check_grid_fn, cumulative, quad
 
 
-def solve_lotka_sharpe(
-    mu,
-    k,
-    grid: AgeGrid,
-    cum_mu: np.ndarray | None = None,
-    f_tol: float = 1e-12,
-    max_iter: int = 200,
-    bracket: tuple[float, float] = (-10.0, 10.0),
-    max_doublings: int = 60,
-) -> float:
+F_TOL = 1e-12
+MAX_ITER = 200
+BRACKET = (-10.0, 10.0)
+MAX_DOUBLINGS = 60
+
+
+def solve_lotka_sharpe(mu, k, grid: AgeGrid, cum_mu: np.ndarray | None = None) -> float:
     """Solve quad(k * exp(-cum_mu - zeta*a)) = 1 for the real exponent zeta.
 
-    Bisection on a bracket found by doubling outward from ``bracket``;
-    the cumulative mortality integral is built once (or passed in when an
-    exact closed form is available).
+    Bisection to |F - 1| <= F_TOL on a bracket found by doubling outward from
+    BRACKET; the cumulative mortality integral is built once (or passed in
+    when an exact closed form is available).
     """
     mu = check_grid_fn(mu, grid, "mu")
     k = check_grid_fn(k, grid, "k")
@@ -50,14 +47,14 @@ def solve_lotka_sharpe(
             return float(w @ (k * np.exp(-cum_mu - zeta * a)))
 
     # F is strictly decreasing: F(lo) > 1 > F(hi) brackets the root.
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = BRACKET
     f_lo, f_hi = F(lo), F(hi)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if f_lo > 1.0:
             break
         lo = 2.0 * lo if lo < 0 else -1.0
         f_lo = F(lo)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if f_hi < 1.0:
             break
         hi = 2.0 * hi if hi > 0 else 1.0
@@ -70,17 +67,17 @@ def solve_lotka_sharpe(
         )
 
     zeta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         zeta = 0.5 * (lo + hi)
         f_mid = F(zeta)
-        if abs(f_mid - 1.0) <= f_tol:
+        if abs(f_mid - 1.0) <= F_TOL:
             return zeta
         if f_mid > 1.0:
             lo = zeta
         else:
             hi = zeta
     raise NumericalError(
-        f"bisection did not reach |F - 1| <= {f_tol:g} in {max_iter} iterations "
+        f"bisection did not reach |F - 1| <= {F_TOL:g} in {MAX_ITER} iterations "
         f"(last F={F(zeta):.15g})",
         reason="lotka_sharpe_tolerance",
     )
@@ -126,11 +123,9 @@ def feasible_interval(kernels: KernelSet) -> tuple[float, float]:
     return 0.0, min(z1, z2)
 
 
-def compute_equilibrium(kernels: KernelSet, u_star: float, grid: AgeGrid | None = None) -> Equilibrium:
+def compute_equilibrium(kernels: KernelSet, u_star: float) -> Equilibrium:
     """Construct the full equilibrium for a feasible dilution setpoint."""
-    grid = grid or kernels.grid
-    if grid is not kernels.grid and grid != kernels.grid:
-        raise ValueError("grid does not match the kernel grid")
+    grid = kernels.grid
     a = grid.nodes
     zeta = {}
     xtilde = {}

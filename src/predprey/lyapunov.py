@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import GainsA, GainsB, big_phi, control_A, phi
+from .controllers import GainsA, GainsB, big_phi, phi
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
 from .model import AgeGrid, check_grid_fn, cumulative, quad
@@ -121,12 +121,11 @@ class AssumptionUnverifiable(NumericalError):
     """The birth-kernel contraction could not be certified at this resolution."""
 
 
-def find_sigma(
-    ktilde,
-    grid: AgeGrid,
-    sigma_max: float = 50.0,
-    rel_gap: float = 1e-6,
-) -> tuple[float, float]:
+SIGMA_MAX = 50.0
+SIGMA_REL_GAP = 1e-6
+
+
+def find_sigma(ktilde, grid: AgeGrid) -> tuple[float, float]:
     """Certify the birth-kernel contraction and its decay exponent.
 
     Minimizes J(kappa) = quad(|ktilde - z*kappa*int_a^A ktilde|) exactly: on
@@ -135,7 +134,8 @@ def find_sigma(
     piecewise linear in kappa, so the weighted median of r_j is a minimizer.
     If the minimum is below one, the largest sigma with the
     exp(sigma*a)-weighted integral still below one is located by bisection;
-    the weighted integral at the returned sigma lies in [1 - rel_gap, 1).
+    the weighted integral at the returned sigma lies in [1 - SIGMA_REL_GAP, 1)
+    unless it stays below one up to SIGMA_MAX.
     """
     ktilde = check_grid_fn(ktilde, grid, "ktilde")
     a = grid.nodes
@@ -160,10 +160,10 @@ def find_sigma(
             reason="contraction_unverifiable",
         )
 
-    if J(best_kappa, sigma_max) < 1.0:
-        return best_kappa, sigma_max
-    s_lo, s_hi = 0.0, sigma_max
-    while J(best_kappa, s_lo) < 1.0 - rel_gap:
+    if J(best_kappa, SIGMA_MAX) < 1.0:
+        return best_kappa, SIGMA_MAX
+    s_lo, s_hi = 0.0, SIGMA_MAX
+    while J(best_kappa, s_lo) < 1.0 - SIGMA_REL_GAP:
         s_mid = 0.5 * (s_lo + s_hi)
         if J(best_kappa, s_mid) < 1.0:
             s_lo = s_mid
@@ -324,55 +324,66 @@ def phi_lower_bound(cfg: LyapConfig) -> float:
     return -math.sqrt(cfg.beta**2 / cfg.varpi**2 - cfg.delta**2)
 
 
-def region_gradient(eta, cfg: LyapConfig, eq: Equilibrium):
-    """Membership in the gradient region (broadcasts over eta[..., 2]).
+def constraint_level(cfg: LyapConfig, eq: Equilibrium) -> float:
+    """Level K < 0 of the curved constraint varphi = phi_1 + (1+eps)*phi_2 > K.
 
-    The constraints depend on eta only; histories never enter.
+    Control A is positive exactly where varphi > -u_star/beta (beta > 0);
+    the saturated mode bounds varphi by phi_lower_bound.
     """
-    h1, h2 = bounds_H(cfg, eq)
-    eta = np.asarray(eta, dtype=float)
-    u_val = control_A(eta, GainsA(cfg.eps, cfg.beta), eq)
-    return (eta[..., 0] >= -h1) & (eta[..., 1] <= h2) & (u_val > 0.0)
+    if cfg.mode == "gradient":
+        return -eq.u_star / cfg.beta
+    return phi_lower_bound(cfg)
 
 
-def region_saturated(eta, cfg: LyapConfig, eq: Equilibrium):
-    """Membership in the saturated region (broadcasts over eta[..., 2])."""
+def region_membership(eta, cfg: LyapConfig, eq: Equilibrium):
+    """Membership in the mode's region eta1 >= -H1, eta2 <= H2, varphi > K.
+
+    Broadcasts over eta[..., 2]; histories never enter.
+    """
     h1, h2 = bounds_H(cfg, eq)
     eta = np.asarray(eta, dtype=float)
     phi1, phi2 = phi(eta, eq)
     varphi = phi1 + (1.0 + cfg.eps) * phi2
-    return (eta[..., 0] >= -h1) & (eta[..., 1] <= h2) & (varphi > phi_lower_bound(cfg))
+    return (eta[..., 0] >= -h1) & (eta[..., 1] <= h2) & (varphi > constraint_level(cfg, eq))
 
 
-def region_membership(eta, cfg: LyapConfig, eq: Equilibrium):
-    return region_gradient(eta, cfg, eq) if cfg.mode == "gradient" else region_saturated(eta, cfg, eq)
-
-
-def u_zero_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
-    """eta2 on which control A vanishes; nan where u > 0 for every eta2."""
-    eta1 = np.asarray(eta1, dtype=float)
-    arg = 1.0 + (
-        np.exp(-eta1) - 1.0 - eq.lambda1 * eq.u_star / cfg.beta
-    ) / ((1.0 + cfg.eps) * eq.lambda1 * eq.lambda2)
-    out = np.full_like(arg, np.nan)
-    ok = arg > 0
-    out[ok] = np.log(arg[ok])
-    return out
-
-
-def phi_bound_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
-    """eta2 on which varphi equals its saturated lower bound; nan where undefined."""
+def constraint_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
+    """eta2 on which varphi = K, decreasing in eta1; nan where varphi > K for every eta2."""
     eta1 = np.asarray(eta1, dtype=float)
     phi1 = (1.0 - np.exp(-eta1)) / eq.lambda1
-    arg = 1.0 + (phi_lower_bound(cfg) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
+    arg = 1.0 + (constraint_level(cfg, eq) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
     out = np.full_like(arg, np.nan)
     ok = arg > 0
     out[ok] = np.log(arg[ok])
     return out
+
+
+def _curve_stationary_eta1(k_level: float, cfg: LyapConfig, eq: Equilibrium) -> list[float]:
+    """eta1 of the stationary points of V1 on the curve varphi = K.
+
+    There e^eta1 - 1 = 1 - e^-eta2, so a = e^eta1 solves
+    (c - 1 + K*lambda1) a^2 + (3 - c - 2*K*lambda1) a - 2 = 0 with
+    c = (1+eps)*lambda1*lambda2, and each root a in (0, 2) lies on the curve.
+    The roots are q/A and -2/q with the cancellation-free q; if A = 0, -2/q
+    is the linear root.
+    """
+    c = (1.0 + cfg.eps) * eq.lambda1 * eq.lambda2
+    qa = c - 1.0 + k_level * eq.lambda1
+    qb = 3.0 - c - 2.0 * k_level * eq.lambda1
+    # V1 has a least value on the curve, so the roots are real; the clamp
+    # only absorbs rounding at a double root
+    q = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb + 8.0 * qa, 0.0)), qb))
+    roots = [-2.0 / q] if q != 0.0 else []
+    if qa != 0.0:
+        roots.append(q / qa)
+    return [math.log(a) for a in roots if 0.0 < a < 2.0]
 
 
 # ---------------------------------------------------------------------------
 # region-of-attraction level set
+
+CURVE_LABEL = {"gradient": "u_zero", "saturated": "phi_bound"}
+PIECE_SAMPLES = 3333
 
 
 @dataclass
@@ -386,91 +397,62 @@ class RoaResult:
     H2: float
 
 
-def _refine_min(param_eval, s_lo, s_hi, rounds=4, n=2001):
-    """Dense-sample a parametric boundary piece and zoom on its V1 minimum."""
-    best = (np.inf, None)
-    for _ in range(rounds):
-        s = np.linspace(s_lo, s_hi, n)
-        eta, vals = param_eval(s)
-        if vals.size == 0 or np.all(np.isnan(vals)):
-            return best
-        j = int(np.nanargmin(vals))
-        if vals[j] < best[0]:
-            best = (float(vals[j]), eta[j])
-        lo_j, hi_j = max(j - 1, 0), min(j + 1, len(s) - 1)
-        s_lo, s_hi = s[lo_j], s[hi_j]
-    return best
+def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
+    """Largest invariant level c* of V1 inside the mode's region.
 
-
-def roa_estimate(cfg: LyapConfig, eq: Equilibrium, n_samples: int = 10_000) -> RoaResult:
-    """Largest invariant level of V1 inside the mode's region.
-
-    The region constraints involve eta only (asserted by construction of the
-    membership evaluators), and the history terms of V are nonnegative, so the
-    level follows from minimizing V1 over the three eta-boundary pieces: the
-    two box lines and the feedback-positivity (gradient) or varphi-bound (saturated)
-    curve.  Each piece is densely sampled with local refinement.
+    The region constraints involve eta only and the history terms of V are
+    nonnegative, so c* is the minimum of V1 over the region's boundary: the
+    lines eta1 = -H1 and eta2 = H2 and the curve varphi = K.  V1 is separable
+    and convex with minimum 0 at the origin, and the curve decreases in eta1,
+    so the candidates are finite.  On a line, V1 is least at (-H1, 0) or
+    (0, H2), or else at the line's end on the curve; along the curve V1 grows
+    without bound, so its least value is at a stationary point or at an end.
+    No end is needed: K < 0 puts (0, H2) in the region, below every other
+    point of eta2 = H2, and where the curve passes above (-H1, 0), V1 falls
+    along it away from eta1 = -H1.  So c* is the least V1 over (-H1, 0),
+    (0, H2) and the curve's stationary points (_curve_stationary_eta1), each
+    evaluated on its piece with the other constraints masking the infeasible
+    ones.  Each piece is also sampled at PIECE_SAMPLES points for tables and
+    plots.
     """
     validate_lyap_config(cfg, eq)
     h1, h2 = bounds_H(cfg, eq)
+    k_level = constraint_level(cfg, eq)
     span = 4.0 + 2.0 * max(h1, h2)
+    curve = CURVE_LABEL[cfg.mode]
 
-    def mask_other(eta, skip):
-        keep = np.ones(eta.shape[0], dtype=bool)
-        if skip != "H1":
+    def evaluate(label, s):
+        """The piece's points at parameters s, and V1 there (inf where infeasible)."""
+        if label == "H1":
+            eta = np.column_stack([np.full_like(s, -h1), s])
+        elif label == "H2":
+            eta = np.column_stack([s, np.full_like(s, h2)])
+        else:
+            eta = np.column_stack([s, constraint_curve(s, cfg, eq)])
+        keep = ~np.isnan(eta[:, 1])
+        if label != "H1":
             keep &= eta[:, 0] >= -h1 - 1e-12
-        if skip != "H2":
+        if label != "H2":
             keep &= eta[:, 1] <= h2 + 1e-12
-        if skip != "curve":
-            if cfg.mode == "gradient":
-                u_val = control_A(eta, GainsA(cfg.eps, cfg.beta), eq)
-                keep &= u_val >= -1e-12
-            else:
-                p1, p2 = phi(eta, eq)
-                keep &= p1 + (1.0 + cfg.eps) * p2 >= phi_lower_bound(cfg) - 1e-12
-        return keep
+        if label != curve:
+            p1, p2 = phi(eta, eq)
+            keep &= p1 + (1.0 + cfg.eps) * p2 >= k_level - 1e-12
+        return eta, np.where(keep, v1(eta, cfg.eps, eq), np.inf)
 
-    curve_fn = u_zero_curve if cfg.mode == "gradient" else phi_bound_curve
-    curve_label = "u_zero" if cfg.mode == "gradient" else "phi_bound"
-
-    def eval_h1_line(s):
-        eta = np.column_stack([np.full_like(s, -h1), s])
-        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
-        vals[~mask_other(eta, "H1")] = np.nan
-        return eta, vals
-
-    def eval_h2_line(s):
-        eta = np.column_stack([s, np.full_like(s, h2)])
-        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
-        vals[~mask_other(eta, "H2")] = np.nan
-        return eta, vals
-
-    def eval_curve(s):
-        e2 = curve_fn(s, cfg, eq)
-        eta = np.column_stack([s, e2])
-        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
-        vals[np.isnan(e2)] = np.nan
-        vals[~mask_other(eta, "curve")] = np.nan
-        return eta, vals
-
-    n_coarse = max(101, n_samples // 3)
     pieces = {}
     best = (np.inf, None, None)
-    for label, ev, (s_lo, s_hi) in (
-        ("H1", eval_h1_line, (-span, min(h2, span))),
-        ("H2", eval_h2_line, (-h1, span)),
-        (curve_label, eval_curve, (-h1, span)),
+    for label, (s_lo, s_hi), candidates in (
+        ("H1", (-span, min(h2, span)), [0.0]),
+        ("H2", (-h1, span), [0.0]),
+        (curve, (-h1, span), _curve_stationary_eta1(k_level, cfg, eq)),
     ):
-        s = np.linspace(s_lo, s_hi, n_coarse)
-        eta, vals = ev(s)
-        keep = ~np.isnan(vals)
+        eta, vals = evaluate(label, np.linspace(s_lo, s_hi, PIECE_SAMPLES))
+        keep = np.isfinite(vals)
         pieces[label] = (eta[keep], vals[keep])
-        val, arg = _refine_min(ev, s_lo, s_hi)
-        if arg is not None and val < best[0]:
-            best = (val, arg, label)
+        for point, val in zip(*evaluate(label, np.array(candidates, dtype=float))):
+            if val < best[0]:
+                best = (float(val), point, label)
 
-    if best[1] is None:
-        raise GainConstraintError("the constraint region is empty; bad Lyapunov weights")
     return RoaResult(
         mode=cfg.mode,
         c_star=best[0],
@@ -563,41 +545,6 @@ def dini_check(traj, cfg: LyapConfig, eq: Equilibrium) -> float:
     w = decrease_rate(traj.eta[:-1], traj.G1[:-1], traj.G2[:-1], cfg, eq)
     allowance = DINI_ALLOWANCE * dt * (1.0 + np.abs(traj.V[:-1]))
     return float(np.max(dV + w - allowance))
-
-
-def conservation_check(traj) -> float:
-    """Max relative drift rate |dV0/dt| / V0(0) along an open-loop run."""
-    if traj.V0 is None:
-        raise ValueError("trajectory lacks a V0 series")
-    ref = abs(traj.V0[0])
-    if ref == 0.0:
-        ref = 1.0
-    dV = np.abs(np.diff(traj.V0) / np.diff(traj.times))
-    return float(np.max(dV) / ref)
-
-
-G_DEFECT_ALLOWANCE = 10.0
-
-
-def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
-                          defect_allowance: float = G_DEFECT_ALLOWANCE) -> tuple[int, int]:
-    """Count steps where G_i fails its exponential decrease within tolerance.
-
-    The bound G(t+dt) <= G(t)*(1 - sigma*(1 - tol_frac)*dt) carries an
-    additive allowance defect_allowance*dt^2*G(0) per step: the trapezoid
-    renewal leaks its conserved projection at O(dt^2) per step, which
-    accumulates into a small persistent floor that the multiplicative bound
-    alone would flag forever.
-    """
-    dt = np.diff(traj.times)
-    counts = []
-    for series, sigma in ((traj.G1, cfg.sigma1), (traj.G2, cfg.sigma2)):
-        if series is None:
-            raise ValueError("trajectory lacks recorded G series")
-        atol = defect_allowance * dt**2 * (series[0] if series[0] > 0 else 1.0)
-        bound = series[:-1] * (1.0 + (-sigma + tol_frac * sigma) * dt) + atol
-        counts.append(int(np.count_nonzero(series[1:] > bound)))
-    return counts[0], counts[1]
 
 
 # ---------------------------------------------------------------------------

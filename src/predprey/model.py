@@ -194,15 +194,6 @@ def bc_residual(x, k, grid: AgeGrid) -> float:
     return abs(float(x[0]) - quad(k * x, grid))
 
 
-DEFAULT_BC_TOL = 1e-6
-
-
-def satisfies_bc(x, k, grid: AgeGrid, tol_bc: float = DEFAULT_BC_TOL) -> bool:
-    """Relative renewal-condition check: residual <= tol_bc * x(0)."""
-    x = check_grid_fn(x, grid, "x")
-    return bc_residual(x, k, grid) <= tol_bc * abs(float(x[0]))
-
-
 @dataclass
 class PopulationState:
     """Population densities of both species at one instant."""

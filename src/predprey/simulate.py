@@ -276,7 +276,7 @@ def _march(setup: Setup, cfg: SimConfig, solver: str, state, observe, update, ma
     grid too coarse for a birth kernel is reported at t = 0."""
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
-    controller = BoundController(cfg.controller, setup.eq, setup.adj)
+    controller = BoundController(cfg.controller, setup.eq)
     rec = _Recorder(setup, cfg, n_steps, dt)
     t = 0.0
     try:

@@ -82,10 +82,6 @@ class HistoryBuffer:
             )
 
 
-def zero_history(grid: AgeGrid) -> HistoryBuffer:
-    return HistoryBuffer(grid, np.zeros(grid.n_nodes))
-
-
 @dataclass
 class TransformedState:
     """Pair (eta1, eta2) plus the two shape-deviation histories."""

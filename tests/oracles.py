@@ -1,14 +1,17 @@
 """Independent reference computations that only the tests use.
 
 Each one reaches a quantity of the package by a second route, so a test can
-check that both routes agree.
+check that both routes agree.  The trajectory and profile checks below them
+(zero_history, satisfies_bc, conservation_check, g_decrease_violations) have
+no caller in the package, so they live here too.
 """
 import numpy as np
 
-from predprey.controllers import control_A, control_B, phi
+from predprey.controllers import GainsA, control_A, control_B, phi
 from predprey.equilibrium import Equilibrium
-from predprey.lyapunov import LyapConfig, phi_lower_bound
-from predprey.model import quad
+from predprey.lyapunov import LyapConfig, bounds_H, phi_lower_bound, v1, validate_lyap_config
+from predprey.model import AgeGrid, bc_residual, check_grid_fn, quad
+from predprey.transform import HistoryBuffer
 
 
 def hyperbola_boundary(q1, cfg: LyapConfig, eq: Equilibrium):
@@ -59,3 +62,152 @@ def sensor_equilibrium_closed_form(c1, c2, eq: Equilibrium) -> tuple[float, floa
         eq.kernels.g1 * eq.xtilde2, grid
     )
     return y1, y2
+
+
+def zero_history(grid: AgeGrid) -> HistoryBuffer:
+    return HistoryBuffer(grid, np.zeros(grid.n_nodes))
+
+
+DEFAULT_BC_TOL = 1e-6
+
+
+def satisfies_bc(x, k, grid: AgeGrid, tol_bc: float = DEFAULT_BC_TOL) -> bool:
+    """Relative renewal-condition check: residual <= tol_bc * x(0)."""
+    x = check_grid_fn(x, grid, "x")
+    return bc_residual(x, k, grid) <= tol_bc * abs(float(x[0]))
+
+
+def conservation_check(traj) -> float:
+    """Max relative drift rate |dV0/dt| / V0(0) along an open-loop run."""
+    if traj.V0 is None:
+        raise ValueError("trajectory lacks a V0 series")
+    ref = abs(traj.V0[0])
+    if ref == 0.0:
+        ref = 1.0
+    dV = np.abs(np.diff(traj.V0) / np.diff(traj.times))
+    return float(np.max(dV) / ref)
+
+
+G_DEFECT_ALLOWANCE = 10.0
+
+
+def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
+                          defect_allowance: float = G_DEFECT_ALLOWANCE) -> tuple[int, int]:
+    """Count steps where G_i fails its exponential decrease within tolerance.
+
+    The bound G(t+dt) <= G(t)*(1 - sigma*(1 - tol_frac)*dt) carries an
+    additive allowance defect_allowance*dt^2*G(0) per step: the trapezoid
+    renewal leaks its conserved projection at O(dt^2) per step, which
+    accumulates into a small persistent floor that the multiplicative bound
+    alone would flag forever.
+    """
+    dt = np.diff(traj.times)
+    counts = []
+    for series, sigma in ((traj.G1, cfg.sigma1), (traj.G2, cfg.sigma2)):
+        if series is None:
+            raise ValueError("trajectory lacks recorded G series")
+        atol = defect_allowance * dt**2 * (series[0] if series[0] > 0 else 1.0)
+        bound = series[:-1] * (1.0 + (-sigma + tol_frac * sigma) * dt) + atol
+        counts.append(int(np.count_nonzero(series[1:] > bound)))
+    return counts[0], counts[1]
+
+
+# ---------------------------------------------------------------------------
+# the sampled search for the ROA level c*, kept as the reference of the
+# closed-form candidate set in lyapunov.roa_estimate
+
+
+def u_zero_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
+    """eta2 on which control A vanishes; nan where u > 0 for every eta2."""
+    eta1 = np.asarray(eta1, dtype=float)
+    arg = 1.0 + (
+        np.exp(-eta1) - 1.0 - eq.lambda1 * eq.u_star / cfg.beta
+    ) / ((1.0 + cfg.eps) * eq.lambda1 * eq.lambda2)
+    out = np.full_like(arg, np.nan)
+    ok = arg > 0
+    out[ok] = np.log(arg[ok])
+    return out
+
+
+def phi_bound_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
+    """eta2 on which varphi equals its saturated lower bound; nan where undefined."""
+    eta1 = np.asarray(eta1, dtype=float)
+    phi1 = (1.0 - np.exp(-eta1)) / eq.lambda1
+    arg = 1.0 + (phi_lower_bound(cfg) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
+    out = np.full_like(arg, np.nan)
+    ok = arg > 0
+    out[ok] = np.log(arg[ok])
+    return out
+
+
+def _refine_min(param_eval, s_lo, s_hi, rounds=4, n=2001):
+    """Dense-sample a parametric boundary piece and zoom on its V1 minimum."""
+    best = (np.inf, None)
+    for _ in range(rounds):
+        s = np.linspace(s_lo, s_hi, n)
+        eta, vals = param_eval(s)
+        if vals.size == 0 or np.all(np.isnan(vals)):
+            return best
+        j = int(np.nanargmin(vals))
+        if vals[j] < best[0]:
+            best = (float(vals[j]), eta[j])
+        lo_j, hi_j = max(j - 1, 0), min(j + 1, len(s) - 1)
+        s_lo, s_hi = s[lo_j], s[hi_j]
+    return best
+
+
+def sampled_roa_min(cfg: LyapConfig, eq: Equilibrium):
+    """(c*, argmin eta, piece label) by sampling each boundary piece densely
+    and refining locally."""
+    validate_lyap_config(cfg, eq)
+    h1, h2 = bounds_H(cfg, eq)
+    span = 4.0 + 2.0 * max(h1, h2)
+
+    def mask_other(eta, skip):
+        keep = np.ones(eta.shape[0], dtype=bool)
+        if skip != "H1":
+            keep &= eta[:, 0] >= -h1 - 1e-12
+        if skip != "H2":
+            keep &= eta[:, 1] <= h2 + 1e-12
+        if skip != "curve":
+            if cfg.mode == "gradient":
+                u_val = control_A(eta, GainsA(cfg.eps, cfg.beta), eq)
+                keep &= u_val >= -1e-12
+            else:
+                p1, p2 = phi(eta, eq)
+                keep &= p1 + (1.0 + cfg.eps) * p2 >= phi_lower_bound(cfg) - 1e-12
+        return keep
+
+    curve_fn = u_zero_curve if cfg.mode == "gradient" else phi_bound_curve
+    curve_label = "u_zero" if cfg.mode == "gradient" else "phi_bound"
+
+    def eval_h1_line(s):
+        eta = np.column_stack([np.full_like(s, -h1), s])
+        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
+        vals[~mask_other(eta, "H1")] = np.nan
+        return eta, vals
+
+    def eval_h2_line(s):
+        eta = np.column_stack([s, np.full_like(s, h2)])
+        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
+        vals[~mask_other(eta, "H2")] = np.nan
+        return eta, vals
+
+    def eval_curve(s):
+        e2 = curve_fn(s, cfg, eq)
+        eta = np.column_stack([s, e2])
+        vals = np.asarray(v1(eta, cfg.eps, eq), dtype=float)
+        vals[np.isnan(e2)] = np.nan
+        vals[~mask_other(eta, "curve")] = np.nan
+        return eta, vals
+
+    best = (np.inf, None, None)
+    for label, ev, (s_lo, s_hi) in (
+        ("H1", eval_h1_line, (-span, min(h2, span))),
+        ("H2", eval_h2_line, (-h1, span)),
+        (curve_label, eval_curve, (-h1, span)),
+    ):
+        val, arg = _refine_min(ev, s_lo, s_hi)
+        if arg is not None and val < best[0]:
+            best = (val, arg, label)
+    return best

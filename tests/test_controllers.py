@@ -19,7 +19,7 @@ from predprey.controllers import (
 from predprey.errors import GainConstraintError
 from predprey.model import quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
-from predprey.transform import to_transformed
+from predprey.transform import pi_functional, to_transformed
 
 from oracles import sensor_equilibrium_closed_form
 
@@ -218,7 +218,12 @@ def test_control_in_x_composes(setup400):
     # control A on population profiles: Pi functionals, then the eta law
     eq = setup400.eq
     spec = ControllerSpec(kind="control_a", eps=GAINS_A.eps, beta=GAINS_A.beta)
-    u_of_x = BoundController(spec, eq, setup400.adj).u_from_state
+    bound = BoundController(spec, eq)
+
+    def u_of_x(x1, x2):
+        eta = np.log([pi_functional(x, adj, eq.grid) for x, adj in zip((x1, x2), setup400.adj)])
+        return bound.u_from_eta(eta)
+
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
     ts = to_transformed(state, eq, setup400.adj)
     expected = control_A(ts.eta, GAINS_A, eq)
@@ -280,22 +285,26 @@ def test_control_measured_values(setup400):
 def test_bound_controller_dispatch(setup400):
     eq = setup400.eq
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
-    for kind in ("open_loop", "control_a", "control_b", "feedback_linearizing", "measured"):
+    eta = to_transformed(state, eq, setup400.adj).eta
+    for kind in ("open_loop", "control_a", "control_b", "feedback_linearizing"):
         spec = (
             ControllerSpec(kind=kind, eps=0.01, beta=0.13, delta=0.2)
             if kind == "control_b"
             else ControllerSpec(kind=kind)
         )
-        bound = BoundController(spec, eq, setup400.adj)
-        u = bound.u_from_state(state.x1, state.x2)
-        assert np.isfinite(u)
+        bound = BoundController(spec, eq)
+        assert not bound.needs_profiles
+        assert np.isfinite(bound.u_from_eta(eta))
+        with pytest.raises(GainConstraintError, match="acts on eta"):
+            bound.u_from_state(state.x1, state.x2)
     for sensor in ("interaction", "birth", "uniform"):
-        bound = BoundController(ControllerSpec(kind="measured", sensor=sensor),
-                                eq, setup400.adj)
+        bound = BoundController(ControllerSpec(kind="measured", sensor=sensor), eq)
+        assert bound.needs_profiles
         assert np.isfinite(bound.u_from_state(state.x1, state.x2))
         assert bound.sensors.y1_star > 0 and bound.sensors.y2_star > 0
+        with pytest.raises(GainConstraintError, match="population profiles"):
+            bound.u_from_eta(eta)
     with pytest.raises(GainConstraintError, match="unknown controller kind"):
         ControllerSpec(kind="bogus")
     with pytest.raises(GainConstraintError, match="sensor"):
-        BoundController(ControllerSpec(kind="measured", sensor="sonar"),
-                        eq, setup400.adj)
+        BoundController(ControllerSpec(kind="measured", sensor="sonar"), eq)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,26 +7,26 @@ from predprey.controllers import ControllerSpec, GainsA, GainsB, control_A, phi
 from predprey.errors import GainConstraintError
 from predprey.lyapunov import (
     LyapConfig,
+    _curve_stationary_eta1,
     bounds_H,
     closed_loop_jacobian,
-    conservation_check,
+    constraint_curve,
+    constraint_level,
     control_b_discriminant,
     decrease_rate,
     default_lyap_config,
     dini_check,
     find_sigma,
-    g_decrease_violations,
     g_fn,
     gamma_circ,
+    gamma_lower_bounds,
     h_fn,
     lambda_min_q,
     level_contour,
     phi_lower_bound,
     q_matrix,
-    region_gradient,
-    region_saturated,
+    region_membership,
     roa_estimate,
-    u_zero_curve,
     v0,
     v1,
     v_full,
@@ -33,9 +35,17 @@ from predprey.lyapunov import (
 from predprey.equilibrium import compute_equilibrium
 from predprey.model import AgeGrid, build_kernels, cumulative, quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
-from predprey.transform import HistoryBuffer, to_transformed, zero_history
+from predprey.transform import HistoryBuffer, to_transformed
 
-from oracles import closed_loop_rhs, fd_jacobian, hyperbola_boundary
+from oracles import (
+    closed_loop_rhs,
+    conservation_check,
+    fd_jacobian,
+    g_decrease_violations,
+    hyperbola_boundary,
+    sampled_roa_min,
+    zero_history,
+)
 
 GA = dict(eps=0.2, beta=0.6)
 GB = dict(eps=0.01, beta=0.13, delta=0.2)
@@ -268,11 +278,16 @@ def test_v_full_additivity(setup400, cfg2):
 
 def test_region_gradient_origin_and_bounds(setup400, cfg2):
     eq = setup400.eq
-    assert bool(region_gradient(np.zeros(2), cfg2, eq))
+    assert bool(region_membership(np.zeros(2), cfg2, eq))
     h1, h2 = bounds_H(cfg2, eq)
     assert h1 > 0 and h2 > 0
-    assert not bool(region_gradient(np.array([-h1 - 0.01, 0.0]), cfg2, eq))
-    assert not bool(region_gradient(np.array([0.0, h2 + 0.01]), cfg2, eq))
+    assert not bool(region_membership(np.array([-h1 - 0.01, 0.0]), cfg2, eq))
+    assert not bool(region_membership(np.array([0.0, h2 + 0.01]), cfg2, eq))
+    # inside the box, membership is exactly the positivity of control A
+    gains = GainsA(**GA)
+    e1, e2 = np.meshgrid(np.linspace(-h1, 2.0, 301), np.linspace(-3.0, h2, 301))
+    eta = np.stack([e1, e2], axis=-1)
+    assert np.array_equal(region_membership(eta, cfg2, eq), control_A(eta, gains, eq) > 0.0)
 
 
 def test_region_gradient_rejects_boundary_gamma(setup400):
@@ -294,17 +309,19 @@ def test_u_zero_curve_consistency(setup400, cfg2):
     # points on the curve make the feedback vanish; above it u > 0
     eq = setup400.eq
     gains = GainsA(**GA)
+    assert constraint_level(cfg2, eq) == -eq.u_star / GA["beta"]
     for e1 in (-0.2, 0.0, 0.5, 1.5):
-        e2 = float(u_zero_curve(e1, cfg2, eq))
+        e2 = float(constraint_curve(e1, cfg2, eq))
         assert control_A(np.array([e1, e2]), gains, eq) == pytest.approx(0.0, abs=1e-12)
         assert control_A(np.array([e1, e2 + 0.05]), gains, eq) > 0
     # the u = 0 boundary passes below the origin for the reference gains
-    assert float(u_zero_curve(0.0, cfg2, eq)) < 0.0
+    assert float(constraint_curve(0.0, cfg2, eq)) < 0.0
 
 
 def test_region_saturated_origin_and_limit(setup400, cfg4):
     eq = setup400.eq
-    assert bool(region_saturated(np.zeros(2), cfg4, eq))
+    assert bool(region_membership(np.zeros(2), cfg4, eq))
+    assert constraint_level(cfg4, eq) == phi_lower_bound(cfg4)
     # as varpi approaches beta/delta the varphi bound tightens to zero
     import dataclasses
 
@@ -326,6 +343,8 @@ def test_hyperbola_consistency(setup400, cfg4):
     eta = np.array([np.log(1.0 + q1), np.log(1.0 + q2)])
     p1, p2 = phi(eta, eq)
     assert p1 + (1.0 + cfg4.eps) * p2 == pytest.approx(-s, abs=1e-10)
+    # and the constraint curve of the saturated mode is that hyperbola
+    assert float(constraint_curve(eta[0], cfg4, eq)) == pytest.approx(eta[1], abs=1e-12)
 
 
 def test_roa_gradient(setup400, cfg2):
@@ -356,6 +375,86 @@ def test_roa_saturated(setup400, cfg4):
     assert res.c_star > 0
     assert res.active_piece == "phi_bound"
     assert verify_level_set(res, cfg4, eq, n_grid=200) == 0
+
+
+def _assert_feasible_argmin(res, cfg, eq):
+    """The argmin is in the region, gives c*, and lies on its piece to 1e-12."""
+    eta = res.argmin_eta
+    p1, p2 = phi(eta, eq)
+    gap = p1 + (1.0 + cfg.eps) * p2 - constraint_level(cfg, eq)
+    assert eta[0] >= -res.H1 - 1e-12 and eta[1] <= res.H2 + 1e-12 and gap >= -1e-12
+    assert v1(eta, cfg.eps, eq) == res.c_star
+    off = {"H1": abs(eta[0] + res.H1), "H2": abs(eta[1] - res.H2)}.get(res.active_piece, abs(gap))
+    assert off <= 1e-12
+
+
+def test_roa_closed_form_matches_sampled_search(setup400, cfg2, cfg4):
+    eq = setup400.eq
+    for cfg in (cfg2, cfg4):
+        res = roa_estimate(cfg, eq)
+        c_ref, arg_ref, piece_ref = sampled_roa_min(cfg, eq)
+        assert res.c_star == pytest.approx(c_ref, rel=1e-13)
+        assert res.active_piece == piece_ref
+        # V1 is flat at its minimum: the sampled argmin is only ~1e-9 accurate
+        assert np.max(np.abs(res.argmin_eta - arg_ref)) < 1e-8
+        _assert_feasible_argmin(res, cfg, eq)
+
+
+def _random_lyap_config(mode, rng, setup):
+    eq = setup.eq
+    if mode == "gradient":
+        eps = rng.uniform(0.05, 2.0)
+        beta = eps / (4.0 * (1.0 + eps)) * rng.uniform(1.05, 20.0)
+        extra = {}
+    else:
+        eps = rng.uniform(0.001, 0.1)
+        beta = rng.uniform(0.01, 0.99 * (eq.u_star - eps * eq.lambda2))
+        delta = rng.uniform(0.02, 1.0)
+        extra = dict(delta=delta, varpi=rng.uniform(0.05, 0.95) * beta / delta)
+    lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, extra.get("varpi"))
+    return default_lyap_config(mode, eps, beta, eq, setup.sigma, setup.kappa,
+                               gamma1=lo1 * rng.uniform(1.05, 20.0),
+                               gamma2=lo2 * rng.uniform(1.05, 20.0), **extra)
+
+
+@pytest.mark.parametrize("mode", ["gradient", "saturated"])
+def test_roa_closed_form_never_above_sampled_search(setup400, mode):
+    eq = setup400.eq
+    rng = np.random.default_rng(7)
+    pieces = set()
+    for _ in range(100):
+        cfg = _random_lyap_config(mode, rng, setup400)
+        res = roa_estimate(cfg, eq)
+        c_ref, _, piece_ref = sampled_roa_min(cfg, eq)
+        assert res.c_star <= c_ref * (1.0 + 1e-13)
+        assert res.active_piece == piece_ref
+        _assert_feasible_argmin(res, cfg, eq)
+        pieces.add(res.active_piece)
+    # the draws reach the minima on the lines as well as on the curve
+    assert len(pieces) >= 2
+
+
+def test_roa_linear_stationary_root(setup400):
+    # at beta = u* lambda1/(c - 1) the quadratic of the curve's stationary
+    # points loses its leading coefficient; its one root is a = 2/(1 + c)
+    eq = setup400.eq
+    eps = 0.2
+    c = (1.0 + eps) * eq.lambda1 * eq.lambda2
+    cfg = default_lyap_config("gradient", eps, eq.u_star * eq.lambda1 / (c - 1.0), eq,
+                              setup400.sigma, setup400.kappa)
+    k_level = constraint_level(cfg, eq)
+    assert abs(c - 1.0 + k_level * eq.lambda1) < 1e-14
+    assert _curve_stationary_eta1(k_level, cfg, eq) == pytest.approx(
+        [np.log(2.0 / (1.0 + c))], rel=1e-14)
+    res = roa_estimate(cfg, eq)
+    c_ref, _, piece_ref = sampled_roa_min(cfg, eq)
+    assert res.c_star == pytest.approx(c_ref, rel=1e-13)
+    assert res.active_piece == piece_ref
+    _assert_feasible_argmin(res, cfg, eq)
+    # an exactly vanishing leading coefficient leaves the linear root alone:
+    # c = 2 and K*lambda1 = -1 give 3a - 2 = 0
+    unit = SimpleNamespace(lambda1=1.0, lambda2=1.0)
+    assert _curve_stationary_eta1(-1.0, SimpleNamespace(eps=1.0), unit) == [np.log(2.0 / 3.0)]
 
 
 def test_level_contour_on_level(setup400, cfg2):

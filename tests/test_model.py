@@ -11,8 +11,9 @@ from predprey.model import (
     cumulative,
     kernels_from_tables,
     quad,
-    satisfies_bc,
 )
+
+from oracles import satisfies_bc
 
 
 def test_grid_basic():

@@ -99,7 +99,7 @@ def test_step_matches_simulate(setup100, solver):
     eq, grid = setup100.eq, setup100.grid
     spec = ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2)
     cfg = SimConfig(t_final=200 * grid.da, controller=spec, ic=ICSpec(kind="SQ"))
-    controller = BoundController(spec, eq, setup100.adj)
+    controller = BoundController(spec, eq)
     if solver == "direct":
         traj = simulate_direct(setup100, cfg)
         wpi = [grid.weights * adj.pi0 for adj in setup100.adj]

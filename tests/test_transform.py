@@ -11,9 +11,10 @@ from predprey.transform import (
     reconstruct,
     to_transformed,
     v_map,
-    zero_history,
 )
 from predprey.lyapunov import g_fn
+
+from oracles import zero_history
 
 
 def test_pi0_boundary_values(setup400):
