@@ -105,11 +105,11 @@ class VerifyContext:
             if mode == "gradient":
                 return default_lyap_config(
                     "gradient", REFERENCE_GAINS_A["eps"], REFERENCE_GAINS_A["beta"],
-                    setup.eq, setup.sigma, setup.kappa,
+                    setup.eq, setup.sigma,
                 )
             return default_lyap_config(
                 "saturated", REFERENCE_GAINS_B["eps"], REFERENCE_GAINS_B["beta"],
-                setup.eq, setup.sigma, setup.kappa, delta=REFERENCE_GAINS_B["delta"],
+                setup.eq, setup.sigma, delta=REFERENCE_GAINS_B["delta"],
             )
         return self._get(("lyap", mode), build)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import svgplot
 from .acceptance import VerifyContext, run_all
-from .config import RunConfig, effective_ini, load_config, override
+from .config import RunConfig, load_config, override
 from .controllers import ControllerSpec
 from .equilibrium import feasible_interval
 from .errors import ConfigError, NumericalError, PredPreyError, VerificationFailure
@@ -67,9 +67,15 @@ def write_json(path: Path, payload: dict):
 
 
 def build_grid_and_kernels(cfg: RunConfig):
+    """The age grid and kernels of ``[model]``; a kernel table that cannot be
+    read, or kernels the model rejects, are reported as ``ConfigError``."""
     m = cfg.model
     grid = AgeGrid(A=m.A, n_cells=m.n_cells)
-    if m.kernel_table:
+    try:
+        if not m.kernel_table:
+            return grid, build_kernels(
+                m.mu_bar_1, m.k_bar_1, m.g_bar_1, m.mu_bar_2, m.k_bar_2, m.g_bar_2, grid
+            )
         table = np.loadtxt(m.kernel_table, delimiter=",", skiprows=1)
         if table.shape != (grid.n_nodes, 7):
             raise ConfigError(
@@ -79,10 +85,8 @@ def build_grid_and_kernels(cfg: RunConfig):
         if not np.allclose(table[:, 0], grid.nodes, atol=1e-12):
             raise ConfigError("kernel table ages do not match the grid nodes")
         return grid, kernels_from_tables(grid, *(table[:, j] for j in range(1, 7)))
-    kernels = build_kernels(
-        m.mu_bar_1, m.k_bar_1, m.g_bar_1, m.mu_bar_2, m.k_bar_2, m.g_bar_2, grid
-    )
-    return grid, kernels
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"[model] kernels rejected: {err}") from None
 
 
 def build_setup_from_config(cfg: RunConfig) -> Setup:
@@ -109,31 +113,26 @@ def ic_from_config(cfg: RunConfig) -> ICSpec:
     return ICSpec(kind=s.ic)
 
 
-def lyap_config_from(cfg: RunConfig, setup: Setup):
-    """Resolve the analysis mode and weights for recording/ROA.
+ANALYSIS_MODE = {"control_a": "gradient", "measured": "gradient", "control_b": "saturated"}
 
-    ``auto`` pairs gradient with control A gains and saturated with control B gains;
-    open-loop and other controllers get no composite functional unless the
-    mode is forced.
+
+def lyap_config_from(cfg: RunConfig, setup: Setup):
+    """The analysis mode and weights for recording/ROA, or None.
+
+    The mode follows the controller kind (ANALYSIS_MODE); open-loop and
+    feedback-linearizing runs get no composite functional.  sigma is the
+    certified ``Setup.sigma``, the value the recorder uses for G.
     """
     lb = cfg.lyapunov
-    kind = cfg.controller.kind
-    mode = lb.mode
-    if mode == "auto":
-        if kind == "control_b":
-            mode = "saturated"
-        elif kind in ("control_a", "measured"):
-            mode = "gradient"
-        else:
-            return None
-    eps, beta = cfg.controller.eps, cfg.controller.beta
+    mode = ANALYSIS_MODE.get(cfg.controller.kind)
+    if mode is None:
+        return None
     return default_lyap_config(
         mode,
-        eps,
-        beta,
+        cfg.controller.eps,
+        cfg.controller.beta,
         setup.eq,
-        sigma=(lb.sigma1 or setup.sigma[0], lb.sigma2 or setup.sigma[1]),
-        kappa=setup.kappa,
+        sigma=setup.sigma,
         delta=cfg.controller.delta if mode == "saturated" else None,
         varpi=lb.varpi or None,
         gamma1=lb.gamma1 or None,
@@ -268,8 +267,8 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     lyap = lyap_config_from(cfg, setup)
     if lyap is None:
         raise ConfigError(
-            "roa needs an analysis mode: use control_a/control_b gains or set "
-            "lyapunov.mode explicitly"
+            "roa needs an analysis mode, which follows the controller: set "
+            f"controller.kind to one of {sorted(ANALYSIS_MODE)}"
         )
     result = roa_estimate(lyap, setup.eq)
     labels, e1s, e2s, vals = [], [], [], []
@@ -340,13 +339,7 @@ def _sweep_lists(cfg: RunConfig) -> dict[str, tuple]:
 
 
 def _sweep_worker(args) -> dict:
-    ini_text, combo, outdir = args
-    cfg = load_config(text=ini_text, env={})
-    updates: dict[str, dict] = {}
-    for dotted, value in combo.items():
-        section, key = dotted.split(".")
-        updates.setdefault(section, {})[key] = value
-    cfg = override(cfg, **updates)
+    cfg, combo, outdir = args
     run_dir = Path(outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
     setup = build_setup_from_config(cfg)
@@ -369,11 +362,14 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         )
     names = list(axes)
     combos = [dict(zip(names, values)) for values in itertools.product(*axes.values())]
-    ini_text = effective_ini(cfg)
     jobs = []
     for idx, combo in enumerate(combos):
+        updates: dict[str, dict] = {}
+        for dotted, value in combo.items():
+            section, key = dotted.split(".")
+            updates.setdefault(section, {})[key] = value
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
-        jobs.append((ini_text, combo, str(outdir / f"run_{idx:03d}_{slug}")))
+        jobs.append((override(cfg, **updates), combo, str(outdir / f"run_{idx:03d}_{slug}")))
     workers = cfg.sweep.workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         try:

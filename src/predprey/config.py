@@ -62,11 +62,8 @@ class SimulationBlock:
 
 @dataclass(frozen=True)
 class LyapunovBlock:
-    mode: str = "auto"  # auto | gradient | saturated
     gamma1: float = 0.0  # 0 means "use the default (twice the lower bound)"
     gamma2: float = 0.0
-    sigma1: float = 0.0  # 0 means "use the certified value"
-    sigma2: float = 0.0
     varpi: float = 0.0  # 0 means beta/(2*delta)
 
 
@@ -120,7 +117,6 @@ _CHOICES = {
     ("controller", "sensor"): ("interaction", "birth", "uniform"),
     ("simulation", "ic"): ("FQ", "SQ", "equilibrium", "multiplier"),
     ("simulation", "solver"): ("direct", "transformed", "both"),
-    ("lyapunov", "mode"): ("auto", "gradient", "saturated"),
 }
 # each sweep axis value overrides one key and must pass that key's choices
 _CHOICES[("sweep", "controller")] = _CHOICES[("controller", "kind")]

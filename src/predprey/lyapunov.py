@@ -104,8 +104,7 @@ def g_fn(psi: HistoryBuffer, sigma: float) -> float:
     floor = min(0.0, float(s.min()))
     if 1.0 + floor <= 0.0:
         raise ValueError("history contains a sample <= -1; G is undefined")
-    weights = np.exp(sigma * (psi.grid.A - psi.grid.nodes))
-    return float(np.max(np.abs(s) * weights) / (1.0 + floor))
+    return float(np.max(np.abs(s) * g_fn_weights(psi.grid, sigma)) / (1.0 + floor))
 
 
 def g_fn_weights(grid: AgeGrid, sigma: float) -> np.ndarray:
@@ -190,7 +189,9 @@ class LyapConfig:
     """Weights and constants for the composite functional and its region.
 
     mode ``gradient`` pairs with control A gains, ``saturated`` with control B gains
-    (which add delta and the analysis constant varpi).
+    (which add delta and the analysis constant varpi).  sigma1 and sigma2 are the
+    certified decay exponents (``Setup.sigma``): the same values weight h(G_i) in V
+    and enter G_i itself.
     """
 
     mode: str
@@ -200,15 +201,13 @@ class LyapConfig:
     gamma2: float
     sigma1: float
     sigma2: float
-    kappa1: float
-    kappa2: float
     delta: float | None = None
     varpi: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("gradient", "saturated"):
             raise GainConstraintError(f"unknown analysis mode {self.mode!r}")
-        for name in ("gamma1", "gamma2", "sigma1", "sigma2", "kappa1", "kappa2"):
+        for name in ("gamma1", "gamma2", "sigma1", "sigma2"):
             if not getattr(self, name) > 0:
                 raise GainConstraintError(f"{name} must be positive")
 
@@ -264,7 +263,6 @@ def default_lyap_config(
     beta: float,
     eq: Equilibrium,
     sigma: tuple[float, float],
-    kappa: tuple[float, float],
     delta: float | None = None,
     varpi: float | None = None,
     gamma1: float | None = None,
@@ -285,20 +283,24 @@ def default_lyap_config(
         gamma2=gamma2 if gamma2 is not None else GAMMA_SAFETY * lo2,
         sigma1=sigma[0],
         sigma2=sigma[1],
-        kappa1=kappa[0],
-        kappa2=kappa[1],
         delta=delta,
         varpi=varpi,
     )
     return validate_lyap_config(cfg, eq)
 
 
+def v_composite(eta, g1, g2, cfg: LyapConfig, eq: Equilibrium):
+    """V = V1(eta) + (gamma1/sigma1) h(G1) + (gamma2/sigma2) h(G2) from G values.
+
+    Broadcasts over eta[..., 2] with matching G arrays.
+    """
+    return (v1(eta, cfg.eps, eq) + cfg.gamma1 / cfg.sigma1 * h_fn(g1)
+            + cfg.gamma2 / cfg.sigma2 * h_fn(g2))
+
+
 def v_full(eta, psi1: HistoryBuffer, psi2: HistoryBuffer, cfg: LyapConfig, eq: Equilibrium) -> float:
-    """V = V1(eta) + (gamma1/sigma1) h(G1) + (gamma2/sigma2) h(G2)."""
-    val = float(v1(eta, cfg.eps, eq))
-    val += cfg.gamma1 / cfg.sigma1 * h_fn(g_fn(psi1, cfg.sigma1))
-    val += cfg.gamma2 / cfg.sigma2 * h_fn(g_fn(psi2, cfg.sigma2))
-    return val
+    """V of one state (eta, psi1, psi2), with G_i at the configured sigma_i."""
+    return float(v_composite(eta, g_fn(psi1, cfg.sigma1), g_fn(psi2, cfg.sigma2), cfg, eq))
 
 
 def bounds_H(cfg: LyapConfig, eq: Equilibrium) -> tuple[float, float]:

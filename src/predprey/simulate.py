@@ -26,7 +26,10 @@ Transformed kernel
 
 The accuracy model is second order in transport, in the eta update and in the
 interaction coupling; the control value is evaluated once per step and held,
-so closed loops are first order in the feedback coupling.  Runs are
+so closed loops are first order in the feedback coupling.  Second order in
+transport needs a start that meets the renewal condition x(0) = quad(k*x): a
+start that breaks it (FQ, SQ) puts a jump on the characteristic a = t, whose
+O(da) error persists, so such runs converge at first order.  Runs are
 deterministic: a fixed configuration reproduces bitwise-identical output.
 """
 from __future__ import annotations
@@ -38,14 +41,14 @@ import numpy as np
 from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
-from .lyapunov import find_sigma, g_fn_weights, h_fn, SIGMA_SAFETY
+from .lyapunov import find_sigma, g_fn_weights, v0, v1, v_composite, SIGMA_SAFETY
 from .model import AgeGrid, KernelSet, PopulationState
 from .transform import (
     AdjointData,
     HistoryBuffer,
     TransformedState,
     compute_pi0,
-    g_bar,
+    pi_functional,
     to_transformed,
 )
 
@@ -58,8 +61,6 @@ class Setup:
     kernels: KernelSet
     eq: Equilibrium
     adj: tuple[AdjointData, AdjointData]
-    gbar1: np.ndarray
-    gbar2: np.ndarray
     sigma: tuple[float, float]
     kappa: tuple[float, float]
 
@@ -67,7 +68,6 @@ class Setup:
 def build_setup(kernels: KernelSet, u_star: float) -> Setup:
     eq = compute_equilibrium(kernels, u_star)
     adj = (compute_pi0(eq, 1), compute_pi0(eq, 2))
-    gbar1, gbar2 = g_bar(kernels, eq)
     kap1, sig1 = find_sigma(eq.ktilde1, kernels.grid)
     kap2, sig2 = find_sigma(eq.ktilde2, kernels.grid)
     return Setup(
@@ -75,8 +75,6 @@ def build_setup(kernels: KernelSet, u_star: float) -> Setup:
         kernels=kernels,
         eq=eq,
         adj=adj,
-        gbar1=gbar1,
-        gbar2=gbar2,
         sigma=(SIGMA_SAFETY * sig1, SIGMA_SAFETY * sig2),
         kappa=(kap1, kap2),
     )
@@ -198,17 +196,11 @@ class Trajectory:
 
     def finalize_lyapunov(self, eq: Equilibrium, lyap_cfg=None) -> "Trajectory":
         """Fill V0/V1/V columns from the recorded eta and G series."""
-        from .lyapunov import v0 as _v0, v1 as _v1
-
-        self.V0 = np.asarray(_v0(self.eta, eq), dtype=float)
+        self.V0 = np.asarray(v0(self.eta, eq), dtype=float)
         eps = lyap_cfg.eps if lyap_cfg is not None else 0.0
-        self.V1 = np.asarray(_v1(self.eta, eps, eq), dtype=float)
+        self.V1 = np.asarray(v1(self.eta, eps, eq), dtype=float)
         if lyap_cfg is not None and self.G1 is not None:
-            self.V = (
-                self.V1
-                + lyap_cfg.gamma1 / lyap_cfg.sigma1 * h_fn(self.G1)
-                + lyap_cfg.gamma2 / lyap_cfg.sigma2 * h_fn(self.G2)
-            )
+            self.V = v_composite(self.eta, self.G1, self.G2, lyap_cfg, eq)
         else:
             self.V = np.full_like(self.V0, np.nan)
         return self
@@ -370,20 +362,14 @@ def _direct_update(state, u, ops):
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
     """Integrate the density profiles and record the transformed series."""
     eq = setup.eq
-    w = setup.grid.weights
-    wpi1, wpi2 = w * setup.adj[0].pi0, w * setup.adj[1].pi0
-    den1, den2 = setup.adj[0].denom, setup.adj[1].denom
+    adj1, adj2 = setup.adj
     xs1, xs2 = eq.x1_star, eq.x2_star
 
     def observe(state):
         # the Pi functionals, once per step: they give eta and psi, and catch
         # any non-finite profile
         x1, x2 = state
-        p1 = float(wpi1 @ x1) / den1
-        p2 = float(wpi2 @ x2) / den2
-        if not (0.0 < p1 < np.inf and 0.0 < p2 < np.inf):
-            raise NumericalError("nonpositive or non-finite abundance functional",
-                                 reason="nan_guard")
+        p1, p2 = pi_functional(x1, adj1), pi_functional(x2, adj2)
         return (np.array([np.log(p1), np.log(p2)]),
                 lambda: (x1 / (xs1 * p1) - 1.0, x2 / (xs2 * p2) - 1.0), lambda: state)
 

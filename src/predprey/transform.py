@@ -23,14 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Equilibrium
-from .model import AgeGrid, KernelSet, PopulationState, check_grid_fn, cumulative, quad
+from .errors import NumericalError
+from .model import AgeGrid, PopulationState, check_grid_fn, cumulative, quad
 
 
 @dataclass(frozen=True)
 class AdjointData:
-    """Zero-eigenvalue adjoint weight pi0 and the normalizing denominator."""
+    """Zero-eigenvalue adjoint weight pi0, its trapezoid-weighted form w*pi0,
+    and the normalizing denominator."""
 
     pi0: np.ndarray
+    wpi0: np.ndarray
     denom: float
 
 
@@ -52,17 +55,19 @@ def compute_pi0(eq: Equilibrium, species: int) -> AdjointData:
     kc = cumulative(kexp, grid)
     pi0 = np.exp(lam) * (kc[-1] - kc)
     denom = quad(pi0 * eq.x_star(species), grid)
-    return AdjointData(pi0=pi0, denom=denom)
+    return AdjointData(pi0=pi0, wpi0=grid.weights * pi0, denom=denom)
 
 
-def pi_functional(x, adj: AdjointData, grid: AgeGrid) -> float:
-    """Weighted total abundance Pi[x]; strictly positive for valid profiles."""
-    val = quad(adj.pi0 * np.asarray(x, dtype=float), grid) / adj.denom
-    if not val > 0:
-        raise ValueError(
-            f"Pi functional returned {val:.6g}; the input profile is not a "
-            "valid (positive) population density"
-        )
+def pi_functional(x, adj: AdjointData) -> float:
+    """Weighted total abundance Pi[x] = quad(pi0 * x) / denom.
+
+    Strictly positive and finite for a valid profile; anything else raises a
+    ``NumericalError`` tagged ``nan_guard``.
+    """
+    val = float(adj.wpi0 @ x) / adj.denom
+    if not 0.0 < val < np.inf:
+        raise NumericalError("nonpositive or non-finite abundance functional",
+                             reason="nan_guard")
     return val
 
 
@@ -113,7 +118,7 @@ def to_transformed(
     eta = np.empty(2)
     buffers = []
     for i in (1, 2):
-        pival = pi_functional(xs[i - 1], adj[i - 1], grid)
+        pival = pi_functional(xs[i - 1], adj[i - 1])
         eta[i - 1] = np.log(pival)
         psi = xs[i - 1] / (eq.x_star(i) * pival) - 1.0
         buffers.append(HistoryBuffer(grid, psi))
@@ -132,37 +137,6 @@ def reconstruct(ts: TransformedState, eq: Equilibrium) -> PopulationState:
     x1 = eq.x1_star * np.exp(ts.eta[0]) * (1.0 + ts.psi1.samples)
     x2 = eq.x2_star * np.exp(ts.eta[1]) * (1.0 + ts.psi2.samples)
     return PopulationState(t=ts.t, x1=x1, x2=x2).validate(eq.grid)
-
-
-def g_bar(kernels: KernelSet, eq: Equilibrium) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-mass interaction densities g_i * x_j_star / quad(g_i * x_j_star).
-
-    Pairing is cross-species: g_bar_1 weighs the predator steady profile,
-    g_bar_2 the prey one.
-    """
-    grid = eq.grid
-    num1 = kernels.g1 * eq.x2_star
-    num2 = kernels.g2 * eq.x1_star
-    d1 = quad(num1, grid)
-    d2 = quad(num2, grid)
-    if not (d1 > 0 and d2 > 0):
-        raise ValueError("degenerate interaction kernels: zero normalizing integral")
-    return num1 / d1, num2 / d2
-
-
-def v_map(psi: HistoryBuffer, gbar_paired: np.ndarray, grid: AgeGrid) -> float:
-    """Log of the paired-average perturbation: ln(1 + quad(g_bar * psi)).
-
-    For species 1 the paired density is g_bar_2, and conversely; the caller
-    supplies the paired array.
-    """
-    m = quad(gbar_paired * psi.samples, grid)
-    arg = 1.0 + m
-    if not arg > 0:
-        raise ValueError(
-            f"history is outside the admissible set: 1 + quad(g_bar*psi) = {arg:.6g} <= 0"
-        )
-    return float(np.log(arg))
 
 
 def check_S(psi: HistoryBuffer, ktilde, grid: AgeGrid) -> tuple[float, float]:

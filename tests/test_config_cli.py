@@ -1,11 +1,17 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predprey.cli import main
-from predprey.config import effective_ini, load_config, override
+from predprey.cli import build_setup_from_config, main
+from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.errors import ConfigError
+from predprey.lyapunov import default_lyap_config, v_full
+from predprey.simulate import ICSpec, ic_from_spec
+from predprey.transform import to_transformed
 
 
 BASE_INI = """
@@ -75,6 +81,93 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _outside_parens(text: str) -> str:
+    out, depth = [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_readme_config_table_matches_schema():
+    # each row names its section's keys in backticks outside the parenthesized
+    # notes; `name_1/2` stands for name_1 and name_2
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, flags=re.M))
+    assert set(rows) == set(_SECTIONS)
+    for section, cls in _SECTIONS.items():
+        named = set()
+        for token in re.findall(r"`([^`]+)`", _outside_parens(rows[section])):
+            pair = re.fullmatch(r"(\w+)_1/2", token)
+            named |= {pair[1] + "_1", pair[1] + "_2"} if pair else {token}
+        assert named == {f.name for f in fields(cls)}, section
+
+
+@pytest.mark.parametrize("key", ["mode = gradient", "sigma1 = 0.5", "sigma2 = 0.5"])
+def test_cli_rejects_removed_lyapunov_keys(tmp_path, capsys, key):
+    # the analysis mode follows the controller, and sigma is the certified value
+    cfg_path = _write(tmp_path, "cfg.ini", f"[model]\nn_cells = 60\n[lyapunov]\n{key}\n")
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, mode, gains", [
+    ("control_a", "gradient", dict(eps=0.2, beta=0.6)),
+    ("control_b", "saturated", dict(eps=0.01, beta=0.13, delta=0.2)),
+])
+def test_cli_trajectory_v_matches_v_full(tmp_path, kind, mode, gains):
+    # V written at t = 0 is V of the start's (eta, psi) at the certified sigma
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        f"[model]\nn_cells = 100\n[controller]\nkind = {kind}\n"
+        + "".join(f"{k} = {v}\n" for k, v in gains.items())
+        + "[simulation]\nt_final = 0.1\n[output]\nprofile_times =\n",
+    )
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+    v_written = np.loadtxt(tmp_path / "sim" / "trajectory.csv", delimiter=",", skiprows=1)[0, 6]
+    setup = build_setup_from_config(load_config(cfg_path, env={}))
+    lyap = default_lyap_config(mode, gains["eps"], gains["beta"], setup.eq, setup.sigma,
+                               delta=gains.get("delta"))
+    ts = to_transformed(ic_from_spec(ICSpec(kind="FQ"), setup.eq), setup.eq, setup.adj)
+    assert v_written == pytest.approx(v_full(ts.eta, ts.psi1, ts.psi2, lyap, setup.eq),
+                                      rel=1e-12)
+
+
+def _kernel_table(tmp_path, n_cells, negative=False):
+    """CSV of the closed-form kernels on the grid nodes, optionally with a
+    negative g1 entry."""
+    a = np.linspace(0.0, 1.0, n_cells + 1)
+    table = np.column_stack([
+        a,
+        0.5 * np.exp(a), 3.0 * np.exp(-a), 0.4 * (a - a**2),
+        0.5 * np.exp(a), 3.0 * np.exp(-a), 0.4 * (a - a**2),
+    ])
+    if negative:
+        table[5, 3] = -0.1
+    path = tmp_path / ("negative.csv" if negative else "kernels.csv")
+    np.savetxt(path, table, delimiter=",", header="a,mu1,k1,g1,mu2,k2,g2")
+    return path
+
+
+@pytest.mark.parametrize("model", ["A = 2.0", "mu_bar_1 = -0.5", "negative_table",
+                                   "missing_table"])
+def test_cli_bad_model_inputs_exit_code(tmp_path, capsys, model):
+    # A = 2 makes g = a - a^2 negative; each case is a config error, not a traceback
+    if model == "negative_table":
+        model = f"kernel_table = {_kernel_table(tmp_path, 60, negative=True)}"
+    elif model == "missing_table":
+        model = f"kernel_table = {tmp_path / 'no_such_table.csv'}"
+    cfg_path = _write(tmp_path, "cfg.ini", f"[model]\nn_cells = 60\n{model}\n")
+    rc = main(["equilibrium", "--config", cfg_path, "--out", str(tmp_path / "eq")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_equilibrium_outputs(tmp_path, capsys):
@@ -235,16 +328,10 @@ def test_cli_sweep_rejects_bad_axis_value(tmp_path, capsys, axis):
 
 def test_cli_kernel_table(tmp_path):
     # a tabulated kernel file reproducing the closed-form family gives the
-    # same equilibrium as the shape parameters
+    # same equilibrium, and the same runs of both solvers, as the shape
+    # parameters; the table path integrates mortality by trapezoid
     n_cells = 100
-    a = np.linspace(0.0, 1.0, n_cells + 1)
-    table = np.column_stack([
-        a,
-        0.5 * np.exp(a), 3.0 * np.exp(-a), 0.4 * (a - a**2),
-        0.5 * np.exp(a), 3.0 * np.exp(-a), 0.4 * (a - a**2),
-    ])
-    table_path = tmp_path / "kernels.csv"
-    np.savetxt(table_path, table, delimiter=",", header="a,mu1,k1,g1,mu2,k2,g2")
+    table_path = _kernel_table(tmp_path, n_cells)
     cfg_path = _write(
         tmp_path, "cfg.ini",
         f"[model]\nn_cells = {n_cells}\nkernel_table = {table_path}\n",
@@ -252,6 +339,16 @@ def test_cli_kernel_table(tmp_path):
     assert main(["equilibrium", "--config", cfg_path, "--out", str(tmp_path / "eq")]) == 0
     data = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
     assert data["zeta1"] == pytest.approx(1.17, abs=0.01)
+
+    run = ("[controller]\nkind = control_b\neps = 0.01\nbeta = 0.13\ndelta = 0.2\n"
+           "[simulation]\nt_final = 5\nic = SQ\nsolver = both\n[output]\nprofile_times =\n")
+    for name, model in (("table", f"kernel_table = {table_path}\n"), ("closed", "")):
+        path = _write(tmp_path, f"{name}.ini", f"[model]\nn_cells = {n_cells}\n{model}{run}")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / name)]) == 0
+    for solver in ("direct", "transformed"):
+        eta = [np.loadtxt(tmp_path / name / f"trajectory_{solver}.csv", delimiter=",",
+                          skiprows=1)[:, 1:3] for name in ("table", "closed")]
+        assert np.max(np.abs(eta[0] - eta[1])) < 1e-3
 
     bad = _write(tmp_path, "bad.ini", f"[model]\nn_cells = 50\nkernel_table = {table_path}\n")
     assert main(["equilibrium", "--config", bad, "--out", str(tmp_path / "eq2")]) == 2

@@ -221,7 +221,7 @@ def test_control_in_x_composes(setup400):
     bound = BoundController(spec, eq)
 
     def u_of_x(x1, x2):
-        eta = np.log([pi_functional(x, adj, eq.grid) for x, adj in zip((x1, x2), setup400.adj)])
+        eta = np.log([pi_functional(x, adj) for x, adj in zip((x1, x2), setup400.adj)])
         return bound.u_from_eta(eta)
 
     state = ic_from_spec(ICSpec(kind="FQ"), eq)

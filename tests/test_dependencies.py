@@ -19,7 +19,7 @@ from predprey.simulate import ICSpec, SimConfig, simulate_transformed
 
 grid = AgeGrid(A=1.0, n_cells=50)
 setup = build_setup(build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid), 0.15)
-cfg = default_lyap_config("gradient", 0.2, 0.6, setup.eq, setup.sigma, setup.kappa)
+cfg = default_lyap_config("gradient", 0.2, 0.6, setup.eq, setup.sigma)
 traj = simulate_transformed(
     setup, SimConfig(t_final=0.5, controller=ControllerSpec(kind="control_a"),
                      ic=ICSpec(kind="FQ")),

@@ -54,13 +54,13 @@ GB = dict(eps=0.01, beta=0.13, delta=0.2)
 @pytest.fixture(scope="module")
 def cfg2(setup400):
     return default_lyap_config("gradient", GA["eps"], GA["beta"], setup400.eq,
-                               setup400.sigma, setup400.kappa)
+                               setup400.sigma)
 
 
 @pytest.fixture(scope="module")
 def cfg4(setup400):
     return default_lyap_config("saturated", GB["eps"], GB["beta"], setup400.eq,
-                               setup400.sigma, setup400.kappa, delta=GB["delta"])
+                               setup400.sigma, delta=GB["delta"])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_region_gradient_rejects_boundary_gamma(setup400):
         mode="gradient", eps=GA["eps"], beta=GA["beta"],
         gamma1=gc / eq.lambda1**2,  # exactly the lower bound: H1 = 0
         gamma2=2 * eq.lambda2**2 * gc,
-        sigma1=1.0, sigma2=1.0, kappa1=1.0, kappa2=1.0,
+        sigma1=1.0, sigma2=1.0,
     )
     from predprey.lyapunov import validate_lyap_config
 
@@ -412,7 +412,7 @@ def _random_lyap_config(mode, rng, setup):
         delta = rng.uniform(0.02, 1.0)
         extra = dict(delta=delta, varpi=rng.uniform(0.05, 0.95) * beta / delta)
     lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, extra.get("varpi"))
-    return default_lyap_config(mode, eps, beta, eq, setup.sigma, setup.kappa,
+    return default_lyap_config(mode, eps, beta, eq, setup.sigma,
                                gamma1=lo1 * rng.uniform(1.05, 20.0),
                                gamma2=lo2 * rng.uniform(1.05, 20.0), **extra)
 
@@ -441,7 +441,7 @@ def test_roa_linear_stationary_root(setup400):
     eps = 0.2
     c = (1.0 + eps) * eq.lambda1 * eq.lambda2
     cfg = default_lyap_config("gradient", eps, eq.u_star * eq.lambda1 / (c - 1.0), eq,
-                              setup400.sigma, setup400.kappa)
+                              setup400.sigma)
     k_level = constraint_level(cfg, eq)
     assert abs(c - 1.0 + k_level * eq.lambda1) < 1e-14
     assert _curve_stationary_eta1(k_level, cfg, eq) == pytest.approx(

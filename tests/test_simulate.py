@@ -296,6 +296,50 @@ def test_heun_second_order():
     assert e_coarse / e_fine == pytest.approx(4.0, rel=0.25)
 
 
+@pytest.fixture(scope="module")
+def setup1600():
+    return make_setup(1600)
+
+
+@pytest.mark.parametrize(
+    "kind, ic, lo, hi",
+    [
+        # a start that meets the renewal condition keeps the transport second order
+        ("open_loop", "table", 3.5, 4.6),
+        # FQ breaks the renewal condition: the O(da) error of the jump along
+        # a = t persists
+        ("open_loop", "FQ", 1.7, 2.8),
+        # the held feedback is first order
+        ("control_b", "FQ", 1.7, 2.8),
+    ],
+    ids=["open_loop-renewal", "open_loop-FQ", "control_b-FQ"],
+)
+def test_direct_convergence_order(kind, ic, lo, hi, setup100, setup200, setup400, setup1600):
+    # error ratios per halving of da against an n = 1600 reference at t = 2,
+    # for eta(T) and the relative profile error
+    gains = dict(eps=0.01, beta=0.13, delta=0.2) if kind == "control_b" else {}
+
+    def final(setup):
+        eq = setup.eq
+        spec = (ICSpec(kind="table", x1=2.0 * eq.x1_star, x2=0.5 * eq.x2_star)
+                if ic == "table" else ICSpec(kind=ic))
+        traj = simulate_direct(setup, SimConfig(
+            t_final=2.0, controller=ControllerSpec(kind=kind, **gains), ic=spec,
+            record_every=10**6, snapshot_times=(2.0,)))
+        return traj.eta[-1], traj.snapshots[-1][1:]
+
+    eta_ref, x_ref = final(setup1600)
+    errors = []
+    for setup in (setup100, setup200, setup400):
+        eta, xs = final(setup)
+        stride = 1600 // setup.grid.n_cells
+        profile = max(np.max(np.abs(x - r[::stride]) / r[::stride]) for x, r in zip(xs, x_ref))
+        errors.append((np.max(np.abs(eta - eta_ref)), profile))
+    errors = np.array(errors)
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((lo <= ratios) & (ratios <= hi)), ratios
+
+
 def test_cross_validate_small_grid(setup100):
     disc = cross_validate(
         setup100, SimConfig(t_final=5.0, controller=OPEN, ic=ICSpec(kind="FQ")),

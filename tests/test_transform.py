@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from predprey.errors import NumericalError
 from predprey.model import PopulationState, bc_residual, quad
 from predprey.simulate import ICSpec, ic_from_spec
 from predprey.transform import (
     HistoryBuffer,
     check_S,
-    g_bar,
     pi_functional,
     reconstruct,
     to_transformed,
-    v_map,
 )
 from predprey.lyapunov import g_fn
 
@@ -40,23 +39,29 @@ def test_pi0_solves_adjoint_identity(setup400):
 
 def test_pi_functional_equilibrium_is_one(setup400):
     eq = setup400.eq
-    assert pi_functional(eq.x1_star, setup400.adj[0], setup400.grid) == pytest.approx(
-        1.0, abs=1e-6
-    )
+    assert pi_functional(eq.x1_star, setup400.adj[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
 def test_pi_functional_homogeneous(setup400, c):
     eq = setup400.eq
-    base = pi_functional(eq.x1_star, setup400.adj[0], setup400.grid)
-    scaled = pi_functional(c * eq.x1_star, setup400.adj[0], setup400.grid)
+    base = pi_functional(eq.x1_star, setup400.adj[0])
+    scaled = pi_functional(c * eq.x1_star, setup400.adj[0])
     assert scaled == pytest.approx(c * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("fill", [0.0, -1.0, np.nan])
+def test_pi_functional_guard(setup400, fill):
+    # the one Pi formula of both solvers rejects a profile it cannot log
+    with pytest.raises(NumericalError) as err:
+        pi_functional(np.full(setup400.grid.n_nodes, fill), setup400.adj[0])
+    assert err.value.reason == "nan_guard"
 
 
 def test_pi_functional_prey_surplus_profile(setup400):
     eq, grid = setup400.eq, setup400.grid
     x = eq.x1_star * np.exp(1.0 + 2.0 * grid.nodes)
-    val = pi_functional(x, setup400.adj[0], grid)
+    val = pi_functional(x, setup400.adj[0])
     assert val == pytest.approx(np.exp(1.57), rel=0.01)
 
 
@@ -137,63 +142,19 @@ def test_reconstruct_rejects_inadmissible_history(setup400):
         HistoryBuffer(grid, -1.5 * np.ones(grid.n_nodes))
 
 
-def test_g_bar_unit_mass(setup400):
-    gbar1, gbar2 = g_bar(setup400.kernels, setup400.eq)
-    grid = setup400.grid
-    assert quad(gbar1, grid) == pytest.approx(1.0, abs=1e-10)
-    assert quad(gbar2, grid) == pytest.approx(1.0, abs=1e-10)
-    # interaction shape vanishes at both endpoints and peaks inside
-    assert gbar1[0] == 0.0 and gbar1[-1] == pytest.approx(0.0, abs=1e-15)
-    peak = np.argmax(gbar1)
-    assert 0 < peak < grid.n_cells
-    assert np.all(np.diff(gbar1[: peak + 1]) >= 0)
-    assert np.all(np.diff(gbar1[peak:]) <= 0)
-
-
-def test_g_bar_uniform_case(setup100):
-    # constant kernels and profiles give the flat density 1/A
-    import dataclasses
-
-    eq = setup100.eq
-    grid = setup100.grid
-    ones = np.ones(grid.n_nodes)
-    ks = dataclasses.replace(setup100.kernels, g1=ones, g2=ones, params=None)
-    eq_flat = dataclasses.replace(eq, x1_star=ones, x2_star=ones)
-    gbar1, gbar2 = g_bar(ks, eq_flat)
-    assert np.allclose(gbar1, 1.0 / grid.A, rtol=1e-12)
-    assert np.allclose(gbar2, 1.0 / grid.A, rtol=1e-12)
-
-
-def test_v_map_values(setup400):
-    grid = setup400.grid
-    gbar1, gbar2 = g_bar(setup400.kernels, setup400.eq)
-    assert v_map(zero_history(grid), gbar2, grid) == 0.0
-    const = HistoryBuffer(grid, 0.3 * np.ones(grid.n_nodes))
-    assert v_map(const, gbar2, grid) == pytest.approx(np.log(1.3), abs=1e-10)
-    dip = HistoryBuffer(grid, -0.4 * np.ones(grid.n_nodes))
-    assert v_map(dip, gbar1, grid) == pytest.approx(np.log(0.6), abs=1e-10)
-
-
-def test_v_map_unwinds_to_average(setup400):
-    grid = setup400.grid
-    gbar1, _ = g_bar(setup400.kernels, setup400.eq)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        psi = HistoryBuffer(grid, rng.uniform(-0.5, 1.5, size=grid.n_nodes))
-        v = v_map(psi, gbar1, grid)
-        assert np.expm1(v) == pytest.approx(quad(gbar1 * psi.samples, grid), abs=1e-12)
-
-
 def test_v_bounded_by_g(setup400):
-    # |v(psi)| <= G(psi, sigma) for admissible histories
-    grid = setup400.grid
-    gbar1, gbar2 = g_bar(setup400.kernels, setup400.eq)
+    # |v(psi)| <= G(psi, sigma) for admissible histories, where
+    # v = ln(1 + quad(g_bar * psi)) with the unit-mass interaction densities
+    # g_bar_1 = g1*x2_star / quad(g1*x2_star) and g_bar_2 = g2*x1_star / quad(g2*x1_star)
+    grid, ks, eq = setup400.grid, setup400.kernels, setup400.eq
+    gbars = [g / quad(g, grid) for g in (ks.g1 * eq.x2_star, ks.g2 * eq.x1_star)]
     sigma = setup400.sigma[0]
     rng = np.random.default_rng(5)
     for _ in range(100):
         psi = HistoryBuffer(grid, rng.uniform(-0.8, 2.0, size=grid.n_nodes))
-        for gb in (gbar1, gbar2):
-            assert abs(v_map(psi, gb, grid)) <= g_fn(psi, sigma) + 1e-12
+        for gb in gbars:
+            v = np.log(1.0 + quad(gb * psi.samples, grid))
+            assert abs(v) <= g_fn(psi, sigma) + 1e-12
 
 
 def test_check_S_zero_history(setup400):
