@@ -3,24 +3,26 @@
 Each criterion returns a :class:`CriterionResult`; the registry preserves the
 order in which the checks are meant to be reported.  A context object caches
 the expensive pieces (setups, simulations) so several criteria can share one
-run.  Criteria that need a converged grid are skipped with an explanatory
-message below ``MIN_CELLS`` instead of failing cryptically.
+run.  The ``criterion`` decorator gives each check its id and name, and skips
+the checks that need a converged grid below ``MIN_CELLS``, with an
+explanatory message, instead of letting them fail cryptically.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSpec, GainsA, GainsB, control_A, phi
+from .controllers import ControllerSpec, GainsA, GainsB, control_A, control_B_floor, phi
 from .equilibrium import compute_equilibrium, open_loop_jacobian, open_loop_jacobian_eigs
 from .lyapunov import (
     LyapConfig,
     closed_loop_jacobian,
     control_b_discriminant,
-    default_lyap_config,
     dini_check,
     lambda_min_q,
+    lyap_config_for,
     q_matrix,
     roa_estimate,
     v_full,
@@ -99,31 +101,24 @@ class VerifyContext:
             return ControllerSpec(kind=kind, **REFERENCE_GAINS_B)
         return ControllerSpec(kind="open_loop")
 
-    def lyap_config(self, mode: str) -> LyapConfig:
+    def lyap_config(self, kind: str) -> LyapConfig:
+        """The analysis of the reference controller ``kind``."""
         def build():
             setup = self.setup()
-            if mode == "gradient":
-                return default_lyap_config(
-                    "gradient", REFERENCE_GAINS_A["eps"], REFERENCE_GAINS_A["beta"],
-                    setup.eq, setup.sigma,
-                )
-            return default_lyap_config(
-                "saturated", REFERENCE_GAINS_B["eps"], REFERENCE_GAINS_B["beta"],
-                setup.eq, setup.sigma, delta=REFERENCE_GAINS_B["delta"],
-            )
-        return self._get(("lyap", mode), build)
+            return lyap_config_for(self._controller(kind), setup.eq, setup.sigma)
+        return self._get(("lyap", kind), build)
 
-    def roa(self, mode: str):
+    def roa(self, kind: str):
         return self._get(
-            ("roa", mode), lambda: roa_estimate(self.lyap_config(mode), self.setup().eq)
+            ("roa", kind), lambda: roa_estimate(self.lyap_config(kind), self.setup().eq)
         )
 
-    def scaled_ic_inside(self, mode: str) -> ICSpec:
+    def scaled_ic_inside(self, kind: str) -> ICSpec:
         """Multiplier IC bisected so V(eta0, psi0) <= 0.9 * c_star."""
         def build():
             setup = self.setup()
-            cfg = self.lyap_config(mode)
-            c_star = self.roa(mode).c_star
+            cfg = self.lyap_config(kind)
+            c_star = self.roa(kind).c_star
 
             def v_of(s: float) -> float:
                 spec = ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
@@ -138,37 +133,36 @@ class VerifyContext:
                 else:
                     hi = mid
             return ICSpec(kind="multiplier", log_offset=(lo, -lo), log_slope=(2 * lo, -2 * lo))
-        return self._get(("scaled_ic", mode), build)
+        return self._get(("scaled_ic", kind), build)
 
 
-def _skip_if_coarse(ctx: VerifyContext, cid: str, name: str) -> CriterionResult | None:
-    if ctx.n_cells < MIN_CELLS:
-        return CriterionResult(
-            cid, name, passed=False, skipped=True,
-            detail=f"resolution too low (n_cells={ctx.n_cells} < {MIN_CELLS}); "
-            f"rerun with model.n_cells >= {MIN_CELLS}",
-        )
-    return None
+def criterion(cid: str, name: str, needs_grid: bool = False):
+    """Turn a check ``ctx -> (passed, detail)`` into criterion ``cid``.  With
+    ``needs_grid`` it is skipped below MIN_CELLS, where it has not converged."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(ctx: VerifyContext) -> CriterionResult:
+            if needs_grid and ctx.n_cells < MIN_CELLS:
+                return CriterionResult(
+                    cid, name, passed=False, skipped=True,
+                    detail=f"resolution too low (n_cells={ctx.n_cells} < {MIN_CELLS}); "
+                    f"rerun with model.n_cells >= {MIN_CELLS}",
+                )
+            passed, detail = check(ctx)
+            return CriterionResult(cid, name, bool(passed), detail)
+        return run
+    return wrap
 
 
-def criterion_01_lotka_sharpe(ctx: VerifyContext) -> CriterionResult:
-    name = "lotka-sharpe-exponent"
-    skip = _skip_if_coarse(ctx, "01", name)
-    if skip:
-        return skip
+@criterion("01", "lotka-sharpe-exponent", needs_grid=True)
+def criterion_01_lotka_sharpe(ctx: VerifyContext):
     eq = ctx.setup().eq
     ok = abs(eq.zeta1 - 1.17) <= 0.01 and abs(eq.zeta2 - 1.17) <= 0.01
-    return CriterionResult(
-        "01", name, ok,
-        f"zeta1={eq.zeta1:.6f}, zeta2={eq.zeta2:.6f} (target 1.17 +/- 0.01)",
-    )
+    return ok, f"zeta1={eq.zeta1:.6f}, zeta2={eq.zeta2:.6f} (target 1.17 +/- 0.01)"
 
 
-def criterion_02_equilibrium(ctx: VerifyContext) -> CriterionResult:
-    name = "equilibrium-values"
-    skip = _skip_if_coarse(ctx, "02", name)
-    if skip:
-        return skip
+@criterion("02", "equilibrium-values", needs_grid=True)
+def criterion_02_equilibrium(ctx: VerifyContext):
     eq = ctx.setup().eq
     checks = [
         abs(eq.lambda1 - 0.98) <= 0.01,
@@ -178,20 +172,16 @@ def criterion_02_equilibrium(ctx: VerifyContext) -> CriterionResult:
         abs(eq.zeta1 - eq.lambda2 - eq.u_star) <= 1e-6,
         abs(eq.zeta2 - 1.0 / eq.lambda1 - eq.u_star) <= 1e-6,
     ]
-    return CriterionResult(
-        "02", name, all(checks),
+    return all(checks), (
         f"lambda=({eq.lambda1:.4f}, {eq.lambda2:.4f}), "
         f"x*(0)=({eq.x0_star[0]:.3f}, {eq.x0_star[1]:.3f}), "
         f"identity defects=({abs(eq.zeta1 - eq.lambda2 - eq.u_star):.2e}, "
-        f"{abs(eq.zeta2 - 1 / eq.lambda1 - eq.u_star):.2e})",
+        f"{abs(eq.zeta2 - 1 / eq.lambda1 - eq.u_star):.2e})"
     )
 
 
-def criterion_03_conservation(ctx: VerifyContext) -> CriterionResult:
-    name = "open-loop-conservation"
-    skip = _skip_if_coarse(ctx, "03", name)
-    if skip:
-        return skip
+@criterion("03", "open-loop-conservation", needs_grid=True)
+def criterion_03_conservation(ctx: VerifyContext):
     setup = ctx.setup()
     eta0 = to_transformed(
         ic_from_spec(ICSpec(kind="FQ"), setup.eq), setup.eq, setup.adj
@@ -215,15 +205,14 @@ def criterion_03_conservation(ctx: VerifyContext) -> CriterionResult:
     ret = float(dist[j])
     period = float(orbit.times[j])
     ok = drift < 1e-3 and ret < 0.05
-    return CriterionResult(
-        "03", name, ok,
+    return ok, (
         f"V0 drift {drift:.2e} (< 1e-3); orbit return {ret:.4f} at estimated "
-        f"period t={period:.2f} (< 0.05)",
+        f"period t={period:.2f} (< 0.05)"
     )
 
 
-def criterion_04_linearization(ctx: VerifyContext) -> CriterionResult:
-    name = "open-loop-linearization"
+@criterion("04", "open-loop-linearization")
+def criterion_04_linearization(ctx: VerifyContext):
     setup = ctx.setup()
     kernels = setup.kernels
     eigs_closed = open_loop_jacobian_eigs(setup.eq)
@@ -238,51 +227,33 @@ def criterion_04_linearization(ctx: VerifyContext) -> CriterionResult:
         omegas.append(abs(open_loop_jacobian_eigs(eq_us)[0].imag))
     decreasing = omegas[0] > omegas[1] > omegas[2]
     ok = err <= 1e-6 and decreasing
-    return CriterionResult(
-        "04", name, ok,
-        f"eig defect {err:.2e} (<= 1e-6); omega(u*)={[f'{w:.4f}' for w in omegas]} decreasing",
+    return ok, (
+        f"eig defect {err:.2e} (<= 1e-6); omega(u*)={[f'{w:.4f}' for w in omegas]} decreasing"
     )
 
 
-def criterion_05_control_a_fq(ctx: VerifyContext) -> CriterionResult:
-    name = "control-a-prey-surplus"
-    skip = _skip_if_coarse(ctx, "05", name)
-    if skip:
-        return skip
+@criterion("05", "control-a-prey-surplus", needs_grid=True)
+def criterion_05_control_a_fq(ctx: VerifyContext):
     traj = ctx.direct_run("control_a", "FQ")
     nrm = np.linalg.norm(traj.eta, axis=1)
     tail = float(nrm[traj.times >= 10.0].max())
     u_min = float(traj.u.min())
     ok = tail <= 0.05 and u_min > 0.0
-    return CriterionResult(
-        "05", name, ok,
-        f"max|eta| for t>=10 is {tail:.4f} (<= 0.05); min u {u_min:.4f} (> 0)",
-    )
+    return ok, f"max|eta| for t>=10 is {tail:.4f} (<= 0.05); min u {u_min:.4f} (> 0)"
 
 
-def criterion_06_control_a_sq(ctx: VerifyContext) -> CriterionResult:
-    name = "control-a-predator-surplus"
-    skip = _skip_if_coarse(ctx, "06", name)
-    if skip:
-        return skip
+@criterion("06", "control-a-predator-surplus", needs_grid=True)
+def criterion_06_control_a_sq(ctx: VerifyContext):
     traj = ctx.direct_run("control_a", "SQ")
     u_min = float(traj.u.min())
     final = float(np.linalg.norm(traj.eta[-1]))
     ok = u_min < 0.0 and final <= 0.05
-    return CriterionResult(
-        "06", name, ok,
-        f"min u {u_min:.4f} (< 0, dilution goes negative); |eta(20)|={final:.2e} (<= 0.05)",
-    )
+    return ok, f"min u {u_min:.4f} (< 0, dilution goes negative); |eta(20)|={final:.2e} (<= 0.05)"
 
 
-def criterion_07_control_b_positive(ctx: VerifyContext) -> CriterionResult:
-    name = "control-b-positivity"
-    skip = _skip_if_coarse(ctx, "07", name)
-    if skip:
-        return skip
-    eq = ctx.setup().eq
-    gains = GainsB(**REFERENCE_GAINS_B)
-    floor = eq.u_star - gains.eps * eq.lambda2 - gains.beta
+@criterion("07", "control-b-positivity", needs_grid=True)
+def criterion_07_control_b_positive(ctx: VerifyContext):
+    floor = control_B_floor(GainsB(**REFERENCE_GAINS_B), ctx.setup().eq)
     mins = {}
     for ic in ("FQ", "SQ"):
         traj = ctx.direct_run("control_b", ic)
@@ -290,15 +261,14 @@ def criterion_07_control_b_positive(ctx: VerifyContext) -> CriterionResult:
     traj_sq = ctx.direct_run("control_b", "SQ")
     final = float(np.linalg.norm(traj_sq.eta[-1]))
     ok = all(v >= floor for v in mins.values()) and floor > 0 and final <= 0.1
-    return CriterionResult(
-        "07", name, ok,
+    return ok, (
         f"min u FQ={mins['FQ']:.4f}, SQ={mins['SQ']:.4f} (>= floor {floor:.4f} > 0); "
-        f"|eta(20)| SQ={final:.2e} (<= 0.1)",
+        f"|eta(20)| SQ={final:.2e} (<= 0.1)"
     )
 
 
-def criterion_08_lambda_min(ctx: VerifyContext) -> CriterionResult:
-    name = "lambda-min-closed-form"
+@criterion("08", "lambda-min-closed-form")
+def criterion_08_lambda_min(ctx: VerifyContext):
     worst_special = 0.0
     worst_value = 0.0
     for eps in (0.1, 0.2, 1.0):
@@ -320,18 +290,14 @@ def criterion_08_lambda_min(ctx: VerifyContext) -> CriterionResult:
             ev = np.linalg.eigvalsh(q_matrix(eps, beta))[0]
             worst_grid = max(worst_grid, abs(lam - ev))
     ok = worst_special <= 1e-12 and worst_value <= 1e-12 and worst_grid <= 1e-12
-    return CriterionResult(
-        "08", name, ok,
+    return ok, (
         f"special-beta defect {worst_special:.2e}, eigenvalue-pair defect "
-        f"{worst_value:.2e}, 50x50 grid defect {worst_grid:.2e} (all <= 1e-12)",
+        f"{worst_value:.2e}, 50x50 grid defect {worst_grid:.2e} (all <= 1e-12)"
     )
 
 
-def criterion_09_equivalence(ctx: VerifyContext) -> CriterionResult:
-    name = "representation-equivalence"
-    skip = _skip_if_coarse(ctx, "09", name)
-    if skip:
-        return skip
+@criterion("09", "representation-equivalence", needs_grid=True)
+def criterion_09_equivalence(ctx: VerifyContext):
     discs = {}
     for n in (200, 400):
         setup = ctx.setup(n_cells=n)
@@ -341,17 +307,11 @@ def criterion_09_equivalence(ctx: VerifyContext) -> CriterionResult:
                       ic=ICSpec(kind="FQ")),
         )
     ok = discs[200] < 1e-2 and discs[400] < discs[200]
-    return CriterionResult(
-        "09", name, ok,
-        f"discrepancy n=200: {discs[200]:.2e} (< 1e-2), n=400: {discs[400]:.2e} (smaller)",
-    )
+    return ok, f"discrepancy n=200: {discs[200]:.2e} (< 1e-2), n=400: {discs[400]:.2e} (smaller)"
 
 
-def criterion_10_roundtrip(ctx: VerifyContext) -> CriterionResult:
-    name = "transform-roundtrip-and-membership"
-    skip = _skip_if_coarse(ctx, "10", name)
-    if skip:
-        return skip
+@criterion("10", "transform-roundtrip-and-membership", needs_grid=True)
+def criterion_10_roundtrip(ctx: VerifyContext):
     setup = ctx.setup()
     eq, grid = setup.eq, setup.grid
     worst_rt = 0.0
@@ -397,38 +357,34 @@ def criterion_10_roundtrip(ctx: VerifyContext) -> CriterionResult:
         and worst_renewal_evolved < 1e-8
         and bc_link < 1e-9
     )
-    return CriterionResult(
-        "10", name, ok,
+    return ok, (
         f"roundtrip {worst_rt:.2e} (< 1e-10); min psi {min_psi:.3f} (> -1); "
         f"P residual {worst_p:.2e} (< 1e-3); renewal residual after one window "
         f"{worst_renewal_evolved:.2e} (< 1e-8); the t=0 renewal residual equals "
         f"the IC's own birth-condition defect to {bc_link:.2e} (these ICs do not "
-        "satisfy the renewal condition, so it is O(1) at t=0 by design)",
+        "satisfy the renewal condition, so it is O(1) at t=0 by design)"
     )
 
 
-def criterion_11_decrease(ctx: VerifyContext) -> CriterionResult:
-    name = "lyapunov-decrease"
-    skip = _skip_if_coarse(ctx, "11", name)
-    if skip:
-        return skip
+@criterion("11", "lyapunov-decrease", needs_grid=True)
+def criterion_11_decrease(ctx: VerifyContext):
     setup = ctx.setup()
     eq = setup.eq
     details = []
     ok = True
-    for mode, kind in (("gradient", "control_a"), ("saturated", "control_b")):
-        cfg = ctx.lyap_config(mode)
-        ic = ctx.scaled_ic_inside(mode)
+    for kind in ("control_a", "control_b"):
+        cfg = ctx.lyap_config(kind)
+        ic = ctx.scaled_ic_inside(kind)
         traj = simulate_transformed(
             setup, SimConfig(t_final=12.0, controller=ctx._controller(kind), ic=ic)
         ).finalize_lyapunov(eq, cfg)
-        if traj.V[0] > ctx.roa(mode).c_star:
+        if traj.V[0] > ctx.roa(kind).c_star:
             ok = False
-            details.append(f"{mode}: initial V outside the level set")
+            details.append(f"{cfg.mode}: initial V outside the level set")
             continue
         viol = dini_check(traj, cfg, eq)
         ok = ok and viol <= 1e-2
-        details.append(f"{mode} dini violation {viol:.2e} (<= 1e-2)")
+        details.append(f"{cfg.mode} dini violation {viol:.2e} (<= 1e-2)")
 
     rng = np.random.default_rng(42)
     gains = GainsA(**REFERENCE_GAINS_A)
@@ -442,11 +398,11 @@ def criterion_11_decrease(ctx: VerifyContext) -> CriterionResult:
         worst = max(worst, abs(v1dot + pv @ q @ pv))
     ok = ok and worst <= 1e-10
     details.append(f"reduced-model identity defect {worst:.2e} (<= 1e-10)")
-    return CriterionResult("11", name, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_12_damping(ctx: VerifyContext) -> CriterionResult:
-    name = "control-b-damping"
+@criterion("12", "control-b-damping")
+def criterion_12_damping(ctx: VerifyContext):
     eq = ctx.setup().eq
     g_small = GainsB(eps=0.01, beta=0.13, delta=0.01)
     g_ref = GainsB(**REFERENCE_GAINS_B)
@@ -465,27 +421,22 @@ def criterion_12_damping(ctx: VerifyContext) -> CriterionResult:
         np.all(eig_ref.real < 0),
         np.all(eig_zero.real < 0),
     ]
-    return CriterionResult(
-        "12", name, bool(np.all(checks)),
+    return np.all(checks), (
         f"delta=0.01: eigs real negative (disc {disc_small:.1f} > 0); "
         f"delta=0.2: complex, Re={eig_ref[0].real:.3f} < 0; beta=0: Hurwitz "
-        f"(Re={eig_zero[0].real:.4f})",
+        f"(Re={eig_zero[0].real:.4f})"
     )
 
 
-def criterion_13_roa_geometry(ctx: VerifyContext) -> CriterionResult:
-    name = "roa-level-set-geometry"
-    skip = _skip_if_coarse(ctx, "13", name)
-    if skip:
-        return skip
-    cfg = ctx.lyap_config("gradient")
-    result = ctx.roa("gradient")
+@criterion("13", "roa-level-set-geometry", needs_grid=True)
+def criterion_13_roa_geometry(ctx: VerifyContext):
+    cfg = ctx.lyap_config("control_a")
+    result = ctx.roa("control_a")
     violations = verify_level_set(result, cfg, ctx.setup().eq, n_grid=400)
     ok = violations == 0
-    return CriterionResult(
-        "13", name, ok,
+    return ok, (
         f"c*={result.c_star:.5f} attained on {result.active_piece}; "
-        f"{violations} membership violations on a 400x400 grid (expect 0)",
+        f"{violations} membership violations on a 400x400 grid (expect 0)"
     )
 
 

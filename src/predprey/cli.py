@@ -19,13 +19,13 @@ import numpy as np
 
 from . import svgplot
 from .acceptance import VerifyContext, run_all
-from .config import RunConfig, load_config, override
-from .controllers import ControllerSpec
-from .equilibrium import feasible_interval
+from .config import SWEEP_AXES, RunConfig, load_config, override, sweep_axes
+from .controllers import BoundController, ControllerSpec
 from .errors import ConfigError, NumericalError, PredPreyError, VerificationFailure
 from .lyapunov import (
-    default_lyap_config,
+    ANALYSIS_MODE,
     level_contour,
+    lyap_config_for,
     phi_lower_bound,
     roa_estimate,
     verify_level_set,
@@ -113,31 +113,14 @@ def ic_from_config(cfg: RunConfig) -> ICSpec:
     return ICSpec(kind=s.ic)
 
 
-ANALYSIS_MODE = {"control_a": "gradient", "measured": "gradient", "control_b": "saturated"}
-
-
 def lyap_config_from(cfg: RunConfig, setup: Setup):
-    """The analysis mode and weights for recording/ROA, or None.
-
-    The mode follows the controller kind (ANALYSIS_MODE); open-loop and
-    feedback-linearizing runs get no composite functional.  sigma is the
-    certified ``Setup.sigma``, the value the recorder uses for G.
-    """
+    """The controller's analysis (``lyap_config_for``) with the ``[lyapunov]``
+    weights, or None; sigma is the certified ``Setup.sigma``, the value the
+    recorder uses for G."""
     lb = cfg.lyapunov
-    mode = ANALYSIS_MODE.get(cfg.controller.kind)
-    if mode is None:
-        return None
-    return default_lyap_config(
-        mode,
-        cfg.controller.eps,
-        cfg.controller.beta,
-        setup.eq,
-        sigma=setup.sigma,
-        delta=cfg.controller.delta if mode == "saturated" else None,
-        varpi=lb.varpi or None,
-        gamma1=lb.gamma1 or None,
-        gamma2=lb.gamma2 or None,
-    )
+    return lyap_config_for(controller_from_config(cfg), setup.eq, setup.sigma,
+                           gamma1=lb.gamma1 or None, gamma2=lb.gamma2 or None,
+                           varpi=lb.varpi or None)
 
 
 def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
@@ -149,7 +132,6 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         ["a", "x1_star", "x2_star", "pi0_1", "pi0_2", "ktilde_1", "ktilde_2"],
         [grid.nodes, eq.x1_star, eq.x2_star, adj1.pi0, adj2.pi0, eq.ktilde1, eq.ktilde2],
     )
-    interval = feasible_interval(setup.kernels)
     write_json(
         outdir / "equilibrium.json",
         {
@@ -160,7 +142,7 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
             "lambda2": eq.lambda2,
             "x1_star_0": eq.x0_star[0],
             "x2_star_0": eq.x0_star[1],
-            "feasible_u_interval": list(interval),
+            "feasible_u_interval": [0.0, min(eq.zeta1, eq.zeta2)],
             "sigma": list(setup.sigma),
             "kappa": list(setup.kappa),
             "A": grid.A,
@@ -191,10 +173,10 @@ def _run_simulation(cfg: RunConfig, setup: Setup, solver: str):
             t for t in cfg.output.profile_times if t <= cfg.simulation.t_final
         ),
     )
+    # a bad analysis config fails before the march, not after it
+    lyap = lyap_config_from(cfg, setup)
     run = simulate_direct if solver == "direct" else simulate_transformed
-    traj = run(setup, sim_cfg)
-    traj.finalize_lyapunov(setup.eq, lyap_config_from(cfg, setup))
-    return traj
+    return run(setup, sim_cfg).finalize_lyapunov(setup.eq, lyap)
 
 
 def _write_trajectory(outdir: Path, cfg: RunConfig, setup: Setup, traj, suffix: str, plot: bool):
@@ -320,24 +302,6 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     return 0
 
 
-def _sweep_lists(cfg: RunConfig) -> dict[str, tuple]:
-    s = cfg.sweep
-    axes = {}
-    if s.controller:
-        axes["controller.kind"] = s.controller
-    if s.ic:
-        axes["simulation.ic"] = s.ic
-    if s.eps:
-        axes["controller.eps"] = s.eps
-    if s.beta:
-        axes["controller.beta"] = s.beta
-    if s.delta:
-        axes["controller.delta"] = s.delta
-    if s.u_star:
-        axes["equilibrium.u_star"] = s.u_star
-    return axes
-
-
 def _sweep_worker(args) -> dict:
     cfg, combo, outdir = args
     run_dir = Path(outdir)
@@ -354,22 +318,29 @@ def _sweep_worker(args) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
-    axes = _sweep_lists(cfg)
+    axes = sweep_axes(cfg)
     if not axes:
         raise ConfigError(
-            "sweep requires at least one list under [sweep] "
-            "(controller, ic, eps, beta, delta, u_star)"
+            f"sweep requires at least one list under [sweep] ({', '.join(SWEEP_AXES)})"
         )
     names = list(axes)
     combos = [dict(zip(names, values)) for values in itertools.product(*axes.values())]
     jobs = []
+    setups: dict[float, Setup] = {}
     for idx, combo in enumerate(combos):
         updates: dict[str, dict] = {}
         for dotted, value in combo.items():
             section, key = dotted.split(".")
             updates.setdefault(section, {})[key] = value
+        run_cfg = override(cfg, **updates)
+        # every combo binds its controller and analysis before the first run
+        u_star = run_cfg.equilibrium.u_star
+        if u_star not in setups:
+            setups[u_star] = build_setup_from_config(run_cfg)
+        BoundController(controller_from_config(run_cfg), setups[u_star].eq)
+        lyap_config_from(run_cfg, setups[u_star])
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
-        jobs.append((override(cfg, **updates), combo, str(outdir / f"run_{idx:03d}_{slug}")))
+        jobs.append((run_cfg, combo, str(outdir / f"run_{idx:03d}_{slug}")))
     workers = cfg.sweep.workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         try:

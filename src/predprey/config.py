@@ -118,9 +118,17 @@ _CHOICES = {
     ("simulation", "ic"): ("FQ", "SQ", "equilibrium", "multiplier"),
     ("simulation", "solver"): ("direct", "transformed", "both"),
 }
-# each sweep axis value overrides one key and must pass that key's choices
-_CHOICES[("sweep", "controller")] = _CHOICES[("controller", "kind")]
-_CHOICES[("sweep", "ic")] = _CHOICES[("simulation", "ic")]
+
+# the (section, key) each [sweep] list overrides, in sweep_index.csv column order;
+# every value of a list is parsed and checked as that key
+SWEEP_AXES = {
+    "controller": ("controller", "kind"),
+    "ic": ("simulation", "ic"),
+    "eps": ("controller", "eps"),
+    "beta": ("controller", "beta"),
+    "delta": ("controller", "delta"),
+    "u_star": ("equilibrium", "u_star"),
+}
 
 
 def _parse_scalar(raw: str, pytype, where: str):
@@ -142,16 +150,6 @@ def _parse_scalar(raw: str, pytype, where: str):
         raise ConfigError(f"bad value for {where}: {err}") from None
 
 
-def _parse_value(raw: str, default, where: str):
-    if isinstance(default, tuple):
-        items = [s for s in (part.strip() for part in raw.split(",")) if s]
-        elem = float if (default == () or isinstance(default[0], float)) else str
-        if where.startswith("sweep.controller") or where.startswith("sweep.ic"):
-            elem = str
-        return tuple(_parse_scalar(s, elem, where) for s in items)
-    return _parse_scalar(raw, type(default), where)
-
-
 def _apply_entry(blocks: dict, section: str, key: str, raw: str):
     if section not in _SECTIONS:
         raise ConfigError(
@@ -167,12 +165,19 @@ def _apply_entry(blocks: dict, section: str, key: str, raw: str):
             f"{sorted(names.values())}"
         )
     key = names[key.lower()]
-    default = getattr(cls(), key)
-    value = _parse_value(raw, default, f"{section}.{key}")
-    choice = _CHOICES.get((section, key))
+    where = f"{section}.{key}"
+    target = SWEEP_AXES[key] if section == "sweep" and key in SWEEP_AXES else (section, key)
+    default = getattr(_SECTIONS[target[0]](), target[1])
+    if isinstance(getattr(cls(), key), tuple):
+        items = [s for s in (part.strip() for part in raw.split(",")) if s]
+        elem = type(default[0]) if isinstance(default, tuple) else type(default)
+        value = tuple(_parse_scalar(s, elem, where) for s in items)
+    else:
+        value = _parse_scalar(raw, type(default), where)
+    choice = _CHOICES.get(target)
     for item in value if isinstance(value, tuple) else (value,):
         if choice is not None and item not in choice:
-            raise ConfigError(f"{section}.{key} must be one of {choice}, got {item!r}")
+            raise ConfigError(f"{where} must be one of {choice}, got {item!r}")
     blocks[section][key] = value
 
 
@@ -247,6 +252,12 @@ def effective_ini(cfg: RunConfig) -> str:
             out.write(f"{f.name} = {_format_value(getattr(block, f.name))}\n")
         out.write("\n")
     return out.getvalue()
+
+
+def sweep_axes(cfg: RunConfig) -> dict[str, tuple]:
+    """The non-empty [sweep] lists, keyed by the dotted key each overrides."""
+    return {f"{section}.{key}": getattr(cfg.sweep, name)
+            for name, (section, key) in SWEEP_AXES.items() if getattr(cfg.sweep, name)}
 
 
 def override(cfg: RunConfig, **section_updates) -> RunConfig:

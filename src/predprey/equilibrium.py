@@ -116,13 +116,6 @@ class Equilibrium:
         return self.zeta1 if i == 1 else self.zeta2
 
 
-def feasible_interval(kernels: KernelSet) -> tuple[float, float]:
-    """Admissible open interval for the equilibrium dilution."""
-    z1 = solve_lotka_sharpe(kernels.mu1, kernels.k1, kernels.grid, kernels.cum_mu(1))
-    z2 = solve_lotka_sharpe(kernels.mu2, kernels.k2, kernels.grid, kernels.cum_mu(2))
-    return 0.0, min(z1, z2)
-
-
 def compute_equilibrium(kernels: KernelSet, u_star: float) -> Equilibrium:
     """Construct the full equilibrium for a feasible dilution setpoint."""
     grid = kernels.grid

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import GainsA, GainsB, big_phi, phi
+from .controllers import ControllerSpec, GainsA, GainsB, big_phi, phi
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
-from .model import AgeGrid, check_grid_fn, cumulative, quad
+from .model import AgeGrid, check_grid_fn, quad, tail_integral
 from .transform import HistoryBuffer
 
 
@@ -100,11 +100,16 @@ def g_fn(psi: HistoryBuffer, sigma: float) -> float:
 
     G = max_a |psi(-a)| e^{sigma (A - a)} / (1 + min(0, min psi)).
     """
-    s = psi.samples
-    floor = min(0.0, float(s.min()))
-    if 1.0 + floor <= 0.0:
+    s_min = float(psi.samples.min())
+    if 1.0 + min(0.0, s_min) <= 0.0:
         raise ValueError("history contains a sample <= -1; G is undefined")
-    return float(np.max(np.abs(s) * g_fn_weights(psi.grid, sigma)) / (1.0 + floor))
+    return g_kernel(psi.samples, g_fn_weights(psi.grid, sigma), s_min)
+
+
+def g_kernel(samples, weights, s_min: float) -> float:
+    """G from the history samples, the weights of ``g_fn_weights`` and the
+    samples' minimum, which the caller has at hand; no admissibility check."""
+    return float(np.max(np.abs(samples) * weights) / (1.0 + min(0.0, s_min)))
 
 
 def g_fn_weights(grid: AgeGrid, sigma: float) -> np.ndarray:
@@ -138,8 +143,7 @@ def find_sigma(ktilde, grid: AgeGrid) -> tuple[float, float]:
     """
     ktilde = check_grid_fn(ktilde, grid, "ktilde")
     a = grid.nodes
-    kc = cumulative(ktilde, grid)
-    tail = kc[-1] - kc
+    tail = tail_integral(ktilde, grid)
     z = 1.0 / quad(a * ktilde, grid)
 
     def J(kappa: float, sigma: float = 0.0) -> float:
@@ -229,17 +233,25 @@ def gamma_lower_bounds(mode: str, eps: float, beta: float, eq: Equilibrium,
     return lo1, lo2
 
 
+def _check_saturated_gains(eps: float, beta: float, delta: float | None):
+    """The saturated mode needs control B gains with beta > 0: at beta = 0 the
+    default varpi = beta/(2*delta) is 0, and the gamma2 bound divides by it."""
+    if delta is None:
+        raise GainConstraintError("saturated mode needs delta")
+    GainsB(eps=eps, beta=beta, delta=delta)
+    if not beta > 0:
+        raise GainConstraintError("saturated mode requires beta > 0")
+
+
 def validate_lyap_config(cfg: LyapConfig, eq: Equilibrium) -> LyapConfig:
     """Enforce the strict weight inequalities of the active mode."""
     if cfg.mode == "gradient":
         GainsA(eps=cfg.eps, beta=cfg.beta)
         lo1, lo2 = gamma_lower_bounds("gradient", cfg.eps, cfg.beta, eq)
     else:
-        if cfg.delta is None or cfg.varpi is None:
-            raise GainConstraintError("saturated mode needs delta and varpi")
-        GainsB(eps=cfg.eps, beta=cfg.beta, delta=cfg.delta)
-        if not cfg.beta > 0:
-            raise GainConstraintError("saturated mode requires beta > 0")
+        _check_saturated_gains(cfg.eps, cfg.beta, cfg.delta)
+        if cfg.varpi is None:
+            raise GainConstraintError("saturated mode needs varpi")
         if not 0.0 < cfg.varpi < cfg.beta / cfg.delta:
             raise GainConstraintError(
                 f"saturated mode requires 0 < varpi < beta/delta = "
@@ -270,10 +282,10 @@ def default_lyap_config(
 ) -> LyapConfig:
     """Fill unspecified weights: gammas at twice their lower bounds; in the
     saturated mode the analysis constant varpi defaults to beta/(2*delta)."""
-    if mode == "saturated" and varpi is None:
-        if delta is None:
-            raise GainConstraintError("saturated mode needs delta")
-        varpi = beta / (2.0 * delta)
+    if mode == "saturated":
+        _check_saturated_gains(eps, beta, delta)
+        if varpi is None:
+            varpi = beta / (2.0 * delta)
     lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, varpi)
     cfg = LyapConfig(
         mode=mode,
@@ -287,6 +299,26 @@ def default_lyap_config(
         varpi=varpi,
     )
     return validate_lyap_config(cfg, eq)
+
+
+# the analysis mode of each controller kind; the other kinds have none
+ANALYSIS_MODE = {"control_a": "gradient", "measured": "gradient", "control_b": "saturated"}
+
+
+def lyap_config_for(spec: ControllerSpec, eq: Equilibrium, sigma: tuple[float, float],
+                    gamma1: float | None = None, gamma2: float | None = None,
+                    varpi: float | None = None) -> LyapConfig | None:
+    """The analysis of a controller: the mode ANALYSIS_MODE gives its kind, at
+    its gains and the certified sigma (``Setup.sigma``), or None for a kind
+    without one.  Unset weights take ``default_lyap_config``'s defaults."""
+    mode = ANALYSIS_MODE.get(spec.kind)
+    if mode is None:
+        return None
+    return default_lyap_config(
+        mode, spec.eps, spec.beta, eq, sigma,
+        delta=spec.delta if mode == "saturated" else None,
+        varpi=varpi, gamma1=gamma1, gamma2=gamma2,
+    )
 
 
 def v_composite(eta, g1, g2, cfg: LyapConfig, eq: Equilibrium):

@@ -78,26 +78,19 @@ def cumulative(f, grid: AgeGrid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KernelShapeParams:
-    """Shape parameters of the closed-form kernel family.
-
-    mu_i(a) = mu_bar_i * exp(a), k_i(a) = k_bar_i * exp(-a),
-    g_i(a) = g_bar_i * (a - a^2).
-    """
-
-    mu_bar: tuple[float, float]
-    k_bar: tuple[float, float]
-    g_bar: tuple[float, float]
+def tail_integral(f, grid: AgeGrid) -> np.ndarray:
+    """Trapezoid integral of f from each node to A (ends at 0)."""
+    c = cumulative(f, grid)
+    return c[-1] - c
 
 
 @dataclass(frozen=True)
 class KernelSet:
     """Mortality, birth and interaction kernels for both species.
 
-    Kernels are sampled on the grid; when built from the closed-form family
-    the shape parameters are kept so the cumulative mortality integral can be
-    evaluated exactly instead of by running quadrature.
+    Kernels are sampled on the grid.  ``cum_mu1``/``cum_mu2`` hold the
+    cumulative mortality integral from 0 to each node, as its builder gives
+    it: exact for the closed-form family, the running trapezoid sum for tables.
     """
 
     grid: AgeGrid
@@ -107,7 +100,8 @@ class KernelSet:
     mu2: np.ndarray
     k2: np.ndarray
     g2: np.ndarray
-    params: KernelShapeParams | None = None
+    cum_mu1: np.ndarray
+    cum_mu2: np.ndarray
 
     def __post_init__(self):
         for name in ("mu1", "k1", "g1", "mu2", "k2", "g2"):
@@ -125,14 +119,7 @@ class KernelSet:
         return self.k1 if i == 1 else self.k2
 
     def cum_mu(self, i: int) -> np.ndarray:
-        """Cumulative mortality integral from 0 to each node.
-
-        Exact for the closed-form family (mu_bar * (exp(a) - 1)); trapezoid
-        otherwise.
-        """
-        if self.params is not None:
-            return self.params.mu_bar[i - 1] * np.expm1(self.grid.nodes)
-        return cumulative(self.mu(i), self.grid)
+        return self.cum_mu1 if i == 1 else self.cum_mu2
 
 
 def build_kernels(
@@ -146,9 +133,11 @@ def build_kernels(
 ) -> KernelSet:
     """Sample the closed-form kernel family on the grid.
 
-    All shape parameters must be strictly positive.  The interaction shape
-    a - a^2 is nonnegative only for A <= 1; larger grids are rejected by the
-    kernel nonnegativity check.
+    mu_i(a) = mu_bar_i * exp(a), k_i(a) = k_bar_i * exp(-a),
+    g_i(a) = g_bar_i * (a - a^2); the cumulative mortality is the exact
+    mu_bar_i * (exp(a) - 1).  All shape parameters must be strictly positive.
+    The interaction shape a - a^2 is nonnegative only for A <= 1; larger
+    grids are rejected by the kernel nonnegativity check.
     """
     shape = {
         "mu_bar_1": mu_bar_1, "k_bar_1": k_bar_1, "g_bar_1": g_bar_1,
@@ -158,9 +147,6 @@ def build_kernels(
         if not val > 0:
             raise ValueError(f"kernel shape parameter {name} must be positive, got {val}")
     a = grid.nodes
-    params = KernelShapeParams(
-        mu_bar=(mu_bar_1, mu_bar_2), k_bar=(k_bar_1, k_bar_2), g_bar=(g_bar_1, g_bar_2)
-    )
     return KernelSet(
         grid=grid,
         mu1=mu_bar_1 * np.exp(a),
@@ -169,21 +155,24 @@ def build_kernels(
         mu2=mu_bar_2 * np.exp(a),
         k2=k_bar_2 * np.exp(-a),
         g2=g_bar_2 * (a - a**2),
-        params=params,
+        cum_mu1=mu_bar_1 * np.expm1(a),
+        cum_mu2=mu_bar_2 * np.expm1(a),
     )
 
 
 def kernels_from_tables(grid, mu1, k1, g1, mu2, k2, g2) -> KernelSet:
     """Build a KernelSet from user-supplied tabulated kernels."""
+    mu1, mu2 = check_grid_fn(mu1, grid, "mu1"), check_grid_fn(mu2, grid, "mu2")
     return KernelSet(
         grid=grid,
-        mu1=np.asarray(mu1, dtype=float),
+        mu1=mu1,
         k1=np.asarray(k1, dtype=float),
         g1=np.asarray(g1, dtype=float),
-        mu2=np.asarray(mu2, dtype=float),
+        mu2=mu2,
         k2=np.asarray(k2, dtype=float),
         g2=np.asarray(g2, dtype=float),
-        params=None,
+        cum_mu1=cumulative(mu1, grid),
+        cum_mu2=cumulative(mu2, grid),
     )
 
 

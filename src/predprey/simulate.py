@@ -41,7 +41,7 @@ import numpy as np
 from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
-from .lyapunov import find_sigma, g_fn_weights, v0, v1, v_composite, SIGMA_SAFETY
+from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
 from .model import AgeGrid, KernelSet, PopulationState
 from .transform import (
     AdjointData,
@@ -49,6 +49,8 @@ from .transform import (
     TransformedState,
     compute_pi0,
     pi_functional,
+    profile,
+    shape_deviation,
     to_transformed,
 )
 
@@ -85,12 +87,14 @@ class ICSpec:
     """Initial profiles: named multiplier families, custom ones, or tables.
 
     kinds:
-      ``FQ``           x1 = x1*exp(1+2a), x2 = x2*exp(-1-2a)  (prey surplus)
-      ``SQ``           the species swap of FQ                 (predator surplus)
-      ``equilibrium``  start at the steady state
       ``multiplier``   x_i = x_i_star * exp(offset_i + slope_i * a)
+      ``FQ``           offsets (1, -1), slopes (2, -2)  (prey surplus)
+      ``SQ``           the species swap of FQ           (predator surplus)
+      ``equilibrium``  offsets and slopes 0: the steady state
       ``table``        explicit positive profiles
       ``eta``          transformed start (eta0, flat histories)
+
+    FQ, SQ and equilibrium are rows of ``NAMED_STARTS``.
     """
 
     kind: str = "FQ"
@@ -106,18 +110,21 @@ class ICSpec:
             raise ValueError(f"unknown IC kind {self.kind!r}; expected one of {kinds}")
 
 
+# (log_offset, log_slope) of the named multiplier starts
+NAMED_STARTS = {
+    "FQ": ((1.0, -1.0), (2.0, -2.0)),
+    "SQ": ((-1.0, 1.0), (-2.0, 2.0)),
+    "equilibrium": ((0.0, 0.0), (0.0, 0.0)),
+}
+
+
 def ic_from_spec(spec: ICSpec, eq: Equilibrium) -> PopulationState:
     """Materialize the initial population profiles."""
     a = eq.grid.nodes
-    if spec.kind == "FQ":
-        m1, m2 = np.exp(1.0 + 2.0 * a), np.exp(-1.0 - 2.0 * a)
-    elif spec.kind == "SQ":
-        m1, m2 = np.exp(-1.0 - 2.0 * a), np.exp(1.0 + 2.0 * a)
-    elif spec.kind == "equilibrium":
-        m1 = m2 = np.ones_like(a)
-    elif spec.kind == "multiplier":
-        m1 = np.exp(spec.log_offset[0] + spec.log_slope[0] * a)
-        m2 = np.exp(spec.log_offset[1] + spec.log_slope[1] * a)
+    if spec.kind in NAMED_STARTS or spec.kind == "multiplier":
+        offset, slope = NAMED_STARTS.get(spec.kind, (spec.log_offset, spec.log_slope))
+        m1 = np.exp(offset[0] + slope[0] * a)
+        m2 = np.exp(offset[1] + slope[1] * a)
     elif spec.kind == "table":
         if spec.x1 is None or spec.x2 is None:
             raise ValueError("table IC needs explicit x1 and x2 profiles")
@@ -235,8 +242,8 @@ class _Recorder:
         self.u[j] = u
         m1, m2 = float(psi1.min()), float(psi2.min())
         self.psi_min[j] = (m1, m2)
-        self.G1[j] = np.max(np.abs(psi1) * self.w1) / (1.0 + min(0.0, m1))
-        self.G2[j] = np.max(np.abs(psi2) * self.w2) / (1.0 + min(0.0, m2))
+        self.G1[j] = g_kernel(psi1, self.w1, m1)
+        self.G2[j] = g_kernel(psi2, self.w2, m2)
         self.k += 1
 
     def build(self, solver: str) -> Trajectory:
@@ -371,7 +378,8 @@ def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
         x1, x2 = state
         p1, p2 = pi_functional(x1, adj1), pi_functional(x2, adj2)
         return (np.array([np.log(p1), np.log(p2)]),
-                lambda: (x1 / (xs1 * p1) - 1.0, x2 / (xs2 * p2) - 1.0), lambda: state)
+                lambda: (shape_deviation(x1, xs1, p1), shape_deviation(x2, xs2, p2)),
+                lambda: state)
 
     # copied once, so snapshot 0 does not alias a table IC's arrays; the
     # kernel returns fresh arrays after that
@@ -445,8 +453,8 @@ def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
         if not np.all(np.isfinite(eta)):
             raise NumericalError("non-finite value in the control loop",
                                  reason="nan_guard")
-        return eta, lambda: (psi1, psi2), lambda: (xs1 * np.exp(eta[0]) * (1.0 + psi1),
-                                                   xs2 * np.exp(eta[1]) * (1.0 + psi2))
+        return eta, lambda: (psi1, psi2), lambda: (profile(xs1, eta[0], psi1),
+                                                   profile(xs2, eta[1], psi2))
 
     ts0 = transformed_ic(cfg.ic, setup)
     # a diverging run overflows exp(eta) in the rhs; the loop's nan guard

@@ -24,7 +24,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import NumericalError
-from .model import AgeGrid, PopulationState, check_grid_fn, cumulative, quad
+from .model import AgeGrid, PopulationState, check_grid_fn, quad, tail_integral
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ class AdjointData:
 def compute_pi0(eq: Equilibrium, species: int) -> AdjointData:
     """Adjoint weight pi0(a) = integral_a^A k(s) exp(Lam(a) - Lam(s)) ds.
 
-    Lam is the cumulative renewal-plus-mortality integral zeta*a + int_0^a mu.
-    A single cached cumulative of k*exp(-Lam) avoids the O(n^2) double loop:
-    pi0 = exp(Lam) * (Kc(A) - Kc(a)).  By the renewal condition pi0(0) = 1 and
-    pi0(A) = 0.
+    Lam is the cumulative renewal-plus-mortality integral zeta*a + int_0^a mu,
+    so k*exp(-Lam) is ktilde and one tail integral of it avoids the O(n^2)
+    double loop: pi0 = exp(Lam) * int_a^A ktilde.  By the renewal condition
+    pi0(0) = 1 and pi0(A) = 0.
 
     The normalizer integral_0^A a k x_star equals quad(pi0 * x_star) after
     integration by parts; the by-parts form is used because it makes the
@@ -51,11 +51,19 @@ def compute_pi0(eq: Equilibrium, species: int) -> AdjointData:
     """
     grid = eq.grid
     lam = eq.zeta(species) * grid.nodes + eq.kernels.cum_mu(species)
-    kexp = eq.kernels.k(species) * np.exp(-lam)  # equals ktilde(species)
-    kc = cumulative(kexp, grid)
-    pi0 = np.exp(lam) * (kc[-1] - kc)
+    pi0 = np.exp(lam) * tail_integral(eq.ktilde(species), grid)
     denom = quad(pi0 * eq.x_star(species), grid)
     return AdjointData(pi0=pi0, wpi0=grid.weights * pi0, denom=denom)
+
+
+def shape_deviation(x, x_star, pi_val):
+    """psi = x / (x_star * Pi[x]) - 1, the age-shape deviation of a profile."""
+    return x / (x_star * pi_val) - 1.0
+
+
+def profile(x_star, eta, psi):
+    """x = x_star * exp(eta) * (1 + psi), the profile of a transformed state."""
+    return x_star * np.exp(eta) * (1.0 + psi)
 
 
 def pi_functional(x, adj: AdjointData) -> float:
@@ -120,8 +128,7 @@ def to_transformed(
     for i in (1, 2):
         pival = pi_functional(xs[i - 1], adj[i - 1])
         eta[i - 1] = np.log(pival)
-        psi = xs[i - 1] / (eq.x_star(i) * pival) - 1.0
-        buffers.append(HistoryBuffer(grid, psi))
+        buffers.append(HistoryBuffer(grid, shape_deviation(xs[i - 1], eq.x_star(i), pival)))
         p_res, _ = check_S(buffers[-1], eq.ktilde(i), grid)
         if p_res > P_RESIDUAL_TOL:
             warnings.warn(
@@ -133,9 +140,9 @@ def to_transformed(
 
 
 def reconstruct(ts: TransformedState, eq: Equilibrium) -> PopulationState:
-    """Rebuild the population profiles: x_i = x_i_star * exp(eta_i) * (1 + psi_i)."""
-    x1 = eq.x1_star * np.exp(ts.eta[0]) * (1.0 + ts.psi1.samples)
-    x2 = eq.x2_star * np.exp(ts.eta[1]) * (1.0 + ts.psi2.samples)
+    """Rebuild the population profiles from (eta, psi) with ``profile``."""
+    x1 = profile(eq.x1_star, ts.eta[0], ts.psi1.samples)
+    x2 = profile(eq.x2_star, ts.eta[1], ts.psi2.samples)
     return PopulationState(t=ts.t, x1=x1, x2=x2).validate(eq.grid)
 
 
@@ -151,8 +158,7 @@ def check_S(psi: HistoryBuffer, ktilde, grid: AgeGrid) -> tuple[float, float]:
     birth boundary condition.
     """
     ktilde = check_grid_fn(ktilde, grid, "ktilde")
-    kc = cumulative(ktilde, grid)
-    tail = kc[-1] - kc  # int_a^A ktilde
+    tail = tail_integral(ktilde, grid)
     p_val = quad(psi.samples * tail, grid) / quad(grid.nodes * ktilde, grid)
     renewal = abs(float(psi.samples[0]) - quad(ktilde * psi.samples, grid))
     return abs(float(p_val)), renewal

@@ -326,6 +326,40 @@ def test_cli_sweep_rejects_bad_axis_value(tmp_path, capsys, axis):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "[sweep]\nu_star = 0.15, -1\n",
+    "[sweep]\neps = 0.2, -1\n",
+    "[controller]\nkind = control_b\neps = 0.01\n[sweep]\nbeta = 0.05, 0\n",
+])
+def test_cli_sweep_checks_every_combo_before_running(tmp_path, capsys, lines):
+    # an infeasible u_star, a gain constraint and an analysis without beta > 0
+    # each fail in the last combo, before the first one runs
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        f"[model]\nn_cells = 60\n[simulation]\nt_final = 1\n{lines}workers = 1\n",
+    )
+    rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert list((tmp_path / "sw").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "roa"])
+def test_cli_control_b_zero_beta_is_config_error(tmp_path, capsys, command):
+    # control B accepts beta = 0, but its analysis divides by beta: the run
+    # stops before the march, with no trajectory written
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        "[model]\nn_cells = 100\n[controller]\nkind = control_b\neps = 0.01\n"
+        "beta = 0\ndelta = 0.2\n[simulation]\nt_final = 2\n",
+    )
+    rc = main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "requires beta > 0" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_cli_kernel_table(tmp_path):
     # a tabulated kernel file reproducing the closed-form family gives the
     # same equilibrium, and the same runs of both solvers, as the shape

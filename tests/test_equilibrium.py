@@ -3,7 +3,6 @@ import pytest
 
 from predprey.equilibrium import (
     compute_equilibrium,
-    feasible_interval,
     open_loop_jacobian,
     open_loop_jacobian_eigs,
     solve_lotka_sharpe,
@@ -106,7 +105,7 @@ def test_infeasible_setpoint_raises(setup400):
     with pytest.raises(InfeasibleSetpointError) as err:
         compute_equilibrium(setup400.kernels, 1.5)
     assert "0" in str(err.value) and "1.17" in str(err.value)
-    lo, hi = feasible_interval(setup400.kernels)
+    lo, hi = err.value.interval
     assert lo == 0.0
     assert hi == pytest.approx(1.17, abs=0.01)
 

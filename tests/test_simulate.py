@@ -5,6 +5,7 @@ import pytest
 
 from predprey.controllers import BoundController, ControllerSpec
 from predprey.errors import NumericalError
+from predprey.lyapunov import g_fn
 from predprey.model import AgeGrid, PopulationState, bc_residual, kernels_from_tables
 from predprey.simulate import (
     ICSpec,
@@ -238,6 +239,29 @@ def test_simulate_direct_positivity_and_bc(setup400):
             assert bc_residual(x1, ks.k1, grid) / x1[0] < 1e-3
             assert bc_residual(x2, ks.k2, grid) / x2[0] < 1e-3
     assert np.all(traj.psi_min > -1.0)
+
+
+@pytest.mark.parametrize("ic", ["FQ", "SQ"])
+@pytest.mark.parametrize("run", [simulate_direct, simulate_transformed])
+def test_recorded_g_at_t0_is_g_fn_of_the_start(setup100, run, ic):
+    # the recorder and g_fn share one G kernel, so the first record equals
+    # g_fn of the start's histories exactly
+    traj = run(setup100, SimConfig(t_final=0.1, controller=OPEN, ic=ICSpec(kind=ic)))
+    ts = to_transformed(ic_from_spec(ICSpec(kind=ic), setup100.eq), setup100.eq, setup100.adj)
+    assert traj.G1[0] == g_fn(ts.psi1, setup100.sigma[0])
+    assert traj.G2[0] == g_fn(ts.psi2, setup100.sigma[1])
+    assert tuple(traj.psi_min[0]) == (ts.psi1.samples.min(), ts.psi2.samples.min())
+
+
+def test_named_starts_are_their_formulas(setup100):
+    # FQ, SQ and equilibrium are multiplier rows, bitwise equal to the
+    # profiles x_star * exp(+-(1 + 2a)) and x_star they name
+    eq, a = setup100.eq, setup100.grid.nodes
+    up, down = np.exp(1.0 + 2.0 * a), np.exp(-1.0 - 2.0 * a)
+    for kind, m1, m2 in (("FQ", up, down), ("SQ", down, up), ("equilibrium", 1.0, 1.0)):
+        state = ic_from_spec(ICSpec(kind=kind), eq)
+        assert np.array_equal(state.x1, eq.x1_star * m1), kind
+        assert np.array_equal(state.x2, eq.x2_star * m2), kind
 
 
 def test_simulate_records_monotone_times(setup100):
