@@ -35,7 +35,7 @@ from .simulate import (
     build_setup,
     cross_validate,
     ic_from_spec,
-    simulate_direct,
+    simulate_direct_batch,
     simulate_transformed,
 )
 from .transform import check_S, reconstruct, to_transformed
@@ -44,6 +44,17 @@ MIN_CELLS = 100
 
 REFERENCE_GAINS_A = dict(eps=0.2, beta=0.6)
 REFERENCE_GAINS_B = dict(eps=0.01, beta=0.13, delta=0.2)
+
+# the closed-loop reference runs of criteria 03 and 05-07, (controller, start),
+# marched as one batch over t in [0, REFERENCE_T_FINAL]
+REFERENCE_RUNS = (
+    ("open_loop", "FQ"),
+    ("control_a", "FQ"),
+    ("control_a", "SQ"),
+    ("control_b", "FQ"),
+    ("control_b", "SQ"),
+)
+REFERENCE_T_FINAL = 20.0
 
 
 @dataclass
@@ -85,14 +96,17 @@ class VerifyContext:
             return build_setup(kernels, self.u_star)
         return self._get(("setup", n), build)
 
-    def direct_run(self, kind: str, ic: str, t_final: float = 20.0):
+    def direct_run(self, kind: str, ic: str):
+        """The reference run (kind, ic) of ``REFERENCE_RUNS``; the first call
+        marches them all as one batch."""
         def build():
-            setup = self.setup()
-            spec = self._controller(kind)
-            return simulate_direct(
-                setup, SimConfig(t_final=t_final, controller=spec, ic=ICSpec(kind=ic))
-            )
-        return self._get(("direct", kind, ic, t_final), build)
+            cfgs = [SimConfig(t_final=REFERENCE_T_FINAL, controller=self._controller(k),
+                              ic=ICSpec(kind=i)) for k, i in REFERENCE_RUNS]
+            return dict(zip(REFERENCE_RUNS, simulate_direct_batch(self.setup(), cfgs)))
+        runs = self._get("direct", build)
+        if (kind, ic) not in runs:
+            raise KeyError(f"({kind!r}, {ic!r}) is not one of the REFERENCE_RUNS")
+        return runs[(kind, ic)]
 
     def _controller(self, kind: str) -> ControllerSpec:
         if kind == "control_a":

@@ -303,10 +303,9 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
 
 
 def _sweep_worker(args) -> dict:
-    cfg, combo, outdir = args
+    cfg, setup, combo, outdir = args
     run_dir = Path(outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    setup = build_setup_from_config(cfg)
     traj = _run_simulation(cfg, setup, "direct")
     _write_trajectory(run_dir, cfg, setup, traj, "", plot=False)
     return {
@@ -333,14 +332,15 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
             section, key = dotted.split(".")
             updates.setdefault(section, {})[key] = value
         run_cfg = override(cfg, **updates)
-        # every combo binds its controller and analysis before the first run
+        # every combo binds its controller and analysis before the first run,
+        # and runs on the Setup checked here
         u_star = run_cfg.equilibrium.u_star
         if u_star not in setups:
             setups[u_star] = build_setup_from_config(run_cfg)
         BoundController(controller_from_config(run_cfg), setups[u_star].eq)
         lyap_config_from(run_cfg, setups[u_star])
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
-        jobs.append((run_cfg, combo, str(outdir / f"run_{idx:03d}_{slug}")))
+        jobs.append((run_cfg, setups[u_star], combo, str(outdir / f"run_{idx:03d}_{slug}")))
     workers = cfg.sweep.workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         try:

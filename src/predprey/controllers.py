@@ -12,7 +12,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError
-from .model import check_grid_fn, quad
+from .model import check_grid_fn, quad, row_dot
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
 # realistic state (phi saturates long before |eta| = 700).
@@ -215,8 +215,10 @@ class BoundController:
     """A ControllerSpec bound to an equilibrium.
 
     The eta-based laws are evaluated by ``u_from_eta``, the measurement-based
-    law by ``u_from_state`` on the population profiles.  Gain constraints are
-    checked here, once, so the per-step evaluations stay unguarded.
+    law by ``u_from_state`` on the population profiles.  Both broadcast over
+    leading axes: eta of shape (..., 2) and profiles of shape (..., n) give u
+    of shape (...), a float for one state.  Gain constraints are checked here,
+    once, so the per-step evaluations stay unguarded.
     """
 
     def __init__(self, spec: ControllerSpec, eq: Equilibrium):
@@ -252,24 +254,24 @@ class BoundController:
     def needs_profiles(self) -> bool:
         return self.spec.kind == "measured"
 
-    def u_from_eta(self, eta) -> float:
+    def u_from_eta(self, eta):
         kind = self.spec.kind
         if kind == "open_loop":
             return self.eq.u_star
         if kind == "control_a":
-            return float(control_A(eta, self.gains_a, self.eq))
+            return control_A(eta, self.gains_a, self.eq)
         if kind == "control_b":
-            return float(control_B(eta, self.gains_b, self.eq))
+            return control_B(eta, self.gains_b, self.eq)
         if kind == "feedback_linearizing":
-            return float(control_fblin(eta, self.spec.k1, self.spec.k2, self.eq))
+            return control_fblin(eta, self.spec.k1, self.spec.k2, self.eq)
         raise GainConstraintError(
             "the measurement-based law needs population profiles, not eta"
         )
 
-    def u_from_state(self, x1, x2) -> float:
+    def u_from_state(self, x1, x2):
         if not self.needs_profiles:
             raise GainConstraintError(
                 f"the {self.spec.kind} law acts on eta, not on population profiles"
             )
-        y1, y2 = float(self._wc1 @ x1), float(self._wc2 @ x2)
-        return float(control_measured(y1, y2, self.sensors, self.gains_a, self.eq))
+        y1, y2 = row_dot(x1, self._wc1), row_dot(x2, self._wc2)
+        return control_measured(y1, y2, self.sensors, self.gains_a, self.eq)

@@ -103,13 +103,15 @@ def g_fn(psi: HistoryBuffer, sigma: float) -> float:
     s_min = float(psi.samples.min())
     if 1.0 + min(0.0, s_min) <= 0.0:
         raise ValueError("history contains a sample <= -1; G is undefined")
-    return g_kernel(psi.samples, g_fn_weights(psi.grid, sigma), s_min)
+    return float(g_kernel(psi.samples, g_fn_weights(psi.grid, sigma), s_min))
 
 
-def g_kernel(samples, weights, s_min: float) -> float:
+def g_kernel(samples, weights, s_min):
     """G from the history samples, the weights of ``g_fn_weights`` and the
-    samples' minimum, which the caller has at hand; no admissibility check."""
-    return float(np.max(np.abs(samples) * weights) / (1.0 + min(0.0, s_min)))
+    samples' minimum, which the caller has at hand; no admissibility check.
+    Reduces along the last axis and broadcasts over the leading ones (a float
+    for one history)."""
+    return (np.abs(samples) * weights).max(axis=-1) / (1.0 + np.minimum(0.0, s_min))
 
 
 def g_fn_weights(grid: AgeGrid, sigma: float) -> np.ndarray:

@@ -70,6 +70,17 @@ def quad(f, grid: AgeGrid) -> float:
     return float(grid.weights @ f)
 
 
+def _row_dot_matmul(x, w):
+    return (x[..., None, :] @ w[..., None])[..., 0, 0]
+
+
+# Dot products along the last axis, broadcast over the leading ones.  Each is
+# summed as one 1-D dot, so a row of a stacked array gives bitwise the value it
+# gives alone; ``x @ w`` on a matrix sums in another order.  numpy >= 2 has the
+# gufunc; before it, a (1, n) @ (n, 1) matmul per row takes the same 1-D dot.
+row_dot = getattr(np, "vecdot", _row_dot_matmul)
+
+
 def cumulative(f, grid: AgeGrid) -> np.ndarray:
     """Running trapezoid integral of f from 0 to each node (starts at 0)."""
     f = check_grid_fn(f, grid)

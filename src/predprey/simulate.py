@@ -7,14 +7,30 @@ ops)`` whose step-invariant arrays ``ops`` are built once per run; the
 pure-function steps ``step_direct`` and ``step_transformed`` call the same
 kernels.
 
+The loop marches a batch of B runs on a leading axis: eta is (B, 2), u a
+(B, 1) column, and the shape deviations and profiles are (B, 2, n), species
+second and age last.  The rows of a batch share one Setup, t_final,
+record_every and snapshot times; each has its own controller and start, and
+each group of rows with one controller evaluates its law once per step.
+``simulate_direct_batch`` is the batch entry of the direct solver, and
+``simulate_direct`` is its batch of one, not a second kernel; the
+transformed solver marches batches of one.  Every age integral of a row is
+one 1-D dot (``row_dot``), so a row of a batch reproduces its run alone
+bitwise, except where a law shared by several rows rounds differently on an
+array than on one state (numpy squares an array by x*x, a scalar by pow, in
+control B); those rows agree to rounding.  A row that fails stops the whole
+batch with that row's reason and t: the earliest failing step, and within it
+the first check that fails.  Which row failed is not reported.
+
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
     locked to the age step, so transport is an exact one-node shift combined
-    with an exponential loss factor: trapezoid-averaged mortality plus the
-    dilution and interaction losses, the latter averaged over the step by a
-    predictor pass.  The newborn node is solved implicitly from the trapezoid
-    renewal sum, which keeps the discrete birth identity exact.  Its observe
-    evaluates the Pi functionals, hence eta, once per step.
+    with an exponential loss factor: the one-cell survival of the
+    trapezoid-averaged mortality, precomputed per run, times the exponential
+    of the dilution and interaction losses, the latter averaged over the step
+    by a predictor pass.  The newborn node is solved implicitly from the
+    trapezoid renewal sum, which keeps the discrete birth identity exact.  Its
+    observe evaluates the Pi functionals, hence eta, once per step.
 
 Transformed kernel
     Marches the log-abundances by Heun's two-stage method, evaluating the
@@ -34,6 +50,7 @@ deterministic: a fixed configuration reproduces bitwise-identical output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +59,7 @@ from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
-from .model import AgeGrid, KernelSet, PopulationState
+from .model import AgeGrid, KernelSet, PopulationState, row_dot
 from .transform import (
     AdjointData,
     HistoryBuffer,
@@ -51,6 +68,7 @@ from .transform import (
     pi_functional,
     profile,
     shape_deviation,
+    stack_adjoints,
     to_transformed,
 )
 
@@ -152,20 +170,26 @@ def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float
     """Loss rates (I1, I2): predation pressure on the prey and starvation
     pressure 1/quad(g2*x1) on the predator."""
     w = kernels.grid.weights
-    return _interaction_losses(state.x1, state.x2, w * kernels.g1, w * kernels.g2, t=state.t)
+    try:
+        i1, i2 = _interaction_losses(np.array([state.x1, state.x2]),
+                                     np.array([w * kernels.g1, w * kernels.g2]))
+    except NumericalError as err:
+        raise NumericalError(str(err), t=state.t, reason=err.reason) from None
+    return float(i1), float(i2)
 
 
-def _interaction_losses(x1, x2, wg1, wg2, t=None) -> tuple[float, float]:
-    i1 = float(wg1 @ x2)
-    i2_denom = float(wg2 @ x1)
-    if not i2_denom > 0:
+def _interaction_losses(x, wg):
+    """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
+    prey and 1/quad(g2*x1) on the predator; wg stacks w*g1 and w*g2."""
+    q = row_dot(x[..., ::-1, :], wg)
+    if not all(v > 0 for v in q[..., 1].ravel().tolist()):
         raise NumericalError(
             "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
             "term is singular",
-            t=t,
             reason="prey_collapse",
         )
-    return i1, 1.0 / i2_denom
+    q[..., 1] = 1.0 / q[..., 1]
+    return q
 
 
 @dataclass(frozen=True)
@@ -214,85 +238,118 @@ class Trajectory:
 
 
 class _Recorder:
-    def __init__(self, setup: Setup, cfg: SimConfig, n_steps: int, dt: float):
+    """The recorded series of a batch of runs, rows on the leading axis."""
+
+    def __init__(self, setup: Setup, cfgs, n_steps: int, dt: float):
         self.setup = setup
-        self.cfg = cfg
+        self.cfgs = cfgs
+        every = cfgs[0].record_every
         # one slot per stride plus the final step when it is off-stride
-        n_rec = n_steps // cfg.record_every + 1
-        if n_steps % cfg.record_every:
+        n_rec = n_steps // every + 1
+        if n_steps % every:
             n_rec += 1
+        n_rows = len(cfgs)
         self.times = np.empty(n_rec)
-        self.eta = np.empty((n_rec, 2))
-        self.u = np.empty(n_rec)
-        self.G1 = np.empty(n_rec)
-        self.G2 = np.empty(n_rec)
-        self.psi_min = np.empty((n_rec, 2))
-        self.snapshots = []
+        self.eta = np.empty((n_rows, n_rec, 2))
+        self.u = np.empty((n_rows, n_rec))
+        self.G = np.empty((n_rows, 2, n_rec))
+        self.psi_min = np.empty((n_rows, n_rec, 2))
+        self.snapshots = [[] for _ in cfgs]
         self.k = 0
-        self.w1 = g_fn_weights(setup.grid, setup.sigma[0])
-        self.w2 = g_fn_weights(setup.grid, setup.sigma[1])
+        self.weights = np.array([g_fn_weights(setup.grid, s) for s in setup.sigma])
         self.snap_steps = {
-            int(round(ts / dt)) for ts in cfg.snapshot_times if 0 <= ts <= n_steps * dt + 1e-9
+            int(round(ts / dt)) for ts in cfgs[0].snapshot_times if 0 <= ts <= n_steps * dt + 1e-9
         }
 
-    def record(self, t, eta, u, psi1, psi2):
+    def record(self, t, eta, u, psi):
+        """eta (B, 2), u (B, 1) and the shape deviations psi (B, 2, n)."""
         j = self.k
         self.times[j] = t
-        self.eta[j] = eta
-        self.u[j] = u
-        m1, m2 = float(psi1.min()), float(psi2.min())
-        self.psi_min[j] = (m1, m2)
-        self.G1[j] = g_kernel(psi1, self.w1, m1)
-        self.G2[j] = g_kernel(psi2, self.w2, m2)
+        self.eta[:, j] = eta
+        self.u[:, j] = u[:, 0]
+        m = psi.min(axis=-1)
+        self.psi_min[:, j] = m
+        self.G[:, :, j] = g_kernel(psi, self.weights, m)
         self.k += 1
 
-    def build(self, solver: str) -> Trajectory:
+    def snapshot(self, t, profiles):
+        for snaps, (x1, x2) in zip(self.snapshots, profiles):
+            snaps.append((t, x1, x2))
+
+    def build(self, solver: str) -> list[Trajectory]:
         n = self.k
-        meta = {
-            "solver": solver,
-            "controller": self.cfg.controller.kind,
-            "ic": self.cfg.ic.kind,
-            "n_cells": self.setup.grid.n_cells,
-            "dt": self.setup.grid.da,
-        }
-        return Trajectory(
-            times=self.times[:n],
-            eta=self.eta[:n],
-            u=self.u[:n],
-            G1=self.G1[:n],
-            G2=self.G2[:n],
-            psi_min=self.psi_min[:n],
-            snapshots=self.snapshots,
-            meta=meta,
-        )
+        return [
+            Trajectory(
+                times=self.times[:n],
+                eta=self.eta[b, :n],
+                u=self.u[b, :n],
+                G1=self.G[b, 0, :n],
+                G2=self.G[b, 1, :n],
+                psi_min=self.psi_min[b, :n],
+                snapshots=self.snapshots[b],
+                meta={
+                    "solver": solver,
+                    "controller": cfg.controller.kind,
+                    "ic": cfg.ic.kind,
+                    "n_cells": self.setup.grid.n_cells,
+                    "dt": self.setup.grid.da,
+                },
+            )
+            for b, cfg in enumerate(self.cfgs)
+        ]
 
 
-def _march(setup: Setup, cfg: SimConfig, solver: str, state, observe, update, make_ops) -> Trajectory:
-    """The time loop of both solvers.  ``observe(state)`` returns eta and two
-    zero-argument callables giving (psi1, psi2) and (x1, x2), so each is built
-    only when a record, the control law or a snapshot needs it.  ``make_ops()``
-    builds the kernel's step-invariant arrays inside the error re-raise, so a
-    grid too coarse for a birth kernel is reported at t = 0."""
+def _controller_groups(cfgs, eq: Equilibrium):
+    """One ``BoundController`` per distinct controller of the batch, with the
+    rows it drives as an index into the batch axis.  A lone row is indexed by
+    its integer, so its law sees one state and rounds as in a single run."""
+    rows: dict[ControllerSpec, list[int]] = {}
+    for b, cfg in enumerate(cfgs):
+        rows.setdefault(cfg.controller, []).append(b)
+    groups = []
+    for spec, idx in rows.items():
+        if len(idx) == 1:
+            index = idx[0]
+        elif len(idx) == len(cfgs):
+            index = slice(None)
+        else:
+            index = np.array(idx)
+        groups.append((BoundController(spec, eq), index))
+    return groups
+
+
+def _march(setup: Setup, cfgs, solver: str, state, observe, update, make_ops) -> list[Trajectory]:
+    """The time loop of both solvers, over a batch of runs that share the
+    schedule of ``cfgs[0]``.  ``observe(state)`` returns eta (B, 2) and two
+    zero-argument callables giving the shape deviations and the profiles,
+    each (B, 2, n), so each is built only when a record, the control law or a
+    snapshot needs it.  ``update(state, u, ops)`` takes u as a (B, 1) column.
+    ``make_ops()`` builds the kernel's step-invariant arrays inside the error
+    re-raise, so a grid too coarse for a birth kernel is reported at t = 0."""
+    cfg = cfgs[0]
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
-    controller = BoundController(cfg.controller, setup.eq)
-    rec = _Recorder(setup, cfg, n_steps, dt)
+    controllers = _controller_groups(cfgs, setup.eq)
+    rec = _Recorder(setup, cfgs, n_steps, dt)
+    u = np.empty((len(cfgs), 1))
     t = 0.0
     try:
         ops = make_ops()
         for step in range(n_steps + 1):
             eta, psi, profiles = observe(state)
-            if controller.needs_profiles:
-                u = controller.u_from_state(*profiles())
-            else:
-                u = controller.u_from_eta(eta)
-            if not np.isfinite(u):
+            for controller, rows in controllers:
+                if controller.needs_profiles:
+                    x = profiles()[rows]
+                    u[rows, 0] = controller.u_from_state(x[..., 0, :], x[..., 1, :])
+                else:
+                    u[rows, 0] = controller.u_from_eta(eta[rows])
+            if not all(map(math.isfinite, u.ravel().tolist())):
                 raise NumericalError("non-finite value in the control loop",
                                      reason="nan_guard")
             if step % cfg.record_every == 0 or step == n_steps:
-                rec.record(t, eta, u, *psi())
+                rec.record(t, eta, u, psi())
             if step in rec.snap_steps:
-                rec.snapshots.append((t, *profiles()))
+                rec.snapshot(t, profiles())
             if step == n_steps:
                 break
             state = update(state, u, ops)
@@ -329,63 +386,83 @@ def _renewal_weights(w, k):
 
 def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
     """One characteristic step of the direct solver (pure-function form)."""
-    x1, x2 = _step("direct", kernels, _direct_ops, _direct_update,
-                   (state.x1, state.x2), u, dt, state.t)
-    return PopulationState(t=state.t + dt, x1=x1, x2=x2)
+    x = _step("direct", kernels, _direct_ops, _direct_update,
+              np.array([state.x1, state.x2]), u, dt, state.t)
+    return PopulationState(t=state.t + dt, x1=x[0], x2=x[1])
 
 
 def _direct_ops(kernels: KernelSet):
-    """Step-invariant arrays of the direct step: dt, the weighted interaction
-    kernels w*g1 and w*g2, and per species the cell-averaged mortality and
-    the renewal weights."""
-    w = kernels.grid.weights
-    s1, s2 = ((0.5 * (mu[:-1] + mu[1:]), *_renewal_weights(w, k))
-              for mu, k in ((kernels.mu1, kernels.k1), (kernels.mu2, kernels.k2)))
-    return kernels.grid.da, w * kernels.g1, w * kernels.g2, s1, s2
+    """Step-invariant arrays of the direct step, species on a leading axis:
+    dt, the weighted interaction kernels (w*g1, w*g2), and the species data of
+    ``_transport``: the one-cell survival exp(-mu_avg*dt) of the cell-averaged
+    mortality and the renewal weights."""
+    w, dt = kernels.grid.weights, kernels.grid.da
+    renewal = [_renewal_weights(w, k) for k in (kernels.k1, kernels.k2)]
+    mu_avg = np.array([0.5 * (mu[:-1] + mu[1:]) for mu in (kernels.mu1, kernels.mu2)])
+    species = (np.exp(-mu_avg * dt), np.array([wk for wk, _ in renewal]),
+               np.array([d for _, d in renewal]))
+    return dt, np.array([w * kernels.g1, w * kernels.g2]), species
 
 
-def _transport(x, species, loss: float, dt: float) -> np.ndarray:
-    """Shift x one node along the characteristics with its loss factor, then
-    solve the newborn node from the trapezoid renewal sum."""
-    mu_avg, wk, d = species
+def _transport(x, species, loss, dt: float) -> np.ndarray:
+    """Shift x one node along the characteristics (the last axis) with the
+    survival factor times exp(-loss*dt), then solve the newborn node from the
+    trapezoid renewal sum.  ``loss`` broadcasts against x[..., 0]."""
+    survival, wk, d = species
     out = np.empty_like(x)
-    out[1:] = x[:-1] * np.exp(-(mu_avg + loss) * dt)
-    out[0] = (wk @ out[1:]) / d
+    np.multiply(x[..., :-1], survival, out=out[..., 1:])
+    out[..., 1:] *= np.exp(loss * -dt)[..., None]
+    out[..., 0] = row_dot(out[..., 1:], wk) / d
     return out
 
 
-def _direct_update(state, u, ops):
+def _direct_update(x, u, ops):
     """Predictor pass with the losses frozen at t, then the corrected step with
-    step-averaged interaction losses; u frozen."""
-    x1, x2 = state
-    dt, wg1, wg2, s1, s2 = ops
-    i1, i2 = _interaction_losses(x1, x2, wg1, wg2)
-    y1, y2 = _transport(x1, s1, u + i1, dt), _transport(x2, s2, u + i2, dt)
-    j1, j2 = _interaction_losses(y1, y2, wg1, wg2)
-    return (_transport(x1, s1, u + 0.5 * (i1 + j1), dt),
-            _transport(x2, s2, u + 0.5 * (i2 + j2), dt))
+    step-averaged interaction losses; u frozen.  x is (..., 2, n) and u
+    broadcasts against its losses (..., 2)."""
+    dt, wg, species = ops
+    i = _interaction_losses(x, wg)
+    j = _interaction_losses(_transport(x, species, u + i, dt), wg)
+    return _transport(x, species, u + 0.5 * (i + j), dt)
 
 
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
-    """Integrate the density profiles and record the transformed series."""
-    eq = setup.eq
-    adj1, adj2 = setup.adj
-    xs1, xs2 = eq.x1_star, eq.x2_star
+    """Integrate the density profiles and record the transformed series: the
+    batch of one run."""
+    return simulate_direct_batch(setup, [cfg])[0]
 
-    def observe(state):
+
+def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
+    """Integrate several runs of one Setup as one (B, 2, n) march.
+
+    The rows share ``t_final``, ``record_every`` and ``snapshot_times``; each
+    has its own controller and start.  Returns one Trajectory per row, in the
+    order of ``cfgs``; each agrees with the row's run alone as the module
+    docstring says.  A failing row stops the batch with its reason and t.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("a batch needs at least one run")
+    schedule = {(c.t_final, c.record_every, c.snapshot_times) for c in cfgs}
+    if len(schedule) > 1:
+        raise ValueError("the runs of a batch must share t_final, record_every "
+                         "and snapshot_times")
+    eq = setup.eq
+    adj = stack_adjoints(setup.adj)
+    x_star = np.array([eq.x1_star, eq.x2_star])
+
+    def observe(x):
         # the Pi functionals, once per step: they give eta and psi, and catch
         # any non-finite profile
-        x1, x2 = state
-        p1, p2 = pi_functional(x1, adj1), pi_functional(x2, adj2)
-        return (np.array([np.log(p1), np.log(p2)]),
-                lambda: (shape_deviation(x1, xs1, p1), shape_deviation(x2, xs2, p2)),
-                lambda: state)
+        p = pi_functional(x, adj)
+        return np.log(p), lambda: shape_deviation(x, x_star, p[..., None]), lambda: x
 
-    # copied once, so snapshot 0 does not alias a table IC's arrays; the
+    # a fresh array, so snapshot 0 does not alias a table IC's arrays; the
     # kernel returns fresh arrays after that
-    state = ic_from_spec(cfg.ic, eq)
-    return _march(setup, cfg, "direct", (state.x1.copy(), state.x2.copy()), observe,
-                  _direct_update, lambda: _direct_ops(setup.kernels))
+    starts = [ic_from_spec(cfg.ic, eq) for cfg in cfgs]
+    x0 = np.array([[s.x1, s.x2] for s in starts])
+    return _march(setup, cfgs, "direct", x0, observe, _direct_update,
+                  lambda: _direct_ops(setup.kernels))
 
 
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
@@ -449,20 +526,24 @@ def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
     xs1, xs2 = setup.eq.x1_star, setup.eq.x2_star
 
     def observe(state):
+        # the loop's batch of one: eta (1, 2), psi and profiles (1, 2, n)
         eta, psi1, psi2 = state
         if not np.all(np.isfinite(eta)):
             raise NumericalError("non-finite value in the control loop",
                                  reason="nan_guard")
-        return eta, lambda: (psi1, psi2), lambda: (profile(xs1, eta[0], psi1),
-                                                   profile(xs2, eta[1], psi2))
+        return eta[None], lambda: np.array([[psi1, psi2]]), lambda: np.array(
+            [[profile(xs1, eta[0], psi1), profile(xs2, eta[1], psi2)]])
+
+    def update(state, u, ops):
+        return _transformed_update(state, u[0, 0], ops)
 
     ts0 = transformed_ic(cfg.ic, setup)
     # a diverging run overflows exp(eta) in the rhs; the loop's nan guard
     # reports it, with t, in place of a RuntimeWarning
     with np.errstate(over="ignore"):
-        return _march(setup, cfg, "transformed",
+        return _march(setup, [cfg], "transformed",
                       (ts0.eta, ts0.psi1.samples, ts0.psi2.samples),
-                      observe, _transformed_update, lambda: _transformed_ops(setup.eq))
+                      observe, update, lambda: _transformed_ops(setup.eq))[0]
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

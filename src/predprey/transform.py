@@ -24,7 +24,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import NumericalError
-from .model import AgeGrid, PopulationState, check_grid_fn, quad, tail_integral
+from .model import AgeGrid, PopulationState, check_grid_fn, quad, row_dot, tail_integral
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,23 @@ def profile(x_star, eta, psi):
     return x_star * np.exp(eta) * (1.0 + psi)
 
 
-def pi_functional(x, adj: AdjointData) -> float:
-    """Weighted total abundance Pi[x] = quad(pi0 * x) / denom.
+def stack_adjoints(adj: tuple[AdjointData, AdjointData]) -> AdjointData:
+    """Both species' adjoint data on a leading species axis, so that
+    ``pi_functional`` evaluates (..., 2, n) profiles in one call."""
+    return AdjointData(pi0=np.array([a.pi0 for a in adj]),
+                       wpi0=np.array([a.wpi0 for a in adj]),
+                       denom=np.array([a.denom for a in adj]))
+
+
+def pi_functional(x, adj: AdjointData):
+    """Weighted total abundance Pi[x] = quad(pi0 * x) / denom along the last
+    axis of x, broadcast over the leading ones (a float for one profile).
 
     Strictly positive and finite for a valid profile; anything else raises a
     ``NumericalError`` tagged ``nan_guard``.
     """
-    val = float(adj.wpi0 @ x) / adj.denom
-    if not 0.0 < val < np.inf:
+    val = row_dot(x, adj.wpi0) / adj.denom
+    if not all(0.0 < v < np.inf for v in val.ravel().tolist()):
         raise NumericalError("nonpositive or non-finite abundance functional",
                              reason="nan_guard")
     return val

@@ -1,0 +1,125 @@
+"""The batched direct march: rows of one (B, 2, n) batch against their single
+runs, a failing row, and the schedule a batch shares."""
+import numpy as np
+import pytest
+
+from predprey import simulate
+from predprey.controllers import ControllerSpec
+from predprey.errors import NumericalError
+from predprey.lyapunov import lyap_config_for
+from predprey.simulate import ICSpec, SimConfig, simulate_direct, simulate_direct_batch
+
+from conftest import make_setup
+
+SPECS = (
+    ControllerSpec(kind="open_loop"),
+    ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
+    ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
+    ControllerSpec(kind="feedback_linearizing", k1=1.0, k2=2.0),
+    ControllerSpec(kind="measured", eps=0.2, beta=0.6),
+)
+SERIES = ("times", "eta", "u", "G1", "G2", "psi_min", "V0", "V1", "V")
+
+
+def assert_agrees(got, ref, what):
+    # |got - ref| <= 1e-10 |ref| + 1e-12: G falls to about 1e-7, so the gate
+    # needs the absolute term
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape, what
+    gap = np.abs(got - ref)
+    assert np.all(gap <= 1e-10 * np.abs(ref) + 1e-12), f"{what}: max gap {gap.max():.3g}"
+
+
+@pytest.fixture(scope="module", params=[100, 400])
+def setup(request, setup100, setup400):
+    return {100: setup100, 400: setup400}[request.param]
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_batch_rows_agree_with_their_single_runs(setup, record_every):
+    # all five laws from both starts in one mixed batch, with snapshots
+    cfgs = [SimConfig(t_final=1.5, controller=spec, ic=ICSpec(kind=ic),
+                      record_every=record_every, snapshot_times=(0.0, 0.75, 1.5))
+            for spec in SPECS for ic in ("FQ", "SQ")]
+    batch = simulate_direct_batch(setup, cfgs)
+    assert len(batch) == len(cfgs)
+    for cfg, row in zip(cfgs, batch):
+        lyap = lyap_config_for(cfg.controller, setup.eq, setup.sigma)
+        single = simulate_direct(setup, cfg).finalize_lyapunov(setup.eq, lyap)
+        row.finalize_lyapunov(setup.eq, lyap)
+        what = f"{cfg.controller.kind}/{cfg.ic.kind}"
+        assert row.meta == single.meta, what
+        for name in SERIES:
+            ref = getattr(single, name)
+            if name == "V" and np.all(np.isnan(ref)):
+                assert np.all(np.isnan(row.V)), what
+                continue
+            assert_agrees(getattr(row, name), ref, f"{what} {name}")
+        assert len(row.snapshots) == len(single.snapshots) == 3, what
+        for (t_b, *x_b), (t_s, *x_s) in zip(row.snapshots, single.snapshots):
+            assert t_b == t_s, what
+            for got, ref in zip(x_b, x_s):
+                assert_agrees(got, ref, f"{what} snapshot t={t_s}")
+
+
+DIVERGING = SimConfig(
+    t_final=2.0, ic=ICSpec(kind="SQ"),
+    controller=ControllerSpec(kind="control_a", eps=0.2, beta=5000.0),
+)
+HEALTHY = SimConfig(t_final=2.0, ic=ICSpec(kind="FQ"),
+                    controller=ControllerSpec(kind="open_loop"))
+
+
+@pytest.mark.parametrize("order", ["failing_first", "failing_last"])
+def test_failing_row_stops_the_batch_with_its_single_run_error(setup100, order):
+    with pytest.raises(NumericalError) as single:
+        simulate_direct(setup100, DIVERGING)
+    cfgs = [DIVERGING, HEALTHY] if order == "failing_first" else [HEALTHY, DIVERGING]
+    with pytest.raises(NumericalError) as batch:
+        simulate_direct_batch(setup100, cfgs)
+    assert single.value.reason is not None
+    assert (batch.value.reason, batch.value.t) == (single.value.reason, single.value.t)
+    assert 0.0 < batch.value.t < DIVERGING.t_final
+
+
+@pytest.mark.parametrize("change", [dict(t_final=1.0), dict(record_every=2),
+                                    dict(snapshot_times=(0.5,))])
+def test_batch_with_mixed_schedules_is_rejected_before_it_marches(setup100, monkeypatch,
+                                                                   change):
+    def no_march(*args, **kwargs):
+        raise AssertionError("the batch marched")
+
+    monkeypatch.setattr(simulate, "_march", no_march)
+    odd = SimConfig(**{"t_final": 2.0, "controller": HEALTHY.controller,
+                       "ic": ICSpec(kind="SQ"), **change})
+    with pytest.raises(ValueError, match="share t_final"):
+        simulate_direct_batch(setup100, [HEALTHY, odd])
+
+
+def test_empty_batch_is_rejected(setup100):
+    with pytest.raises(ValueError, match="at least one run"):
+        simulate_direct_batch(setup100, [])
+
+
+def test_batch_of_one_is_the_single_run():
+    setup = make_setup(60)
+    cfg = SimConfig(t_final=1.0, controller=SPECS[2], ic=ICSpec(kind="SQ"),
+                    snapshot_times=(0.5,))
+    (row,) = simulate_direct_batch(setup, [cfg])
+    single = simulate_direct(setup, cfg)
+    for name in SERIES[:6]:
+        assert np.array_equal(getattr(row, name), getattr(single, name)), name
+    assert np.array_equal(row.snapshots[0][1], single.snapshots[0][1])
+
+
+def test_row_dot_sums_each_row_as_one_dot():
+    # both forms, the numpy >= 2 gufunc and the matmul used before it, give
+    # each row of a stacked array bitwise its 1-D dot
+    from predprey.model import _row_dot_matmul, row_dot
+
+    rng = np.random.default_rng(3)
+    x, w = rng.random((4, 2, 401)), rng.random((2, 401))
+    ref = np.array([[w[s] @ x[b, s] for s in range(2)] for b in range(4)])
+    assert np.array_equal(row_dot(x, w), ref)
+    assert np.array_equal(_row_dot_matmul(x, w), ref)
+    assert row_dot(x[0, 1], w[1]) == ref[0, 1]

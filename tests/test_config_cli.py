@@ -10,7 +10,7 @@ from predprey.cli import build_setup_from_config, main
 from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.errors import ConfigError
 from predprey.lyapunov import default_lyap_config, v_full
-from predprey.simulate import ICSpec, ic_from_spec
+from predprey.simulate import ICSpec, build_setup, ic_from_spec
 from predprey.transform import to_transformed
 
 
@@ -304,6 +304,28 @@ def test_cli_sweep(tmp_path):
     run_dirs = [line.split(",")[2] for line in index[1:]]
     for d in run_dirs:
         assert (Path(d) / "trajectory.csv").exists()
+
+
+def test_cli_sweep_builds_one_setup_per_u_star(tmp_path, monkeypatch):
+    # the runs reuse the Setups the combo check built: 2 u_star values, 2 builds
+    import predprey.cli as cli
+
+    calls = []
+
+    def counting(kernels, u_star):
+        calls.append(u_star)
+        return build_setup(kernels, u_star)
+
+    monkeypatch.setattr(cli, "build_setup", counting)
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        "[model]\nn_cells = 40\n[simulation]\nt_final = 0.5\n"
+        "[output]\nprofile_times =\n"
+        "[sweep]\nic = FQ, SQ\nu_star = 0.12, 0.15\nworkers = 1\n",
+    )
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")]) == 0
+    assert len((tmp_path / "sw" / "sweep_index.csv").read_text().splitlines()) == 5
+    assert sorted(calls) == [0.12, 0.15]
 
 
 def test_cli_sweep_requires_axes(tmp_path, capsys):

@@ -136,7 +136,8 @@ def test_step_matches_simulate(setup100, solver):
 def test_direct_kernel_no_births():
     grid = AgeGrid(A=1.0, n_cells=16)
     x = np.linspace(1.0, 2.0, grid.n_nodes)
-    no_births = (np.zeros(grid.n_cells), np.zeros(grid.n_cells), 1.0)
+    # species data (one-cell survival, w*k on nodes 1.., newborn denominator)
+    no_births = (np.ones(grid.n_cells), np.zeros(grid.n_cells), 1.0)
     out = _transport(x, no_births, 0.0, grid.da)
     assert out[0] == 0.0  # no birth kernel, no newborns
 
@@ -144,7 +145,7 @@ def test_direct_kernel_no_births():
 def test_direct_kernel_pure_transport():
     grid = AgeGrid(A=1.0, n_cells=16)
     x = np.linspace(1.0, 2.0, grid.n_nodes)
-    no_losses = (np.zeros(grid.n_cells), np.zeros(grid.n_cells), 1.0)
+    no_losses = (np.ones(grid.n_cells), np.zeros(grid.n_cells), 1.0)
     out = _transport(x, no_losses, 0.0, grid.da)
     assert np.array_equal(out[1:], x[:-1])
 
