@@ -37,6 +37,7 @@ from .simulate import (
     ic_from_spec,
     simulate_direct_batch,
     simulate_transformed,
+    simulate_transformed_batch,
 )
 from .transform import check_S, reconstruct, to_transformed
 
@@ -333,7 +334,11 @@ def criterion_10_roundtrip(ctx: VerifyContext):
     worst_renewal_evolved = 0.0
     min_psi = np.inf
     bc_link = 0.0
-    for ick in ("FQ", "SQ"):
+    # each start evolved past one age window, where the renewal identity holds
+    late_runs = simulate_transformed_batch(setup, [SimConfig(
+        t_final=1.5, controller=ControllerSpec(kind="open_loop"), ic=ICSpec(kind=ick),
+        snapshot_times=(1.5,)) for ick in ("FQ", "SQ")])
+    for ick, traj in zip(("FQ", "SQ"), late_runs):
         state = ic_from_spec(ICSpec(kind=ick), eq)
         ts = to_transformed(state, eq, setup.adj)
         back = reconstruct(ts, eq)
@@ -351,13 +356,7 @@ def criterion_10_roundtrip(ctx: VerifyContext):
                 eq.x0_star[i - 1] * np.exp(ts.eta[i - 1])
             )
             bc_link = max(bc_link, abs(renewal - predicted))
-        # after evolving past one age window the renewal identity is enforced
-        traj = simulate_transformed(
-            setup,
-            SimConfig(t_final=1.5, controller=ControllerSpec(kind="open_loop"),
-                      ic=ICSpec(kind=ick), snapshot_times=(1.5,)),
-        )
-        t_snap, x1s, x2s = traj.snapshots[-1]
+        _, x1s, x2s = traj.snapshots[-1]
         ts_late = to_transformed(
             ic_from_spec(ICSpec(kind="table", x1=x1s, x2=x2s), eq), eq, setup.adj
         )
@@ -386,12 +385,13 @@ def criterion_11_decrease(ctx: VerifyContext):
     eq = setup.eq
     details = []
     ok = True
-    for kind in ("control_a", "control_b"):
+    kinds = ("control_a", "control_b")
+    runs = simulate_transformed_batch(setup, [SimConfig(
+        t_final=12.0, controller=ctx._controller(kind), ic=ctx.scaled_ic_inside(kind))
+        for kind in kinds])
+    for kind, traj in zip(kinds, runs):
         cfg = ctx.lyap_config(kind)
-        ic = ctx.scaled_ic_inside(kind)
-        traj = simulate_transformed(
-            setup, SimConfig(t_final=12.0, controller=ctx._controller(kind), ic=ic)
-        ).finalize_lyapunov(eq, cfg)
+        traj.finalize_lyapunov(eq, cfg)
         if traj.V[0] > ctx.roa(kind).c_star:
             ok = False
             details.append(f"{cfg.mode}: initial V outside the level set")

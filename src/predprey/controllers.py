@@ -114,8 +114,10 @@ def control_B(eta, gains: GainsB, eq: Equilibrium):
     phi1, phi2 = phi(eta, eq)
     varphi = phi1 + (1.0 + gains.eps) * phi2
     neg = np.minimum(0.0, varphi)
+    # neg * neg, not neg**2: numpy squares a scalar by pow and an array by
+    # x*x, so one state would round differently alone and in a batch
     return eq.u_star + gains.eps * phi2 + gains.beta * varphi / np.sqrt(
-        gains.delta**2 + neg**2
+        gains.delta**2 + neg * neg
     )
 
 

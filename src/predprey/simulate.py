@@ -1,26 +1,23 @@
 """Time integration of the population system, in two equivalent forms.
 
-One loop, ``_march``, drives both solvers: it holds the control value over
-each step, records, takes snapshots and re-raises errors with t.  Each solver
-gives it a start state, an ``observe`` and a step kernel ``update(state, u,
-ops)`` whose step-invariant arrays ``ops`` are built once per run; the
-pure-function steps ``step_direct`` and ``step_transformed`` call the same
-kernels.
+One loop, ``_march``, drives both solvers: it checks the batch, holds the
+control value over each step, records, takes snapshots and re-raises errors
+with t.  Each solver gives it a start, an ``observe`` and a step kernel
+``update(state, u, ops)`` whose step-invariant ``ops`` are built once per run.
+Both kernels renew their age profiles with ``_renew`` and take their
+interaction integrals from ``_interaction_losses``.
 
-The loop marches a batch of B runs on a leading axis: eta is (B, 2), u a
-(B, 1) column, and the shape deviations and profiles are (B, 2, n), species
-second and age last.  The rows of a batch share one Setup, t_final,
-record_every and snapshot times; each has its own controller and start, and
-each group of rows with one controller evaluates its law once per step.
-``simulate_direct_batch`` is the batch entry of the direct solver, and
-``simulate_direct`` is its batch of one, not a second kernel; the
-transformed solver marches batches of one.  Every age integral of a row is
-one 1-D dot (``row_dot``), so a row of a batch reproduces its run alone
-bitwise, except where a law shared by several rows rounds differently on an
-array than on one state (numpy squares an array by x*x, a scalar by pow, in
-control B); those rows agree to rounding.  A row that fails stops the whole
-batch with that row's reason and t: the earliest failing step, and within it
-the first check that fails.  Which row failed is not reported.
+Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
+(B, 1) column, and the densities, shape deviations and profiles are
+(B, 2, n), species second and age last.  The rows of a batch share one Setup,
+t_final, record_every and snapshot times; each has its own controller and
+start, and each group of rows with one controller evaluates its law once per
+step.  ``simulate_direct`` and ``simulate_transformed`` are the batches of
+one of ``simulate_direct_batch`` and ``simulate_transformed_batch``.  Every
+age integral of a row is one 1-D dot (``row_dot``) and all else is
+elementwise, so a row of a batch reproduces its run alone bitwise.  A row that
+fails stops the batch with its reason and t: the earliest failing step, and
+within it the first check that fails.  Which row failed is not reported.
 
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
@@ -36,7 +33,7 @@ Transformed kernel
     Marches the log-abundances by Heun's two-stage method, evaluating the
     history-dependent interaction integrals at both step endpoints, and
     advances each shape-deviation history through the discrete renewal
-    identity (again with the newest node moved to the left side).  dt = da
+    identity (the same solve, with survival 1 and no loss).  dt = da
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.
 
@@ -166,18 +163,6 @@ def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
     return to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
 
 
-def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float, float]:
-    """Loss rates (I1, I2): predation pressure on the prey and starvation
-    pressure 1/quad(g2*x1) on the predator."""
-    w = kernels.grid.weights
-    try:
-        i1, i2 = _interaction_losses(np.array([state.x1, state.x2]),
-                                     np.array([w * kernels.g1, w * kernels.g2]))
-    except NumericalError as err:
-        raise NumericalError(str(err), t=state.t, reason=err.reason) from None
-    return float(i1), float(i2)
-
-
 def _interaction_losses(x, wg):
     """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
     prey and 1/quad(g2*x1) on the predator; wg stacks w*g1 and w*g2."""
@@ -302,7 +287,8 @@ class _Recorder:
 def _controller_groups(cfgs, eq: Equilibrium):
     """One ``BoundController`` per distinct controller of the batch, with the
     rows it drives as an index into the batch axis.  A lone row is indexed by
-    its integer, so its law sees one state and rounds as in a single run."""
+    its integer, the single-run fast path: a law costs about half as much on
+    one state as on a (1, 2) slice."""
     rows: dict[ControllerSpec, list[int]] = {}
     for b, cfg in enumerate(cfgs):
         rows.setdefault(cfg.controller, []).append(b)
@@ -318,19 +304,27 @@ def _controller_groups(cfgs, eq: Equilibrium):
     return groups
 
 
-def _march(setup: Setup, cfgs, solver: str, state, observe, update, make_ops) -> list[Trajectory]:
-    """The time loop of both solvers, over a batch of runs that share the
-    schedule of ``cfgs[0]``.  ``observe(state)`` returns eta (B, 2) and two
-    zero-argument callables giving the shape deviations and the profiles,
-    each (B, 2, n), so each is built only when a record, the control law or a
-    snapshot needs it.  ``update(state, u, ops)`` takes u as a (B, 1) column.
-    ``make_ops()`` builds the kernel's step-invariant arrays inside the error
-    re-raise, so a grid too coarse for a birth kernel is reported at t = 0."""
+def _march(setup: Setup, cfgs, solver: str, start, observe, update, make_ops) -> list[Trajectory]:
+    """The time loop of both solvers, over a batch of runs that must share
+    one schedule.  ``start(cfgs)`` builds the start state.  ``observe(state)``
+    returns eta (B, 2) and two zero-argument callables giving the shape
+    deviations and the profiles, each (B, 2, n), so each is built only when a
+    record, the control law or a snapshot needs it.  ``update(state, u, ops)``
+    takes u as a (B, 1) column.  ``make_ops()`` builds the kernel's
+    step-invariant arrays inside the error re-raise, so a grid too coarse for
+    a birth kernel is reported at t = 0."""
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("a batch needs at least one run")
+    if len({(c.t_final, c.record_every, c.snapshot_times) for c in cfgs}) > 1:
+        raise ValueError("the runs of a batch must share t_final, record_every "
+                         "and snapshot_times")
     cfg = cfgs[0]
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
     controllers = _controller_groups(cfgs, setup.eq)
     rec = _Recorder(setup, cfgs, n_steps, dt)
+    state = start(cfgs)
     u = np.empty((len(cfgs), 1))
     t = 0.0
     try:
@@ -359,36 +353,27 @@ def _march(setup: Setup, cfgs, solver: str, state, observe, update, make_ops) ->
     return rec.build(solver)
 
 
-def _step(solver: str, owner, build_ops, update, state, u, dt: float, t: float):
-    """One step of ``update`` in pure-function form.  dt must equal the age
-    step; a ``NumericalError`` is re-raised with t."""
-    if abs(dt - owner.grid.da) > 1e-12 * owner.grid.da:
-        raise ValueError(f"the {solver} solver requires dt equal to the age step")
-    try:
-        return update(state, u, build_ops(owner))
-    except NumericalError as err:
-        raise NumericalError(str(err), t=t, reason=err.reason) from None
-
-
 def _renewal_weights(w, k):
-    """The weighted birth kernel w*k on nodes 1.. and the newborn denominator
-    1 - w0*k(0) of the implicit trapezoid renewal solve."""
+    """The weighted birth kernels w*k on nodes 1.. and the newborn
+    denominators 1 - w0*k(0) of ``_renew``, for both species' kernels k (2, n)."""
     wk = w * k
-    d = 1.0 - wk[0]
-    if d <= 0.0:
+    if wk[:, 0].max() >= 1.0:
         raise NumericalError(
             "grid too coarse for the birth kernel: trapezoid weight times "
-            f"the kernel at age 0 reaches {wk[0]:.6g} >= 1",
+            f"the kernel at age 0 reaches {wk[:, 0].max():.6g} >= 1",
             reason="renewal_weight",
         )
-    return wk[1:], d
+    return np.ascontiguousarray(wk[:, 1:]), 1.0 - wk[:, 0]
 
 
-def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
-    """One characteristic step of the direct solver (pure-function form)."""
-    x = _step("direct", kernels, _direct_ops, _direct_update,
-              np.array([state.x1, state.x2]), u, dt, state.t)
-    return PopulationState(t=state.t + dt, x1=x[0], x2=x[1])
+def _renew(moved, wk, d):
+    """The profile one step on, age last: ``moved`` (..., n - 1), nodes
+    0..n-2 carried one node along the characteristics, fills nodes 1.., and
+    the newborn node solves the trapezoid renewal sum: row_dot(moved, w*k) / d."""
+    out = np.empty(moved.shape[:-1] + (moved.shape[-1] + 1,))
+    out[..., 1:] = moved
+    out[..., 0] = row_dot(moved, wk) / d
+    return out
 
 
 def _direct_ops(kernels: KernelSet):
@@ -397,11 +382,9 @@ def _direct_ops(kernels: KernelSet):
     ``_transport``: the one-cell survival exp(-mu_avg*dt) of the cell-averaged
     mortality and the renewal weights."""
     w, dt = kernels.grid.weights, kernels.grid.da
-    renewal = [_renewal_weights(w, k) for k in (kernels.k1, kernels.k2)]
     mu_avg = np.array([0.5 * (mu[:-1] + mu[1:]) for mu in (kernels.mu1, kernels.mu2)])
-    species = (np.exp(-mu_avg * dt), np.array([wk for wk, _ in renewal]),
-               np.array([d for _, d in renewal]))
-    return dt, np.array([w * kernels.g1, w * kernels.g2]), species
+    wk, d = _renewal_weights(w, np.array([kernels.k1, kernels.k2]))
+    return dt, np.array([w * kernels.g1, w * kernels.g2]), (np.exp(-mu_avg * dt), wk, d)
 
 
 def _transport(x, species, loss, dt: float) -> np.ndarray:
@@ -409,11 +392,9 @@ def _transport(x, species, loss, dt: float) -> np.ndarray:
     survival factor times exp(-loss*dt), then solve the newborn node from the
     trapezoid renewal sum.  ``loss`` broadcasts against x[..., 0]."""
     survival, wk, d = species
-    out = np.empty_like(x)
-    np.multiply(x[..., :-1], survival, out=out[..., 1:])
-    out[..., 1:] *= np.exp(loss * -dt)[..., None]
-    out[..., 0] = row_dot(out[..., 1:], wk) / d
-    return out
+    moved = x[..., :-1] * survival
+    moved *= np.exp(loss * -dt)[..., None]
+    return _renew(moved, wk, d)
 
 
 def _direct_update(x, u, ops):
@@ -437,19 +418,17 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
 
     The rows share ``t_final``, ``record_every`` and ``snapshot_times``; each
     has its own controller and start.  Returns one Trajectory per row, in the
-    order of ``cfgs``; each agrees with the row's run alone as the module
-    docstring says.  A failing row stops the batch with its reason and t.
+    order of ``cfgs``; each agrees bitwise with the row's run alone.  A
+    failing row stops the batch with its reason and t.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise ValueError("a batch needs at least one run")
-    schedule = {(c.t_final, c.record_every, c.snapshot_times) for c in cfgs}
-    if len(schedule) > 1:
-        raise ValueError("the runs of a batch must share t_final, record_every "
-                         "and snapshot_times")
     eq = setup.eq
     adj = stack_adjoints(setup.adj)
     x_star = np.array([eq.x1_star, eq.x2_star])
+
+    def start(cfgs):
+        # a fresh array, so snapshot 0 does not alias a table IC's arrays; the
+        # kernel returns fresh arrays after that
+        return np.array([[s.x1, s.x2] for s in (ic_from_spec(c.ic, eq) for c in cfgs)])
 
     def observe(x):
         # the Pi functionals, once per step: they give eta and psi, and catch
@@ -457,93 +436,74 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
         p = pi_functional(x, adj)
         return np.log(p), lambda: shape_deviation(x, x_star, p[..., None]), lambda: x
 
-    # a fresh array, so snapshot 0 does not alias a table IC's arrays; the
-    # kernel returns fresh arrays after that
-    starts = [ic_from_spec(cfg.ic, eq) for cfg in cfgs]
-    x0 = np.array([[s.x1, s.x2] for s in starts])
-    return _march(setup, cfgs, "direct", x0, observe, _direct_update,
+    return _march(setup, cfgs, "direct", start, observe, _direct_update,
                   lambda: _direct_ops(setup.kernels))
 
 
-def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
-    """One step of the transformed solver (pure-function form)."""
-    with np.errstate(over="ignore"):
-        eta, psi1, psi2 = _step("transformed", eq, _transformed_ops, _transformed_update,
-                                (ts.eta, ts.psi1.samples, ts.psi2.samples), u, dt, ts.t)
-    return TransformedState(t=ts.t + dt, eta=eta, psi1=HistoryBuffer(eq.grid, psi1),
-                            psi2=HistoryBuffer(eq.grid, psi2))
-
-
 def _transformed_ops(eq: Equilibrium):
-    """Step-invariant arrays of the transformed step: dt, zeta1, zeta2, the
-    weighted interaction kernels w*g1*x2_star and w*g2*x1_star, and per
-    species the renewal weights of the discounted birth kernel."""
-    w = eq.grid.weights
-    kernels = eq.kernels
-    return (eq.grid.da, eq.zeta1, eq.zeta2,
-            w * kernels.g1 * eq.x2_star, w * kernels.g2 * eq.x1_star,
-            _renewal_weights(w, eq.ktilde1), _renewal_weights(w, eq.ktilde2))
+    """Step-invariant arrays of the transformed step, species on a leading
+    axis: dt, (zeta1, zeta2), the weighted interaction kernels
+    (w*g1*x2_star, w*g2*x1_star) and the renewal weights of the discounted
+    birth kernels."""
+    w, g = eq.grid.weights, (eq.kernels.g1, eq.kernels.g2)
+    return (eq.grid.da, np.array([eq.zeta1, eq.zeta2]),
+            np.array([w * g[0] * eq.x2_star, w * g[1] * eq.x1_star]),
+            *_renewal_weights(w, np.array([eq.ktilde1, eq.ktilde2])))
 
 
-def _shift_history(psi, wk, d):
-    new = float(wk @ psi[:-1]) / d
-    if new <= -1.0:
+# exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
+_FLIP = np.array([1.0, -1.0])
+
+
+def _transformed_update(state, u, ops):
+    """Heun step on eta with the history integrals at both endpoints; u frozen.
+    eta is (..., 2), the histories (..., 2, n), and u broadcasts against eta."""
+    eta, psi = state
+    dt, zeta, wg, wk, d = ops
+    psi_new = _renew(psi[..., :-1], wk, d)
+    if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
         raise NumericalError(
             "history admissibility lost: renewal produced a sample <= -1",
             reason="psi_admissibility",
         )
-    out = np.empty_like(psi)
-    out[0], out[1:] = new, psi[:-1]
-    return out
-
-
-def _transformed_update(state, u, ops):
-    """Heun step on eta with the history integrals at both endpoints; u frozen."""
-    eta, psi1, psi2 = state
-    dt, zeta1, zeta2, wg1x2, wg2x1, s1, s2 = ops
-    psi1_new = _shift_history(psi1, *s1)
-    psi2_new = _shift_history(psi2, *s2)
-
-    def rhs(e, p1, p2):
-        j2 = float(wg1x2 @ (1.0 + p2))
-        j1 = float(wg2x1 @ (1.0 + p1))
-        if not (j1 > 0 and j2 > 0):
-            raise NumericalError(
-                "history drove an interaction integral nonpositive",
-                reason="prey_collapse",
-            )
-        return np.array([zeta1 - u - np.exp(e[1]) * j2, zeta2 - u - np.exp(-e[0]) / j1])
-
-    f1 = rhs(eta, psi1, psi2)
-    pred = eta + dt * f1
-    f2 = rhs(pred, psi1_new, psi2_new)
-    eta_new = eta + 0.5 * dt * (f1 + f2)
-    return eta_new, psi1_new, psi2_new
+    # (j2, 1/j1) at both endpoints in one call, as they do not depend on eta;
+    # j2 = quad(w*g1*x2_star*(1 + psi2)) needs no check: every psi2 sample is
+    # > -1, checked at the start and on each new node
+    q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
+    zu = zeta - u
+    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q[0]
+    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q[1]
+    return eta + 0.5 * dt * (f1 + f2), psi_new
 
 
 def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
-    """Integrate (eta, psi) and reconstruct profiles for snapshots."""
-    xs1, xs2 = setup.eq.x1_star, setup.eq.x2_star
+    """Integrate (eta, psi) and reconstruct profiles for snapshots: the batch
+    of one run."""
+    return simulate_transformed_batch(setup, [cfg])[0]
+
+
+def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
+    """Integrate several runs of one Setup as one march of eta (B, 2) and the
+    histories (B, 2, n), with the contract of ``simulate_direct_batch``."""
+    x_star = np.array([setup.eq.x1_star, setup.eq.x2_star])
+
+    def start(cfgs):
+        starts = [transformed_ic(c.ic, setup) for c in cfgs]
+        return (np.array([s.eta for s in starts]),
+                np.array([[s.psi1.samples, s.psi2.samples] for s in starts]))
 
     def observe(state):
-        # the loop's batch of one: eta (1, 2), psi and profiles (1, 2, n)
-        eta, psi1, psi2 = state
-        if not np.all(np.isfinite(eta)):
+        eta, psi = state
+        if not all(map(math.isfinite, eta.ravel().tolist())):
             raise NumericalError("non-finite value in the control loop",
                                  reason="nan_guard")
-        return eta[None], lambda: np.array([[psi1, psi2]]), lambda: np.array(
-            [[profile(xs1, eta[0], psi1), profile(xs2, eta[1], psi2)]])
+        return eta, lambda: psi, lambda: profile(x_star, eta[..., None], psi)
 
-    def update(state, u, ops):
-        return _transformed_update(state, u[0, 0], ops)
-
-    ts0 = transformed_ic(cfg.ic, setup)
-    # a diverging run overflows exp(eta) in the rhs; the loop's nan guard
+    # a diverging run overflows exp(eta) in the kernel; the loop's nan guard
     # reports it, with t, in place of a RuntimeWarning
     with np.errstate(over="ignore"):
-        return _march(setup, [cfg], "transformed",
-                      (ts0.eta, ts0.psi1.samples, ts0.psi2.samples),
-                      observe, update, lambda: _transformed_ops(setup.eq))[0]
+        return _march(setup, cfgs, "transformed", start, observe, _transformed_update,
+                      lambda: _transformed_ops(setup.eq))
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

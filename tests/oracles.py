@@ -2,16 +2,25 @@
 
 Each one reaches a quantity of the package by a second route, so a test can
 check that both routes agree.  The trajectory and profile checks below them
-(zero_history, satisfies_bc, conservation_check, g_decrease_violations) have
-no caller in the package, so they live here too.
+(zero_history, satisfies_bc, conservation_check, g_decrease_violations) and
+the one-step forms of the solver kernels have no caller in the package, so
+they live here too.
 """
 import numpy as np
 
 from predprey.controllers import GainsA, control_A, control_B, phi
 from predprey.equilibrium import Equilibrium
+from predprey.errors import NumericalError
 from predprey.lyapunov import LyapConfig, bounds_H, phi_lower_bound, v1, validate_lyap_config
-from predprey.model import AgeGrid, bc_residual, check_grid_fn, quad
-from predprey.transform import HistoryBuffer
+from predprey.model import AgeGrid, KernelSet, PopulationState, bc_residual, check_grid_fn, quad
+from predprey.simulate import (
+    _direct_ops,
+    _direct_update,
+    _interaction_losses,
+    _transformed_ops,
+    _transformed_update,
+)
+from predprey.transform import HistoryBuffer, TransformedState
 
 
 def hyperbola_boundary(q1, cfg: LyapConfig, eq: Equilibrium):
@@ -110,6 +119,70 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
         bound = series[:-1] * (1.0 + (-sigma + tol_frac * sigma) * dt) + atol
         counts.append(int(np.count_nonzero(series[1:] > bound)))
     return counts[0], counts[1]
+
+
+# ---------------------------------------------------------------------------
+# one step of each solver kernel, and the interaction losses of one state, in
+# pure-function form: unbatched states through the kernels the runs march
+
+
+def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float, float]:
+    """Loss rates (I1, I2): predation pressure on the prey and starvation
+    pressure 1/quad(g2*x1) on the predator."""
+    w = kernels.grid.weights
+    try:
+        i1, i2 = _interaction_losses(np.array([state.x1, state.x2]),
+                                     np.array([w * kernels.g1, w * kernels.g2]))
+    except NumericalError as err:
+        raise NumericalError(str(err), t=state.t, reason=err.reason) from None
+    return float(i1), float(i2)
+
+
+def _step(solver: str, owner, build_ops, update, state, u, dt: float, t: float):
+    """One step of ``update``.  dt must equal the age step; a
+    ``NumericalError`` is re-raised with t."""
+    if abs(dt - owner.grid.da) > 1e-12 * owner.grid.da:
+        raise ValueError(f"the {solver} solver requires dt equal to the age step")
+    try:
+        return update(state, u, build_ops(owner))
+    except NumericalError as err:
+        raise NumericalError(str(err), t=t, reason=err.reason) from None
+
+
+def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
+    """One characteristic step of the direct solver."""
+    x = _step("direct", kernels, _direct_ops, _direct_update,
+              np.array([state.x1, state.x2]), u, dt, state.t)
+    return PopulationState(t=state.t + dt, x1=x[0], x2=x[1])
+
+
+def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
+    """One step of the transformed solver."""
+    with np.errstate(over="ignore"):
+        eta, psi = _step("transformed", eq, _transformed_ops, _transformed_update,
+                         (ts.eta, np.array([ts.psi1.samples, ts.psi2.samples])), u, dt, ts.t)
+    return TransformedState(t=ts.t + dt, eta=eta, psi1=HistoryBuffer(eq.grid, psi[0]),
+                            psi2=HistoryBuffer(eq.grid, psi[1]))
+
+
+def transformed_step_reference(eta, psi1, psi2, u: float, eq: Equilibrium):
+    """One transformed step written species by species on Python floats: the
+    renewal solve of each history, then Heun's method on eta with the
+    interaction integrals of the old histories, then of the new ones."""
+    w, dt = eq.grid.weights, eq.grid.da
+    new = []
+    for psi, ktilde in ((psi1, eq.ktilde1), (psi2, eq.ktilde2)):
+        wk = w * ktilde
+        new.append(np.concatenate(([float(wk[1:] @ psi[:-1]) / (1.0 - wk[0])], psi[:-1])))
+
+    def rate(e, p1, p2):
+        j2 = float((w * eq.kernels.g1 * eq.x2_star) @ (1.0 + p2))
+        j1 = float((w * eq.kernels.g2 * eq.x1_star) @ (1.0 + p1))
+        return np.array([eq.zeta1 - u - np.exp(e[1]) * j2, eq.zeta2 - u - np.exp(-e[0]) / j1])
+
+    f1 = rate(eta, psi1, psi2)
+    f2 = rate(eta + dt * f1, *new)
+    return eta + 0.5 * dt * (f1 + f2), new[0], new[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The batched direct march: rows of one (B, 2, n) batch against their single
+"""The batched march of both solvers: rows of one batch against their single
 runs, a failing row, and the schedule a batch shares."""
 import numpy as np
 import pytest
@@ -7,7 +7,14 @@ from predprey import simulate
 from predprey.controllers import ControllerSpec
 from predprey.errors import NumericalError
 from predprey.lyapunov import lyap_config_for
-from predprey.simulate import ICSpec, SimConfig, simulate_direct, simulate_direct_batch
+from predprey.simulate import (
+    ICSpec,
+    SimConfig,
+    simulate_direct,
+    simulate_direct_batch,
+    simulate_transformed,
+    simulate_transformed_batch,
+)
 
 from conftest import make_setup
 
@@ -19,15 +26,18 @@ SPECS = (
     ControllerSpec(kind="measured", eps=0.2, beta=0.6),
 )
 SERIES = ("times", "eta", "u", "G1", "G2", "psi_min", "V0", "V1", "V")
+# solver -> (single run, batch entry, name of its step kernel in simulate)
+SOLVERS = {
+    "direct": (simulate_direct, simulate_direct_batch, "_direct_update"),
+    "transformed": (simulate_transformed, simulate_transformed_batch, "_transformed_update"),
+}
 
 
-def assert_agrees(got, ref, what):
-    # |got - ref| <= 1e-10 |ref| + 1e-12: G falls to about 1e-7, so the gate
-    # needs the absolute term
-    got, ref = np.asarray(got), np.asarray(ref)
-    assert got.shape == ref.shape, what
-    gap = np.abs(got - ref)
-    assert np.all(gap <= 1e-10 * np.abs(ref) + 1e-12), f"{what}: max gap {gap.max():.3g}"
+def per_solver(values, ids):
+    """(solver, value) cases of both solvers; the direct cases keep bare ids,
+    so their test names stay stable."""
+    return [pytest.param(solver, value, id=i if solver == "direct" else f"{solver}-{i}")
+            for solver in SOLVERS for value, i in zip(values, ids)]
 
 
 @pytest.fixture(scope="module", params=[100, 400])
@@ -35,31 +45,30 @@ def setup(request, setup100, setup400):
     return {100: setup100, 400: setup400}[request.param]
 
 
-@pytest.mark.parametrize("record_every", [1, 3])
-def test_batch_rows_agree_with_their_single_runs(setup, record_every):
-    # all five laws from both starts in one mixed batch, with snapshots
+@pytest.mark.parametrize("solver, record_every", per_solver([1, 3], ["1", "3"]))
+def test_batch_rows_agree_with_their_single_runs(setup, solver, record_every):
+    # all five laws from both starts in one mixed batch, with snapshots; each
+    # row is bitwise its run alone
+    single_run, batch_run, _ = SOLVERS[solver]
     cfgs = [SimConfig(t_final=1.5, controller=spec, ic=ICSpec(kind=ic),
                       record_every=record_every, snapshot_times=(0.0, 0.75, 1.5))
             for spec in SPECS for ic in ("FQ", "SQ")]
-    batch = simulate_direct_batch(setup, cfgs)
+    batch = batch_run(setup, cfgs)
     assert len(batch) == len(cfgs)
     for cfg, row in zip(cfgs, batch):
         lyap = lyap_config_for(cfg.controller, setup.eq, setup.sigma)
-        single = simulate_direct(setup, cfg).finalize_lyapunov(setup.eq, lyap)
+        single = single_run(setup, cfg).finalize_lyapunov(setup.eq, lyap)
         row.finalize_lyapunov(setup.eq, lyap)
-        what = f"{cfg.controller.kind}/{cfg.ic.kind}"
+        what = f"{solver} {cfg.controller.kind}/{cfg.ic.kind}"
         assert row.meta == single.meta, what
         for name in SERIES:
-            ref = getattr(single, name)
-            if name == "V" and np.all(np.isnan(ref)):
-                assert np.all(np.isnan(row.V)), what
-                continue
-            assert_agrees(getattr(row, name), ref, f"{what} {name}")
+            assert np.array_equal(getattr(row, name), getattr(single, name),
+                                  equal_nan=True), f"{what} {name}"
         assert len(row.snapshots) == len(single.snapshots) == 3, what
         for (t_b, *x_b), (t_s, *x_s) in zip(row.snapshots, single.snapshots):
             assert t_b == t_s, what
             for got, ref in zip(x_b, x_s):
-                assert_agrees(got, ref, f"{what} snapshot t={t_s}")
+                assert np.array_equal(got, ref), f"{what} snapshot t={t_s}"
 
 
 DIVERGING = SimConfig(
@@ -70,46 +79,54 @@ HEALTHY = SimConfig(t_final=2.0, ic=ICSpec(kind="FQ"),
                     controller=ControllerSpec(kind="open_loop"))
 
 
-@pytest.mark.parametrize("order", ["failing_first", "failing_last"])
-def test_failing_row_stops_the_batch_with_its_single_run_error(setup100, order):
+@pytest.mark.parametrize("solver, order", per_solver(
+    ["failing_first", "failing_last"], ["failing_first", "failing_last"]))
+def test_failing_row_stops_the_batch_with_its_single_run_error(setup100, solver, order):
+    single_run, batch_run, _ = SOLVERS[solver]
     with pytest.raises(NumericalError) as single:
-        simulate_direct(setup100, DIVERGING)
+        single_run(setup100, DIVERGING)
     cfgs = [DIVERGING, HEALTHY] if order == "failing_first" else [HEALTHY, DIVERGING]
     with pytest.raises(NumericalError) as batch:
-        simulate_direct_batch(setup100, cfgs)
+        batch_run(setup100, cfgs)
     assert single.value.reason is not None
     assert (batch.value.reason, batch.value.t) == (single.value.reason, single.value.t)
     assert 0.0 < batch.value.t < DIVERGING.t_final
 
 
-@pytest.mark.parametrize("change", [dict(t_final=1.0), dict(record_every=2),
-                                    dict(snapshot_times=(0.5,))])
+CHANGES = [dict(t_final=1.0), dict(record_every=2), dict(snapshot_times=(0.5,))]
+
+
+@pytest.mark.parametrize("solver, change",
+                         per_solver(CHANGES, [f"change{i}" for i in range(len(CHANGES))]))
 def test_batch_with_mixed_schedules_is_rejected_before_it_marches(setup100, monkeypatch,
-                                                                   change):
-    def no_march(*args, **kwargs):
+                                                                   solver, change):
+    def no_step(*args, **kwargs):
         raise AssertionError("the batch marched")
 
-    monkeypatch.setattr(simulate, "_march", no_march)
+    _, batch_run, update = SOLVERS[solver]
+    monkeypatch.setattr(simulate, update, no_step)
     odd = SimConfig(**{"t_final": 2.0, "controller": HEALTHY.controller,
                        "ic": ICSpec(kind="SQ"), **change})
     with pytest.raises(ValueError, match="share t_final"):
-        simulate_direct_batch(setup100, [HEALTHY, odd])
+        batch_run(setup100, [HEALTHY, odd])
 
 
 def test_empty_batch_is_rejected(setup100):
-    with pytest.raises(ValueError, match="at least one run"):
-        simulate_direct_batch(setup100, [])
+    for _, batch_run, _ in SOLVERS.values():
+        with pytest.raises(ValueError, match="at least one run"):
+            batch_run(setup100, [])
 
 
 def test_batch_of_one_is_the_single_run():
     setup = make_setup(60)
     cfg = SimConfig(t_final=1.0, controller=SPECS[2], ic=ICSpec(kind="SQ"),
                     snapshot_times=(0.5,))
-    (row,) = simulate_direct_batch(setup, [cfg])
-    single = simulate_direct(setup, cfg)
-    for name in SERIES[:6]:
-        assert np.array_equal(getattr(row, name), getattr(single, name)), name
-    assert np.array_equal(row.snapshots[0][1], single.snapshots[0][1])
+    for single_run, batch_run, _ in SOLVERS.values():
+        (row,) = batch_run(setup, [cfg])
+        single = single_run(setup, cfg)
+        for name in SERIES[:6]:
+            assert np.array_equal(getattr(row, name), getattr(single, name)), name
+        assert np.array_equal(row.snapshots[0][1], single.snapshots[0][1])
 
 
 def test_row_dot_sums_each_row_as_one_dot():

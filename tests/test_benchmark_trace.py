@@ -1,9 +1,9 @@
 """The benchmark's trace points still exist in the package.
 
 ``benchmark/traced.py`` wraps package functions and methods by name.  This
-test installs its wrappers, runs one small direct simulation through them and
-removes them again, so a rename of a traced name fails here rather than in a
-benchmark run.  It only reads ``benchmark/``.
+test installs its wrappers, runs one small simulation of each solver through
+them and removes them again, so a rename of a traced name fails here rather
+than in a benchmark run.  It only reads ``benchmark/``.
 """
 import importlib.util
 from pathlib import Path
@@ -35,6 +35,7 @@ def test_trace_points_install_record_and_uninstall(monkeypatch):
         traced.install(tracer)
         patched = list(tracer._patched)
         simulate.simulate_direct(setup, cfg)
+        simulate.simulate_transformed(setup, cfg)
     finally:
         tracer.uninstall()
     # every binding of each traced name in the package: a rename, or a module
@@ -43,4 +44,7 @@ def test_trace_points_install_record_and_uninstall(monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
     spans = [span for span in tracer.spans if span[0] == "simulate.simulate_direct"]
     assert len(spans) == 1 and spans[0][2] is not None
+    # run.py divides the transformed time by the steps fact of these spans
+    steps = {tracer.spans[idx][0]: facts.get("steps") for idx, facts in tracer.facts}
+    assert steps.get("simulate.simulate_transformed") == round(cfg.t_final / setup.grid.da) == 8
     assert tracer.hot_calls >= 1  # u_from_eta, once per step

@@ -165,6 +165,15 @@ def test_control_b_positive_dense_grid(eq400):
     assert u.min() >= control_B_floor(GAINS_B, eq400) - 1e-12
 
 
+def test_control_b_rounds_alike_alone_and_in_a_batch(eq400):
+    # a batch row and its run alone give one state the same u only if the law
+    # rounds alike on one state and on an array of them
+    etas = np.random.default_rng(7).uniform(-5, 5, size=(20_000, 2))
+    batch = control_B(etas, GAINS_B, eq400)
+    alone = np.array([control_B(eta, GAINS_B, eq400) for eta in etas])
+    assert np.array_equal(batch, alone)
+
+
 def test_fblin_equilibrium_input(eq400):
     assert control_fblin(np.zeros(2), 1.0, 2.0, eq400) == pytest.approx(eq400.u_star, abs=1e-14)
 

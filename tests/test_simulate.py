@@ -13,16 +13,15 @@ from predprey.simulate import (
     _transport,
     cross_validate,
     ic_from_spec,
-    interaction_terms,
     simulate_direct,
     simulate_transformed,
-    step_direct,
-    step_transformed,
     transformed_ic,
 )
 from predprey.transform import to_transformed
 
 from conftest import make_setup
+from oracles import (interaction_terms, step_direct, step_transformed,
+                     transformed_step_reference)
 
 OPEN = ControllerSpec(kind="open_loop")
 
@@ -203,6 +202,20 @@ def test_step_transformed_origin_fixed_point(setup200):
     ts = transformed_ic(ICSpec(kind="eta", eta0=(0.0, 0.0)), setup200)
     nxt = step_transformed(ts, eq.u_star, eq, grid.da)
     assert np.max(np.abs(nxt.eta)) < 1e-12
+
+
+def test_step_transformed_matches_species_reference(setup100):
+    # from a start with nonzero histories, so that the second Heun stage must
+    # read the renewed histories; the kernel multiplies by 1/j1 where the
+    # reference divides by j1, so eta agrees to rounding
+    eq, grid = setup100.eq, setup100.grid
+    ts = transformed_ic(ICSpec(kind="SQ"), setup100)
+    ref = (ts.eta, ts.psi1.samples, ts.psi2.samples)
+    for _ in range(100):
+        ts = step_transformed(ts, 0.12, eq, grid.da)
+        ref = transformed_step_reference(*ref, 0.12, eq)
+    assert np.array_equal(ts.psi1.samples, ref[1]) and np.array_equal(ts.psi2.samples, ref[2])
+    assert np.allclose(ts.eta, ref[0], rtol=1e-13, atol=0.0)
 
 
 def test_history_sup_decays(setup200):
