@@ -35,9 +35,9 @@ def main() -> int:
             SimConfig(t_final=5.0, controller=ControllerSpec(kind="open_loop"),
                       ic=ICSpec(kind="FQ")),
         )
-        rows.append((n, eq.zeta1, eq.lambda1, eq.lambda2,
+        rows.append((n, eq.zeta[0], eq.lambda1, eq.lambda2,
                      eq.x0_star[0], eq.x0_star[1], disc))
-        print(f"n={n:5d}  zeta={eq.zeta1:.8f}  lambda=({eq.lambda1:.6f}, "
+        print(f"n={n:5d}  zeta={eq.zeta[0]:.8f}  lambda=({eq.lambda1:.6f}, "
               f"{eq.lambda2:.6f})  x*(0)=({eq.x0_star[0]:.4f}, {eq.x0_star[1]:.4f})  "
               f"solver discrepancy={disc:.3e}")
 

@@ -138,7 +138,7 @@ class VerifyContext:
             def v_of(s: float) -> float:
                 spec = ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
                 ts = to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
-                return v_full(ts.eta, ts.psi1, ts.psi2, cfg, setup.eq)
+                return v_full(ts.eta, ts.psi, cfg, setup.eq)
 
             lo, hi = 0.0, 1.0
             for _ in range(60):
@@ -172,26 +172,26 @@ def criterion(cid: str, name: str, needs_grid: bool = False):
 @criterion("01", "lotka-sharpe-exponent", needs_grid=True)
 def criterion_01_lotka_sharpe(ctx: VerifyContext):
     eq = ctx.setup().eq
-    ok = abs(eq.zeta1 - 1.17) <= 0.01 and abs(eq.zeta2 - 1.17) <= 0.01
-    return ok, f"zeta1={eq.zeta1:.6f}, zeta2={eq.zeta2:.6f} (target 1.17 +/- 0.01)"
+    ok = bool(np.all(np.abs(eq.zeta - 1.17) <= 0.01))
+    return ok, f"zeta1={eq.zeta[0]:.6f}, zeta2={eq.zeta[1]:.6f} (target 1.17 +/- 0.01)"
 
 
 @criterion("02", "equilibrium-values", needs_grid=True)
 def criterion_02_equilibrium(ctx: VerifyContext):
     eq = ctx.setup().eq
+    # zeta1 = lambda2 + u_star and zeta2 = 1/lambda1 + u_star
+    defects = np.abs(eq.zeta - [eq.lambda2, 1.0 / eq.lambda1] - eq.u_star)
     checks = [
         abs(eq.lambda1 - 0.98) <= 0.01,
         abs(eq.lambda2 - 1.02) <= 0.01,
         abs(eq.x0_star[0] - 33.81) <= 0.1,
         abs(eq.x0_star[1] - 35.19) <= 0.1,
-        abs(eq.zeta1 - eq.lambda2 - eq.u_star) <= 1e-6,
-        abs(eq.zeta2 - 1.0 / eq.lambda1 - eq.u_star) <= 1e-6,
+        np.all(defects <= 1e-6),
     ]
     return all(checks), (
         f"lambda=({eq.lambda1:.4f}, {eq.lambda2:.4f}), "
         f"x*(0)=({eq.x0_star[0]:.3f}, {eq.x0_star[1]:.3f}), "
-        f"identity defects=({abs(eq.zeta1 - eq.lambda2 - eq.u_star):.2e}, "
-        f"{abs(eq.zeta2 - 1 / eq.lambda1 - eq.u_star):.2e})"
+        f"identity defects=({defects[0]:.2e}, {defects[1]:.2e})"
     )
 
 
@@ -342,27 +342,16 @@ def criterion_10_roundtrip(ctx: VerifyContext):
         state = ic_from_spec(ICSpec(kind=ick), eq)
         ts = to_transformed(state, eq, setup.adj)
         back = reconstruct(ts, eq)
-        worst_rt = max(
-            worst_rt,
-            float(np.max(np.abs(back.x1 - state.x1) / state.x1)),
-            float(np.max(np.abs(back.x2 - state.x2) / state.x2)),
-        )
-        min_psi = min(min_psi, float(ts.psi1.samples.min()), float(ts.psi2.samples.min()))
-        for i, psi in ((1, ts.psi1), (2, ts.psi2)):
-            p_res, renewal = check_S(psi, eq.ktilde(i), grid)
-            worst_p = max(worst_p, p_res)
-            x = state.x1 if i == 1 else state.x2
-            predicted = bc_residual(x, eq.kernels.k(i), grid) / (
-                eq.x0_star[i - 1] * np.exp(ts.eta[i - 1])
-            )
-            bc_link = max(bc_link, abs(renewal - predicted))
-        _, x1s, x2s = traj.snapshots[-1]
-        ts_late = to_transformed(
-            ic_from_spec(ICSpec(kind="table", x1=x1s, x2=x2s), eq), eq, setup.adj
-        )
-        for i, psi in ((1, ts_late.psi1), (2, ts_late.psi2)):
-            _, renewal = check_S(psi, eq.ktilde(i), grid)
-            worst_renewal_evolved = max(worst_renewal_evolved, renewal)
+        worst_rt = max(worst_rt, float(np.max(np.abs(back.x - state.x) / state.x)))
+        min_psi = min(min_psi, float(ts.psi.min()))
+        p_res, renewal = check_S(ts.psi, eq.ktilde, grid)
+        worst_p = max(worst_p, float(p_res.max()))
+        predicted = bc_residual(state.x, eq.kernels.k, grid) / (eq.x0_star * np.exp(ts.eta))
+        bc_link = max(bc_link, float(np.max(np.abs(renewal - predicted))))
+        _, x_late = traj.snapshots[-1]
+        ts_late = to_transformed(ic_from_spec(ICSpec(kind="table", x=x_late), eq), eq, setup.adj)
+        _, renewal = check_S(ts_late.psi, eq.ktilde, grid)
+        worst_renewal_evolved = max(worst_renewal_evolved, float(renewal.max()))
     ok = (
         worst_rt < 1e-10
         and min_psi > -1.0

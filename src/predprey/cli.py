@@ -38,26 +38,32 @@ from .simulate import (
     build_setup,
     simulate_direct,
     simulate_transformed,
+    transformed_ic,
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (str, np.str_)):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def _format_of(values: list) -> str:
+    """The printf format of a column of one type, from its first value:
+    strings as they are, integers in decimal, other numbers with 17
+    significant digits."""
+    first = values[0] if values else 0.0
+    if isinstance(first, str):
+        return "%s"
+    if isinstance(first, int):
+        return "%d"
+    return "%.17g"
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """Write the columns under the header, each row by one printf template."""
     n = len(columns[0])
-    for col in columns:
-        if len(col) != n:
-            raise ValueError("CSV columns must share one length")
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns must share one length")
+    values = [np.asarray(col).tolist() for col in columns]
+    row = ",".join(map(_format_of, values)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in range(n):
-            fh.write(",".join(_fmt(col[row]) for col in columns) + "\n")
+        fh.write(row * n % tuple(v for vals in zip(*values) for v in vals))
 
 
 def write_json(path: Path, payload: dict):
@@ -84,7 +90,8 @@ def build_grid_and_kernels(cfg: RunConfig):
             )
         if not np.allclose(table[:, 0], grid.nodes, atol=1e-12):
             raise ConfigError("kernel table ages do not match the grid nodes")
-        return grid, kernels_from_tables(grid, *(table[:, j] for j in range(1, 7)))
+        # columns mu1,k1,g1,mu2,k2,g2 as (mu, k, g), each (2, n)
+        return grid, kernels_from_tables(grid, *table[:, 1:].T.reshape(2, 3, -1).swapaxes(0, 1))
     except (OSError, ValueError) as err:
         raise ConfigError(f"[model] kernels rejected: {err}") from None
 
@@ -126,23 +133,23 @@ def lyap_config_from(cfg: RunConfig, setup: Setup):
 def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     setup = build_setup_from_config(cfg)
     eq, grid = setup.eq, setup.grid
-    adj1, adj2 = setup.adj
     write_csv(
         outdir / "equilibrium.csv",
         ["a", "x1_star", "x2_star", "pi0_1", "pi0_2", "ktilde_1", "ktilde_2"],
-        [grid.nodes, eq.x1_star, eq.x2_star, adj1.pi0, adj2.pi0, eq.ktilde1, eq.ktilde2],
+        [grid.nodes, *eq.x_star, *setup.adj.pi0, *eq.ktilde],
     )
+    zeta, x0_star = eq.zeta.tolist(), eq.x0_star.tolist()
     write_json(
         outdir / "equilibrium.json",
         {
-            "zeta1": eq.zeta1,
-            "zeta2": eq.zeta2,
+            "zeta1": zeta[0],
+            "zeta2": zeta[1],
             "u_star": eq.u_star,
             "lambda1": eq.lambda1,
             "lambda2": eq.lambda2,
-            "x1_star_0": eq.x0_star[0],
-            "x2_star_0": eq.x0_star[1],
-            "feasible_u_interval": [0.0, min(eq.zeta1, eq.zeta2)],
+            "x1_star_0": x0_star[0],
+            "x2_star_0": x0_star[1],
+            "feasible_u_interval": [0.0, min(zeta)],
             "sigma": list(setup.sigma),
             "kappa": list(setup.kappa),
             "A": grid.A,
@@ -153,17 +160,21 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         svgplot.line_chart(
             outdir / "equilibrium_profiles.svg",
             grid.nodes,
-            [("x1_star", eq.x1_star), ("x2_star", eq.x2_star)],
+            [("x1_star", eq.x_star[0]), ("x2_star", eq.x_star[1])],
             "steady-state age profiles",
             "age",
             "density",
         )
-    print(f"equilibrium written to {outdir} (zeta=({eq.zeta1:.4f}, {eq.zeta2:.4f}), "
+    print(f"equilibrium written to {outdir} (zeta=({zeta[0]:.4f}, {zeta[1]:.4f}), "
           f"lambda=({eq.lambda1:.4f}, {eq.lambda2:.4f}))")
     return 0
 
 
-def _run_simulation(cfg: RunConfig, setup: Setup, solver: str):
+def _checked_run(cfg: RunConfig, setup: Setup):
+    """The run of ``cfg`` and its analysis, both checked before any march: the
+    controller binds to the equilibrium, the analysis weights hold, and the
+    start is valid for either solver.  A start that overflows, underflows or
+    leaves the admissible set is a ``ConfigError`` naming its keys."""
     sim_cfg = SimConfig(
         t_final=cfg.simulation.t_final,
         controller=controller_from_config(cfg),
@@ -173,8 +184,21 @@ def _run_simulation(cfg: RunConfig, setup: Setup, solver: str):
             t for t in cfg.output.profile_times if t <= cfg.simulation.t_final
         ),
     )
-    # a bad analysis config fails before the march, not after it
+    BoundController(sim_cfg.controller, setup.eq)
     lyap = lyap_config_from(cfg, setup)
+    try:
+        transformed_ic(sim_cfg.ic, setup)
+    except (ValueError, NumericalError) as err:
+        keys = f"ic = {sim_cfg.ic.kind}"
+        if sim_cfg.ic.kind == "multiplier":
+            keys += (f", ic_log_offset_1/2 = {sim_cfg.ic.log_offset}, "
+                     f"ic_log_slope_1/2 = {sim_cfg.ic.log_slope}")
+        raise ConfigError(f"[simulation] {keys} give no valid start: {err}") from None
+    return sim_cfg, lyap
+
+
+def _run_simulation(cfg: RunConfig, setup: Setup, solver: str):
+    sim_cfg, lyap = _checked_run(cfg, setup)
     run = simulate_direct if solver == "direct" else simulate_transformed
     return run(setup, sim_cfg).finalize_lyapunov(setup.eq, lyap)
 
@@ -187,11 +211,11 @@ def _write_trajectory(outdir: Path, cfg: RunConfig, setup: Setup, traj, suffix: 
         [traj.times, traj.eta[:, 0], traj.eta[:, 1], traj.u, traj.V0, traj.V1,
          traj.V, traj.G1, traj.G2],
     )
-    for idx, (t_snap, x1, x2) in enumerate(traj.snapshots):
+    for idx, (_, x) in enumerate(traj.snapshots):
         write_csv(
             outdir / f"profiles{suffix}_t{idx}.csv",
             ["a", "x1", "x2", "x1_star", "x2_star"],
-            [setup.grid.nodes, x1, x2, setup.eq.x1_star, setup.eq.x2_star],
+            [setup.grid.nodes, *x, *setup.eq.x_star],
         )
     if plot:
         svgplot.line_chart(
@@ -210,14 +234,10 @@ def _write_trajectory(outdir: Path, cfg: RunConfig, setup: Setup, traj, suffix: 
             "t",
             "u",
         )
-        for species, profiles in (("x1", 1), ("x2", 2)):
-            series = [
-                (f"t={t_snap:g}", x1 if profiles == 1 else x2)
-                for t_snap, x1, x2 in traj.snapshots
-            ]
+        for i, species in enumerate(("x1", "x2")):
+            series = [(f"t={t_snap:g}", x[i]) for t_snap, x in traj.snapshots]
             if series:
-                star = setup.eq.x1_star if profiles == 1 else setup.eq.x2_star
-                series.append(("steady state", star))
+                series.append(("steady state", setup.eq.x_star[i]))
                 svgplot.line_chart(
                     outdir / f"profiles_{species}{suffix}.svg",
                     setup.grid.nodes,
@@ -332,13 +352,12 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
             section, key = dotted.split(".")
             updates.setdefault(section, {})[key] = value
         run_cfg = override(cfg, **updates)
-        # every combo binds its controller and analysis before the first run,
-        # and runs on the Setup checked here
+        # every combo checks its controller, analysis and start before the
+        # first run, and runs on the Setup checked here
         u_star = run_cfg.equilibrium.u_star
         if u_star not in setups:
             setups[u_star] = build_setup_from_config(run_cfg)
-        BoundController(controller_from_config(run_cfg), setups[u_star].eq)
-        lyap_config_from(run_cfg, setups[u_star])
+        _checked_run(run_cfg, setups[u_star])
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
         jobs.append((run_cfg, setups[u_star], combo, str(outdir / f"run_{idx:03d}_{slug}")))
     workers = cfg.sweep.workers or os.cpu_count() or 1

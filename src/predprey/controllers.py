@@ -12,7 +12,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError
-from .model import check_grid_fn, quad, row_dot
+from .model import check_species_fn, quad, row_dot
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
 # realistic state (phi saturates long before |eta| = 700).
@@ -145,16 +145,14 @@ def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Sensor kernels with their equilibrium output values."""
+    """Sensor kernels ``c`` (2, n) with their equilibrium outputs ``y_star`` (2,)."""
 
-    c1: np.ndarray
-    c2: np.ndarray
-    y1_star: float
-    y2_star: float
+    c: np.ndarray
+    y_star: np.ndarray
 
 
-def sensor_equilibrium(c1, c2, eq: Equilibrium) -> SensorSpec:
-    """Equilibrium outputs y_i_star for sensor kernels c_i.
+def sensor_equilibrium(c, eq: Equilibrium) -> SensorSpec:
+    """Equilibrium outputs y_i_star for the sensor kernels c (2, n).
 
     Stored as quad(c_i * x_i_star); this agrees with the closed forms
 
@@ -164,30 +162,27 @@ def sensor_equilibrium(c1, c2, eq: Equilibrium) -> SensorSpec:
     because the newborn densities are built from the same integrals.
     """
     grid = eq.grid
-    c1 = check_grid_fn(c1, grid, "c1")
-    c2 = check_grid_fn(c2, grid, "c2")
-    for name, c in (("c1", c1), ("c2", c2)):
-        if np.any(c < 0):
-            raise ValueError(f"sensor kernel {name} must be nonnegative")
-        if not quad(c, grid) > 0:
-            raise ValueError(f"sensor kernel {name} must have a positive integral")
-    y1 = quad(c1 * eq.x1_star, grid)
-    y2 = quad(c2 * eq.x2_star, grid)
-    return SensorSpec(c1=c1, c2=c2, y1_star=y1, y2_star=y2)
+    c = check_species_fn(c, grid, "sensor kernels")
+    for i, row in enumerate(c, start=1):
+        if np.any(row < 0):
+            raise ValueError(f"sensor kernel c{i} must be nonnegative")
+        if not quad(row, grid) > 0:
+            raise ValueError(f"sensor kernel c{i} must have a positive integral")
+    return SensorSpec(c=c, y_star=quad(c * eq.x_star, grid))
 
 
-def control_measured(y1, y2, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
-    """Measurement-based approximation of control A from scalar outputs.
+def control_measured(y, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
+    """Measurement-based approximation of control A from the scalar outputs
+    y (..., 2), one per species.
 
     Exact when the shape deviations vanish; otherwise it neglects their
     decaying contribution, so no stability guarantee is attached.
     """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if np.any(y1 <= 0) or np.any(y2 <= 0):
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
         raise ValueError("measurements must be strictly positive")
-    term1 = (1.0 - sensors.y1_star / y1) / eq.lambda1
-    term2 = (1.0 + gains.eps) * eq.lambda2 * (1.0 - y2 / sensors.y2_star)
+    term1 = (1.0 - sensors.y_star[0] / y[..., 0]) / eq.lambda1
+    term2 = (1.0 + gains.eps) * eq.lambda2 * (1.0 - y[..., 1] / sensors.y_star[1])
     return eq.u_star + gains.beta * (term1 - term2)
 
 
@@ -218,8 +213,8 @@ class BoundController:
 
     The eta-based laws are evaluated by ``u_from_eta``, the measurement-based
     law by ``u_from_state`` on the population profiles.  Both broadcast over
-    leading axes: eta of shape (..., 2) and profiles of shape (..., n) give u
-    of shape (...), a float for one state.  Gain constraints are checked here,
+    leading axes: eta of shape (..., 2) and profiles of shape (..., 2, n) give
+    u of shape (...), a float for one state.  Gain constraints are checked here,
     once, so the per-step evaluations stay unguarded.
     """
 
@@ -234,19 +229,17 @@ class BoundController:
         if spec.kind == "control_b":
             self.gains_b = GainsB(eps=spec.eps, beta=spec.beta, delta=spec.delta).validate(eq)
         if spec.kind == "measured":
-            self.sensors = sensor_equilibrium(*self._sensor_kernels(), eq)
-            w = eq.grid.weights
-            self._wc1, self._wc2 = w * self.sensors.c1, w * self.sensors.c2
+            self.sensors = sensor_equilibrium(self._sensor_kernels(), eq)
+            self._wc = eq.grid.weights * self.sensors.c
 
     def _sensor_kernels(self):
         k = self.eq.kernels
         if self.spec.sensor == "interaction":
-            return k.g2, k.g1
+            return k.g[::-1]
         if self.spec.sensor == "birth":
-            return k.k1, k.k2
+            return k.k
         if self.spec.sensor == "uniform":
-            ones = np.ones(self.eq.grid.n_nodes)
-            return ones, ones
+            return np.ones((2, self.eq.grid.n_nodes))
         raise GainConstraintError(
             f"unknown sensor choice {self.spec.sensor!r}; expected "
             "interaction, birth or uniform"
@@ -270,10 +263,9 @@ class BoundController:
             "the measurement-based law needs population profiles, not eta"
         )
 
-    def u_from_state(self, x1, x2):
+    def u_from_state(self, x):
         if not self.needs_profiles:
             raise GainConstraintError(
                 f"the {self.spec.kind} law acts on eta, not on population profiles"
             )
-        y1, y2 = row_dot(x1, self._wc1), row_dot(x2, self._wc2)
-        return control_measured(y1, y2, self.sensors, self.gains_a, self.eq)
+        return control_measured(row_dot(x, self._wc), self.sensors, self.gains_a, self.eq)

@@ -87,80 +87,57 @@ def solve_lotka_sharpe(mu, k, grid: AgeGrid, cum_mu: np.ndarray | None = None) -
 class Equilibrium:
     """Steady state of the two-species system at dilution u_star.
 
-    ``xtilde1``/``xtilde2`` are the unit-newborn profiles exp(-zeta*a - cum_mu);
-    ``ktilde1``/``ktilde2`` the discounted birth kernels (unit integral).
+    ``xtilde`` holds the unit-newborn profiles exp(-zeta*a - cum_mu),
+    ``ktilde`` the discounted birth kernels (unit integral) and ``x_star`` the
+    steady profiles x0_star * xtilde; ``zeta`` and ``x0_star`` are (2,).
     """
 
     grid: AgeGrid
     kernels: KernelSet
     u_star: float
-    zeta1: float
-    zeta2: float
+    zeta: np.ndarray
     lambda1: float
     lambda2: float
-    x0_star: tuple[float, float]
-    x1_star: np.ndarray
-    x2_star: np.ndarray
-    xtilde1: np.ndarray
-    xtilde2: np.ndarray
-    ktilde1: np.ndarray
-    ktilde2: np.ndarray
-
-    def x_star(self, i: int) -> np.ndarray:
-        return self.x1_star if i == 1 else self.x2_star
-
-    def ktilde(self, i: int) -> np.ndarray:
-        return self.ktilde1 if i == 1 else self.ktilde2
-
-    def zeta(self, i: int) -> float:
-        return self.zeta1 if i == 1 else self.zeta2
+    x0_star: np.ndarray
+    x_star: np.ndarray
+    xtilde: np.ndarray
+    ktilde: np.ndarray
 
 
 def compute_equilibrium(kernels: KernelSet, u_star: float) -> Equilibrium:
     """Construct the full equilibrium for a feasible dilution setpoint."""
     grid = kernels.grid
-    a = grid.nodes
-    zeta = {}
-    xtilde = {}
-    ktilde = {}
-    for i in (1, 2):
-        cm = kernels.cum_mu(i)
-        zeta[i] = solve_lotka_sharpe(kernels.mu(i), kernels.k(i), grid, cm)
-        xtilde[i] = np.exp(-zeta[i] * a - cm)
-        ktilde[i] = kernels.k(i) * xtilde[i]
+    zeta = np.array([solve_lotka_sharpe(mu, k, grid, cm)
+                     for mu, k, cm in zip(kernels.mu, kernels.k, kernels.cum_mu)])
+    xtilde = np.exp(-zeta[:, None] * grid.nodes - kernels.cum_mu)
 
-    z_min = min(zeta[1], zeta[2])
+    z_min = float(zeta.min())
     if not 0.0 < u_star < z_min:
         raise InfeasibleSetpointError(u_star, (0.0, z_min))
 
-    int_g2_xt1 = quad(kernels.g2 * xtilde[1], grid)
-    int_g1_xt2 = quad(kernels.g1 * xtilde[2], grid)
-    if not (int_g2_xt1 > 0 and int_g1_xt2 > 0):
+    # each species' unit-newborn profile against the other's interaction
+    # kernel: the prey's against g2, the predator's against g1
+    overlap = quad(kernels.g[::-1] * xtilde, grid)
+    if not np.all(overlap > 0):
         raise NumericalError(
             "interaction kernels do not overlap the steady profiles",
             reason="degenerate_interaction",
         )
-    x10 = 1.0 / ((zeta[2] - u_star) * int_g2_xt1)
-    x20 = (zeta[1] - u_star) / int_g1_xt2
-    x1_star = x10 * xtilde[1]
-    x2_star = x20 * xtilde[2]
-    lambda1 = quad(kernels.g2 * x1_star, grid)
-    lambda2 = quad(kernels.g1 * x2_star, grid)
+    x0_star = np.array([1.0 / ((zeta[1] - u_star) * overlap[0]),
+                        (zeta[0] - u_star) / overlap[1]])
+    x_star = x0_star[:, None] * xtilde
+    lambda1, lambda2 = quad(kernels.g[::-1] * x_star, grid).tolist()
     return Equilibrium(
         grid=grid,
         kernels=kernels,
         u_star=float(u_star),
-        zeta1=zeta[1],
-        zeta2=zeta[2],
+        zeta=zeta,
         lambda1=lambda1,
         lambda2=lambda2,
-        x0_star=(x10, x20),
-        x1_star=x1_star,
-        x2_star=x2_star,
-        xtilde1=xtilde[1],
-        xtilde2=xtilde[2],
-        ktilde1=ktilde[1],
-        ktilde2=ktilde[2],
+        x0_star=x0_star,
+        x_star=x_star,
+        xtilde=xtilde,
+        ktilde=kernels.k * xtilde,
     )
 
 

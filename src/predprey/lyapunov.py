@@ -21,7 +21,6 @@ from .controllers import ControllerSpec, GainsA, GainsB, big_phi, phi
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
 from .model import AgeGrid, check_grid_fn, quad, tail_integral
-from .transform import HistoryBuffer
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +94,19 @@ def h_fn(p):
     return float(out) if out.ndim == 0 else out
 
 
-def g_fn(psi: HistoryBuffer, sigma: float) -> float:
-    """Exponentially weighted sup of the history, penalized by its worst dip.
+def g_fn(psi, sigma, grid: AgeGrid):
+    """Exponentially weighted sup of a history, penalized by its worst dip.
 
-    G = max_a |psi(-a)| e^{sigma (A - a)} / (1 + min(0, min psi)).
+    G = max_a |psi(-a)| e^{sigma (A - a)} / (1 + min(0, min psi)), along the
+    last axis: a float for one history, a (2,) array for the (2, n) histories
+    with a (2,) sigma.
     """
-    s_min = float(psi.samples.min())
-    if 1.0 + min(0.0, s_min) <= 0.0:
+    psi = np.asarray(psi, dtype=float)
+    s_min = psi.min(axis=-1)
+    if np.any(s_min <= -1.0):
         raise ValueError("history contains a sample <= -1; G is undefined")
-    return float(g_kernel(psi.samples, g_fn_weights(psi.grid, sigma), s_min))
+    g = g_kernel(psi, g_fn_weights(grid, sigma), s_min)
+    return float(g) if g.ndim == 0 else g
 
 
 def g_kernel(samples, weights, s_min):
@@ -114,9 +117,10 @@ def g_kernel(samples, weights, s_min):
     return (np.abs(samples) * weights).max(axis=-1) / (1.0 + np.minimum(0.0, s_min))
 
 
-def g_fn_weights(grid: AgeGrid, sigma: float) -> np.ndarray:
-    """Precomputed weights for evaluating G in a tight loop."""
-    return np.exp(sigma * (grid.A - grid.nodes))
+def g_fn_weights(grid: AgeGrid, sigma) -> np.ndarray:
+    """Precomputed weights exp(sigma*(A - a)) for evaluating G in a tight loop;
+    a (2,) sigma gives one row per species."""
+    return np.exp(np.multiply.outer(sigma, grid.A - grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +336,12 @@ def v_composite(eta, g1, g2, cfg: LyapConfig, eq: Equilibrium):
             + cfg.gamma2 / cfg.sigma2 * h_fn(g2))
 
 
-def v_full(eta, psi1: HistoryBuffer, psi2: HistoryBuffer, cfg: LyapConfig, eq: Equilibrium) -> float:
-    """V of one state (eta, psi1, psi2), with G_i at the configured sigma_i."""
-    return float(v_composite(eta, g_fn(psi1, cfg.sigma1), g_fn(psi2, cfg.sigma2), cfg, eq))
+def v_full(eta, psi, cfg: LyapConfig, eq: Equilibrium):
+    """V of states (eta, psi), eta (..., 2) and the histories psi (..., 2, n),
+    with G_i at the configured sigma_i; a float for one state."""
+    g = g_fn(psi, (cfg.sigma1, cfg.sigma2), eq.grid)
+    v = v_composite(eta, g[..., 0], g[..., 1], cfg, eq)
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def bounds_H(cfg: LyapConfig, eq: Equilibrium) -> tuple[float, float]:

@@ -1,9 +1,18 @@
 """Age grids, trapezoid quadrature, and the model kernels.
 
 Populations are carried as plain numpy arrays sampled on a uniform
-:class:`AgeGrid`; all age integrals in the package go through :func:`quad`
-(composite trapezoid, exact for piecewise-linear integrands) so that every
-module shares one discrete calculus.
+:class:`AgeGrid`; all age integrals in the package are composite trapezoid
+sums (:func:`quad`, or :func:`row_dot` against the weights in the step
+kernels), exact for piecewise-linear integrands, so that every module shares
+one discrete calculus.
+
+Species layout: every per-species array over age is one (2, n) array,
+species first (row 0 the prey, row 1 the predator) and age last.  That holds
+for the kernels, the steady and unit-newborn profiles, the adjoint weights,
+the densities, the shape-deviation histories, the sensor kernels and the
+snapshots; per-species scalars such as zeta and x0_star are (2,) arrays.  A
+batch of runs adds a leading axis, (B, 2, n).  The age calculus reduces
+along the last axis, so one call serves both species.
 """
 from __future__ import annotations
 
@@ -52,22 +61,26 @@ class AgeGrid:
 
 
 def check_grid_fn(f, grid: AgeGrid, name: str = "grid function") -> np.ndarray:
-    """Validate an array against its grid (length and finiteness)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n_nodes,):
+    """Validate one function of age, (n,), or one per species, (2, n),
+    against its grid (length and finiteness).  Returns it C-contiguous: a
+    ``row_dot`` against a strided row sums in another order."""
+    f = np.ascontiguousarray(f, dtype=float)
+    if f.shape not in ((grid.n_nodes,), (2, grid.n_nodes)):
         raise ValueError(
-            f"{name} has shape {f.shape}, expected ({grid.n_nodes},) for "
-            f"n_cells={grid.n_cells}"
+            f"{name} has shape {f.shape}, expected ({grid.n_nodes},) or "
+            f"(2, {grid.n_nodes}) for n_cells={grid.n_cells}"
         )
     if not np.all(np.isfinite(f)):
         raise ValueError(f"{name} contains non-finite values")
     return f
 
 
-def quad(f, grid: AgeGrid) -> float:
-    """Integrate f over [0, A] by the composite trapezoid rule."""
-    f = check_grid_fn(f, grid)
-    return float(grid.weights @ f)
+def check_species_fn(f, grid: AgeGrid, name: str) -> np.ndarray:
+    """Validate a per-species array: one (2, n) row per species."""
+    f = check_grid_fn(f, grid, name)
+    if f.ndim != 2:
+        raise ValueError(f"{name} has shape {f.shape}, expected (2, {grid.n_nodes})")
+    return f
 
 
 def _row_dot_matmul(x, w):
@@ -81,56 +94,51 @@ def _row_dot_matmul(x, w):
 row_dot = getattr(np, "vecdot", _row_dot_matmul)
 
 
+def quad(f, grid: AgeGrid):
+    """Integrate f over [0, A] by the composite trapezoid rule: a float for
+    one function, a (2,) array for one per species."""
+    q = row_dot(check_grid_fn(f, grid), grid.weights)
+    return float(q) if q.ndim == 0 else q
+
+
 def cumulative(f, grid: AgeGrid) -> np.ndarray:
     """Running trapezoid integral of f from 0 to each node (starts at 0)."""
     f = check_grid_fn(f, grid)
     out = np.zeros_like(f)
-    out[1:] = np.cumsum(grid.da * (f[1:] + f[:-1]) / 2.0)
+    out[..., 1:] = np.cumsum(grid.da * (f[..., 1:] + f[..., :-1]) / 2.0, axis=-1)
     return out
 
 
 def tail_integral(f, grid: AgeGrid) -> np.ndarray:
     """Trapezoid integral of f from each node to A (ends at 0)."""
     c = cumulative(f, grid)
-    return c[-1] - c
+    return c[..., -1:] - c
 
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Mortality, birth and interaction kernels for both species.
+    """Mortality ``mu``, birth ``k`` and interaction ``g`` kernels, each (2, n).
 
-    Kernels are sampled on the grid.  ``cum_mu1``/``cum_mu2`` hold the
-    cumulative mortality integral from 0 to each node, as its builder gives
-    it: exact for the closed-form family, the running trapezoid sum for tables.
+    ``cum_mu`` holds the cumulative mortality integral from 0 to each node, as
+    its builder gives it: exact for the closed-form family, the running
+    trapezoid sum for tables.
     """
 
     grid: AgeGrid
-    mu1: np.ndarray
-    k1: np.ndarray
-    g1: np.ndarray
-    mu2: np.ndarray
-    k2: np.ndarray
-    g2: np.ndarray
-    cum_mu1: np.ndarray
-    cum_mu2: np.ndarray
+    mu: np.ndarray
+    k: np.ndarray
+    g: np.ndarray
+    cum_mu: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu1", "k1", "g1", "mu2", "k2", "g2"):
-            arr = check_grid_fn(getattr(self, name), self.grid, name)
+        for name in ("mu", "k", "g"):
+            arr = check_species_fn(getattr(self, name), self.grid, name)
             object.__setattr__(self, name, arr)
-            if np.any(arr < 0):
-                raise ValueError(f"kernel {name} must be nonnegative everywhere")
-            if not quad(arr, self.grid) > 0:
-                raise ValueError(f"kernel {name} must have a strictly positive integral")
-
-    def mu(self, i: int) -> np.ndarray:
-        return self.mu1 if i == 1 else self.mu2
-
-    def k(self, i: int) -> np.ndarray:
-        return self.k1 if i == 1 else self.k2
-
-    def cum_mu(self, i: int) -> np.ndarray:
-        return self.cum_mu1 if i == 1 else self.cum_mu2
+            for i, row in enumerate(arr, start=1):
+                if np.any(row < 0):
+                    raise ValueError(f"kernel {name}{i} must be nonnegative everywhere")
+                if not quad(row, self.grid) > 0:
+                    raise ValueError(f"kernel {name}{i} must have a strictly positive integral")
 
 
 def build_kernels(
@@ -158,56 +166,39 @@ def build_kernels(
         if not val > 0:
             raise ValueError(f"kernel shape parameter {name} must be positive, got {val}")
     a = grid.nodes
-    return KernelSet(
-        grid=grid,
-        mu1=mu_bar_1 * np.exp(a),
-        k1=k_bar_1 * np.exp(-a),
-        g1=g_bar_1 * (a - a**2),
-        mu2=mu_bar_2 * np.exp(a),
-        k2=k_bar_2 * np.exp(-a),
-        g2=g_bar_2 * (a - a**2),
-        cum_mu1=mu_bar_1 * np.expm1(a),
-        cum_mu2=mu_bar_2 * np.expm1(a),
-    )
+    # (mu_bar, k_bar, g_bar), each a (2, 1) column over the species
+    mu_bar, k_bar, g_bar = np.array([[mu_bar_1, k_bar_1, g_bar_1],
+                                     [mu_bar_2, k_bar_2, g_bar_2]]).T[..., None]
+    return KernelSet(grid=grid, mu=mu_bar * np.exp(a), k=k_bar * np.exp(-a),
+                     g=g_bar * (a - a**2), cum_mu=mu_bar * np.expm1(a))
 
 
-def kernels_from_tables(grid, mu1, k1, g1, mu2, k2, g2) -> KernelSet:
-    """Build a KernelSet from user-supplied tabulated kernels."""
-    mu1, mu2 = check_grid_fn(mu1, grid, "mu1"), check_grid_fn(mu2, grid, "mu2")
-    return KernelSet(
-        grid=grid,
-        mu1=mu1,
-        k1=np.asarray(k1, dtype=float),
-        g1=np.asarray(g1, dtype=float),
-        mu2=mu2,
-        k2=np.asarray(k2, dtype=float),
-        g2=np.asarray(g2, dtype=float),
-        cum_mu1=cumulative(mu1, grid),
-        cum_mu2=cumulative(mu2, grid),
-    )
+def kernels_from_tables(grid: AgeGrid, mu, k, g) -> KernelSet:
+    """Build a KernelSet from tabulated (2, n) kernels; the cumulative
+    mortality is their running trapezoid sum."""
+    return KernelSet(grid=grid, mu=mu, k=k, g=g, cum_mu=cumulative(mu, grid))
 
 
-def bc_residual(x, k, grid: AgeGrid) -> float:
-    """Absolute defect of the renewal boundary condition x(0) = quad(k*x)."""
+def bc_residual(x, k, grid: AgeGrid):
+    """Absolute defect of the renewal boundary condition x(0) = quad(k*x):
+    a float for one profile, a (2,) array for one per species."""
     x = check_grid_fn(x, grid, "x")
     k = check_grid_fn(k, grid, "k")
-    return abs(float(x[0]) - quad(k * x, grid))
+    return np.abs(x[..., 0] - quad(k * x, grid))
 
 
 @dataclass
 class PopulationState:
-    """Population densities of both species at one instant."""
+    """Population densities ``x`` (2, n) of both species at one instant."""
 
     t: float
-    x1: np.ndarray
-    x2: np.ndarray
+    x: np.ndarray
 
     def validate(self, grid: AgeGrid) -> "PopulationState":
-        self.x1 = check_grid_fn(self.x1, grid, "x1")
-        self.x2 = check_grid_fn(self.x2, grid, "x2")
+        self.x = check_species_fn(self.x, grid, "x")
         if self.t < 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
-        if np.any(self.x1 <= 0) or np.any(self.x2 <= 0):
+        if np.any(self.x <= 0):
             raise NumericalError(
                 "population densities must be strictly positive at every node",
                 t=self.t,

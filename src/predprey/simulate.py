@@ -9,15 +9,16 @@ interaction integrals from ``_interaction_losses``.
 
 Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
 (B, 1) column, and the densities, shape deviations and profiles are
-(B, 2, n), species second and age last.  The rows of a batch share one Setup,
-t_final, record_every and snapshot times; each has its own controller and
-start, and each group of rows with one controller evaluates its law once per
-step.  ``simulate_direct`` and ``simulate_transformed`` are the batches of
-one of ``simulate_direct_batch`` and ``simulate_transformed_batch``.  Every
-age integral of a row is one 1-D dot (``row_dot``) and all else is
-elementwise, so a row of a batch reproduces its run alone bitwise.  A row that
-fails stops the batch with its reason and t: the earliest failing step, and
-within it the first check that fails.  Which row failed is not reported.
+(B, 2, n), the layout of ``model`` with the batch in front.  The rows of a
+batch share one Setup, t_final, record_every and snapshot times; each has its
+own controller and start, and each group of rows with one controller
+evaluates its law once per step.  ``simulate_direct`` and
+``simulate_transformed`` are the batches of one of ``simulate_direct_batch``
+and ``simulate_transformed_batch``.  Every age integral of a row is one 1-D
+dot (``row_dot``) and all else is elementwise, so a row of a batch reproduces
+its run alone bitwise.  A row that fails stops the batch with its reason and
+t: the earliest failing step, and within it the first check that fails.
+Which row failed is not reported.
 
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
@@ -59,13 +60,11 @@ from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, S
 from .model import AgeGrid, KernelSet, PopulationState, row_dot
 from .transform import (
     AdjointData,
-    HistoryBuffer,
     TransformedState,
     compute_pi0,
     pi_functional,
     profile,
     shape_deviation,
-    stack_adjoints,
     to_transformed,
 )
 
@@ -77,21 +76,19 @@ class Setup:
     grid: AgeGrid
     kernels: KernelSet
     eq: Equilibrium
-    adj: tuple[AdjointData, AdjointData]
+    adj: AdjointData
     sigma: tuple[float, float]
     kappa: tuple[float, float]
 
 
 def build_setup(kernels: KernelSet, u_star: float) -> Setup:
     eq = compute_equilibrium(kernels, u_star)
-    adj = (compute_pi0(eq, 1), compute_pi0(eq, 2))
-    kap1, sig1 = find_sigma(eq.ktilde1, kernels.grid)
-    kap2, sig2 = find_sigma(eq.ktilde2, kernels.grid)
+    (kap1, sig1), (kap2, sig2) = (find_sigma(kt, kernels.grid) for kt in eq.ktilde)
     return Setup(
         grid=kernels.grid,
         kernels=kernels,
         eq=eq,
-        adj=adj,
+        adj=compute_pi0(eq),
         sigma=(SIGMA_SAFETY * sig1, SIGMA_SAFETY * sig2),
         kappa=(kap1, kap2),
     )
@@ -106,7 +103,7 @@ class ICSpec:
       ``FQ``           offsets (1, -1), slopes (2, -2)  (prey surplus)
       ``SQ``           the species swap of FQ           (predator surplus)
       ``equilibrium``  offsets and slopes 0: the steady state
-      ``table``        explicit positive profiles
+      ``table``        explicit positive profiles x (2, n)
       ``eta``          transformed start (eta0, flat histories)
 
     FQ, SQ and equilibrium are rows of ``NAMED_STARTS``.
@@ -115,8 +112,7 @@ class ICSpec:
     kind: str = "FQ"
     log_offset: tuple[float, float] = (0.0, 0.0)
     log_slope: tuple[float, float] = (0.0, 0.0)
-    x1: np.ndarray | None = None
-    x2: np.ndarray | None = None
+    x: np.ndarray | None = None
     eta0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -135,37 +131,32 @@ NAMED_STARTS = {
 
 def ic_from_spec(spec: ICSpec, eq: Equilibrium) -> PopulationState:
     """Materialize the initial population profiles."""
-    a = eq.grid.nodes
     if spec.kind in NAMED_STARTS or spec.kind == "multiplier":
         offset, slope = NAMED_STARTS.get(spec.kind, (spec.log_offset, spec.log_slope))
-        m1 = np.exp(offset[0] + slope[0] * a)
-        m2 = np.exp(offset[1] + slope[1] * a)
+        # an overflowing multiplier is reported by the finiteness check
+        with np.errstate(over="ignore"):
+            x = eq.x_star * np.exp(np.reshape(offset, (2, 1))
+                                   + np.multiply.outer(slope, eq.grid.nodes))
     elif spec.kind == "table":
-        if spec.x1 is None or spec.x2 is None:
-            raise ValueError("table IC needs explicit x1 and x2 profiles")
-        return PopulationState(
-            t=0.0, x1=np.asarray(spec.x1, float), x2=np.asarray(spec.x2, float)
-        ).validate(eq.grid)
+        if spec.x is None:
+            raise ValueError("table IC needs explicit profiles x")
+        x = spec.x
     else:
         raise ValueError("eta ICs only make sense for the transformed solver")
-    return PopulationState(t=0.0, x1=eq.x1_star * m1, x2=eq.x2_star * m2).validate(eq.grid)
+    return PopulationState(t=0.0, x=x).validate(eq.grid)
 
 
 def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
     if spec.kind == "eta":
-        zeros = np.zeros(setup.grid.n_nodes)
-        return TransformedState(
-            t=0.0,
-            eta=np.asarray(spec.eta0, dtype=float).copy(),
-            psi1=HistoryBuffer(setup.grid, zeros.copy()),
-            psi2=HistoryBuffer(setup.grid, zeros.copy()),
-        )
+        return TransformedState(t=0.0, eta=np.array(spec.eta0, dtype=float),
+                                psi=np.zeros((2, setup.grid.n_nodes)))
     return to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
 
 
 def _interaction_losses(x, wg):
     """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
-    prey and 1/quad(g2*x1) on the predator; wg stacks w*g1 and w*g2."""
+    prey and 1/quad(g2*x1) on the predator; wg (2, n) holds the
+    trapezoid-weighted g1 and g2."""
     q = row_dot(x[..., ::-1, :], wg)
     if not all(v > 0 for v in q[..., 1].ravel().tolist()):
         raise NumericalError(
@@ -241,7 +232,7 @@ class _Recorder:
         self.psi_min = np.empty((n_rows, n_rec, 2))
         self.snapshots = [[] for _ in cfgs]
         self.k = 0
-        self.weights = np.array([g_fn_weights(setup.grid, s) for s in setup.sigma])
+        self.weights = g_fn_weights(setup.grid, setup.sigma)
         self.snap_steps = {
             int(round(ts / dt)) for ts in cfgs[0].snapshot_times if 0 <= ts <= n_steps * dt + 1e-9
         }
@@ -258,8 +249,8 @@ class _Recorder:
         self.k += 1
 
     def snapshot(self, t, profiles):
-        for snaps, (x1, x2) in zip(self.snapshots, profiles):
-            snaps.append((t, x1, x2))
+        for snaps, x in zip(self.snapshots, profiles):
+            snaps.append((t, x))
 
     def build(self, solver: str) -> list[Trajectory]:
         n = self.k
@@ -333,8 +324,7 @@ def _march(setup: Setup, cfgs, solver: str, start, observe, update, make_ops) ->
             eta, psi, profiles = observe(state)
             for controller, rows in controllers:
                 if controller.needs_profiles:
-                    x = profiles()[rows]
-                    u[rows, 0] = controller.u_from_state(x[..., 0, :], x[..., 1, :])
+                    u[rows, 0] = controller.u_from_state(profiles()[rows])
                 else:
                     u[rows, 0] = controller.u_from_eta(eta[rows])
             if not all(map(math.isfinite, u.ravel().tolist())):
@@ -355,7 +345,7 @@ def _march(setup: Setup, cfgs, solver: str, start, observe, update, make_ops) ->
 
 def _renewal_weights(w, k):
     """The weighted birth kernels w*k on nodes 1.. and the newborn
-    denominators 1 - w0*k(0) of ``_renew``, for both species' kernels k (2, n)."""
+    denominators 1 - w0*k(0) of ``_renew``, for the kernels k (2, n)."""
     wk = w * k
     if wk[:, 0].max() >= 1.0:
         raise NumericalError(
@@ -377,14 +367,12 @@ def _renew(moved, wk, d):
 
 
 def _direct_ops(kernels: KernelSet):
-    """Step-invariant arrays of the direct step, species on a leading axis:
-    dt, the weighted interaction kernels (w*g1, w*g2), and the species data of
-    ``_transport``: the one-cell survival exp(-mu_avg*dt) of the cell-averaged
-    mortality and the renewal weights."""
+    """Step-invariant arrays of the direct step: dt, the weighted interaction
+    kernels w*g, and the species data of ``_transport``: the one-cell survival
+    exp(-mu_avg*dt) of the cell-averaged mortality and the renewal weights."""
     w, dt = kernels.grid.weights, kernels.grid.da
-    mu_avg = np.array([0.5 * (mu[:-1] + mu[1:]) for mu in (kernels.mu1, kernels.mu2)])
-    wk, d = _renewal_weights(w, np.array([kernels.k1, kernels.k2]))
-    return dt, np.array([w * kernels.g1, w * kernels.g2]), (np.exp(-mu_avg * dt), wk, d)
+    mu_avg = 0.5 * (kernels.mu[:, :-1] + kernels.mu[:, 1:])
+    return dt, w * kernels.g, (np.exp(-mu_avg * dt), *_renewal_weights(w, kernels.k))
 
 
 def _transport(x, species, loss, dt: float) -> np.ndarray:
@@ -422,33 +410,30 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
     failing row stops the batch with its reason and t.
     """
     eq = setup.eq
-    adj = stack_adjoints(setup.adj)
-    x_star = np.array([eq.x1_star, eq.x2_star])
 
     def start(cfgs):
-        # a fresh array, so snapshot 0 does not alias a table IC's arrays; the
+        # a fresh array, so snapshot 0 does not alias a table IC's array; the
         # kernel returns fresh arrays after that
-        return np.array([[s.x1, s.x2] for s in (ic_from_spec(c.ic, eq) for c in cfgs)])
+        return np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
 
     def observe(x):
         # the Pi functionals, once per step: they give eta and psi, and catch
         # any non-finite profile
-        p = pi_functional(x, adj)
-        return np.log(p), lambda: shape_deviation(x, x_star, p[..., None]), lambda: x
+        p = pi_functional(x, setup.adj)
+        return np.log(p), lambda: shape_deviation(x, eq.x_star, p[..., None]), lambda: x
 
     return _march(setup, cfgs, "direct", start, observe, _direct_update,
                   lambda: _direct_ops(setup.kernels))
 
 
 def _transformed_ops(eq: Equilibrium):
-    """Step-invariant arrays of the transformed step, species on a leading
-    axis: dt, (zeta1, zeta2), the weighted interaction kernels
-    (w*g1*x2_star, w*g2*x1_star) and the renewal weights of the discounted
-    birth kernels."""
-    w, g = eq.grid.weights, (eq.kernels.g1, eq.kernels.g2)
-    return (eq.grid.da, np.array([eq.zeta1, eq.zeta2]),
-            np.array([w * g[0] * eq.x2_star, w * g[1] * eq.x1_star]),
-            *_renewal_weights(w, np.array([eq.ktilde1, eq.ktilde2])))
+    """Step-invariant arrays of the transformed step: dt, zeta, the weighted
+    interaction kernels w*g*x_star[::-1], each species' kernel against the
+    other's steady profile, and the renewal weights of the discounted birth
+    kernels."""
+    w = eq.grid.weights
+    return (eq.grid.da, eq.zeta, w * eq.kernels.g * eq.x_star[::-1],
+            *_renewal_weights(w, eq.ktilde))
 
 
 # exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
@@ -467,8 +452,8 @@ def _transformed_update(state, u, ops):
             reason="psi_admissibility",
         )
     # (j2, 1/j1) at both endpoints in one call, as they do not depend on eta;
-    # j2 = quad(w*g1*x2_star*(1 + psi2)) needs no check: every psi2 sample is
-    # > -1, checked at the start and on each new node
+    # j2, the predator row's integral of g1 * x_star * (1 + psi), needs no
+    # check: every sample is > -1, checked at the start and on each new node
     q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
     zu = zeta - u
     f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q[0]
@@ -485,19 +470,16 @@ def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
 def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
     """Integrate several runs of one Setup as one march of eta (B, 2) and the
     histories (B, 2, n), with the contract of ``simulate_direct_batch``."""
-    x_star = np.array([setup.eq.x1_star, setup.eq.x2_star])
-
     def start(cfgs):
         starts = [transformed_ic(c.ic, setup) for c in cfgs]
-        return (np.array([s.eta for s in starts]),
-                np.array([[s.psi1.samples, s.psi2.samples] for s in starts]))
+        return np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
 
     def observe(state):
         eta, psi = state
         if not all(map(math.isfinite, eta.ravel().tolist())):
             raise NumericalError("non-finite value in the control loop",
                                  reason="nan_guard")
-        return eta, lambda: psi, lambda: profile(x_star, eta[..., None], psi)
+        return eta, lambda: psi, lambda: profile(setup.eq.x_star, eta[..., None], psi)
 
     # a diverging run overflows exp(eta) in the kernel; the loop's nan guard
     # reports it, with t, in place of a RuntimeWarning
@@ -519,13 +501,9 @@ def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float
         raise NumericalError("solvers recorded different snapshot sets",
                              reason="snapshot_mismatch")
     worst = 0.0
-    for (t_d, x1d, x2d), (t_t, x1t, x2t) in zip(td.snapshots, tt.snapshots):
+    for (t_d, xd), (t_t, xt) in zip(td.snapshots, tt.snapshots):
         if abs(t_d - t_t) > 1e-9:
             raise NumericalError("snapshot times diverged between solvers",
                                  reason="snapshot_mismatch")
-        worst = max(
-            worst,
-            float(np.max(np.abs(x1d - x1t) / x1d)),
-            float(np.max(np.abs(x2d - x2t) / x2d)),
-        )
+        worst = max(worst, float(np.max(np.abs(xd - xt) / xd)))
     return worst

@@ -20,7 +20,7 @@ from predprey.simulate import (
     _transformed_ops,
     _transformed_update,
 )
-from predprey.transform import HistoryBuffer, TransformedState
+from predprey.transform import TransformedState
 
 
 def hyperbola_boundary(q1, cfg: LyapConfig, eq: Equilibrium):
@@ -64,17 +64,19 @@ def fd_jacobian(f, x0, h: float = 1e-6) -> np.ndarray:
 def sensor_equilibrium_closed_form(c1, c2, eq: Equilibrium) -> tuple[float, float]:
     """The y_i_star closed forms written on the unit-newborn profiles."""
     grid = eq.grid
-    y1 = quad(np.asarray(c1, dtype=float) * eq.xtilde1, grid) / (
-        (eq.zeta2 - eq.u_star) * quad(eq.kernels.g2 * eq.xtilde1, grid)
+    (xt1, xt2), (g1, g2), (zeta1, zeta2) = eq.xtilde, eq.kernels.g, eq.zeta
+    y1 = quad(np.asarray(c1, dtype=float) * xt1, grid) / (
+        (zeta2 - eq.u_star) * quad(g2 * xt1, grid)
     )
-    y2 = (eq.zeta1 - eq.u_star) * quad(np.asarray(c2, dtype=float) * eq.xtilde2, grid) / quad(
-        eq.kernels.g1 * eq.xtilde2, grid
+    y2 = (zeta1 - eq.u_star) * quad(np.asarray(c2, dtype=float) * xt2, grid) / quad(
+        g1 * xt2, grid
     )
     return y1, y2
 
 
-def zero_history(grid: AgeGrid) -> HistoryBuffer:
-    return HistoryBuffer(grid, np.zeros(grid.n_nodes))
+def zero_history(grid: AgeGrid) -> np.ndarray:
+    """Flat (2, n) histories: the shape deviations of the steady profiles."""
+    return np.zeros((2, grid.n_nodes))
 
 
 DEFAULT_BC_TOL = 1e-6
@@ -129,10 +131,8 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
 def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float, float]:
     """Loss rates (I1, I2): predation pressure on the prey and starvation
     pressure 1/quad(g2*x1) on the predator."""
-    w = kernels.grid.weights
     try:
-        i1, i2 = _interaction_losses(np.array([state.x1, state.x2]),
-                                     np.array([w * kernels.g1, w * kernels.g2]))
+        i1, i2 = _interaction_losses(state.x, kernels.grid.weights * kernels.g)
     except NumericalError as err:
         raise NumericalError(str(err), t=state.t, reason=err.reason) from None
     return float(i1), float(i2)
@@ -151,18 +151,16 @@ def _step(solver: str, owner, build_ops, update, state, u, dt: float, t: float):
 
 def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
     """One characteristic step of the direct solver."""
-    x = _step("direct", kernels, _direct_ops, _direct_update,
-              np.array([state.x1, state.x2]), u, dt, state.t)
-    return PopulationState(t=state.t + dt, x1=x[0], x2=x[1])
+    x = _step("direct", kernels, _direct_ops, _direct_update, state.x, u, dt, state.t)
+    return PopulationState(t=state.t + dt, x=x)
 
 
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
     """One step of the transformed solver."""
     with np.errstate(over="ignore"):
         eta, psi = _step("transformed", eq, _transformed_ops, _transformed_update,
-                         (ts.eta, np.array([ts.psi1.samples, ts.psi2.samples])), u, dt, ts.t)
-    return TransformedState(t=ts.t + dt, eta=eta, psi1=HistoryBuffer(eq.grid, psi[0]),
-                            psi2=HistoryBuffer(eq.grid, psi[1]))
+                         (ts.eta, ts.psi), u, dt, ts.t)
+    return TransformedState(t=ts.t + dt, eta=eta, psi=psi).validate(eq.grid)
 
 
 def transformed_step_reference(eta, psi1, psi2, u: float, eq: Equilibrium):
@@ -170,15 +168,16 @@ def transformed_step_reference(eta, psi1, psi2, u: float, eq: Equilibrium):
     renewal solve of each history, then Heun's method on eta with the
     interaction integrals of the old histories, then of the new ones."""
     w, dt = eq.grid.weights, eq.grid.da
+    (g1, g2), (x1_star, x2_star), (zeta1, zeta2) = eq.kernels.g, eq.x_star, eq.zeta
     new = []
-    for psi, ktilde in ((psi1, eq.ktilde1), (psi2, eq.ktilde2)):
+    for psi, ktilde in zip((psi1, psi2), eq.ktilde):
         wk = w * ktilde
         new.append(np.concatenate(([float(wk[1:] @ psi[:-1]) / (1.0 - wk[0])], psi[:-1])))
 
     def rate(e, p1, p2):
-        j2 = float((w * eq.kernels.g1 * eq.x2_star) @ (1.0 + p2))
-        j1 = float((w * eq.kernels.g2 * eq.x1_star) @ (1.0 + p1))
-        return np.array([eq.zeta1 - u - np.exp(e[1]) * j2, eq.zeta2 - u - np.exp(-e[0]) / j1])
+        j2 = float((w * g1 * x2_star) @ (1.0 + p2))
+        j1 = float((w * g2 * x1_star) @ (1.0 + p1))
+        return np.array([zeta1 - u - np.exp(e[1]) * j2, zeta2 - u - np.exp(-e[0]) / j1])
 
     f1 = rate(eta, psi1, psi2)
     f2 = rate(eta + dt * f1, *new)

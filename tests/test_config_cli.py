@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predprey.cli import build_setup_from_config, main
+from predprey.cli import build_setup_from_config, main, write_csv
 from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.errors import ConfigError
 from predprey.lyapunov import default_lyap_config, v_full
@@ -136,7 +136,7 @@ def test_cli_trajectory_v_matches_v_full(tmp_path, kind, mode, gains):
     lyap = default_lyap_config(mode, gains["eps"], gains["beta"], setup.eq, setup.sigma,
                                delta=gains.get("delta"))
     ts = to_transformed(ic_from_spec(ICSpec(kind="FQ"), setup.eq), setup.eq, setup.adj)
-    assert v_written == pytest.approx(v_full(ts.eta, ts.psi1, ts.psi2, lyap, setup.eq),
+    assert v_written == pytest.approx(v_full(ts.eta, ts.psi, lyap, setup.eq),
                                       rel=1e-12)
 
 
@@ -436,3 +436,59 @@ def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["direct", "transformed"])
+@pytest.mark.parametrize("key", ["ic_log_slope_1 = 1000", "ic_log_offset_1 = -800"])
+def test_cli_multiplier_start_out_of_range_is_config_error(tmp_path, capsys, key, solver):
+    # a multiplier start that overflows (inf) or underflows (0) is rejected
+    # before the march, naming its keys, with no trajectory written
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        "[model]\nn_cells = 50\n[simulation]\nt_final = 1\nic = multiplier\n"
+        f"{key}\nsolver = {solver}\n",
+    )
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: [simulation] ic = multiplier" in err
+    assert "ic_log_offset_1/2" in err and "ic_log_slope_1/2" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_cli_sweep_checks_every_start_before_running(tmp_path, capsys):
+    # the multiplier combo fails its start check before the FQ combo runs
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        "[model]\nn_cells = 50\n[simulation]\nt_final = 1\nic_log_slope_1 = 1000\n"
+        "[sweep]\nic = FQ, multiplier\nworkers = 1\n",
+    )
+    rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: [simulation] ic = multiplier" in err
+    assert list((tmp_path / "sw").iterdir()) == []
+
+
+def test_write_csv_formats_each_value_like_format_or_str(tmp_path):
+    # one printf template per row gives each value's own text: format(v, ".17g")
+    # for floats, str(v) for integers and strings, in numeric and object columns
+    rng = np.random.default_rng(11)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.125, -1e-300]
+    scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, 200)
+    floats = np.concatenate([special, scaled])
+    n = len(floats)
+    ints = rng.integers(-10**15, 10**15, n)
+    strs = np.array([f"run_{i:03d}_ic-FQ" for i in range(n)])
+    columns = [floats, ints, strs, np.array(floats, dtype=object),
+               np.array(ints.tolist(), dtype=object), np.array(strs.tolist(), dtype=object)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["f", "i", "s", "of", "oi", "os"], columns)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "f,i,s,of,oi,os" and lines[-1] == "" and len(lines) == n + 2
+    for row, (f, i, text) in enumerate(zip(floats.tolist(), ints.tolist(), strs.tolist())):
+        cells = [format(f, ".17g"), str(i), text]
+        assert lines[row + 1] == ",".join(cells * 2)
+    with pytest.raises(ValueError, match="one length"):
+        write_csv(path, ["a", "b"], [floats, ints[:-1]])

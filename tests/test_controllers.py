@@ -229,19 +229,18 @@ def test_control_in_x_composes(setup400):
     spec = ControllerSpec(kind="control_a", eps=GAINS_A.eps, beta=GAINS_A.beta)
     bound = BoundController(spec, eq)
 
-    def u_of_x(x1, x2):
-        eta = np.log([pi_functional(x, adj) for x, adj in zip((x1, x2), setup400.adj)])
-        return bound.u_from_eta(eta)
+    def u_of_x(x):
+        return bound.u_from_eta(np.log(pi_functional(x, setup400.adj)))
 
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
     ts = to_transformed(state, eq, setup400.adj)
     expected = control_A(ts.eta, GAINS_A, eq)
-    assert u_of_x(state.x1, state.x2) == pytest.approx(expected, abs=1e-6)
-    assert u_of_x(eq.x1_star, eq.x2_star) == pytest.approx(
+    assert u_of_x(state.x) == pytest.approx(expected, abs=1e-6)
+    assert u_of_x(eq.x_star) == pytest.approx(
         eq.u_star, abs=1e-12
     )
     ln2 = np.log(2.0)
-    assert u_of_x(2 * eq.x1_star, 2 * eq.x2_star) == pytest.approx(
+    assert u_of_x(2 * eq.x_star) == pytest.approx(
         control_A(np.array([ln2, ln2]), GAINS_A, eq), abs=1e-12
     )
 
@@ -249,12 +248,12 @@ def test_control_in_x_composes(setup400):
 def test_sensor_equilibrium_pairings(setup400):
     eq, ks, grid = setup400.eq, setup400.kernels, setup400.grid
     # c1 = g2 collapses y1* to lambda1; c_i = k_i gives the newborn densities
-    sens = sensor_equilibrium(ks.g2, ks.g1, eq)
-    assert sens.y1_star == pytest.approx(eq.lambda1, rel=1e-12)
-    assert sens.y2_star == pytest.approx(eq.lambda2, rel=1e-12)
-    sens_birth = sensor_equilibrium(ks.k1, ks.k2, eq)
-    assert sens_birth.y1_star == pytest.approx(eq.x0_star[0], rel=1e-9)
-    assert sens_birth.y2_star == pytest.approx(eq.x0_star[1], rel=1e-9)
+    sens = sensor_equilibrium(ks.g[::-1], eq)
+    assert sens.y_star[0] == pytest.approx(eq.lambda1, rel=1e-12)
+    assert sens.y_star[1] == pytest.approx(eq.lambda2, rel=1e-12)
+    sens_birth = sensor_equilibrium(ks.k, eq)
+    assert sens_birth.y_star[0] == pytest.approx(eq.x0_star[0], rel=1e-9)
+    assert sens_birth.y_star[1] == pytest.approx(eq.x0_star[1], rel=1e-9)
 
 
 def test_sensor_equilibrium_both_routes_agree(setup400):
@@ -263,32 +262,32 @@ def test_sensor_equilibrium_both_routes_agree(setup400):
     for _ in range(5):
         c1 = rng.uniform(0.0, 2.0, size=grid.n_nodes)
         c2 = rng.uniform(0.0, 2.0, size=grid.n_nodes)
-        sens = sensor_equilibrium(c1, c2, eq)
+        sens = sensor_equilibrium(np.array([c1, c2]), eq)
         y1_cf, y2_cf = sensor_equilibrium_closed_form(c1, c2, eq)
-        assert sens.y1_star == pytest.approx(y1_cf, rel=1e-8)
-        assert sens.y2_star == pytest.approx(y2_cf, rel=1e-8)
+        assert sens.y_star[0] == pytest.approx(y1_cf, rel=1e-8)
+        assert sens.y_star[1] == pytest.approx(y2_cf, rel=1e-8)
 
 
 def test_control_measured_values(setup400):
     eq, ks, grid = setup400.eq, setup400.kernels, setup400.grid
-    sens = sensor_equilibrium(ks.g2, ks.g1, eq)
-    assert control_measured(sens.y1_star, sens.y2_star, sens, GAINS_A, eq) == pytest.approx(
+    sens = sensor_equilibrium(ks.g[::-1], eq)
+    assert control_measured(sens.y_star, sens, GAINS_A, eq) == pytest.approx(
         eq.u_star, abs=1e-14
     )
     # exact-state case: with a flat shape history the approximation is exact
     eta = np.array([0.4, -0.3])
-    x1 = eq.x1_star * np.exp(eta[0])
-    x2 = eq.x2_star * np.exp(eta[1])
-    y1 = quad(sens.c1 * x1, grid)
-    y2 = quad(sens.c2 * x2, grid)
-    assert control_measured(y1, y2, sens, GAINS_A, eq) == pytest.approx(
+    x1 = eq.x_star[0] * np.exp(eta[0])
+    x2 = eq.x_star[1] * np.exp(eta[1])
+    y1 = quad(sens.c[0] * x1, grid)
+    y2 = quad(sens.c[1] * x2, grid)
+    assert control_measured([y1, y2], sens, GAINS_A, eq) == pytest.approx(
         control_A(eta, GAINS_A, eq), abs=1e-9
     )
     # saturation: y1 -> infinity drives the first term to beta/lambda1
-    big = control_measured(1e12 * sens.y1_star, sens.y2_star, sens, GAINS_A, eq)
+    big = control_measured(sens.y_star * [1e12, 1.0], sens, GAINS_A, eq)
     assert big == pytest.approx(eq.u_star + GAINS_A.beta / eq.lambda1, abs=1e-9)
     with pytest.raises(ValueError, match="positive"):
-        control_measured(-1.0, 1.0, sens, GAINS_A, eq)
+        control_measured([-1.0, 1.0], sens, GAINS_A, eq)
 
 
 def test_bound_controller_dispatch(setup400):
@@ -305,12 +304,12 @@ def test_bound_controller_dispatch(setup400):
         assert not bound.needs_profiles
         assert np.isfinite(bound.u_from_eta(eta))
         with pytest.raises(GainConstraintError, match="acts on eta"):
-            bound.u_from_state(state.x1, state.x2)
+            bound.u_from_state(state.x)
     for sensor in ("interaction", "birth", "uniform"):
         bound = BoundController(ControllerSpec(kind="measured", sensor=sensor), eq)
         assert bound.needs_profiles
-        assert np.isfinite(bound.u_from_state(state.x1, state.x2))
-        assert bound.sensors.y1_star > 0 and bound.sensors.y2_star > 0
+        assert np.isfinite(bound.u_from_state(state.x))
+        assert bound.sensors.y_star[0] > 0 and bound.sensors.y_star[1] > 0
         with pytest.raises(GainConstraintError, match="population profiles"):
             bound.u_from_eta(eta)
     with pytest.raises(GainConstraintError, match="unknown controller kind"):

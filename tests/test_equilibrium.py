@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,14 +48,14 @@ def test_zero_mortality_double_kernel_matches_closed_form_oracle():
 
 def test_reference_kernels_exponent(setup400):
     eq = setup400.eq
-    assert eq.zeta1 == pytest.approx(1.17, abs=0.01)
-    assert eq.zeta2 == pytest.approx(1.17, abs=0.01)
+    assert eq.zeta[0] == pytest.approx(1.17, abs=0.01)
+    assert eq.zeta[1] == pytest.approx(1.17, abs=0.01)
 
 
 def test_discounted_kernel_normalized(setup400):
     eq, grid = setup400.eq, setup400.grid
-    assert quad(eq.ktilde1, grid) == pytest.approx(1.0, abs=1e-11)
-    assert quad(eq.ktilde2, grid) == pytest.approx(1.0, abs=1e-11)
+    assert quad(eq.ktilde[0], grid) == pytest.approx(1.0, abs=1e-11)
+    assert quad(eq.ktilde[1], grid) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_solver_reports_failed_bracket():
@@ -73,16 +75,16 @@ def test_reference_equilibrium_values(setup400):
 
 def test_setpoint_identities_exact(setup400):
     eq = setup400.eq
-    assert eq.zeta1 - eq.lambda2 == pytest.approx(eq.u_star, abs=1e-8)
-    assert eq.zeta2 - 1.0 / eq.lambda1 == pytest.approx(eq.u_star, abs=1e-8)
-    assert 0.0 < eq.u_star < min(eq.zeta1, eq.zeta2)
+    assert eq.zeta[0] - eq.lambda2 == pytest.approx(eq.u_star, abs=1e-8)
+    assert eq.zeta[1] - 1.0 / eq.lambda1 == pytest.approx(eq.u_star, abs=1e-8)
+    assert 0.0 < eq.u_star < min(eq.zeta)
 
 
 def test_profiles_positive_and_renewal_consistent(setup400):
     eq, ks, grid = setup400.eq, setup400.kernels, setup400.grid
-    assert np.all(eq.x1_star > 0) and np.all(eq.x2_star > 0)
-    assert bc_residual(eq.x1_star, ks.k1, grid) / eq.x0_star[0] < 1e-9
-    assert bc_residual(eq.x2_star, ks.k2, grid) / eq.x0_star[1] < 1e-9
+    assert np.all(eq.x_star[0] > 0) and np.all(eq.x_star[1] > 0)
+    assert bc_residual(eq.x_star[0], ks.k[0], grid) / eq.x0_star[0] < 1e-9
+    assert bc_residual(eq.x_star[1], ks.k[1], grid) / eq.x0_star[1] < 1e-9
 
 
 def test_harvest_helps_the_prey(setup400):
@@ -96,7 +98,7 @@ def test_harvest_helps_the_prey(setup400):
 
 def test_predator_newborns_vanish_at_upper_feasibility(setup400):
     ks = setup400.kernels
-    z_min = min(setup400.eq.zeta1, setup400.eq.zeta2)
+    z_min = min(setup400.eq.zeta)
     eq_near = compute_equilibrium(ks, z_min - 1e-6)
     assert eq_near.x0_star[1] < 1e-4 * setup400.eq.x0_star[1]
 
@@ -116,7 +118,7 @@ def test_exponent_grid_convergence_is_second_order():
     for n in (200, 400, 800, 1600):
         grid = AgeGrid(A=1.0, n_cells=n)
         ks = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-        zetas[n] = solve_lotka_sharpe(ks.mu1, ks.k1, grid, ks.cum_mu(1))
+        zetas[n] = solve_lotka_sharpe(ks.mu[0], ks.k[0], grid, ks.cum_mu[0])
     d1 = abs(zetas[400] - zetas[200])
     d2 = abs(zetas[800] - zetas[400])
     d3 = abs(zetas[1600] - zetas[800])
@@ -134,15 +136,7 @@ def test_equilibrium_values_grid_converged(setup400):
 
 def test_open_loop_eigs_symmetric_case(setup400):
     eq = setup400.eq
-    ref = object.__new__(type(eq))  # bypass construction for a synthetic case
-    eigs = open_loop_jacobian_eigs(
-        type(eq)(
-            grid=eq.grid, kernels=eq.kernels, u_star=eq.u_star, zeta1=eq.zeta1,
-            zeta2=eq.zeta2, lambda1=1.0, lambda2=1.0, x0_star=eq.x0_star,
-            x1_star=eq.x1_star, x2_star=eq.x2_star, xtilde1=eq.xtilde1,
-            xtilde2=eq.xtilde2, ktilde1=eq.ktilde1, ktilde2=eq.ktilde2,
-        )
-    )
+    eigs = open_loop_jacobian_eigs(replace(eq, lambda1=1.0, lambda2=1.0))
     assert eigs[0] == pytest.approx(1j)
     assert eigs[1] == pytest.approx(-1j)
 
@@ -158,11 +152,6 @@ def test_open_loop_eigs_match_matrix(setup400):
 
 def test_open_loop_eigs_quad_ratio(setup400):
     eq = setup400.eq
-    synthetic = type(eq)(
-        grid=eq.grid, kernels=eq.kernels, u_star=eq.u_star, zeta1=eq.zeta1,
-        zeta2=eq.zeta2, lambda1=1.0, lambda2=4.0, x0_star=eq.x0_star,
-        x1_star=eq.x1_star, x2_star=eq.x2_star, xtilde1=eq.xtilde1,
-        xtilde2=eq.xtilde2, ktilde1=eq.ktilde1, ktilde2=eq.ktilde2,
-    )
+    synthetic = replace(eq, lambda1=1.0, lambda2=4.0)
     eigs = open_loop_jacobian_eigs(synthetic)
     assert eigs[0] == pytest.approx(2j)

@@ -35,7 +35,7 @@ from predprey.lyapunov import (
 from predprey.equilibrium import compute_equilibrium
 from predprey.model import AgeGrid, build_kernels, cumulative, quad
 from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
-from predprey.transform import HistoryBuffer, to_transformed
+from predprey.transform import to_transformed
 
 from oracles import (
     closed_loop_rhs,
@@ -206,18 +206,18 @@ def test_h_edge_cases():
 def test_g_fn_values(setup400):
     grid = setup400.grid
     sigma = 1.3
-    assert g_fn(zero_history(grid), sigma) == 0.0
-    up = HistoryBuffer(grid, 0.4 * np.ones(grid.n_nodes))
-    assert g_fn(up, sigma) == pytest.approx(0.4 * np.exp(sigma * grid.A), rel=1e-12)
-    down = HistoryBuffer(grid, -0.4 * np.ones(grid.n_nodes))
-    assert g_fn(down, sigma) == pytest.approx(
+    assert g_fn(zero_history(grid)[0], sigma, grid) == 0.0
+    up = 0.4 * np.ones(grid.n_nodes)
+    assert g_fn(up, sigma, grid) == pytest.approx(0.4 * np.exp(sigma * grid.A), rel=1e-12)
+    down = -0.4 * np.ones(grid.n_nodes)
+    assert g_fn(down, sigma, grid) == pytest.approx(
         0.4 * np.exp(sigma * grid.A) / 0.6, rel=1e-12
     )
 
 
 def test_find_sigma_reference_kernel(setup400):
     grid = setup400.grid
-    kt = setup400.eq.ktilde1
+    kt = setup400.eq.ktilde[0]
     kappa, sigma = find_sigma(kt, grid)
     assert kappa > 0 and sigma > 0
     # the weighted integral sits just under one at the certified exponent
@@ -232,7 +232,7 @@ def test_find_sigma_reference_kernel(setup400):
 
 def test_find_sigma_kappa_minimizes_residual(setup400):
     grid = setup400.grid
-    for kt in (setup400.eq.ktilde1, setup400.eq.ktilde2):
+    for kt in setup400.eq.ktilde:
         kappa, _ = find_sigma(kt, grid)
         kc = cumulative(kt, grid)
         tail = kc[-1] - kc
@@ -255,7 +255,7 @@ def test_find_sigma_pinned_values():
     for n, sigma_ref in pinned.items():
         grid = AgeGrid(A=1.0, n_cells=n)
         eq = compute_equilibrium(build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid), 0.15)
-        for kt in (eq.ktilde1, eq.ktilde2):
+        for kt in eq.ktilde:
             assert find_sigma(kt, grid)[1] == pytest.approx(sigma_ref, rel=1e-12)
 
 
@@ -263,13 +263,13 @@ def test_v_full_additivity(setup400, cfg2):
     eq, grid = setup400.eq, setup400.grid
     rng = np.random.default_rng(2)
     eta = np.array([0.3, -0.2])
-    psi1 = HistoryBuffer(grid, rng.uniform(-0.5, 0.8, grid.n_nodes))
-    psi2 = HistoryBuffer(grid, rng.uniform(-0.5, 0.8, grid.n_nodes))
-    total = v_full(eta, psi1, psi2, cfg2, eq)
-    tail = cfg2.gamma1 / cfg2.sigma1 * h_fn(g_fn(psi1, cfg2.sigma1))
-    tail += cfg2.gamma2 / cfg2.sigma2 * h_fn(g_fn(psi2, cfg2.sigma2))
+    psi1 = rng.uniform(-0.5, 0.8, grid.n_nodes)
+    psi2 = rng.uniform(-0.5, 0.8, grid.n_nodes)
+    total = v_full(eta, np.array([psi1, psi2]), cfg2, eq)
+    tail = cfg2.gamma1 / cfg2.sigma1 * h_fn(g_fn(psi1, cfg2.sigma1, grid))
+    tail += cfg2.gamma2 / cfg2.sigma2 * h_fn(g_fn(psi2, cfg2.sigma2, grid))
     assert total - v1(eta, cfg2.eps, eq) == pytest.approx(tail, rel=1e-12)
-    assert v_full(np.zeros(2), zero_history(grid), zero_history(grid), cfg2, eq) == 0.0
+    assert v_full(np.zeros(2), zero_history(grid), cfg2, eq) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def _scaled_ic(setup, cfg, c_star):
     def v_of(s):
         spec = ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
         ts = to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
-        return v_full(ts.eta, ts.psi1, ts.psi2, cfg, setup.eq)
+        return v_full(ts.eta, ts.psi, cfg, setup.eq)
 
     lo, hi = 0.0, 1.0
     for _ in range(50):

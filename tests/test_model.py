@@ -100,10 +100,10 @@ def test_cumulative_matches_quad_at_endpoint():
 def test_build_kernels_samples():
     grid = AgeGrid(A=1.0, n_cells=10)
     ks = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-    assert ks.mu1[0] == pytest.approx(0.5)
-    assert ks.g1[0] == 0.0 and ks.g1[-1] == pytest.approx(0.0, abs=1e-15)
-    assert ks.k1[-1] == pytest.approx(3.0 * np.exp(-1.0), abs=1e-12)
-    assert ks.k1[-1] == pytest.approx(1.10364, abs=5e-6)
+    assert ks.mu[0, 0] == pytest.approx(0.5)
+    assert ks.g[0, 0] == 0.0 and ks.g[0, -1] == pytest.approx(0.0, abs=1e-15)
+    assert ks.k[0, -1] == pytest.approx(3.0 * np.exp(-1.0), abs=1e-12)
+    assert ks.k[0, -1] == pytest.approx(1.10364, abs=5e-6)
 
 
 def test_build_kernels_rejects_nonpositive_shape():
@@ -118,25 +118,25 @@ def test_build_kernels_rejects_nonpositive_shape():
 def test_build_kernels_nonnegative_grid(mu_bar, k_bar, g_bar):
     grid = AgeGrid(A=1.0, n_cells=33)
     ks = build_kernels(mu_bar, k_bar, g_bar, mu_bar, k_bar, g_bar, grid)
-    for arr in (ks.mu1, ks.k1, ks.g1, ks.mu2, ks.k2, ks.g2):
+    for arr in (*ks.mu, *ks.k, *ks.g):
         assert np.all(arr >= 0)
 
 
 def test_cum_mu_exact_vs_trapezoid():
     grid = AgeGrid(A=1.0, n_cells=200)
     ks = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-    exact = ks.cum_mu(1)
+    exact = ks.cum_mu[0]
     assert exact[0] == 0.0
     assert exact[-1] == pytest.approx(0.5 * (np.e - 1.0), abs=1e-14)
-    approx = cumulative(ks.mu1, grid)
+    approx = cumulative(ks.mu[0], grid)
     assert np.max(np.abs(exact - approx)) < 1e-5
 
 
 def test_kernels_from_tables_rejects_negative():
     grid = AgeGrid(A=1.0, n_cells=4)
-    ones = np.ones(grid.n_nodes)
+    ones = np.ones((2, grid.n_nodes))
     with pytest.raises(ValueError, match="nonnegative"):
-        kernels_from_tables(grid, ones, ones, -ones, ones, ones, ones)
+        kernels_from_tables(grid, ones, ones, -ones)
 
 
 def test_bc_residual_zero_kernel():
@@ -148,27 +148,27 @@ def test_bc_residual_zero_kernel():
 
 def test_bc_residual_equilibrium_profile(setup400):
     eq = setup400.eq
-    res = bc_residual(eq.x1_star, setup400.kernels.k1, setup400.grid)
+    res = bc_residual(eq.x_star[0], setup400.kernels.k[0], setup400.grid)
     assert res / eq.x0_star[0] < 1e-6
-    assert satisfies_bc(eq.x1_star, setup400.kernels.k1, setup400.grid)
+    assert satisfies_bc(eq.x_star[0], setup400.kernels.k[0], setup400.grid)
 
 
 def test_bc_residual_doubled_boundary(setup400):
     eq = setup400.eq
-    x = eq.x1_star.copy()
+    x = eq.x_star[0].copy()
     x[0] *= 2.0
-    res = bc_residual(x, setup400.kernels.k1, setup400.grid)
+    res = bc_residual(x, setup400.kernels.k[0], setup400.grid)
     # doubling the newborn node shifts the residual by about x(0)/2: the
     # boundary node also enters the birth integral with weight w0*k(0)
-    expected = eq.x0_star[0] * (1.0 - setup400.grid.weights[0] * setup400.kernels.k1[0])
+    expected = eq.x0_star[0] * (1.0 - setup400.grid.weights[0] * setup400.kernels.k[0, 0])
     assert res == pytest.approx(expected, rel=1e-9)
     assert res == pytest.approx(eq.x0_star[0], rel=5e-3)
 
 
 def test_population_state_positivity():
     grid = AgeGrid(A=1.0, n_cells=5)
-    good = PopulationState(t=0.0, x1=np.ones(6), x2=np.ones(6))
+    good = PopulationState(t=0.0, x=np.ones((2, 6)))
     good.validate(grid)
-    bad = PopulationState(t=0.0, x1=np.ones(6), x2=np.zeros(6))
+    bad = PopulationState(t=0.0, x=np.array([np.ones(6), np.zeros(6)]))
     with pytest.raises(NumericalError):
         bad.validate(grid)

@@ -1,4 +1,5 @@
-"""The reproduction scripts under scripts/ run end to end, in-process."""
+"""The reproduction scripts under scripts/ and the README's library example
+run end to end, in-process."""
 import importlib.util
 import json
 import sys
@@ -39,3 +40,13 @@ def test_reproduction_scripts(tmp_path, monkeypatch):
     assert _run_main("grid_convergence", monkeypatch, "--cells", "50,100", "--out", str(conv)) == 0
     rows = (conv / "convergence.csv").read_text().strip().splitlines()
     assert len(rows) == 3  # header and one row per resolution
+
+
+def test_readme_library_use_block_runs():
+    # the "Library use" example, executed as written: a stale name in it fails
+    # here, and the dilution keeps the floor its comment states
+    text = (SCRIPTS.parent / "README.md").read_text()
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["traj"].u.min() >= 0.0098

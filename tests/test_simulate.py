@@ -29,14 +29,14 @@ OPEN = ControllerSpec(kind="open_loop")
 def test_ic_fq_newborn_value(setup400):
     eq = setup400.eq
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
-    assert state.x1[0] == pytest.approx(eq.x0_star[0] * np.e, rel=1e-12)
-    assert state.x1[0] == pytest.approx(91.9, abs=0.2)
+    assert state.x[0, 0] == pytest.approx(eq.x0_star[0] * np.e, rel=1e-12)
+    assert state.x[0, 0] == pytest.approx(91.9, abs=0.2)
 
 
 def test_ic_unit_multiplier_is_equilibrium(setup400):
     eq = setup400.eq
     state = ic_from_spec(ICSpec(kind="multiplier"), eq)
-    assert np.allclose(state.x1, eq.x1_star) and np.allclose(state.x2, eq.x2_star)
+    assert np.allclose(state.x[0], eq.x_star[0]) and np.allclose(state.x[1], eq.x_star[1])
 
 
 def test_ic_sq_transforms_to_second_quadrant(setup400):
@@ -50,15 +50,14 @@ def test_ic_table_requires_positive(setup400):
     eq = setup400.eq
     with pytest.raises(NumericalError):
         ic_from_spec(
-            ICSpec(kind="table", x1=np.zeros(setup400.grid.n_nodes),
-                   x2=eq.x2_star.copy()),
+            ICSpec(kind="table", x=eq.x_star * [[0.0], [1.0]]),
             eq,
         )
 
 
 def test_interaction_terms_at_equilibrium(setup400):
     eq = setup400.eq
-    state = PopulationState(t=0.0, x1=eq.x1_star.copy(), x2=eq.x2_star.copy())
+    state = PopulationState(t=0.0, x=eq.x_star.copy())
     i1, i2 = interaction_terms(state, setup400.kernels)
     assert i1 == pytest.approx(eq.lambda2, rel=1e-10)
     assert i2 == pytest.approx(1.0 / eq.lambda1, rel=1e-10)
@@ -67,29 +66,27 @@ def test_interaction_terms_at_equilibrium(setup400):
 
 def test_interaction_terms_scalings(setup400):
     eq = setup400.eq
-    doubled = PopulationState(t=0.0, x1=2.0 * eq.x1_star, x2=eq.x2_star.copy())
+    doubled = PopulationState(t=0.0, x=eq.x_star * [[2.0], [1.0]])
     _, i2 = interaction_terms(doubled, setup400.kernels)
     assert i2 == pytest.approx(1.0 / (2.0 * eq.lambda1), rel=1e-10)
-    no_predators = PopulationState(t=0.0, x1=eq.x1_star.copy(),
-                                   x2=np.zeros_like(eq.x2_star))
+    no_predators = PopulationState(t=0.0, x=eq.x_star * [[1.0], [0.0]])
     i1, _ = interaction_terms(no_predators, setup400.kernels)
     assert i1 == 0.0
 
 
 def test_interaction_terms_prey_collapse(setup400):
     eq = setup400.eq
-    collapsed = PopulationState(t=1.0, x1=np.zeros_like(eq.x1_star),
-                                x2=eq.x2_star.copy())
+    collapsed = PopulationState(t=1.0, x=eq.x_star * [[0.0], [1.0]])
     with pytest.raises(NumericalError, match="collapse"):
         interaction_terms(collapsed, setup400.kernels)
 
 
 def test_step_direct_fixed_point(setup400):
     eq, grid = setup400.eq, setup400.grid
-    state = PopulationState(t=0.0, x1=eq.x1_star.copy(), x2=eq.x2_star.copy())
+    state = PopulationState(t=0.0, x=eq.x_star.copy())
     nxt = step_direct(state, eq.u_star, setup400.kernels, grid.da)
-    assert np.max(np.abs(nxt.x1 - eq.x1_star) / eq.x1_star) < 1e-4
-    assert np.max(np.abs(nxt.x2 - eq.x2_star) / eq.x2_star) < 1e-4
+    assert np.max(np.abs(nxt.x[0] - eq.x_star[0]) / eq.x_star[0]) < 1e-4
+    assert np.max(np.abs(nxt.x[1] - eq.x_star[1]) / eq.x_star[1]) < 1e-4
 
 
 @pytest.mark.parametrize("solver", ["direct", "transformed"])
@@ -102,12 +99,11 @@ def test_step_matches_simulate(setup100, solver):
     controller = BoundController(spec, eq)
     if solver == "direct":
         traj = simulate_direct(setup100, cfg)
-        wpi = [grid.weights * adj.pi0 for adj in setup100.adj]
+        wpi, denom = grid.weights * setup100.adj.pi0, setup100.adj.denom
         state = ic_from_spec(cfg.ic, eq)
 
         def eta_of(s):
-            return np.array([np.log(float(wpi[i] @ x) / setup100.adj[i].denom)
-                             for i, x in enumerate((s.x1, s.x2))])
+            return np.array([np.log(float(wpi[i] @ x) / denom[i]) for i, x in enumerate(s.x)])
 
         def step(s, u):
             return step_direct(s, u, setup100.kernels, grid.da)
@@ -151,10 +147,10 @@ def test_direct_kernel_pure_transport():
 
 def test_direct_kernel_rejects_coarse_renewal():
     grid = AgeGrid(A=1.0, n_cells=2)
-    ones = np.ones(grid.n_nodes)
-    k = np.full(grid.n_nodes, 5.0)  # w0*k0 = 0.25*5 > 1
-    kernels = kernels_from_tables(grid, ones, k, ones, ones, k, ones)
-    state = PopulationState(t=0.0, x1=ones.copy(), x2=ones.copy())
+    ones = np.ones((2, grid.n_nodes))
+    k = np.full((2, grid.n_nodes), 5.0)  # w0*k0 = 0.25*5 > 1
+    kernels = kernels_from_tables(grid, ones, k, ones)
+    state = PopulationState(t=0.0, x=ones.copy())
     with pytest.raises(NumericalError, match="coarse") as err:
         step_direct(state, 0.1, kernels, grid.da)
     assert err.value.reason == "renewal_weight"
@@ -166,10 +162,12 @@ def test_simulate_rejects_coarse_renewal_at_t0(setup100, solver):
     # kernel ktilde1; both loops report it at t = 0 with the same message
     big = np.full(setup100.grid.n_nodes, 300.0)
     if solver == "direct":
-        setup = replace(setup100, kernels=replace(setup100.kernels, k1=big))
+        k = np.array([big, setup100.kernels.k[1]])
+        setup = replace(setup100, kernels=replace(setup100.kernels, k=k))
         run, ic = simulate_direct, ICSpec(kind="FQ")
     else:
-        setup = replace(setup100, eq=replace(setup100.eq, ktilde1=big))
+        ktilde = np.array([big, setup100.eq.ktilde[1]])
+        setup = replace(setup100, eq=replace(setup100.eq, ktilde=ktilde))
         run, ic = simulate_transformed, ICSpec(kind="eta", eta0=(0.1, -0.1))
     with pytest.raises(NumericalError, match="kernel at age 0 reaches 1.5 ") as err:
         run(setup, SimConfig(t_final=0.1, controller=OPEN, ic=ic))
@@ -179,22 +177,22 @@ def test_simulate_rejects_coarse_renewal_at_t0(setup100, solver):
 
 def test_direct_snapshot_does_not_alias_table_ic(setup100):
     eq = setup100.eq
-    x1, x2 = eq.x1_star * 1.1, eq.x2_star * 0.9
+    x = eq.x_star * [[1.1], [0.9]]
     traj = simulate_direct(
         setup100, SimConfig(t_final=0.1, controller=OPEN,
-                            ic=ICSpec(kind="table", x1=x1, x2=x2), snapshot_times=(0.0,)),
+                            ic=ICSpec(kind="table", x=x), snapshot_times=(0.0,)),
     )
-    t0, s1, s2 = traj.snapshots[0]
-    assert t0 == 0.0 and np.array_equal(s1, x1) and np.array_equal(s2, x2)
-    assert not np.shares_memory(s1, x1) and not np.shares_memory(s2, x2)
+    t0, s = traj.snapshots[0]
+    assert t0 == 0.0 and np.array_equal(s[0], x[0]) and np.array_equal(s[1], x[1])
+    assert not np.shares_memory(s, x)
 
 
 def test_step_transformed_zero_history_is_invariant(setup200):
     eq, grid = setup200.eq, setup200.grid
     ts = transformed_ic(ICSpec(kind="eta", eta0=(0.4, -0.3)), setup200)
     nxt = step_transformed(ts, eq.u_star, eq, grid.da)
-    assert np.max(np.abs(nxt.psi1.samples)) < 1e-14
-    assert np.max(np.abs(nxt.psi2.samples)) < 1e-14
+    assert np.max(np.abs(nxt.psi[0])) < 1e-14
+    assert np.max(np.abs(nxt.psi[1])) < 1e-14
 
 
 def test_step_transformed_origin_fixed_point(setup200):
@@ -210,11 +208,11 @@ def test_step_transformed_matches_species_reference(setup100):
     # reference divides by j1, so eta agrees to rounding
     eq, grid = setup100.eq, setup100.grid
     ts = transformed_ic(ICSpec(kind="SQ"), setup100)
-    ref = (ts.eta, ts.psi1.samples, ts.psi2.samples)
+    ref = (ts.eta, *ts.psi)
     for _ in range(100):
         ts = step_transformed(ts, 0.12, eq, grid.da)
         ref = transformed_step_reference(*ref, 0.12, eq)
-    assert np.array_equal(ts.psi1.samples, ref[1]) and np.array_equal(ts.psi2.samples, ref[2])
+    assert np.array_equal(ts.psi[0], ref[1]) and np.array_equal(ts.psi[1], ref[2])
     assert np.allclose(ts.eta, ref[0], rtol=1e-13, atol=0.0)
 
 
@@ -247,11 +245,11 @@ def test_simulate_direct_positivity_and_bc(setup400):
                   snapshot_times=tuple(np.linspace(0, 20, 21))),
     )
     ks, grid = setup400.kernels, setup400.grid
-    for t_snap, x1, x2 in traj.snapshots:
+    for t_snap, (x1, x2) in traj.snapshots:
         assert np.all(x1 > 0) and np.all(x2 > 0)
         if t_snap > 0:  # the initial profiles deliberately violate the BC
-            assert bc_residual(x1, ks.k1, grid) / x1[0] < 1e-3
-            assert bc_residual(x2, ks.k2, grid) / x2[0] < 1e-3
+            assert bc_residual(x1, ks.k[0], grid) / x1[0] < 1e-3
+            assert bc_residual(x2, ks.k[1], grid) / x2[0] < 1e-3
     assert np.all(traj.psi_min > -1.0)
 
 
@@ -262,9 +260,9 @@ def test_recorded_g_at_t0_is_g_fn_of_the_start(setup100, run, ic):
     # g_fn of the start's histories exactly
     traj = run(setup100, SimConfig(t_final=0.1, controller=OPEN, ic=ICSpec(kind=ic)))
     ts = to_transformed(ic_from_spec(ICSpec(kind=ic), setup100.eq), setup100.eq, setup100.adj)
-    assert traj.G1[0] == g_fn(ts.psi1, setup100.sigma[0])
-    assert traj.G2[0] == g_fn(ts.psi2, setup100.sigma[1])
-    assert tuple(traj.psi_min[0]) == (ts.psi1.samples.min(), ts.psi2.samples.min())
+    assert traj.G1[0] == g_fn(ts.psi[0], setup100.sigma[0], setup100.grid)
+    assert traj.G2[0] == g_fn(ts.psi[1], setup100.sigma[1], setup100.grid)
+    assert tuple(traj.psi_min[0]) == (ts.psi[0].min(), ts.psi[1].min())
 
 
 def test_named_starts_are_their_formulas(setup100):
@@ -274,8 +272,8 @@ def test_named_starts_are_their_formulas(setup100):
     up, down = np.exp(1.0 + 2.0 * a), np.exp(-1.0 - 2.0 * a)
     for kind, m1, m2 in (("FQ", up, down), ("SQ", down, up), ("equilibrium", 1.0, 1.0)):
         state = ic_from_spec(ICSpec(kind=kind), eq)
-        assert np.array_equal(state.x1, eq.x1_star * m1), kind
-        assert np.array_equal(state.x2, eq.x2_star * m2), kind
+        assert np.array_equal(state.x[0], eq.x_star[0] * m1), kind
+        assert np.array_equal(state.x[1], eq.x_star[1] * m2), kind
 
 
 def test_simulate_records_monotone_times(setup100):
@@ -312,9 +310,9 @@ def test_transformed_renewal_identity_enforced(setup200):
     cur = ts
     for _ in range(30):
         cur = step_transformed(cur, eq.u_star, eq, grid.da)
-    for i, psi in ((1, cur.psi1), (2, cur.psi2)):
-        wk = w * eq.ktilde(i)
-        resid = abs(psi.samples[0] - wk @ psi.samples)
+    for psi, ktilde in zip(cur.psi, eq.ktilde):
+        wk = w * ktilde
+        resid = abs(psi[0] - wk @ psi)
         assert resid < 1e-8
 
 
@@ -359,12 +357,12 @@ def test_direct_convergence_order(kind, ic, lo, hi, setup100, setup200, setup400
 
     def final(setup):
         eq = setup.eq
-        spec = (ICSpec(kind="table", x1=2.0 * eq.x1_star, x2=0.5 * eq.x2_star)
+        spec = (ICSpec(kind="table", x=eq.x_star * [[2.0], [0.5]])
                 if ic == "table" else ICSpec(kind=ic))
         traj = simulate_direct(setup, SimConfig(
             t_final=2.0, controller=ControllerSpec(kind=kind, **gains), ic=spec,
             record_every=10**6, snapshot_times=(2.0,)))
-        return traj.eta[-1], traj.snapshots[-1][1:]
+        return traj.eta[-1], traj.snapshots[-1][1]
 
     eta_ref, x_ref = final(setup1600)
     errors = []
