@@ -39,7 +39,7 @@ from .simulate import (
     simulate_transformed,
     simulate_transformed_batch,
 )
-from .transform import check_S, reconstruct, to_transformed
+from .transform import check_S, pi_functional, reconstruct, shape_deviation, to_transformed
 
 MIN_CELLS = 100
 
@@ -131,24 +131,33 @@ class VerifyContext:
     def scaled_ic_inside(self, kind: str) -> ICSpec:
         """Multiplier IC bisected so V(eta0, psi0) <= 0.9 * c_star."""
         def build():
-            setup = self.setup()
-            cfg = self.lyap_config(kind)
-            c_star = self.roa(kind).c_star
-
-            def v_of(s: float) -> float:
-                spec = ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
-                ts = to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
-                return v_full(ts.eta, ts.psi, cfg, setup.eq)
-
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if v_of(mid) <= 0.9 * c_star:
-                    lo = mid
-                else:
-                    hi = mid
-            return ICSpec(kind="multiplier", log_offset=(lo, -lo), log_slope=(2 * lo, -2 * lo))
+            s = float(bisect_scale(self.setup(), self.lyap_config(kind),
+                                   0.9 * self.roa(kind).c_star, [[1.0, -1.0]], [[2.0, -2.0]])[0])
+            return ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
         return self._get(("scaled_ic", kind), build)
+
+
+def multiplier_v(setup, cfg: LyapConfig, scale, offset, slope) -> np.ndarray:
+    """V(eta0, psi0) of the multiplier starts x_i = x_i_star *
+    exp(s*offset_i + s*slope_i*a), one per row of the (B,) scales s and the
+    (B, 2) directions offset and slope, in one stacked call."""
+    eq = setup.eq
+    s = np.asarray(scale, dtype=float)[:, None, None]
+    x = eq.x_star * np.exp(s * np.asarray(offset, dtype=float)[..., None]
+                           + s * np.asarray(slope, dtype=float)[..., None] * eq.grid.nodes)
+    p = pi_functional(x, setup.adj)
+    return v_full(np.log(p), shape_deviation(x, eq.x_star, p[..., None]), cfg, eq)
+
+
+def bisect_scale(setup, cfg: LyapConfig, level: float, offset, slope) -> np.ndarray:
+    """Per row of the (B, 2) directions, the scale s in [0, 1] with
+    ``multiplier_v`` <= level that 60 bisection rounds reach from below."""
+    lo, hi = np.zeros(len(offset)), np.ones(len(offset))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = multiplier_v(setup, cfg, mid, offset, slope) <= level
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return lo
 
 
 def criterion(cid: str, name: str, needs_grid: bool = False):

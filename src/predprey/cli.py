@@ -26,7 +26,6 @@ from .lyapunov import (
     ANALYSIS_MODE,
     level_contour,
     lyap_config_for,
-    phi_lower_bound,
     roa_estimate,
     verify_level_set,
 )
@@ -197,13 +196,13 @@ def _checked_run(cfg: RunConfig, setup: Setup):
     return sim_cfg, lyap
 
 
-def _run_simulation(cfg: RunConfig, setup: Setup, solver: str):
-    sim_cfg, lyap = _checked_run(cfg, setup)
+def _run_simulation(setup: Setup, sim_cfg: SimConfig, lyap, solver: str):
+    """March a run that ``_checked_run`` checked, and record its V."""
     run = simulate_direct if solver == "direct" else simulate_transformed
     return run(setup, sim_cfg).finalize_lyapunov(setup.eq, lyap)
 
 
-def _write_trajectory(outdir: Path, cfg: RunConfig, setup: Setup, traj, suffix: str, plot: bool):
+def _write_trajectory(outdir: Path, setup: Setup, traj, suffix: str, plot: bool):
     name = f"trajectory{suffix}.csv"
     write_csv(
         outdir / name,
@@ -252,10 +251,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     setup = build_setup_from_config(cfg)
     solver = cfg.simulation.solver
     solvers = ("direct", "transformed") if solver == "both" else (solver,)
+    sim_cfg, lyap = _checked_run(cfg, setup)
     for s in solvers:
-        traj = _run_simulation(cfg, setup, s)
+        traj = _run_simulation(setup, sim_cfg, lyap, s)
         suffix = f"_{s}" if solver == "both" else ""
-        _write_trajectory(outdir, cfg, setup, traj, suffix, plot)
+        _write_trajectory(outdir, setup, traj, suffix, plot)
         print(
             f"{s} run: {len(traj.times)} records, final |eta| = "
             f"{np.linalg.norm(traj.eta[-1]):.3e}, min u = {traj.u.min():.4f} "
@@ -296,15 +296,15 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         "c_star": result.c_star,
         "argmin_eta": list(map(float, result.argmin_eta)),
         "active_constraint": result.active_piece,
-        "H1": result.H1,
-        "H2": result.H2,
+        "H1": lyap.H1,
+        "H2": lyap.H2,
         "gamma1": lyap.gamma1,
         "gamma2": lyap.gamma2,
         "membership_violations_400sq": violations,
     }
     if lyap.mode == "saturated":
         summary["varpi"] = lyap.varpi
-        summary["phi_lower_bound"] = phi_lower_bound(lyap)
+        summary["phi_lower_bound"] = lyap.K
     write_json(outdir / "roa_summary.json", summary)
     if plot:
         curves = [("level set V1=c*", contour, "")]
@@ -317,17 +317,17 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         )
     print(
         f"roa: c* = {result.c_star:.6f} on {result.active_piece}, "
-        f"H1={result.H1:.4f}, H2={result.H2:.4f}, violations={violations} -> {outdir}"
+        f"H1={lyap.H1:.4f}, H2={lyap.H2:.4f}, violations={violations} -> {outdir}"
     )
     return 0
 
 
 def _sweep_worker(args) -> dict:
-    cfg, setup, combo, outdir = args
+    setup, sim_cfg, lyap, combo, outdir = args
     run_dir = Path(outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    traj = _run_simulation(cfg, setup, "direct")
-    _write_trajectory(run_dir, cfg, setup, traj, "", plot=False)
+    traj = _run_simulation(setup, sim_cfg, lyap, "direct")
+    _write_trajectory(run_dir, setup, traj, "", plot=False)
     return {
         **combo,
         "dir": str(run_dir),
@@ -353,13 +353,13 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
             updates.setdefault(section, {})[key] = value
         run_cfg = override(cfg, **updates)
         # every combo checks its controller, analysis and start before the
-        # first run, and runs on the Setup checked here
+        # first run, and runs as checked here, on the Setup built here
         u_star = run_cfg.equilibrium.u_star
         if u_star not in setups:
             setups[u_star] = build_setup_from_config(run_cfg)
-        _checked_run(run_cfg, setups[u_star])
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
-        jobs.append((run_cfg, setups[u_star], combo, str(outdir / f"run_{idx:03d}_{slug}")))
+        jobs.append((setups[u_star], *_checked_run(run_cfg, setups[u_star]), combo,
+                     str(outdir / f"run_{idx:03d}_{slug}")))
     workers = cfg.sweep.workers or os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
         try:

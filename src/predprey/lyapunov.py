@@ -1,14 +1,13 @@
 """Lyapunov functions, decrease certificates, and region-of-attraction estimates.
 
-Two analysis modes are supported, one per feedback law:
-
-* ``gradient`` (control A): quadratic-form decrease with matrix Q, constraint
-  region cut by the eta box and the positivity of the feedback itself;
-* ``saturated`` (control B): saturated decrease, constraint region cut by a
-  tighter eta box and a lower bound on varphi = phi_1 + (1+eps)*phi_2.
-
-Both modes share the composite functional
-V = V1(eta) + sum_i (gamma_i/sigma_i) h(G_i(psi_i)).
+Each feedback law has one analysis mode, ``gradient`` for control A and
+``saturated`` for control B, and ``lyap_config_for`` builds its
+``LyapConfig``.  Both modes share the composite functional
+V = V1(eta) + sum_i (gamma_i/sigma_i) h(G_i(psi_i)) and the shape of the
+region: the box eta1 >= -H1, eta2 <= H2, cut by the one curve
+varphi = phi_1 + (1+eps)*phi_2 > K.  In the gradient mode K = -u_star/beta,
+where control A stays positive; in the saturated mode K is the varphi bound
+-sqrt(beta^2/varpi^2 - delta^2).
 """
 from __future__ import annotations
 
@@ -196,12 +195,15 @@ GAMMA_SAFETY = 2.0
 
 @dataclass(frozen=True)
 class LyapConfig:
-    """Weights and constants for the composite functional and its region.
+    """The Lyapunov analysis of one feedback law: the weights of V and the
+    region they certify.
 
-    mode ``gradient`` pairs with control A gains, ``saturated`` with control B gains
-    (which add delta and the analysis constant varpi).  sigma1 and sigma2 are the
-    certified decay exponents (``Setup.sigma``): the same values weight h(G_i) in V
-    and enter G_i itself.
+    ``lyap_config_for`` builds it, and nothing ``dataclasses.replace``s it,
+    since the stored region H1, H2, K would go stale.  mode ``gradient`` pairs
+    with control A gains, ``saturated`` with control B gains (which add delta
+    and the analysis constant varpi).  sigma1 and sigma2 are the certified
+    decay exponents (``Setup.sigma``): the same values weight h(G_i) in V and
+    enter G_i itself.
     """
 
     mode: str
@@ -211,15 +213,11 @@ class LyapConfig:
     gamma2: float
     sigma1: float
     sigma2: float
-    delta: float | None = None
-    varpi: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("gradient", "saturated"):
-            raise GainConstraintError(f"unknown analysis mode {self.mode!r}")
-        for name in ("gamma1", "gamma2", "sigma1", "sigma2"):
-            if not getattr(self, name) > 0:
-                raise GainConstraintError(f"{name} must be positive")
+    delta: float | None
+    varpi: float | None
+    H1: float
+    H2: float
+    K: float
 
 
 def gamma_circ(eps: float, beta: float) -> float:
@@ -239,74 +237,6 @@ def gamma_lower_bounds(mode: str, eps: float, beta: float, eq: Equilibrium,
     return lo1, lo2
 
 
-def _check_saturated_gains(eps: float, beta: float, delta: float | None):
-    """The saturated mode needs control B gains with beta > 0: at beta = 0 the
-    default varpi = beta/(2*delta) is 0, and the gamma2 bound divides by it."""
-    if delta is None:
-        raise GainConstraintError("saturated mode needs delta")
-    GainsB(eps=eps, beta=beta, delta=delta)
-    if not beta > 0:
-        raise GainConstraintError("saturated mode requires beta > 0")
-
-
-def validate_lyap_config(cfg: LyapConfig, eq: Equilibrium) -> LyapConfig:
-    """Enforce the strict weight inequalities of the active mode."""
-    if cfg.mode == "gradient":
-        GainsA(eps=cfg.eps, beta=cfg.beta)
-        lo1, lo2 = gamma_lower_bounds("gradient", cfg.eps, cfg.beta, eq)
-    else:
-        _check_saturated_gains(cfg.eps, cfg.beta, cfg.delta)
-        if cfg.varpi is None:
-            raise GainConstraintError("saturated mode needs varpi")
-        if not 0.0 < cfg.varpi < cfg.beta / cfg.delta:
-            raise GainConstraintError(
-                f"saturated mode requires 0 < varpi < beta/delta = "
-                f"{cfg.beta / cfg.delta:.6g}; got varpi={cfg.varpi}"
-            )
-        lo1, lo2 = gamma_lower_bounds("saturated", cfg.eps, cfg.beta, eq, cfg.varpi)
-    if not cfg.gamma1 > lo1:
-        raise GainConstraintError(
-            f"gamma1 must exceed its lower bound {lo1:.6g} strictly; got {cfg.gamma1:.6g}"
-        )
-    if not cfg.gamma2 > lo2:
-        raise GainConstraintError(
-            f"gamma2 must exceed its lower bound {lo2:.6g} strictly; got {cfg.gamma2:.6g}"
-        )
-    return cfg
-
-
-def default_lyap_config(
-    mode: str,
-    eps: float,
-    beta: float,
-    eq: Equilibrium,
-    sigma: tuple[float, float],
-    delta: float | None = None,
-    varpi: float | None = None,
-    gamma1: float | None = None,
-    gamma2: float | None = None,
-) -> LyapConfig:
-    """Fill unspecified weights: gammas at twice their lower bounds; in the
-    saturated mode the analysis constant varpi defaults to beta/(2*delta)."""
-    if mode == "saturated":
-        _check_saturated_gains(eps, beta, delta)
-        if varpi is None:
-            varpi = beta / (2.0 * delta)
-    lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, varpi)
-    cfg = LyapConfig(
-        mode=mode,
-        eps=eps,
-        beta=beta,
-        gamma1=gamma1 if gamma1 is not None else GAMMA_SAFETY * lo1,
-        gamma2=gamma2 if gamma2 is not None else GAMMA_SAFETY * lo2,
-        sigma1=sigma[0],
-        sigma2=sigma[1],
-        delta=delta,
-        varpi=varpi,
-    )
-    return validate_lyap_config(cfg, eq)
-
-
 # the analysis mode of each controller kind; the other kinds have none
 ANALYSIS_MODE = {"control_a": "gradient", "measured": "gradient", "control_b": "saturated"}
 
@@ -314,17 +244,65 @@ ANALYSIS_MODE = {"control_a": "gradient", "measured": "gradient", "control_b": "
 def lyap_config_for(spec: ControllerSpec, eq: Equilibrium, sigma: tuple[float, float],
                     gamma1: float | None = None, gamma2: float | None = None,
                     varpi: float | None = None) -> LyapConfig | None:
-    """The analysis of a controller: the mode ANALYSIS_MODE gives its kind, at
-    its gains and the certified sigma (``Setup.sigma``), or None for a kind
-    without one.  Unset weights take ``default_lyap_config``'s defaults."""
+    """The analysis of a controller, or None for a kind without one.
+
+    The mode is the one ANALYSIS_MODE gives the kind, at the spec's gains and
+    the certified sigma (``Setup.sigma``).  Unset weights take their
+    defaults: each gamma GAMMA_SAFETY times its lower bound and, in the
+    saturated mode, varpi = beta/(2*delta).  Every inequality is checked
+    once, in this order: the gains; in the saturated mode beta > 0 (at
+    beta = 0 the default varpi is 0, and the gamma2 bound divides by it) and
+    0 < varpi < beta/delta; sigma > 0; each gamma above its lower bound; and
+    H1, H2 > 0.
+    """
     mode = ANALYSIS_MODE.get(spec.kind)
     if mode is None:
         return None
-    return default_lyap_config(
-        mode, spec.eps, spec.beta, eq, sigma,
-        delta=spec.delta if mode == "saturated" else None,
-        varpi=varpi, gamma1=gamma1, gamma2=gamma2,
-    )
+    eps, beta, delta = spec.eps, spec.beta, None
+    if mode == "gradient":
+        GainsA(eps=eps, beta=beta)
+        varpi = None
+    else:
+        delta = spec.delta
+        GainsB(eps=eps, beta=beta, delta=delta)
+        if not beta > 0:
+            raise GainConstraintError("saturated mode requires beta > 0")
+        if varpi is None:
+            varpi = beta / (2.0 * delta)
+        if not 0.0 < varpi < beta / delta:
+            raise GainConstraintError(
+                f"saturated mode requires 0 < varpi < beta/delta = "
+                f"{beta / delta:.6g}; got varpi={varpi}"
+            )
+    for name, value in zip(("sigma1", "sigma2"), sigma):
+        if not value > 0:
+            raise GainConstraintError(f"{name} must be positive")
+    lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, varpi)
+    gamma1 = GAMMA_SAFETY * lo1 if gamma1 is None else gamma1
+    gamma2 = GAMMA_SAFETY * lo2 if gamma2 is None else gamma2
+    for name, value, lo in (("gamma1", gamma1, lo1), ("gamma2", gamma2, lo2)):
+        if not value > lo:
+            raise GainConstraintError(
+                f"{name} must exceed its lower bound {lo:.6g} strictly; got {value:.6g}"
+            )
+    if mode == "gradient":
+        gc = gamma_circ(eps, beta)
+        h1 = math.log(eq.lambda1 * math.sqrt(gamma1 / gc))
+        h2 = math.log(math.sqrt(gamma2 / gc) / eq.lambda2)
+        k_level = -eq.u_star / beta
+    else:
+        scale = eps / (2.0 * (1.0 + eps))
+        h1 = math.log(eq.lambda1 * math.sqrt(scale * gamma1))
+        h2 = math.log(math.sqrt(scale * (gamma2 - 1.0 / varpi)) / eq.lambda2)
+        k_level = -math.sqrt(beta**2 / varpi**2 - delta**2)
+    if not (h1 > 0 and h2 > 0):
+        raise GainConstraintError(
+            f"region bounds must be positive, got H1={h1:.6g}, H2={h2:.6g}; "
+            "increase gamma1/gamma2"
+        )
+    return LyapConfig(mode=mode, eps=eps, beta=beta, gamma1=gamma1, gamma2=gamma2,
+                      sigma1=sigma[0], sigma2=sigma[1], delta=delta, varpi=varpi,
+                      H1=h1, H2=h2, K=k_level)
 
 
 def v_composite(eta, g1, g2, cfg: LyapConfig, eq: Equilibrium):
@@ -344,64 +322,27 @@ def v_full(eta, psi, cfg: LyapConfig, eq: Equilibrium):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def bounds_H(cfg: LyapConfig, eq: Equilibrium) -> tuple[float, float]:
-    """Positive box bounds: membership requires eta1 >= -H1 and eta2 <= H2."""
-    if cfg.mode == "gradient":
-        gc = gamma_circ(cfg.eps, cfg.beta)
-        h1 = math.log(eq.lambda1 * math.sqrt(cfg.gamma1 / gc))
-        h2 = math.log(math.sqrt(cfg.gamma2 / gc) / eq.lambda2)
-    else:
-        scale = cfg.eps / (2.0 * (1.0 + cfg.eps))
-        h1 = math.log(eq.lambda1 * math.sqrt(scale * cfg.gamma1))
-        h2 = math.log(math.sqrt(scale * (cfg.gamma2 - 1.0 / cfg.varpi)) / eq.lambda2)
-    if not (h1 > 0 and h2 > 0):
-        raise GainConstraintError(
-            f"region bounds must be positive, got H1={h1:.6g}, H2={h2:.6g}; "
-            "increase gamma1/gamma2"
-        )
-    return h1, h2
-
-
-def phi_lower_bound(cfg: LyapConfig) -> float:
-    """Saturated-mode constraint: varphi >= -sqrt(beta^2/varpi^2 - delta^2)."""
-    return -math.sqrt(cfg.beta**2 / cfg.varpi**2 - cfg.delta**2)
-
-
-def constraint_level(cfg: LyapConfig, eq: Equilibrium) -> float:
-    """Level K < 0 of the curved constraint varphi = phi_1 + (1+eps)*phi_2 > K.
-
-    Control A is positive exactly where varphi > -u_star/beta (beta > 0);
-    the saturated mode bounds varphi by phi_lower_bound.
-    """
-    if cfg.mode == "gradient":
-        return -eq.u_star / cfg.beta
-    return phi_lower_bound(cfg)
-
-
 def region_membership(eta, cfg: LyapConfig, eq: Equilibrium):
-    """Membership in the mode's region eta1 >= -H1, eta2 <= H2, varphi > K.
-
-    Broadcasts over eta[..., 2]; histories never enter.
-    """
-    h1, h2 = bounds_H(cfg, eq)
+    """Membership in the region of ``cfg``; broadcasts over eta[..., 2], and
+    histories never enter."""
     eta = np.asarray(eta, dtype=float)
     phi1, phi2 = phi(eta, eq)
     varphi = phi1 + (1.0 + cfg.eps) * phi2
-    return (eta[..., 0] >= -h1) & (eta[..., 1] <= h2) & (varphi > constraint_level(cfg, eq))
+    return (eta[..., 0] >= -cfg.H1) & (eta[..., 1] <= cfg.H2) & (varphi > cfg.K)
 
 
 def constraint_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
     """eta2 on which varphi = K, decreasing in eta1; nan where varphi > K for every eta2."""
     eta1 = np.asarray(eta1, dtype=float)
     phi1 = (1.0 - np.exp(-eta1)) / eq.lambda1
-    arg = 1.0 + (constraint_level(cfg, eq) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
+    arg = 1.0 + (cfg.K - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
     out = np.full_like(arg, np.nan)
     ok = arg > 0
     out[ok] = np.log(arg[ok])
     return out
 
 
-def _curve_stationary_eta1(k_level: float, cfg: LyapConfig, eq: Equilibrium) -> list[float]:
+def _curve_stationary_eta1(cfg: LyapConfig, eq: Equilibrium) -> list[float]:
     """eta1 of the stationary points of V1 on the curve varphi = K.
 
     There e^eta1 - 1 = 1 - e^-eta2, so a = e^eta1 solves
@@ -411,8 +352,8 @@ def _curve_stationary_eta1(k_level: float, cfg: LyapConfig, eq: Equilibrium) -> 
     is the linear root.
     """
     c = (1.0 + cfg.eps) * eq.lambda1 * eq.lambda2
-    qa = c - 1.0 + k_level * eq.lambda1
-    qb = 3.0 - c - 2.0 * k_level * eq.lambda1
+    qa = c - 1.0 + cfg.K * eq.lambda1
+    qb = 3.0 - c - 2.0 * cfg.K * eq.lambda1
     # V1 has a least value on the curve, so the roots are real; the clamp
     # only absorbs rounding at a double root
     q = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb + 8.0 * qa, 0.0)), qb))
@@ -436,12 +377,10 @@ class RoaResult:
     argmin_eta: np.ndarray
     active_piece: str
     pieces: dict  # label -> (eta array (m,2), V1 values (m,))
-    H1: float
-    H2: float
 
 
 def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
-    """Largest invariant level c* of V1 inside the mode's region.
+    """Largest invariant level c* of V1 inside the region of ``cfg``.
 
     The region constraints involve eta only and the history terms of V are
     nonnegative, so c* is the minimum of V1 over the region's boundary: the
@@ -458,9 +397,7 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
     ones.  Each piece is also sampled at PIECE_SAMPLES points for tables and
     plots.
     """
-    validate_lyap_config(cfg, eq)
-    h1, h2 = bounds_H(cfg, eq)
-    k_level = constraint_level(cfg, eq)
+    h1, h2 = cfg.H1, cfg.H2
     span = 4.0 + 2.0 * max(h1, h2)
     curve = CURVE_LABEL[cfg.mode]
 
@@ -479,7 +416,7 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
             keep &= eta[:, 1] <= h2 + 1e-12
         if label != curve:
             p1, p2 = phi(eta, eq)
-            keep &= p1 + (1.0 + cfg.eps) * p2 >= k_level - 1e-12
+            keep &= p1 + (1.0 + cfg.eps) * p2 >= cfg.K - 1e-12
         return eta, np.where(keep, v1(eta, cfg.eps, eq), np.inf)
 
     pieces = {}
@@ -487,7 +424,7 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
     for label, (s_lo, s_hi), candidates in (
         ("H1", (-span, min(h2, span)), [0.0]),
         ("H2", (-h1, span), [0.0]),
-        (curve, (-h1, span), _curve_stationary_eta1(k_level, cfg, eq)),
+        (curve, (-h1, span), _curve_stationary_eta1(cfg, eq)),
     ):
         eta, vals = evaluate(label, np.linspace(s_lo, s_hi, PIECE_SAMPLES))
         keep = np.isfinite(vals)
@@ -502,8 +439,6 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
         argmin_eta=np.asarray(best[1]),
         active_piece=best[2],
         pieces=pieces,
-        H1=h1,
-        H2=h2,
     )
 
 

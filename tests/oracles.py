@@ -11,7 +11,7 @@ import numpy as np
 from predprey.controllers import GainsA, control_A, control_B, phi
 from predprey.equilibrium import Equilibrium
 from predprey.errors import NumericalError
-from predprey.lyapunov import LyapConfig, bounds_H, phi_lower_bound, v1, validate_lyap_config
+from predprey.lyapunov import LyapConfig, v1
 from predprey.model import AgeGrid, KernelSet, PopulationState, bc_residual, check_grid_fn, quad
 from predprey.simulate import (
     _direct_ops,
@@ -23,10 +23,15 @@ from predprey.simulate import (
 from predprey.transform import TransformedState
 
 
+def saturated_k(cfg: LyapConfig) -> float:
+    """K of the saturated mode, the varphi bound -sqrt(beta^2/varpi^2 - delta^2)."""
+    return -np.sqrt(cfg.beta**2 / cfg.varpi**2 - cfg.delta**2)
+
+
 def hyperbola_boundary(q1, cfg: LyapConfig, eq: Equilibrium):
     """saturated boundary in exponentiated variables q_i = e^{eta_i} - 1."""
     q1 = np.asarray(q1, dtype=float)
-    s = -phi_lower_bound(cfg)
+    s = -saturated_k(cfg)
     return (1.0 / (1.0 + q1) - (1.0 + eq.lambda1 * s)) / (
         (1.0 + cfg.eps) * eq.lambda1 * eq.lambda2
     )
@@ -97,6 +102,21 @@ def conservation_check(traj) -> float:
         ref = 1.0
     dV = np.abs(np.diff(traj.V0) / np.diff(traj.times))
     return float(np.max(dV) / ref)
+
+
+def contraction_integral(ktilde, kappa: float, sigma: float, grid: AgeGrid) -> float:
+    """J(kappa, sigma) = int_0^A |ktilde - z*kappa*int_a^A ktilde| e^{sigma*a} da
+    with z = 1/int_0^A a*ktilde, each integral a trapezoid sum written out
+    cell by cell (the tail summed from A down)."""
+    a, da = grid.nodes, grid.da
+
+    def trapezoid(f):
+        return da * float(np.sum(f[:-1] + f[1:])) / 2.0
+
+    cells = da * (ktilde[:-1] + ktilde[1:]) / 2.0
+    tail = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+    z = 1.0 / trapezoid(a * ktilde)
+    return trapezoid(np.abs(ktilde - z * kappa * tail) * np.exp(sigma * a))
 
 
 G_DEFECT_ALLOWANCE = 10.0
@@ -205,7 +225,7 @@ def phi_bound_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
     """eta2 on which varphi equals its saturated lower bound; nan where undefined."""
     eta1 = np.asarray(eta1, dtype=float)
     phi1 = (1.0 - np.exp(-eta1)) / eq.lambda1
-    arg = 1.0 + (phi_lower_bound(cfg) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
+    arg = 1.0 + (saturated_k(cfg) - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
     out = np.full_like(arg, np.nan)
     ok = arg > 0
     out[ok] = np.log(arg[ok])
@@ -231,8 +251,7 @@ def _refine_min(param_eval, s_lo, s_hi, rounds=4, n=2001):
 def sampled_roa_min(cfg: LyapConfig, eq: Equilibrium):
     """(c*, argmin eta, piece label) by sampling each boundary piece densely
     and refining locally."""
-    validate_lyap_config(cfg, eq)
-    h1, h2 = bounds_H(cfg, eq)
+    h1, h2 = cfg.H1, cfg.H2
     span = 4.0 + 2.0 * max(h1, h2)
 
     def mask_other(eta, skip):
@@ -247,7 +266,7 @@ def sampled_roa_min(cfg: LyapConfig, eq: Equilibrium):
                 keep &= u_val >= -1e-12
             else:
                 p1, p2 = phi(eta, eq)
-                keep &= p1 + (1.0 + cfg.eps) * p2 >= phi_lower_bound(cfg) - 1e-12
+                keep &= p1 + (1.0 + cfg.eps) * p2 >= saturated_k(cfg) - 1e-12
         return keep
 
     curve_fn = u_zero_curve if cfg.mode == "gradient" else phi_bound_curve

@@ -8,8 +8,10 @@ import pytest
 
 from predprey.cli import build_setup_from_config, main, write_csv
 from predprey.config import _SECTIONS, effective_ini, load_config, override
+from predprey.controllers import ControllerSpec
 from predprey.errors import ConfigError
-from predprey.lyapunov import default_lyap_config, v_full
+from predprey import lyapunov
+from predprey.lyapunov import lyap_config_for, v_full
 from predprey.simulate import ICSpec, build_setup, ic_from_spec
 from predprey.transform import to_transformed
 
@@ -109,6 +111,21 @@ def test_readme_config_table_matches_schema():
         assert named == {f.name for f in fields(cls)}, section
 
 
+def test_readme_lyapunov_names_exist():
+    # every name in the list of what predprey.lyapunov exposes is one of its
+    # attributes; the notes in nested parentheses name arguments
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = readme[readme.index("`predprey.lyapunov` exposes"):].split("\n\n")[0]
+    start = end = para.index("(") + 1
+    depth = 1
+    while depth:
+        depth += {"(": 1, ")": -1}.get(para[end], 0)
+        end += 1
+    names = re.findall(r"`(\w+)`", _outside_parens(para[start:end - 1]))
+    assert len(names) >= 10
+    assert [n for n in names if not hasattr(lyapunov, n)] == []
+
+
 @pytest.mark.parametrize("key", ["mode = gradient", "sigma1 = 0.5", "sigma2 = 0.5"])
 def test_cli_rejects_removed_lyapunov_keys(tmp_path, capsys, key):
     # the analysis mode follows the controller, and sigma is the certified value
@@ -133,8 +150,8 @@ def test_cli_trajectory_v_matches_v_full(tmp_path, kind, mode, gains):
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
     v_written = np.loadtxt(tmp_path / "sim" / "trajectory.csv", delimiter=",", skiprows=1)[0, 6]
     setup = build_setup_from_config(load_config(cfg_path, env={}))
-    lyap = default_lyap_config(mode, gains["eps"], gains["beta"], setup.eq, setup.sigma,
-                               delta=gains.get("delta"))
+    lyap = lyap_config_for(ControllerSpec(kind=kind, **gains), setup.eq, setup.sigma)
+    assert lyap.mode == mode
     ts = to_transformed(ic_from_spec(ICSpec(kind="FQ"), setup.eq), setup.eq, setup.adj)
     assert v_written == pytest.approx(v_full(ts.eta, ts.psi, lyap, setup.eq),
                                       rel=1e-12)

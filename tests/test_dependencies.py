@@ -14,12 +14,12 @@ import predprey
 import predprey.acceptance, predprey.cli, predprey.svgplot
 from predprey import AgeGrid, build_kernels, build_setup
 from predprey.controllers import ControllerSpec
-from predprey.lyapunov import default_lyap_config
+from predprey.lyapunov import lyap_config_for
 from predprey.simulate import ICSpec, SimConfig, simulate_transformed
 
 grid = AgeGrid(A=1.0, n_cells=50)
 setup = build_setup(build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid), 0.15)
-cfg = default_lyap_config("gradient", 0.2, 0.6, setup.eq, setup.sigma)
+cfg = lyap_config_for(ControllerSpec(kind="control_a", eps=0.2, beta=0.6), setup.eq, setup.sigma)
 traj = simulate_transformed(
     setup, SimConfig(t_final=0.5, controller=ControllerSpec(kind="control_a"),
                      ic=ICSpec(kind="FQ")),

@@ -3,18 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from predprey.acceptance import bisect_scale
 from predprey.controllers import ControllerSpec, GainsA, GainsB, control_A, phi
 from predprey.errors import GainConstraintError
 from predprey.lyapunov import (
-    LyapConfig,
     _curve_stationary_eta1,
-    bounds_H,
     closed_loop_jacobian,
     constraint_curve,
-    constraint_level,
     control_b_discriminant,
     decrease_rate,
-    default_lyap_config,
     dini_check,
     find_sigma,
     g_fn,
@@ -23,7 +20,7 @@ from predprey.lyapunov import (
     h_fn,
     lambda_min_q,
     level_contour,
-    phi_lower_bound,
+    lyap_config_for,
     q_matrix,
     region_membership,
     roa_estimate,
@@ -34,12 +31,12 @@ from predprey.lyapunov import (
 )
 from predprey.equilibrium import compute_equilibrium
 from predprey.model import AgeGrid, build_kernels, cumulative, quad
-from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
-from predprey.transform import to_transformed
+from predprey.simulate import ICSpec, SimConfig, build_setup, simulate_transformed
 
 from oracles import (
     closed_loop_rhs,
     conservation_check,
+    contraction_integral,
     fd_jacobian,
     g_decrease_violations,
     hyperbola_boundary,
@@ -53,14 +50,14 @@ GB = dict(eps=0.01, beta=0.13, delta=0.2)
 
 @pytest.fixture(scope="module")
 def cfg2(setup400):
-    return default_lyap_config("gradient", GA["eps"], GA["beta"], setup400.eq,
-                               setup400.sigma)
+    return lyap_config_for(ControllerSpec(kind="control_a", **GA), setup400.eq,
+                           setup400.sigma)
 
 
 @pytest.fixture(scope="module")
 def cfg4(setup400):
-    return default_lyap_config("saturated", GB["eps"], GB["beta"], setup400.eq,
-                               setup400.sigma, delta=GB["delta"])
+    return lyap_config_for(ControllerSpec(kind="control_b", **GB), setup400.eq,
+                           setup400.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +256,20 @@ def test_find_sigma_pinned_values():
             assert find_sigma(kt, grid)[1] == pytest.approx(sigma_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("kernel_bars", [(0.5, 3.0, 0.4, 0.5, 3.0, 0.4),
+                                         (0.4, 3.2, 0.5, 0.6, 2.8, 0.3)],
+                         ids=["reference", "asymmetric"])
+def test_setup_sigma_keeps_a_contraction_margin(kernel_bars):
+    # V and G use Setup.sigma, a fixed fraction below the certified exponent;
+    # there the weighted contraction integral stays well below one (about
+    # 0.79 at SIGMA_SAFETY = 0.9, 0.98 at 0.99 and 1 - 1e-6 at 1.0)
+    for n in (100, 400):
+        grid = AgeGrid(A=1.0, n_cells=n)
+        setup = build_setup(build_kernels(*kernel_bars, grid), 0.15)
+        for kt, kappa, sigma in zip(setup.eq.ktilde, setup.kappa, setup.sigma):
+            assert contraction_integral(kt, kappa, sigma, grid) <= 0.9, n
+
+
 def test_v_full_additivity(setup400, cfg2):
     eq, grid = setup400.eq, setup400.grid
     rng = np.random.default_rng(2)
@@ -279,7 +290,7 @@ def test_v_full_additivity(setup400, cfg2):
 def test_region_gradient_origin_and_bounds(setup400, cfg2):
     eq = setup400.eq
     assert bool(region_membership(np.zeros(2), cfg2, eq))
-    h1, h2 = bounds_H(cfg2, eq)
+    h1, h2 = cfg2.H1, cfg2.H2
     assert h1 > 0 and h2 > 0
     assert not bool(region_membership(np.array([-h1 - 0.01, 0.0]), cfg2, eq))
     assert not bool(region_membership(np.array([0.0, h2 + 0.01]), cfg2, eq))
@@ -293,23 +304,19 @@ def test_region_gradient_origin_and_bounds(setup400, cfg2):
 def test_region_gradient_rejects_boundary_gamma(setup400):
     eq = setup400.eq
     gc = gamma_circ(**GA)
-    cfg = LyapConfig(
-        mode="gradient", eps=GA["eps"], beta=GA["beta"],
-        gamma1=gc / eq.lambda1**2,  # exactly the lower bound: H1 = 0
-        gamma2=2 * eq.lambda2**2 * gc,
-        sigma1=1.0, sigma2=1.0,
-    )
-    from predprey.lyapunov import validate_lyap_config
-
     with pytest.raises(GainConstraintError, match="gamma1"):
-        validate_lyap_config(cfg, eq)
+        lyap_config_for(
+            ControllerSpec(kind="control_a", **GA), eq, setup400.sigma,
+            gamma1=gc / eq.lambda1**2,  # exactly the lower bound: H1 = 0
+            gamma2=2 * eq.lambda2**2 * gc,
+        )
 
 
 def test_u_zero_curve_consistency(setup400, cfg2):
     # points on the curve make the feedback vanish; above it u > 0
     eq = setup400.eq
     gains = GainsA(**GA)
-    assert constraint_level(cfg2, eq) == -eq.u_star / GA["beta"]
+    assert cfg2.K == -eq.u_star / GA["beta"]
     for e1 in (-0.2, 0.0, 0.5, 1.5):
         e2 = float(constraint_curve(e1, cfg2, eq))
         assert control_A(np.array([e1, e2]), gains, eq) == pytest.approx(0.0, abs=1e-12)
@@ -321,20 +328,18 @@ def test_u_zero_curve_consistency(setup400, cfg2):
 def test_region_saturated_origin_and_limit(setup400, cfg4):
     eq = setup400.eq
     assert bool(region_membership(np.zeros(2), cfg4, eq))
-    assert constraint_level(cfg4, eq) == phi_lower_bound(cfg4)
+    assert cfg4.K == -np.sqrt(cfg4.beta**2 / cfg4.varpi**2 - cfg4.delta**2)
     # as varpi approaches beta/delta the varphi bound tightens to zero
-    import dataclasses
-
-    tight = dataclasses.replace(cfg4, varpi=0.9999 * cfg4.beta / cfg4.delta)
-    assert abs(phi_lower_bound(tight)) < 0.01
-    assert abs(phi_lower_bound(cfg4)) == pytest.approx(np.sqrt(0.13**2 / 0.325**2 - 0.04),
-                                                       abs=1e-12)
+    tight = lyap_config_for(ControllerSpec(kind="control_b", **GB), eq, setup400.sigma,
+                            varpi=0.9999 * cfg4.beta / cfg4.delta)
+    assert abs(tight.K) < 0.01
+    assert abs(cfg4.K) == pytest.approx(np.sqrt(0.13**2 / 0.325**2 - 0.04), abs=1e-12)
 
 
 def test_hyperbola_consistency(setup400, cfg4):
     # two algebraic routes to the same boundary value at q1 = 0
     eq = setup400.eq
-    s = -phi_lower_bound(cfg4)
+    s = -cfg4.K
     expected = -s / ((1.0 + cfg4.eps) * eq.lambda2)
     assert float(hyperbola_boundary(0.0, cfg4, eq)) == pytest.approx(expected, abs=1e-10)
     # a point on the hyperbola satisfies varphi = -s
@@ -358,11 +363,10 @@ def test_roa_gradient(setup400, cfg2):
 
 def test_roa_gamma_monotonicity(setup400, cfg2):
     # enlarging the gammas can only grow the box, hence weakly grow c*
-    import dataclasses
-
     eq = setup400.eq
     base = roa_estimate(cfg2, eq)
-    bigger = dataclasses.replace(cfg2, gamma1=4 * cfg2.gamma1, gamma2=4 * cfg2.gamma2)
+    bigger = lyap_config_for(ControllerSpec(kind="control_a", **GA), eq, setup400.sigma,
+                             gamma1=4 * cfg2.gamma1, gamma2=4 * cfg2.gamma2)
     grown = roa_estimate(bigger, eq)
     assert grown.c_star >= base.c_star - 1e-12
     # with large gammas the feedback-positivity curve is the active constraint
@@ -381,10 +385,10 @@ def _assert_feasible_argmin(res, cfg, eq):
     """The argmin is in the region, gives c*, and lies on its piece to 1e-12."""
     eta = res.argmin_eta
     p1, p2 = phi(eta, eq)
-    gap = p1 + (1.0 + cfg.eps) * p2 - constraint_level(cfg, eq)
-    assert eta[0] >= -res.H1 - 1e-12 and eta[1] <= res.H2 + 1e-12 and gap >= -1e-12
+    gap = p1 + (1.0 + cfg.eps) * p2 - cfg.K
+    assert eta[0] >= -cfg.H1 - 1e-12 and eta[1] <= cfg.H2 + 1e-12 and gap >= -1e-12
     assert v1(eta, cfg.eps, eq) == res.c_star
-    off = {"H1": abs(eta[0] + res.H1), "H2": abs(eta[1] - res.H2)}.get(res.active_piece, abs(gap))
+    off = {"H1": abs(eta[0] + cfg.H1), "H2": abs(eta[1] - cfg.H2)}.get(res.active_piece, abs(gap))
     assert off <= 1e-12
 
 
@@ -405,16 +409,16 @@ def _random_lyap_config(mode, rng, setup):
     if mode == "gradient":
         eps = rng.uniform(0.05, 2.0)
         beta = eps / (4.0 * (1.0 + eps)) * rng.uniform(1.05, 20.0)
-        extra = {}
+        spec, varpi = ControllerSpec(kind="control_a", eps=eps, beta=beta), None
     else:
         eps = rng.uniform(0.001, 0.1)
         beta = rng.uniform(0.01, 0.99 * (eq.u_star - eps * eq.lambda2))
         delta = rng.uniform(0.02, 1.0)
-        extra = dict(delta=delta, varpi=rng.uniform(0.05, 0.95) * beta / delta)
-    lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, extra.get("varpi"))
-    return default_lyap_config(mode, eps, beta, eq, setup.sigma,
-                               gamma1=lo1 * rng.uniform(1.05, 20.0),
-                               gamma2=lo2 * rng.uniform(1.05, 20.0), **extra)
+        spec = ControllerSpec(kind="control_b", eps=eps, beta=beta, delta=delta)
+        varpi = rng.uniform(0.05, 0.95) * beta / delta
+    lo1, lo2 = gamma_lower_bounds(mode, eps, beta, eq, varpi)
+    return lyap_config_for(spec, eq, setup.sigma, gamma1=lo1 * rng.uniform(1.05, 20.0),
+                           gamma2=lo2 * rng.uniform(1.05, 20.0), varpi=varpi)
 
 
 @pytest.mark.parametrize("mode", ["gradient", "saturated"])
@@ -440,11 +444,11 @@ def test_roa_linear_stationary_root(setup400):
     eq = setup400.eq
     eps = 0.2
     c = (1.0 + eps) * eq.lambda1 * eq.lambda2
-    cfg = default_lyap_config("gradient", eps, eq.u_star * eq.lambda1 / (c - 1.0), eq,
-                              setup400.sigma)
-    k_level = constraint_level(cfg, eq)
-    assert abs(c - 1.0 + k_level * eq.lambda1) < 1e-14
-    assert _curve_stationary_eta1(k_level, cfg, eq) == pytest.approx(
+    cfg = lyap_config_for(
+        ControllerSpec(kind="control_a", eps=eps, beta=eq.u_star * eq.lambda1 / (c - 1.0)),
+        eq, setup400.sigma)
+    assert abs(c - 1.0 + cfg.K * eq.lambda1) < 1e-14
+    assert _curve_stationary_eta1(cfg, eq) == pytest.approx(
         [np.log(2.0 / (1.0 + c))], rel=1e-14)
     res = roa_estimate(cfg, eq)
     c_ref, _, piece_ref = sampled_roa_min(cfg, eq)
@@ -454,7 +458,7 @@ def test_roa_linear_stationary_root(setup400):
     # an exactly vanishing leading coefficient leaves the linear root alone:
     # c = 2 and K*lambda1 = -1 give 3a - 2 = 0
     unit = SimpleNamespace(lambda1=1.0, lambda2=1.0)
-    assert _curve_stationary_eta1(-1.0, SimpleNamespace(eps=1.0), unit) == [np.log(2.0 / 3.0)]
+    assert _curve_stationary_eta1(SimpleNamespace(eps=1.0, K=-1.0), unit) == [np.log(2.0 / 3.0)]
 
 
 def test_level_contour_on_level(setup400, cfg2):
@@ -470,19 +474,8 @@ def test_level_contour_on_level(setup400, cfg2):
 
 
 def _scaled_ic(setup, cfg, c_star):
-    def v_of(s):
-        spec = ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
-        ts = to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
-        return v_full(ts.eta, ts.psi, cfg, setup.eq)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if v_of(mid) <= 0.9 * c_star:
-            lo = mid
-        else:
-            hi = mid
-    return ICSpec(kind="multiplier", log_offset=(lo, -lo), log_slope=(2 * lo, -2 * lo))
+    s = float(bisect_scale(setup, cfg, 0.9 * c_star, [[1.0, -1.0]], [[2.0, -2.0]])[0])
+    return ICSpec(kind="multiplier", log_offset=(s, -s), log_slope=(2 * s, -2 * s))
 
 
 def test_dini_decrease_gradient(setup400, cfg2):

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from predprey.acceptance import REFERENCE_GAINS_A, REFERENCE_GAINS_B
+from predprey.acceptance import REFERENCE_GAINS_A, REFERENCE_GAINS_B, bisect_scale, multiplier_v
 from predprey.controllers import ControllerSpec, GainsB, control_B_floor
-from predprey.lyapunov import dini_check, lyap_config_for, roa_estimate, v_full
+from predprey.lyapunov import dini_check, lyap_config_for, roa_estimate
 from predprey.simulate import (ICSpec, SimConfig, simulate_direct, simulate_direct_batch,
                                simulate_transformed)
-from predprey.transform import pi_functional, shape_deviation
 
 from conftest import make_setup
 
@@ -63,29 +62,16 @@ def test_starts_inside_the_roa_level_converge(setup100, kind, gains, seed):
     # each row: a random multiplier direction (log offset and slope per
     # species), bisected along its ray to V(eta0, psi0) <= 0.9 c*, then
     # scaled by sqrt(U(0, 1)); all rows march as one batch
-    setup, eq, a = setup100, setup100.eq, setup100.grid.nodes
+    setup, eq = setup100, setup100.eq
     spec = ControllerSpec(kind=kind, **gains)
     cfg = lyap_config_for(spec, eq, setup.sigma)
     c_star = roa_estimate(cfg, eq).c_star
     rng = np.random.default_rng(seed)
     offset = rng.uniform(-1.0, 1.0, (ROA_STARTS, 2))
     slope = rng.uniform(-2.0, 2.0, (ROA_STARTS, 2))
-
-    def v_at(scale):
-        # the multiplier start x_i = x_i_star * exp(s*offset_i + s*slope_i*a)
-        # of each row, taken to (eta, psi) and V in one stacked call each
-        s = scale[:, None, None]
-        x = eq.x_star * np.exp(s * offset[..., None] + s * slope[..., None] * a)
-        p = pi_functional(x, setup.adj)
-        return v_full(np.log(p), shape_deviation(x, eq.x_star, p[..., None]), cfg, eq)
-
-    lo, hi = np.zeros(ROA_STARTS), np.ones(ROA_STARTS)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        inside = v_at(mid) <= 0.9 * c_star
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    scale = lo * np.sqrt(rng.uniform(0.0, 1.0, ROA_STARTS))
-    assert np.all(v_at(scale) <= 0.9 * c_star)
+    scale = bisect_scale(setup, cfg, 0.9 * c_star, offset, slope)
+    scale *= np.sqrt(rng.uniform(0.0, 1.0, ROA_STARTS))
+    assert np.all(multiplier_v(setup, cfg, scale, offset, slope) <= 0.9 * c_star)
     cfgs = [SimConfig(t_final=ROA_T_FINAL, controller=spec,
                       ic=ICSpec(kind="multiplier", log_offset=tuple(s * o),
                                 log_slope=tuple(s * k)))
