@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import itertools
 import json
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import svgplot
 from .acceptance import VerifyContext, run_all
-from .config import SWEEP_AXES, RunConfig, load_config, override, sweep_axes
+from .config import SWEEP_AXES, ModelBlock, RunConfig, load_config, override, sweep_axes
 from .controllers import BoundController, ControllerSpec
 from .errors import ConfigError, NumericalError, PredPreyError, VerificationFailure
 from .lyapunov import (
@@ -101,11 +102,7 @@ def build_setup_from_config(cfg: RunConfig) -> Setup:
 
 
 def controller_from_config(cfg: RunConfig) -> ControllerSpec:
-    c = cfg.controller
-    return ControllerSpec(
-        kind=c.kind, eps=c.eps, beta=c.beta, delta=c.delta, k1=c.k1, k2=c.k2,
-        sensor=c.sensor,
-    )
+    return ControllerSpec(**dataclasses.asdict(cfg.controller))
 
 
 def ic_from_config(cfg: RunConfig) -> ICSpec:
@@ -196,10 +193,16 @@ def _checked_run(cfg: RunConfig, setup: Setup):
     return sim_cfg, lyap
 
 
-def _run_simulation(setup: Setup, sim_cfg: SimConfig, lyap, solver: str):
-    """March a run that ``_checked_run`` checked, and record its V."""
+def _run_and_write(setup: Setup, sim_cfg: SimConfig, lyap, solver: str, outdir: Path,
+                   suffix: str = "", plot: bool = False) -> dict:
+    """March a run that ``_checked_run`` checked with ``solver``, record its V,
+    write its files and return its summary: records, final |eta| and min u."""
+    # the module globals, looked up at each call, so a wrapped solver is seen
     run = simulate_direct if solver == "direct" else simulate_transformed
-    return run(setup, sim_cfg).finalize_lyapunov(setup.eq, lyap)
+    traj = run(setup, sim_cfg).finalize_lyapunov(setup.eq, lyap)
+    _write_trajectory(outdir, setup, traj, suffix, plot)
+    return {"records": len(traj.times), "final_eta_norm": float(np.linalg.norm(traj.eta[-1])),
+            "min_u": float(traj.u.min())}
 
 
 def _write_trajectory(outdir: Path, setup: Setup, traj, suffix: str, plot: bool):
@@ -253,14 +256,10 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     solvers = ("direct", "transformed") if solver == "both" else (solver,)
     sim_cfg, lyap = _checked_run(cfg, setup)
     for s in solvers:
-        traj = _run_simulation(setup, sim_cfg, lyap, s)
-        suffix = f"_{s}" if solver == "both" else ""
-        _write_trajectory(outdir, setup, traj, suffix, plot)
-        print(
-            f"{s} run: {len(traj.times)} records, final |eta| = "
-            f"{np.linalg.norm(traj.eta[-1]):.3e}, min u = {traj.u.min():.4f} "
-            f"-> {outdir}"
-        )
+        summary = _run_and_write(setup, sim_cfg, lyap, s, outdir,
+                                 f"_{s}" if solver == "both" else "", plot)
+        print(f"{s} run: {summary['records']} records, final |eta| = "
+              f"{summary['final_eta_norm']:.3e}, min u = {summary['min_u']:.4f} -> {outdir}")
     return 0
 
 
@@ -323,17 +322,10 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
 
 
 def _sweep_worker(args) -> dict:
-    setup, sim_cfg, lyap, combo, outdir = args
+    setup, sim_cfg, lyap, solver, combo, outdir = args
     run_dir = Path(outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    traj = _run_simulation(setup, sim_cfg, lyap, "direct")
-    _write_trajectory(run_dir, setup, traj, "", plot=False)
-    return {
-        **combo,
-        "dir": str(run_dir),
-        "final_eta_norm": float(np.linalg.norm(traj.eta[-1])),
-        "min_u": float(traj.u.min()),
-    }
+    return {**combo, "dir": str(run_dir), **_run_and_write(setup, sim_cfg, lyap, solver, run_dir)}
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
@@ -342,6 +334,10 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError(
             f"sweep requires at least one list under [sweep] ({', '.join(SWEEP_AXES)})"
         )
+    solver = cfg.simulation.solver
+    if solver == "both":
+        raise ConfigError("sweep writes one trajectory per combo: set [simulation] solver "
+                          "to direct or transformed, not both")
     names = list(axes)
     combos = [dict(zip(names, values)) for values in itertools.product(*axes.values())]
     jobs = []
@@ -358,10 +354,12 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         if u_star not in setups:
             setups[u_star] = build_setup_from_config(run_cfg)
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
-        jobs.append((setups[u_star], *_checked_run(run_cfg, setups[u_star]), combo,
+        jobs.append((setups[u_star], *_checked_run(run_cfg, setups[u_star]), solver, combo,
                      str(outdir / f"run_{idx:03d}_{slug}")))
-    workers = cfg.sweep.workers or os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
+    # a fork pool starts all of its workers at the first submit, so it gets
+    # no more of them than there are jobs
+    workers = min(cfg.sweep.workers or os.cpu_count() or 1, len(jobs))
+    if workers > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_worker, jobs))
@@ -380,6 +378,13 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
+    # the criteria have fixed targets on the reference model, at any n_cells
+    reference = ModelBlock(n_cells=cfg.model.n_cells)
+    changed = [f.name for f in dataclasses.fields(ModelBlock)
+               if getattr(cfg.model, f.name) != getattr(reference, f.name)]
+    if changed:
+        raise ConfigError(f"verify checks the reference model; [model] {', '.join(changed)} "
+                          "must keep their defaults (only n_cells may change)")
     ctx = VerifyContext(n_cells=cfg.model.n_cells, u_star=cfg.equilibrium.u_star)
     results = run_all(ctx)
     for res in results:
@@ -436,13 +441,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         outdir = Path(args.out) if args.out else Path(cfg.output.directory)
         outdir.mkdir(parents=True, exist_ok=True)
-        plot = bool(getattr(args, "plot", False)) or cfg.output.plot
         if args.command == "equilibrium":
-            return cmd_equilibrium(cfg, outdir, plot)
+            return cmd_equilibrium(cfg, outdir, args.plot)
         if args.command == "simulate":
-            return cmd_simulate(cfg, outdir, plot)
+            return cmd_simulate(cfg, outdir, args.plot)
         if args.command == "roa":
-            return cmd_roa(cfg, outdir, plot)
+            return cmd_roa(cfg, outdir, args.plot)
         if args.command == "sweep":
             return cmd_sweep(cfg, outdir)
         if args.command == "verify":

@@ -14,7 +14,9 @@ import io
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .controllers import KINDS, SENSORS
 from .errors import ConfigError
+from .simulate import NAMED_STARTS
 
 ENV_PREFIX = "PREDPREY"
 
@@ -70,7 +72,6 @@ class LyapunovBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
-    plot: bool = False
     profile_times: tuple[float, ...] = (0.0, 2.0, 5.0, 10.0, 20.0)
 
 
@@ -107,15 +108,9 @@ _SECTIONS = {
 }
 
 _CHOICES = {
-    ("controller", "kind"): (
-        "open_loop",
-        "control_a",
-        "control_b",
-        "feedback_linearizing",
-        "measured",
-    ),
-    ("controller", "sensor"): ("interaction", "birth", "uniform"),
-    ("simulation", "ic"): ("FQ", "SQ", "equilibrium", "multiplier"),
+    ("controller", "kind"): KINDS,
+    ("controller", "sensor"): tuple(SENSORS),
+    ("simulation", "ic"): (*NAMED_STARTS, "multiplier"),
     ("simulation", "solver"): ("direct", "transformed", "both"),
 }
 
@@ -134,13 +129,6 @@ SWEEP_AXES = {
 def _parse_scalar(raw: str, pytype, where: str):
     raw = raw.strip()
     try:
-        if pytype is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if pytype is int:
             return int(raw)
         if pytype is float:
@@ -233,8 +221,6 @@ def _validate(cfg: RunConfig):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
     if isinstance(value, float):

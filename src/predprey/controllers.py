@@ -126,10 +126,15 @@ def control_B_floor(gains: GainsB, eq: Equilibrium) -> float:
     return eq.u_star - gains.eps * eq.lambda2 - gains.beta
 
 
-def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
-    """Exact feedback-linearizing law; kept for comparison runs only."""
+def check_linearizing_gains(k1: float, k2: float):
+    """The feedback-linearizing law needs k1 > 0 and k2 > 0."""
     if not (k1 > 0 and k2 > 0):
         raise GainConstraintError(f"linearizing gains must be positive, got k1={k1}, k2={k2}")
+
+
+def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
+    """Exact feedback-linearizing law; kept for comparison runs only."""
+    check_linearizing_gains(k1, k2)
     eta = np.asarray(eta, dtype=float)
     e1, e2 = eta[..., 0], eta[..., 1]
     phi1, phi2 = phi(eta, eq)
@@ -188,6 +193,13 @@ def control_measured(y, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
 
 KINDS = ("open_loop", "control_a", "control_b", "feedback_linearizing", "measured")
 
+# the sensor kernels c (2, n) of each sensor choice of the measured law
+SENSORS = {
+    "interaction": lambda eq: eq.kernels.g[::-1],  # c_i = g_j
+    "birth": lambda eq: eq.kernels.k,  # c_i = k_i
+    "uniform": lambda eq: np.ones((2, eq.grid.n_nodes)),
+}
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -199,7 +211,7 @@ class ControllerSpec:
     delta: float = 0.2
     k1: float = 1.0
     k2: float = 2.0
-    sensor: str = "interaction"  # interaction: c_i = g_j; birth: c_i = k_i; uniform
+    sensor: str = "interaction"  # one of SENSORS
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -228,22 +240,15 @@ class BoundController:
             self.gains_a = GainsA(eps=spec.eps, beta=spec.beta)
         if spec.kind == "control_b":
             self.gains_b = GainsB(eps=spec.eps, beta=spec.beta, delta=spec.delta).validate(eq)
+        if spec.kind == "feedback_linearizing":
+            check_linearizing_gains(spec.k1, spec.k2)
         if spec.kind == "measured":
-            self.sensors = sensor_equilibrium(self._sensor_kernels(), eq)
+            if spec.sensor not in SENSORS:
+                raise GainConstraintError(
+                    f"unknown sensor choice {spec.sensor!r}; expected one of {tuple(SENSORS)}"
+                )
+            self.sensors = sensor_equilibrium(SENSORS[spec.sensor](eq), eq)
             self._wc = eq.grid.weights * self.sensors.c
-
-    def _sensor_kernels(self):
-        k = self.eq.kernels
-        if self.spec.sensor == "interaction":
-            return k.g[::-1]
-        if self.spec.sensor == "birth":
-            return k.k
-        if self.spec.sensor == "uniform":
-            return np.ones((2, self.eq.grid.n_nodes))
-        raise GainConstraintError(
-            f"unknown sensor choice {self.spec.sensor!r}; expected "
-            "interaction, birth or uniform"
-        )
 
     @property
     def needs_profiles(self) -> bool:

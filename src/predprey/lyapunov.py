@@ -442,6 +442,17 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
     )
 
 
+def bisect(inside, lo, hi):
+    """60 batched bisection rounds on the arrays [lo, hi]: each round moves lo
+    up to the midpoint where ``inside(mid)`` holds and hi down to it elsewhere.
+    Returns the final (lo, hi)."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo, hi
+
+
 def level_contour(c: float, eps: float, eq: Equilibrium, n_rays: int = 400) -> np.ndarray:
     """Closed polyline of V1 = c, traced by radial bisection from the origin."""
     if not c > 0:
@@ -456,13 +467,7 @@ def level_contour(c: float, eps: float, eq: Equilibrium, n_rays: int = 400) -> n
         if not np.any(inside):
             break
         r_hi[inside] *= 2.0
-    r_lo = np.zeros(n_rays)
-    for _ in range(60):
-        r_mid = 0.5 * (r_lo + r_hi)
-        vals = v1(r_mid[:, None] * dirs, eps, eq)
-        inside = vals < c
-        r_lo = np.where(inside, r_mid, r_lo)
-        r_hi = np.where(inside, r_hi, r_mid)
+    r_lo, r_hi = bisect(lambda r: v1(r[:, None] * dirs, eps, eq) < c, np.zeros(n_rays), r_hi)
     r = 0.5 * (r_lo + r_hi)
     pts = r[:, None] * dirs
     return np.vstack([pts, pts[:1]])

@@ -94,6 +94,14 @@ def build_setup(kernels: KernelSet, u_star: float) -> Setup:
     )
 
 
+# (log_offset, log_slope) of the named multiplier starts
+NAMED_STARTS = {
+    "FQ": ((1.0, -1.0), (2.0, -2.0)),
+    "SQ": ((-1.0, 1.0), (-2.0, 2.0)),
+    "equilibrium": ((0.0, 0.0), (0.0, 0.0)),
+}
+
+
 @dataclass(frozen=True)
 class ICSpec:
     """Initial profiles: named multiplier families, custom ones, or tables.
@@ -116,27 +124,25 @@ class ICSpec:
     eta0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        kinds = ("FQ", "SQ", "equilibrium", "multiplier", "table", "eta")
+        kinds = (*NAMED_STARTS, "multiplier", "table", "eta")
         if self.kind not in kinds:
             raise ValueError(f"unknown IC kind {self.kind!r}; expected one of {kinds}")
 
 
-# (log_offset, log_slope) of the named multiplier starts
-NAMED_STARTS = {
-    "FQ": ((1.0, -1.0), (2.0, -2.0)),
-    "SQ": ((-1.0, 1.0), (-2.0, 2.0)),
-    "equilibrium": ((0.0, 0.0), (0.0, 0.0)),
-}
+def multiplier_profiles(eq: Equilibrium, offset, slope) -> np.ndarray:
+    """The multiplier profiles x_i = x_i_star * exp(offset_i + slope_i * a),
+    (..., 2, n) for offsets and slopes (..., 2).  An overflowing multiplier is
+    left to the finiteness check of whoever uses the profiles."""
+    offset, slope = np.asarray(offset, dtype=float), np.asarray(slope, dtype=float)
+    with np.errstate(over="ignore"):
+        return eq.x_star * np.exp(offset[..., None] + slope[..., None] * eq.grid.nodes)
 
 
 def ic_from_spec(spec: ICSpec, eq: Equilibrium) -> PopulationState:
     """Materialize the initial population profiles."""
     if spec.kind in NAMED_STARTS or spec.kind == "multiplier":
         offset, slope = NAMED_STARTS.get(spec.kind, (spec.log_offset, spec.log_slope))
-        # an overflowing multiplier is reported by the finiteness check
-        with np.errstate(over="ignore"):
-            x = eq.x_star * np.exp(np.reshape(offset, (2, 1))
-                                   + np.multiply.outer(slope, eq.grid.nodes))
+        x = multiplier_profiles(eq, offset, slope)
     elif spec.kind == "table":
         if spec.x is None:
             raise ValueError("table IC needs explicit profiles x")

@@ -122,18 +122,10 @@ class _Canvas:
 
 
 def line_chart(path, x, series, title, xlabel, ylabel):
-    """Write a line chart; series is a list of (label, values) pairs."""
-    xlim = _limits([x])
-    ylim = _limits([vals for _, vals in series])
-    canvas = _Canvas(xlim, ylim, title, xlabel, ylabel)
-    legend = []
-    for idx, (label, vals) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        canvas.polyline(x, vals, color)
-        legend.append((label, color))
-    canvas.legend(legend)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canvas.to_svg())
+    """Write a line chart; series is a list of (label, values) pairs over the
+    shared x, drawn as solid ``plane_chart`` curves."""
+    plane_chart(path, [(label, np.column_stack([x, vals]), "") for label, vals in series],
+                title, xlabel, ylabel)
 
 
 def plane_chart(path, curves, title, xlabel, ylabel):

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import predprey.cli as cli
+from predprey.acceptance import VerifyContext
 from predprey.cli import build_setup_from_config, main, write_csv
-from predprey.config import _SECTIONS, effective_ini, load_config, override
+from predprey.config import _SECTIONS, ControllerBlock, effective_ini, load_config, override
 from predprey.controllers import ControllerSpec
 from predprey.errors import ConfigError
 from predprey import lyapunov
@@ -369,10 +371,12 @@ def test_cli_sweep_rejects_bad_axis_value(tmp_path, capsys, axis):
     "[sweep]\nu_star = 0.15, -1\n",
     "[sweep]\neps = 0.2, -1\n",
     "[controller]\nkind = control_b\neps = 0.01\n[sweep]\nbeta = 0.05, 0\n",
+    "[controller]\nkind = feedback_linearizing\nk1 = -1\n[sweep]\nic = FQ, SQ\n",
 ])
 def test_cli_sweep_checks_every_combo_before_running(tmp_path, capsys, lines):
     # an infeasible u_star, a gain constraint and an analysis without beta > 0
-    # each fail in the last combo, before the first one runs
+    # each fail in the last combo, and a negative linearizing gain in every
+    # combo, before the first one runs
     cfg_path = _write(
         tmp_path, "cfg.ini",
         f"[model]\nn_cells = 60\n[simulation]\nt_final = 1\n{lines}workers = 1\n",
@@ -509,3 +513,102 @@ def test_write_csv_formats_each_value_like_format_or_str(tmp_path):
         assert lines[row + 1] == ",".join(cells * 2)
     with pytest.raises(ValueError, match="one length"):
         write_csv(path, ["a", "b"], [floats, ints[:-1]])
+
+
+def test_controller_block_and_spec_share_their_fields():
+    # controller_from_config passes the block's fields through by name
+    assert [f.name for f in fields(ControllerBlock)] == [f.name for f in fields(ControllerSpec)]
+
+
+def test_cli_rejects_removed_plot_key(tmp_path, capsys):
+    # SVG charts come from --plot alone
+    cfg_path = _write(tmp_path, "cfg.ini", "[model]\nn_cells = 60\n[output]\nplot = true\n")
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "unknown key 'plot'" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+SWEEP_INI = ("[model]\nn_cells = 40\n[simulation]\nt_final = 0.5\nsolver = {solver}\n"
+             "[output]\nprofile_times =\n[sweep]\nic = FQ, SQ\nworkers = {workers}\n")
+
+
+def test_cli_sweep_runs_the_configured_solver(tmp_path):
+    # each combo's trajectory is the one `simulate` writes with that solver
+    ini = SWEEP_INI.format(solver="transformed", workers=1)
+    assert main(["sweep", "--config", _write(tmp_path, "sw.ini", ini),
+                 "--out", str(tmp_path / "sw")]) == 0
+    runs = sorted((tmp_path / "sw").glob("run_*"))
+    assert [r.name for r in runs] == ["run_000_ic-FQ", "run_001_ic-SQ"]
+    for run, ic in zip(runs, ("FQ", "SQ")):
+        written = {}
+        for solver in ("direct", "transformed"):
+            sim = SWEEP_INI.format(solver=solver, workers=1).replace("ic = FQ, SQ", "")
+            sim = sim.replace("[simulation]\n", f"[simulation]\nic = {ic}\n")
+            out = tmp_path / f"{ic}_{solver}"
+            assert main(["simulate", "--config", _write(tmp_path, "sim.ini", sim),
+                         "--out", str(out)]) == 0
+            written[solver] = (out / "trajectory.csv").read_bytes()
+        assert written["direct"] != written["transformed"]
+        assert (run / "trajectory.csv").read_bytes() == written["transformed"]
+
+
+def test_cli_sweep_rejects_both_solvers(tmp_path, capsys):
+    # one combo writes one trajectory: `both` stops the sweep before any run
+    ini = SWEEP_INI.format(solver="both", workers=1)
+    rc = main(["sweep", "--config", _write(tmp_path, "sw.ini", ini),
+               "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "solver" in capsys.readouterr().err
+    assert list((tmp_path / "sw").iterdir()) == []
+
+
+def test_cli_sweep_pool_has_no_more_workers_than_combos(tmp_path, monkeypatch):
+    # a fork pool starts all its workers at once; this stand-in records the
+    # size it is asked for and runs the jobs inline, so no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for workers in (64, 2):
+        ini = SWEEP_INI.format(solver="direct", workers=workers)
+        out = tmp_path / f"sw{workers}"
+        assert main(["sweep", "--config", _write(tmp_path, "sw.ini", ini),
+                     "--out", str(out)]) == 0
+        assert len((out / "sweep_index.csv").read_text().splitlines()) == 3
+    assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("model", ["mu_bar_1 = 0.6", "kernel_table = kernels.csv"])
+def test_cli_verify_rejects_a_non_reference_model(tmp_path, capsys, model):
+    # verify's criteria hold for the reference kernels; it reads only n_cells
+    cfg_path = _write(tmp_path, "cfg.ini", f"[model]\nn_cells = 60\n{model}\n")
+    rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and model.split(" =")[0] in err
+    assert list((tmp_path / "v").iterdir()) == []
+
+
+def test_verify_setup_is_the_default_config_setup():
+    # VerifyContext builds the reference model that [model] defaults describe
+    n = 60
+    ctx_setup = VerifyContext(n_cells=n).setup()
+    cfg_setup = build_setup_from_config(load_config(text=f"[model]\nn_cells = {n}\n", env={}))
+    for name in ("mu", "k", "g"):
+        assert np.array_equal(getattr(ctx_setup.kernels, name), getattr(cfg_setup.kernels, name))
+    assert ctx_setup.grid == cfg_setup.grid
+    assert ctx_setup.eq.u_star == cfg_setup.eq.u_star
+    assert np.array_equal(ctx_setup.eq.x_star, cfg_setup.eq.x_star)
