@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Grid-convergence study: renewal exponent, equilibrium values, and the
-cross-solver discrepancy, at a sequence of resolutions.
+"""Grid-convergence study of the reference scenario (the config defaults):
+renewal exponent, equilibrium values, and the cross-solver discrepancy, at a
+sequence of resolutions.
 
 Prints a table and writes convergence.csv to --out.
 """
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from predprey import AgeGrid, build_kernels, build_setup, cross_validate
+from predprey import build_setup, cross_validate
 from predprey.cli import write_csv
+from predprey.config import EquilibriumBlock, ModelBlock, kernels_from_model
 from predprey.controllers import ControllerSpec
 from predprey.simulate import ICSpec, SimConfig
 
@@ -26,9 +28,7 @@ def main() -> int:
 
     rows = []
     for n in cells:
-        grid = AgeGrid(A=1.0, n_cells=n)
-        kernels = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-        setup = build_setup(kernels, 0.15)
+        setup = build_setup(kernels_from_model(ModelBlock(n_cells=n)), EquilibriumBlock.u_star)
         eq = setup.eq
         disc = cross_validate(
             setup,

@@ -11,39 +11,30 @@ Writes, under out/scenarios/:
   roa_gradient/         region and level set for the gradient feedback
   roa_saturated/         region and level set for the saturated feedback
 
-Pass --fast for a quick look at n_cells = 100.
+Each scenario is one of the bundled configs/*.ini plus the keys it changes,
+written next to its outputs as _<name>.ini.  The runs take n_cells from the
+configs; pass --fast for a quick look at n_cells = 100.
 """
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
 from predprey.cli import main as cli_main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (name, command, bundled config, the keys the scenario changes in it)
 SCENARIOS = [
-    ("equilibrium", ["equilibrium"], {}),
-    ("open_loop_fq", ["simulate"], {"controller": {"kind": "open_loop"},
-                                    "simulation": {"ic": "FQ", "solver": "both"}}),
-    ("control_a_fq", ["simulate"], {"simulation": {"ic": "FQ"}}),
-    ("control_a_sq", ["simulate"], {"simulation": {"ic": "SQ"}}),
-    ("control_b_fq", ["simulate"], {"controller": {"kind": "control_b", "eps": "0.01", "beta": "0.13", "delta": "0.2"},
-                                    "simulation": {"ic": "FQ"}}),
-    ("control_b_sq", ["simulate"], {"controller": {"kind": "control_b", "eps": "0.01", "beta": "0.13", "delta": "0.2"},
-                                    "simulation": {"ic": "SQ"}}),
-    ("roa_gradient", ["roa"], {}),
-    ("roa_saturated", ["roa"], {"controller": {"kind": "control_b", "eps": "0.01", "beta": "0.13", "delta": "0.2"}}),
+    ("equilibrium", "equilibrium", "default", {}),
+    ("open_loop_fq", "simulate", "open_loop_fq", {}),
+    ("control_a_fq", "simulate", "default", {}),
+    ("control_a_sq", "simulate", "default", {"simulation": {"ic": "SQ"}}),
+    ("control_b_fq", "simulate", "control_b_sq", {"simulation": {"ic": "FQ"}}),
+    ("control_b_sq", "simulate", "control_b_sq", {}),
+    ("roa_gradient", "roa", "default", {}),
+    ("roa_saturated", "roa", "control_b_sq", {}),
 ]
-
-
-def build_ini(overrides: dict, n_cells: int) -> str:
-    sections = {"model": {"n_cells": str(n_cells)}}
-    for section, kv in overrides.items():
-        sections.setdefault(section, {}).update(kv)
-    lines = []
-    for section, kv in sections.items():
-        lines.append(f"[{section}]")
-        lines.extend(f"{k} = {v}" for k, v in kv.items())
-        lines.append("")
-    return "\n".join(lines)
 
 
 def main() -> int:
@@ -51,16 +42,21 @@ def main() -> int:
     parser.add_argument("--out", default="out/scenarios")
     parser.add_argument("--fast", action="store_true", help="run at n_cells = 100")
     args = parser.parse_args()
-    n_cells = 100 if args.fast else 400
     root = Path(args.out)
     root.mkdir(parents=True, exist_ok=True)
 
-    for name, command, overrides in SCENARIOS:
+    for name, command, base, changes in SCENARIOS:
+        ini = configparser.ConfigParser(interpolation=None)
+        with open(CONFIGS / f"{base}.ini", encoding="utf-8") as fh:
+            ini.read_file(fh)
+        ini.read_dict(changes)
+        if args.fast:
+            ini["model"]["n_cells"] = "100"
         cfg_path = root / f"_{name}.ini"
-        cfg_path.write_text(build_ini(overrides, n_cells))
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            ini.write(fh)
         print(f"== {name} ==")
-        rc = cli_main(command + ["--config", str(cfg_path), "--out",
-                                 str(root / name), "--plot"])
+        rc = cli_main([command, "--config", str(cfg_path), "--out", str(root / name), "--plot"])
         if rc != 0:
             print(f"scenario {name} failed with exit code {rc}", file=sys.stderr)
             return rc

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EquilibriumBlock, ModelBlock, kernels_from_model
 from .controllers import ControllerSpec, GainsA, GainsB, control_A, control_B_floor, phi
 from .equilibrium import compute_equilibrium, open_loop_jacobian, open_loop_jacobian_eigs
 from .lyapunov import (
@@ -29,7 +30,7 @@ from .lyapunov import (
     v_full,
     verify_level_set,
 )
-from .model import AgeGrid, bc_residual, build_kernels
+from .model import bc_residual
 from .simulate import (
     NAMED_STARTS,
     ICSpec,
@@ -80,9 +81,10 @@ class CriterionResult:
 
 
 class VerifyContext:
-    """Lazily built and cached setups/simulations for the criteria."""
+    """Lazily built and cached setups/simulations for the criteria, on the
+    reference ``[model]`` at ``n_cells`` cells and the setpoint ``u_star``."""
 
-    def __init__(self, n_cells: int = 400, u_star: float = 0.15):
+    def __init__(self, n_cells: int = ModelBlock.n_cells, u_star: float = EquilibriumBlock.u_star):
         self.n_cells = n_cells
         self.u_star = u_star
         self._cache: dict = {}
@@ -94,11 +96,8 @@ class VerifyContext:
 
     def setup(self, n_cells: int | None = None):
         n = self.n_cells if n_cells is None else n_cells
-        def build():
-            grid = AgeGrid(A=1.0, n_cells=n)
-            kernels = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-            return build_setup(kernels, self.u_star)
-        return self._get(("setup", n), build)
+        return self._get(("setup", n), lambda: build_setup(
+            kernels_from_model(ModelBlock(n_cells=n)), self.u_star))
 
     def direct_run(self, kind: str, ic: str):
         """The reference run (kind, ic) of ``REFERENCE_RUNS``; the first call

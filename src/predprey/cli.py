@@ -20,8 +20,8 @@ import numpy as np
 
 from . import svgplot
 from .acceptance import VerifyContext, run_all
-from .config import SWEEP_AXES, ModelBlock, RunConfig, load_config, override, sweep_axes
-from .controllers import BoundController, ControllerSpec
+from .config import SWEEP_AXES, RunConfig, kernels_from_model, load_config, override, sweep_axes
+from .controllers import BoundController
 from .errors import ConfigError, NumericalError, PredPreyError, VerificationFailure
 from .lyapunov import (
     ANALYSIS_MODE,
@@ -30,8 +30,8 @@ from .lyapunov import (
     roa_estimate,
     verify_level_set,
 )
-from .model import AgeGrid, build_kernels, kernels_from_tables
 from .simulate import (
+    SOLVERS,
     ICSpec,
     SimConfig,
     Setup,
@@ -72,37 +72,8 @@ def write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def build_grid_and_kernels(cfg: RunConfig):
-    """The age grid and kernels of ``[model]``; a kernel table that cannot be
-    read, or kernels the model rejects, are reported as ``ConfigError``."""
-    m = cfg.model
-    grid = AgeGrid(A=m.A, n_cells=m.n_cells)
-    try:
-        if not m.kernel_table:
-            return grid, build_kernels(
-                m.mu_bar_1, m.k_bar_1, m.g_bar_1, m.mu_bar_2, m.k_bar_2, m.g_bar_2, grid
-            )
-        table = np.loadtxt(m.kernel_table, delimiter=",", skiprows=1)
-        if table.shape != (grid.n_nodes, 7):
-            raise ConfigError(
-                f"kernel table {m.kernel_table} must have {grid.n_nodes} rows and "
-                "7 columns (a,mu1,k1,g1,mu2,k2,g2)"
-            )
-        if not np.allclose(table[:, 0], grid.nodes, atol=1e-12):
-            raise ConfigError("kernel table ages do not match the grid nodes")
-        # columns mu1,k1,g1,mu2,k2,g2 as (mu, k, g), each (2, n)
-        return grid, kernels_from_tables(grid, *table[:, 1:].T.reshape(2, 3, -1).swapaxes(0, 1))
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"[model] kernels rejected: {err}") from None
-
-
 def build_setup_from_config(cfg: RunConfig) -> Setup:
-    _, kernels = build_grid_and_kernels(cfg)
-    return build_setup(kernels, cfg.equilibrium.u_star)
-
-
-def controller_from_config(cfg: RunConfig) -> ControllerSpec:
-    return ControllerSpec(**dataclasses.asdict(cfg.controller))
+    return build_setup(kernels_from_model(cfg.model), cfg.equilibrium.u_star)
 
 
 def ic_from_config(cfg: RunConfig) -> ICSpec:
@@ -121,7 +92,7 @@ def lyap_config_from(cfg: RunConfig, setup: Setup):
     weights, or None; sigma is the certified ``Setup.sigma``, the value the
     recorder uses for G."""
     lb = cfg.lyapunov
-    return lyap_config_for(controller_from_config(cfg), setup.eq, setup.sigma,
+    return lyap_config_for(cfg.controller, setup.eq, setup.sigma,
                            gamma1=lb.gamma1 or None, gamma2=lb.gamma2 or None,
                            varpi=lb.varpi or None)
 
@@ -173,7 +144,7 @@ def _checked_run(cfg: RunConfig, setup: Setup):
     leaves the admissible set is a ``ConfigError`` naming its keys."""
     sim_cfg = SimConfig(
         t_final=cfg.simulation.t_final,
-        controller=controller_from_config(cfg),
+        controller=cfg.controller,
         ic=ic_from_config(cfg),
         record_every=cfg.simulation.record_every,
         snapshot_times=tuple(
@@ -253,7 +224,7 @@ def _write_trajectory(outdir: Path, setup: Setup, traj, suffix: str, plot: bool)
 def cmd_simulate(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     setup = build_setup_from_config(cfg)
     solver = cfg.simulation.solver
-    solvers = ("direct", "transformed") if solver == "both" else (solver,)
+    solvers = SOLVERS if solver == "both" else (solver,)
     sim_cfg, lyap = _checked_run(cfg, setup)
     for s in solvers:
         summary = _run_and_write(setup, sim_cfg, lyap, s, outdir,
@@ -378,14 +349,15 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
-    # the criteria have fixed targets on the reference model, at any n_cells
-    reference = ModelBlock(n_cells=cfg.model.n_cells)
-    changed = [f.name for f in dataclasses.fields(ModelBlock)
-               if getattr(cfg.model, f.name) != getattr(reference, f.name)]
+    # the criteria have fixed targets on the reference scenario, at any n_cells
+    reference = override(RunConfig(), model={"n_cells": cfg.model.n_cells})
+    changed = [f"[{section}] {key}" for section in ("model", "equilibrium")
+               for key, value in dataclasses.asdict(getattr(cfg, section)).items()
+               if value != getattr(getattr(reference, section), key)]
     if changed:
-        raise ConfigError(f"verify checks the reference model; [model] {', '.join(changed)} "
-                          "must keep their defaults (only n_cells may change)")
-    ctx = VerifyContext(n_cells=cfg.model.n_cells, u_star=cfg.equilibrium.u_star)
+        raise ConfigError(f"verify checks the reference scenario; {', '.join(changed)} "
+                          "must keep their defaults (only [model] n_cells may change)")
+    ctx = VerifyContext(n_cells=cfg.model.n_cells)
     results = run_all(ctx)
     for res in results:
         print(res.line())

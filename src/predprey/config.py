@@ -5,7 +5,8 @@ The file is plain ``configparser`` syntax (``[section]`` headers and
 are rejected, and any value can be overridden from the environment through
 variables named ``PREDPREY_<SECTION>_<KEY>`` (upper case).  Re-emitting the
 effective configuration with :func:`effective_ini` materializes all defaults
-and round-trips losslessly.
+and round-trips losslessly.  ``[controller]`` is a ``ControllerSpec`` as it
+stands, and :func:`kernels_from_model` turns ``[model]`` into kernels.
 """
 from __future__ import annotations
 
@@ -14,9 +15,12 @@ import io
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .controllers import KINDS, SENSORS
+import numpy as np
+
+from .controllers import KINDS, SENSORS, ControllerSpec
 from .errors import ConfigError
-from .simulate import NAMED_STARTS
+from .model import AgeGrid, KernelSet, build_kernels, kernels_from_tables
+from .simulate import NAMED_STARTS, SOLVERS
 
 ENV_PREFIX = "PREDPREY"
 
@@ -37,17 +41,6 @@ class ModelBlock:
 @dataclass(frozen=True)
 class EquilibriumBlock:
     u_star: float = 0.15
-
-
-@dataclass(frozen=True)
-class ControllerBlock:
-    kind: str = "control_a"
-    eps: float = 0.2
-    beta: float = 0.6
-    delta: float = 0.2
-    k1: float = 1.0
-    k2: float = 2.0
-    sensor: str = "interaction"
 
 
 @dataclass(frozen=True)
@@ -90,28 +83,23 @@ class SweepBlock:
 class RunConfig:
     model: ModelBlock = field(default_factory=ModelBlock)
     equilibrium: EquilibriumBlock = field(default_factory=EquilibriumBlock)
-    controller: ControllerBlock = field(default_factory=ControllerBlock)
+    # the CLI runs control A unless told otherwise; ControllerSpec() is open loop
+    controller: ControllerSpec = ControllerSpec(kind="control_a")
     simulation: SimulationBlock = field(default_factory=SimulationBlock)
     lyapunov: LyapunovBlock = field(default_factory=LyapunovBlock)
     output: OutputBlock = field(default_factory=OutputBlock)
     sweep: SweepBlock = field(default_factory=SweepBlock)
 
 
-_SECTIONS = {
-    "model": ModelBlock,
-    "equilibrium": EquilibriumBlock,
-    "controller": ControllerBlock,
-    "simulation": SimulationBlock,
-    "lyapunov": LyapunovBlock,
-    "output": OutputBlock,
-    "sweep": SweepBlock,
-}
+# every key's default, and each section's block type, in file order
+_DEFAULTS = RunConfig()
+_SECTIONS = {f.name: type(getattr(_DEFAULTS, f.name)) for f in fields(RunConfig)}
 
 _CHOICES = {
     ("controller", "kind"): KINDS,
     ("controller", "sensor"): tuple(SENSORS),
     ("simulation", "ic"): (*NAMED_STARTS, "multiplier"),
-    ("simulation", "solver"): ("direct", "transformed", "both"),
+    ("simulation", "solver"): (*SOLVERS, "both"),
 }
 
 # the (section, key) each [sweep] list overrides, in sweep_index.csv column order;
@@ -155,8 +143,8 @@ def _apply_entry(blocks: dict, section: str, key: str, raw: str):
     key = names[key.lower()]
     where = f"{section}.{key}"
     target = SWEEP_AXES[key] if section == "sweep" and key in SWEEP_AXES else (section, key)
-    default = getattr(_SECTIONS[target[0]](), target[1])
-    if isinstance(getattr(cls(), key), tuple):
+    default = getattr(getattr(_DEFAULTS, target[0]), target[1])
+    if isinstance(getattr(getattr(_DEFAULTS, section), key), tuple):
         items = [s for s in (part.strip() for part in raw.split(",")) if s]
         elem = type(default[0]) if isinstance(default, tuple) else type(default)
         value = tuple(_parse_scalar(s, elem, where) for s in items)
@@ -197,7 +185,8 @@ def load_config(path: str | None = None, env: dict | None = None,
                 _apply_entry(blocks, section, f.name, env[var])
 
     try:
-        cfg = RunConfig(**{name: cls(**blocks[name]) for name, cls in _SECTIONS.items()})
+        cfg = RunConfig(**{name: replace(getattr(_DEFAULTS, name), **blocks[name])
+                           for name in _SECTIONS})
     except TypeError as err:
         raise ConfigError(f"config construction failed: {err}") from None
     _validate(cfg)
@@ -216,8 +205,32 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"simulation.t_final must be positive, got {cfg.simulation.t_final}")
     if cfg.simulation.record_every < 1:
         raise ConfigError("simulation.record_every must be a positive integer")
+    if not all(t >= 0 for t in cfg.output.profile_times):
+        raise ConfigError(f"output.profile_times must be >= 0, got {cfg.output.profile_times}")
     if cfg.sweep.workers < 0:
         raise ConfigError("sweep.workers must be nonnegative")
+
+
+def kernels_from_model(model: ModelBlock) -> KernelSet:
+    """The kernels of ``[model]`` on its age grid; a kernel table that cannot
+    be read, or kernels the model rejects, are reported as ``ConfigError``."""
+    grid = AgeGrid(A=model.A, n_cells=model.n_cells)
+    try:
+        if not model.kernel_table:
+            return build_kernels(model.mu_bar_1, model.k_bar_1, model.g_bar_1,
+                                 model.mu_bar_2, model.k_bar_2, model.g_bar_2, grid)
+        table = np.loadtxt(model.kernel_table, delimiter=",", skiprows=1)
+        if table.shape != (grid.n_nodes, 7):
+            raise ConfigError(
+                f"kernel table {model.kernel_table} must have {grid.n_nodes} rows and "
+                "7 columns (a,mu1,k1,g1,mu2,k2,g2)"
+            )
+        if not np.allclose(table[:, 0], grid.nodes, atol=1e-12):
+            raise ConfigError("kernel table ages do not match the grid nodes")
+        # columns mu1,k1,g1,mu2,k2,g2 as (mu, k, g), each (2, n)
+        return kernels_from_tables(grid, *table[:, 1:].T.reshape(2, 3, -1).swapaxes(0, 1))
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"[model] kernels rejected: {err}") from None
 
 
 def _format_value(value) -> str:

@@ -94,6 +94,9 @@ def build_setup(kernels: KernelSet, u_star: float) -> Setup:
     )
 
 
+# the two integrators, by the name a config gives them
+SOLVERS = ("direct", "transformed")
+
 # (log_offset, log_slope) of the named multiplier starts
 NAMED_STARTS = {
     "FQ": ((1.0, -1.0), (2.0, -2.0)),

@@ -1,14 +1,12 @@
 import pytest
 
-from predprey import AgeGrid, build_kernels, build_setup
-
-U_STAR = 0.15
+from predprey import build_setup
+from predprey.config import EquilibriumBlock, ModelBlock, kernels_from_model
 
 
 def make_setup(n_cells: int):
-    grid = AgeGrid(A=1.0, n_cells=n_cells)
-    kernels = build_kernels(0.5, 3.0, 0.4, 0.5, 3.0, 0.4, grid)
-    return build_setup(kernels, U_STAR)
+    """The reference scenario, the config defaults, at ``n_cells`` cells."""
+    return build_setup(kernels_from_model(ModelBlock(n_cells=n_cells)), EquilibriumBlock.u_star)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 import predprey.cli as cli
 from predprey.acceptance import VerifyContext
 from predprey.cli import build_setup_from_config, main, write_csv
-from predprey.config import _SECTIONS, ControllerBlock, effective_ini, load_config, override
+from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.controllers import ControllerSpec
 from predprey.errors import ConfigError
 from predprey import lyapunov
@@ -35,7 +35,8 @@ def test_defaults_materialize():
     assert cfg.model.A == 1.0
     assert cfg.model.n_cells == 400
     assert cfg.equilibrium.u_star == 0.15
-    assert cfg.controller.kind == "control_a"
+    # [controller] is a ControllerSpec; only the CLI's default kind differs
+    assert cfg.controller == ControllerSpec(kind="control_a")
     assert cfg.simulation.ic == "FQ"
 
 
@@ -446,6 +447,19 @@ def test_cli_verify_low_resolution_guard(tmp_path, capsys):
     assert by_id["08"]["passed"] and by_id["12"]["passed"]
 
 
+def test_cli_profile_times_must_be_nonnegative(tmp_path, capsys):
+    # a negative or nan time is rejected before any run; times after t_final are skipped
+    ini = "[model]\nn_cells = 40\n[simulation]\nt_final = 0.5\n[output]\nprofile_times = {}\n"
+    for times in ("-1, 0.5", "nan"):
+        cfg_path = _write(tmp_path, "bad.ini", ini.format(times))
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "bad")]) == 2
+        assert "profile_times must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+    cfg_path = _write(tmp_path, "late.ini", ini.format("0.5, 3"))
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "late")]) == 0
+    assert sorted(p.name for p in (tmp_path / "late").glob("profiles*")) == ["profiles_t0.csv"]
+
+
 @pytest.mark.parametrize("solver", ["direct", "transformed"])
 def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
     # a huge control-A gain drives the populations to underflow within a step
@@ -513,11 +527,6 @@ def test_write_csv_formats_each_value_like_format_or_str(tmp_path):
         assert lines[row + 1] == ",".join(cells * 2)
     with pytest.raises(ValueError, match="one length"):
         write_csv(path, ["a", "b"], [floats, ints[:-1]])
-
-
-def test_controller_block_and_spec_share_their_fields():
-    # controller_from_config passes the block's fields through by name
-    assert [f.name for f in fields(ControllerBlock)] == [f.name for f in fields(ControllerSpec)]
 
 
 def test_cli_rejects_removed_plot_key(tmp_path, capsys):
@@ -591,14 +600,19 @@ def test_cli_sweep_pool_has_no_more_workers_than_combos(tmp_path, monkeypatch):
     assert sizes == [2, 2]
 
 
-@pytest.mark.parametrize("model", ["mu_bar_1 = 0.6", "kernel_table = kernels.csv"])
-def test_cli_verify_rejects_a_non_reference_model(tmp_path, capsys, model):
-    # verify's criteria hold for the reference kernels; it reads only n_cells
-    cfg_path = _write(tmp_path, "cfg.ini", f"[model]\nn_cells = 60\n{model}\n")
+NON_REFERENCE = [("model", "mu_bar_1 = 0.6"), ("model", "kernel_table = kernels.csv"),
+                 ("equilibrium", "u_star = 0.16"), ("equilibrium", "u_star = 0.12")]
+
+
+@pytest.mark.parametrize("section, line", NON_REFERENCE, ids=[line for _, line in NON_REFERENCE])
+def test_cli_verify_rejects_a_non_reference_model(tmp_path, capsys, monkeypatch, section, line):
+    # verify's criteria hold for the reference scenario; it reads only n_cells
+    monkeypatch.setenv("PREDPREY_MODEL_N_CELLS", "60")
+    cfg_path = _write(tmp_path, "cfg.ini", f"[{section}]\n{line}\n")
     rc = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "v")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and model.split(" =")[0] in err
+    assert "config error:" in err and f"[{section}] {line.split(' =')[0]}" in err
     assert list((tmp_path / "v").iterdir()) == []
 
 
