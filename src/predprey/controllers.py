@@ -19,12 +19,10 @@ from .model import check_species_fn, quad, row_dot
 _ETA_CLIP = 700.0
 
 
-def _e_neg(eta1):
-    return np.exp(-np.clip(eta1, -_ETA_CLIP, _ETA_CLIP))
-
-
-def _e_pos(eta2):
-    return np.exp(np.clip(eta2, -_ETA_CLIP, _ETA_CLIP))
+def clamp_eta(eta):
+    """eta (..., 2) as floats clamped to [-700, 700]: bitwise np.clip, which
+    costs several times as much, and nan stays nan."""
+    return np.minimum(np.maximum(np.asarray(eta, dtype=float), -_ETA_CLIP), _ETA_CLIP)
 
 
 def phi(eta, eq: Equilibrium):
@@ -33,9 +31,9 @@ def phi(eta, eq: Equilibrium):
     phi_1 = (1 - exp(-eta1))/lambda1 <= 1/lambda1 and
     phi_2 = lambda2*(exp(eta2) - 1) >= -lambda2.
     """
-    eta = np.asarray(eta, dtype=float)
-    phi1 = -np.expm1(-np.clip(eta[..., 0], -_ETA_CLIP, _ETA_CLIP)) / eq.lambda1
-    phi2 = eq.lambda2 * np.expm1(np.clip(eta[..., 1], -_ETA_CLIP, _ETA_CLIP))
+    e = clamp_eta(eta)
+    phi1 = -np.expm1(-e[..., 0]) / eq.lambda1
+    phi2 = eq.lambda2 * np.expm1(e[..., 1])
     return phi1, phi2
 
 
@@ -45,9 +43,8 @@ def big_phi(eta, eq: Equilibrium):
     expm1 keeps the small-argument quadratic behavior accurate; the clamp to
     zero removes the last ulp of cancellation noise.
     """
-    eta = np.asarray(eta, dtype=float)
-    e1 = np.clip(eta[..., 0], -_ETA_CLIP, _ETA_CLIP)
-    e2 = np.clip(eta[..., 1], -_ETA_CLIP, _ETA_CLIP)
+    e = clamp_eta(eta)
+    e1, e2 = e[..., 0], e[..., 1]
     p1 = np.maximum(0.0, (np.expm1(-e1) + e1) / eq.lambda1)
     p2 = np.maximum(0.0, eq.lambda2 * (np.expm1(e2) - e2))
     return p1, p2
@@ -138,12 +135,14 @@ def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
     eta = np.asarray(eta, dtype=float)
     e1, e2 = eta[..., 0], eta[..., 1]
     phi1, phi2 = phi(eta, eq)
-    den = eq.lambda2 * _e_pos(e2) + _e_neg(e1) / eq.lambda1
+    e = clamp_eta(eta)
+    e_pos, e_neg = np.exp(e[..., 1]), np.exp(-e[..., 0])
+    den = eq.lambda2 * e_pos + e_neg / eq.lambda1
     num = (
         -k1 * (e1 - e2)
         + k2 * (phi1 + phi2)
-        + eq.lambda2 * _e_pos(e2) * phi1
-        - _e_neg(e1) / eq.lambda1 * phi2
+        + eq.lambda2 * e_pos * phi1
+        - e_neg / eq.lambda1 * phi2
     )
     return eq.u_star + num / den
 

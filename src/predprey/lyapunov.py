@@ -108,12 +108,14 @@ def g_fn(psi, sigma, grid: AgeGrid):
     return float(g) if g.ndim == 0 else g
 
 
-def g_kernel(samples, weights, s_min):
+def g_kernel(samples, weights, s_min, out=None):
     """G from the history samples, the weights of ``g_fn_weights`` and the
     samples' minimum, which the caller has at hand; no admissibility check.
     Reduces along the last axis and broadcasts over the leading ones (a float
-    for one history)."""
-    return (np.abs(samples) * weights).max(axis=-1) / (1.0 + np.minimum(0.0, s_min))
+    for one history).  ``out``, an array of the samples' shape, takes the
+    weighted samples in place of a fresh one."""
+    weighted = np.multiply(np.abs(samples, out=out), weights, out=out)
+    return weighted.max(axis=-1) / (1.0 + np.minimum(0.0, s_min))
 
 
 def g_fn_weights(grid: AgeGrid, sigma) -> np.ndarray:

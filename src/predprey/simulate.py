@@ -2,10 +2,10 @@
 
 One loop, ``_march``, drives both solvers: it checks the batch, holds the
 control value over each step, records, takes snapshots and re-raises errors
-with t.  Each solver gives it a start, an ``observe`` and a step kernel
-``update(state, u, ops)`` whose step-invariant ``ops`` are built once per run.
-Both kernels renew their age profiles with ``_renew`` and take their
-interaction integrals from ``_interaction_losses``.
+with t.  Each solver gives it a start and a kernel, built once per run, that
+observes its state and steps it.  Both solvers solve their newborn nodes by
+the renewal sum of ``_renew`` and take their interaction integrals from
+``_loss_integrals``.
 
 Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
 (B, 1) column, and the densities, shape deviations and profiles are
@@ -17,8 +17,8 @@ evaluates its law once per step.  ``simulate_direct`` and
 and ``simulate_transformed_batch``.  Every age integral of a row is one 1-D
 dot (``row_dot``) and all else is elementwise, so a row of a batch reproduces
 its run alone bitwise.  A row that fails stops the batch with its reason and
-t: the earliest failing step, and within it the first check that fails.
-Which row failed is not reported.
+t: the earliest failing step, and within it the first check that fails.  The
+error's ``row`` is the first batch row that fails that check.
 
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
@@ -28,7 +28,9 @@ Direct kernel
     of the dilution and interaction losses, the latter averaged over the step
     by a predictor pass.  The newborn node is solved implicitly from the
     trapezoid renewal sum, which keeps the discrete birth identity exact.  Its
-    observe evaluates the Pi functionals, hence eta, once per step.
+    observe evaluates the Pi functionals, hence eta, once per step.  Each
+    record keeps the profiles and Pi values, and psi_min and G are reduced
+    once per block of records.
 
 Transformed kernel
     Marches the log-abundances by Heun's two-stage method, evaluating the
@@ -36,7 +38,12 @@ Transformed kernel
     advances each shape-deviation history through the discrete renewal
     identity (the same solve, with survival 1 and no loss).  dt = da
     makes every delayed lookup land exactly on a stored sample, so the delay
-    integrals involve no interpolation.
+    integrals involve no interpolation.  The histories read neither eta nor
+    u, so this half is marched once per run, before the eta loop: one
+    (B, 2, n_steps + n) array holds the histories of every step, and the
+    interaction integrals, psi_min and G are reduced from it in blocks of
+    steps.  The loop keeps only eta; a history failure found up front is
+    raised when the loop reaches its step.
 
 The accuracy model is second order in transport, in the eta update and in the
 interaction coupling; the control value is evaluated once per step and held,
@@ -52,10 +59,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
-from .errors import NumericalError
+from .errors import NumericalError, first_row
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
 from .model import AgeGrid, KernelSet, PopulationState, row_dot
 from .transform import (
@@ -162,17 +170,38 @@ def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
     return to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
 
 
+# the messages of the per-row checks of the history-dependent terms
+_FAILURES = {
+    "prey_collapse": "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
+                     "term is singular",
+    "psi_admissibility": "history admissibility lost: renewal produced a sample <= -1",
+}
+
+
+def _failure(reason: str, bad) -> NumericalError:
+    """The error of a failed per-row check, with its first failing row."""
+    return NumericalError(_FAILURES[reason], reason=reason, row=first_row(bad))
+
+
+def _check_finite(values):
+    """The loop's nan guard on eta (B, 2) or u (B, 1)."""
+    if not all(map(math.isfinite, values.ravel().tolist())):
+        raise NumericalError("non-finite value in the control loop", reason="nan_guard",
+                             row=first_row(~np.isfinite(values)))
+
+
+def _loss_integrals(x, wg):
+    """(quad(g1*x2), quad(g2*x1)), (..., 2), of profiles x (..., 2, n); wg
+    (2, n) holds the trapezoid-weighted g1 and g2."""
+    return row_dot(x[..., ::-1, :], wg)
+
+
 def _interaction_losses(x, wg):
     """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
-    prey and 1/quad(g2*x1) on the predator; wg (2, n) holds the
-    trapezoid-weighted g1 and g2."""
-    q = row_dot(x[..., ::-1, :], wg)
+    prey and 1/quad(g2*x1) on the predator, from ``_loss_integrals``."""
+    q = _loss_integrals(x, wg)
     if not all(v > 0 for v in q[..., 1].ravel().tolist()):
-        raise NumericalError(
-            "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
-            "term is singular",
-            reason="prey_collapse",
-        )
+        raise _failure("prey_collapse", ~(q[..., 1] > 0))
     q[..., 1] = 1.0 / q[..., 1]
     return q
 
@@ -222,18 +251,34 @@ class Trajectory:
         return self
 
 
+# The recorder and the history half reduce their (B, 2, n) samples a block
+# of K steps or records at a time, in (B, K, 2, n) scratch arrays of this many
+# elements (256 KB), which stay in cache and are allocated once per run.
+_BLOCK = 1 << 15
+
+
+def _block_len(rows: int, n: int) -> int:
+    return max(1, _BLOCK // (rows * 2 * n))
+
+
 class _Recorder:
-    """The recorded series of a batch of runs, rows on the leading axis."""
+    """The recorded series of a batch of runs, rows on the leading axis.
+
+    psi_min and G are reduced a block of records at a time by ``reduce``: the
+    direct solver's records keep their profiles and Pi values in a block
+    (``record``), and the transformed solver hands over the histories of every
+    step before its loop (``reduce_steps``)."""
 
     def __init__(self, setup: Setup, cfgs, n_steps: int, dt: float):
         self.setup = setup
         self.cfgs = cfgs
-        every = cfgs[0].record_every
+        self.every = every = cfgs[0].record_every
         # one slot per stride plus the final step when it is off-stride
         n_rec = n_steps // every + 1
         if n_steps % every:
             n_rec += 1
-        n_rows = len(cfgs)
+        n_rows, n = len(cfgs), setup.grid.n_nodes
+        self.n_rec = n_rec
         self.times = np.empty(n_rec)
         self.eta = np.empty((n_rows, n_rec, 2))
         self.u = np.empty((n_rows, n_rec))
@@ -245,17 +290,47 @@ class _Recorder:
         self.snap_steps = {
             int(round(ts / dt)) for ts in cfgs[0].snapshot_times if 0 <= ts <= n_steps * dt + 1e-9
         }
+        self.block = _block_len(n_rows, n)
+        self.scratch = np.empty((n_rows, self.block, 2, n))
+        self.kept_block = None  # the direct solver's (x, Pi[x]) of a block of records
 
-    def record(self, t, eta, u, psi):
-        """eta (B, 2), u (B, 1) and the shape deviations psi (B, 2, n)."""
+    def record(self, t, eta, u, kept=None):
+        """eta (B, 2), u (B, 1) and, from the direct solver, the profiles x
+        (B, 2, n) and their Pi values (B, 2) as ``kept``."""
         j = self.k
         self.times[j] = t
         self.eta[:, j] = eta
         self.u[:, j] = u[:, 0]
-        m = psi.min(axis=-1)
-        self.psi_min[:, j] = m
-        self.G[:, :, j] = g_kernel(psi, self.weights, m)
         self.k += 1
+        if kept is None:
+            return
+        if self.kept_block is None:
+            self.kept_block = (np.empty_like(self.scratch), np.empty(self.scratch.shape[:-1]))
+        xs, ps = self.kept_block
+        i = j % self.block
+        xs[:, i], ps[:, i] = kept
+        if i + 1 == self.block or self.k == self.n_rec:
+            psi = shape_deviation(xs[:, :i + 1], self.setup.eq.x_star, ps[:, :i + 1, :, None],
+                                  out=self.scratch[:, :i + 1])
+            self.reduce(j - i, psi, out=xs[:, :i + 1])
+
+    def reduce(self, j0, psi, out):
+        """psi_min and G of the records from j0 on, from their histories psi
+        (B, K, 2, n); ``out``, of psi's shape, is scratch for ``g_kernel``."""
+        j1 = j0 + psi.shape[1]
+        m = psi.min(axis=-1)
+        self.psi_min[:, j0:j1] = m
+        self.G[:, :, j0:j1] = g_kernel(psi, self.weights, m, out=out).swapaxes(1, 2)
+
+    def reduce_steps(self, psi):
+        """psi_min and G of every record from the histories of every step,
+        psi (B, n_steps + 1, 2, n)."""
+        on = psi[:, ::self.every]
+        for j0 in range(0, on.shape[1], self.block):
+            block = on[:, j0:j0 + self.block]
+            self.reduce(j0, block, self.scratch[:, :block.shape[1]])
+        if self.n_rec > on.shape[1]:
+            self.reduce(self.n_rec - 1, psi[:, -1:], self.scratch[:, :1])
 
     def snapshot(self, t, profiles):
         for snaps, x in zip(self.snapshots, profiles):
@@ -304,15 +379,16 @@ def _controller_groups(cfgs, eq: Equilibrium):
     return groups
 
 
-def _march(setup: Setup, cfgs, solver: str, start, observe, update, make_ops) -> list[Trajectory]:
+def _march(setup: Setup, cfgs, solver: str, start, kernel) -> list[Trajectory]:
     """The time loop of both solvers, over a batch of runs that must share
-    one schedule.  ``start(cfgs)`` builds the start state.  ``observe(state)``
-    returns eta (B, 2) and two zero-argument callables giving the shape
-    deviations and the profiles, each (B, 2, n), so each is built only when a
-    record, the control law or a snapshot needs it.  ``update(state, u, ops)``
-    takes u as a (B, 1) column.  ``make_ops()`` builds the kernel's
-    step-invariant arrays inside the error re-raise, so a grid too coarse for
-    a birth kernel is reported at t = 0."""
+    one schedule.  ``start(cfgs)`` builds the start state, and
+    ``kernel(start, rec, n_steps)`` the loop's state and its two step
+    functions, inside the error re-raise, so a grid too coarse for a birth
+    kernel is reported at t = 0.  ``observe(state, step)`` returns eta
+    (B, 2), a zero-argument callable giving the profiles (B, 2, n), built only
+    when the control law or a snapshot needs them, and what ``rec.record``
+    keeps of the state.  ``update(state, u, step)`` takes u as a (B, 1)
+    column."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
@@ -328,27 +404,25 @@ def _march(setup: Setup, cfgs, solver: str, start, observe, update, make_ops) ->
     u = np.empty((len(cfgs), 1))
     t = 0.0
     try:
-        ops = make_ops()
+        state, observe, update = kernel(state, rec, n_steps)
         for step in range(n_steps + 1):
-            eta, psi, profiles = observe(state)
+            eta, profiles, kept = observe(state, step)
             for controller, rows in controllers:
                 if controller.needs_profiles:
                     u[rows, 0] = controller.u_from_state(profiles()[rows])
                 else:
                     u[rows, 0] = controller.u_from_eta(eta[rows])
-            if not all(map(math.isfinite, u.ravel().tolist())):
-                raise NumericalError("non-finite value in the control loop",
-                                     reason="nan_guard")
+            _check_finite(u)
             if step % cfg.record_every == 0 or step == n_steps:
-                rec.record(t, eta, u, psi())
+                rec.record(t, eta, u, kept)
             if step in rec.snap_steps:
                 rec.snapshot(t, profiles())
             if step == n_steps:
                 break
-            state = update(state, u, ops)
+            state = update(state, u, step)
             t = (step + 1) * dt
     except NumericalError as err:
-        raise NumericalError(str(err), t=t, reason=err.reason) from None
+        raise NumericalError(str(err), t=t, reason=err.reason, row=err.row) from None
     return rec.build(solver)
 
 
@@ -425,14 +499,21 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
         # kernel returns fresh arrays after that
         return np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
 
-    def observe(x):
-        # the Pi functionals, once per step: they give eta and psi, and catch
-        # any non-finite profile
-        p = pi_functional(x, setup.adj)
-        return np.log(p), lambda: shape_deviation(x, eq.x_star, p[..., None]), lambda: x
+    def kernel(x, rec, n_steps):
+        ops = _direct_ops(setup.kernels)
 
-    return _march(setup, cfgs, "direct", start, observe, _direct_update,
-                  lambda: _direct_ops(setup.kernels))
+        def observe(x, step):
+            # the Pi functionals, once per step: they give eta, and the
+            # recorder's shape deviations, and catch any non-finite profile
+            p = pi_functional(x, setup.adj)
+            return np.log(p), lambda: x, (x, p)
+
+        def update(x, u, step):
+            return _direct_update(x, u, ops)
+
+        return x, observe, update
+
+    return _march(setup, cfgs, "direct", start, kernel)
 
 
 def _transformed_ops(eq: Equilibrium):
@@ -449,25 +530,77 @@ def _transformed_ops(eq: Equilibrium):
 _FLIP = np.array([1.0, -1.0])
 
 
-def _transformed_update(state, u, ops):
-    """Heun step on eta with the history integrals at both endpoints; u frozen.
-    eta is (..., 2), the histories (..., 2, n), and u broadcasts against eta."""
-    eta, psi = state
-    dt, zeta, wg, wk, d = ops
-    psi_new = _renew(psi[..., :-1], wk, d)
-    if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
-        raise NumericalError(
-            "history admissibility lost: renewal produced a sample <= -1",
-            reason="psi_admissibility",
-        )
-    # (j2, 1/j1) at both endpoints in one call, as they do not depend on eta;
-    # j2, the predator row's integral of g1 * x_star * (1 + psi), needs no
-    # check: every sample is > -1, checked at the start and on each new node
-    q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
+def _heun_eta(eta, u, q0, q1, dt, zeta):
+    """Heun step on eta (..., 2) with the loss rates q0 and q1 of
+    ``_interaction_losses`` at the step's two ends; u frozen, broadcasting
+    against eta."""
     zu = zeta - u
-    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q[0]
-    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q[1]
-    return eta + 0.5 * dt * (f1 + f2), psi_new
+    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q0
+    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q1
+    return eta + 0.5 * dt * (f1 + f2)
+
+
+def _march_histories(psi0, n_steps: int, wk, d):
+    """The histories of every step in one array, newest node first: from
+    psi0 (B, 2, n), ext (B, 2, n_steps + n) holds the histories of step s as
+    ext[..., n_steps - s:n_steps - s + n].  Each newborn is the renewal sum of
+    ``_renew`` over the previous step's history."""
+    n = psi0.shape[-1]
+    ext = np.empty(psi0.shape[:-1] + (n_steps + n,))
+    ext[..., n_steps:] = psi0
+    for i in range(n_steps - 1, -1, -1):
+        ext[..., i] = row_dot(ext[..., i + 1:i + n], wk) / d
+    return ext
+
+
+def _history_integrals(psi, wg):
+    """``_loss_integrals`` (S, B, 2) of the profiles 1 + psi of the histories
+    psi (B, S, 2, n), a block of steps at a time: each dot runs over a
+    contiguous row, as it does on one profile."""
+    rows, n_steps, _, n = psi.shape
+    q = np.empty((n_steps, rows, 2))
+    block = _block_len(rows, n)
+    buf = np.empty((rows, block, 2, n))
+    for s0 in range(0, n_steps, block):
+        s1 = min(s0 + block, n_steps)
+        q[s0:s1] = _loss_integrals(np.add(1.0, psi[:, s0:s1], out=buf[:, :s1 - s0]),
+                                   wg).swapaxes(0, 1)
+    return q
+
+
+def _history_half(psi0, n_steps: int, ops, rec: _Recorder):
+    """March the histories psi0 (B, 2, n) over every step at once: they read
+    neither eta nor u.  Fills the records' psi_min and G, and returns the
+    histories of every step (B, n_steps + 1, 2, n), a view; the loss rates q
+    (n_steps + 1, B, 2) at every step; and the step whose update meets the
+    first failure, with its error (n_steps and None when none fails).
+
+    The failure is the one the stepwise march meets: the update of step s
+    checks the newborn of step s + 1 for admissibility, then the loss rates
+    at both ends of the step for prey collapse."""
+    _, _, wg, wk, d = ops
+    # a diverging history may overflow or divide by zero, also past its first
+    # failure; the checks below, or the loop's nan guard on eta, report it
+    with np.errstate(all="ignore"):
+        ext = _march_histories(psi0, n_steps, wk, d)
+        psi = sliding_window_view(ext, psi0.shape[-1], axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+        q = _history_integrals(psi, wg)
+        # quad(g1*x2) needs no check: every sample of an admissible history
+        # is > -1, checked at the start and on each newborn
+        collapse = ~(q[..., 1] > 0)
+        q[..., 1] = 1.0 / q[..., 1]
+        rec.reduce_steps(psi)
+    fail, err = n_steps, None
+    inadmissible = ext[..., :n_steps] <= -1.0  # index i: the newborn of step n_steps - i
+    bad = np.flatnonzero(inadmissible.any(axis=(0, 1)))
+    if bad.size:
+        fail = n_steps - 1 - bad[-1]
+        err = _failure("psi_admissibility", inadmissible[..., bad[-1]])
+    bad = np.flatnonzero(collapse.any(axis=1))
+    if bad.size and max(bad[0] - 1, 0) < fail:
+        fail = max(bad[0] - 1, 0)
+        err = _failure("prey_collapse", collapse[fail:fail + 2].T)
+    return psi, q, fail, err
 
 
 def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
@@ -479,22 +612,33 @@ def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
 def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
     """Integrate several runs of one Setup as one march of eta (B, 2) and the
     histories (B, 2, n), with the contract of ``simulate_direct_batch``."""
+    x_star = setup.eq.x_star
+
     def start(cfgs):
         starts = [transformed_ic(c.ic, setup) for c in cfgs]
         return np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
 
-    def observe(state):
-        eta, psi = state
-        if not all(map(math.isfinite, eta.ravel().tolist())):
-            raise NumericalError("non-finite value in the control loop",
-                                 reason="nan_guard")
-        return eta, lambda: psi, lambda: profile(setup.eq.x_star, eta[..., None], psi)
+    def kernel(state, rec, n_steps):
+        eta0, psi0 = state
+        ops = _transformed_ops(setup.eq)
+        dt, zeta = ops[:2]
+        psi, q, fail, err = _history_half(psi0, n_steps, ops, rec)
+
+        def observe(eta, step):
+            _check_finite(eta)
+            return eta, lambda: profile(x_star, eta[..., None], psi[:, step]), None
+
+        def update(eta, u, step):
+            if step == fail:
+                raise err
+            return _heun_eta(eta, u, q[step], q[step + 1], dt, zeta)
+
+        return eta0, observe, update
 
     # a diverging run overflows exp(eta) in the kernel; the loop's nan guard
     # reports it, with t, in place of a RuntimeWarning
     with np.errstate(over="ignore"):
-        return _march(setup, cfgs, "transformed", start, observe, _transformed_update,
-                      lambda: _transformed_ops(setup.eq))
+        return _march(setup, cfgs, "transformed", start, kernel)
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Equilibrium
-from .errors import NumericalError
+from .errors import NumericalError, first_row
 from .model import (AgeGrid, PopulationState, check_grid_fn, check_species_fn, quad, row_dot,
                     tail_integral)
 
@@ -58,9 +58,12 @@ def compute_pi0(eq: Equilibrium) -> AdjointData:
     return AdjointData(pi0=pi0, wpi0=grid.weights * pi0, denom=denom)
 
 
-def shape_deviation(x, x_star, pi_val):
-    """psi = x / (x_star * Pi[x]) - 1, the age-shape deviation of a profile."""
-    return x / (x_star * pi_val) - 1.0
+def shape_deviation(x, x_star, pi_val, out=None):
+    """psi = x / (x_star * Pi[x]) - 1, the age-shape deviation of a profile;
+    ``out``, an array of the profiles' shape, takes it in place of a fresh
+    one."""
+    ratio = np.divide(x, np.multiply(x_star, pi_val, out=out), out=out)
+    return np.subtract(ratio, 1.0, out=out)
 
 
 def profile(x_star, eta, psi):
@@ -73,12 +76,14 @@ def pi_functional(x, adj: AdjointData):
     (..., 2, n), one per species, broadcast over the leading axes.
 
     Strictly positive and finite for a valid profile; anything else raises a
-    ``NumericalError`` tagged ``nan_guard``.
+    ``NumericalError`` tagged ``nan_guard``, with the first failing row of a
+    batch.
     """
     val = row_dot(x, adj.wpi0) / adj.denom
     if not all(0.0 < v < np.inf for v in val.ravel().tolist()):
+        bad = ~((0.0 < val) & (val < np.inf))
         raise NumericalError("nonpositive or non-finite abundance functional",
-                             reason="nan_guard")
+                             reason="nan_guard", row=first_row(bad.any(axis=-1)))
     return val
 
 

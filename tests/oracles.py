@@ -8,19 +8,22 @@ they live here too.
 """
 import numpy as np
 
-from predprey.controllers import GainsA, control_A, control_B, phi
+from predprey.controllers import BoundController, GainsA, control_A, control_B, phi
 from predprey.equilibrium import Equilibrium
 from predprey.errors import NumericalError
-from predprey.lyapunov import LyapConfig, v1
+from predprey.lyapunov import LyapConfig, g_fn, v1
 from predprey.model import AgeGrid, KernelSet, PopulationState, bc_residual, check_grid_fn, quad
 from predprey.simulate import (
     _direct_ops,
     _direct_update,
+    _failure,
+    _heun_eta,
     _interaction_losses,
+    _renew,
     _transformed_ops,
-    _transformed_update,
+    transformed_ic,
 )
-from predprey.transform import TransformedState
+from predprey.transform import TransformedState, profile, reconstruct
 
 
 def saturated_k(cfg: LyapConfig) -> float:
@@ -175,12 +178,61 @@ def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float)
     return PopulationState(t=state.t + dt, x=x)
 
 
+def _transformed_update(state, u, ops):
+    """One step of (eta, psi), the stepwise reference of the march's history
+    half: renew the histories, check the newborn node, take the interaction
+    integrals at both ends, then the march's Heun step on eta."""
+    eta, psi = state
+    dt, zeta, wg, wk, d = ops
+    psi_new = _renew(psi[..., :-1], wk, d)
+    if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
+        raise _failure("psi_admissibility", psi_new[..., 0] <= -1.0)
+    q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
+    return _heun_eta(eta, u, q[0], q[1], dt, zeta), psi_new
+
+
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
     """One step of the transformed solver."""
     with np.errstate(over="ignore"):
         eta, psi = _step("transformed", eq, _transformed_ops, _transformed_update,
                          (ts.eta, ts.psi), u, dt, ts.t)
     return TransformedState(t=ts.t + dt, eta=eta, psi=psi).validate(eq.grid)
+
+
+def march_transformed(setup, cfg):
+    """One transformed run as a loop of ``step_transformed``, with the march's
+    control law, records, snapshots and checks: a failure raises the
+    ``NumericalError`` the march raises, with its reason and t.  Returns the
+    times, eta, u, G (2, R), psi_min (R, 2) and snapshots of the records."""
+    eq, grid, dt = setup.eq, setup.grid, setup.grid.da
+    n_steps = max(int(round(cfg.t_final / dt)), 1)
+    snap_steps = {int(round(t / dt)) for t in cfg.snapshot_times}
+    controller = BoundController(cfg.controller, eq)
+    ts = transformed_ic(cfg.ic, setup)
+    out = {"times": [], "eta": [], "u": [], "G": [], "psi_min": []}
+    snapshots = []
+    for step in range(n_steps + 1):
+        ts.t = step * dt  # the march's t, not a running sum of dt
+        if not np.all(np.isfinite(ts.eta)):
+            raise NumericalError("non-finite eta", t=ts.t, reason="nan_guard")
+        if controller.needs_profiles:
+            u = controller.u_from_state(profile(eq.x_star, ts.eta[:, None], ts.psi))
+        else:
+            u = controller.u_from_eta(ts.eta)
+        if not np.isfinite(u):
+            raise NumericalError("non-finite u", t=ts.t, reason="nan_guard")
+        if step % cfg.record_every == 0 or step == n_steps:
+            for name, value in (("times", ts.t), ("eta", ts.eta), ("u", u),
+                                ("G", g_fn(ts.psi, setup.sigma, grid)),
+                                ("psi_min", ts.psi.min(axis=-1))):
+                out[name].append(value)
+        if step in snap_steps:
+            snapshots.append((ts.t, reconstruct(ts, eq).x))
+        if step == n_steps:
+            break
+        ts = step_transformed(ts, u, eq, dt)
+    return (*(np.array(out[name]) for name in ("times", "eta", "u")),
+            np.array(out["G"]).T, np.array(out["psi_min"]), snapshots)
 
 
 def transformed_step_reference(eta, psi1, psi2, u: float, eq: Equilibrium):

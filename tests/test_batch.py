@@ -26,10 +26,10 @@ SPECS = (
     ControllerSpec(kind="measured", eps=0.2, beta=0.6),
 )
 SERIES = ("times", "eta", "u", "G1", "G2", "psi_min", "V0", "V1", "V")
-# solver -> (single run, batch entry, name of its step kernel in simulate)
+# solver -> (single run, batch entry, name of its first piece of march work in simulate)
 SOLVERS = {
     "direct": (simulate_direct, simulate_direct_batch, "_direct_update"),
-    "transformed": (simulate_transformed, simulate_transformed_batch, "_transformed_update"),
+    "transformed": (simulate_transformed, simulate_transformed_batch, "_march_histories"),
 }
 
 
@@ -91,6 +91,19 @@ def test_failing_row_stops_the_batch_with_its_single_run_error(setup100, solver,
     assert single.value.reason is not None
     assert (batch.value.reason, batch.value.t) == (single.value.reason, single.value.t)
     assert 0.0 < batch.value.t < DIVERGING.t_final
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_failing_row_is_reported(setup100, solver):
+    single_run, batch_run, _ = SOLVERS[solver]
+    with pytest.raises(NumericalError) as single:
+        single_run(setup100, DIVERGING)
+    with pytest.raises(NumericalError) as batch:
+        batch_run(setup100, [HEALTHY, DIVERGING, HEALTHY])
+    assert single.value.row == 0
+    assert (batch.value.reason, batch.value.t, batch.value.row) == (
+        single.value.reason, single.value.t, 1)
+    assert str(batch.value) == str(single.value)
 
 
 CHANGES = [dict(t_final=1.0), dict(record_every=2), dict(snapshot_times=(0.5,))]

@@ -8,6 +8,7 @@ from predprey.controllers import (
     GainsA,
     GainsB,
     big_phi,
+    clamp_eta,
     control_A,
     control_B,
     control_B_floor,
@@ -49,6 +50,21 @@ def test_phi_survives_absurd_arguments(eq400):
     # the exponent clamp keeps evaluation finite even for absurd states
     p1, p2 = phi(np.array([-1e6, 1e6]), eq400)
     assert np.isfinite(p1) and np.isfinite(p2)
+
+
+def test_clamp_eta_is_bitwise_np_clip():
+    # random states with both entries past the clamp, the infinities, nan and
+    # a negative zero: the same bits as np.clip, sign of zero and nan included
+    rng = np.random.default_rng(7)
+    eta = rng.normal(0.0, 600.0, (4000, 2))
+    specials = [701.0, -701.0, 700.0, -700.0, 1e308, np.inf, -np.inf, np.nan, -0.0, 0.0]
+    eta[:len(specials), 0] = specials
+    eta[:len(specials), 1] = specials[::-1]
+    ref = np.clip(eta, -700.0, 700.0)
+    got = clamp_eta(eta)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(clamp_eta(eta[3]).view(np.int64), ref[3].view(np.int64))
 
 
 def test_big_phi_values(eq400):

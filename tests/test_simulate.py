@@ -1,3 +1,4 @@
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -11,16 +12,18 @@ from predprey.simulate import (
     ICSpec,
     SimConfig,
     _transport,
+    _block_len,
     cross_validate,
     ic_from_spec,
     simulate_direct,
     simulate_transformed,
+    simulate_transformed_batch,
     transformed_ic,
 )
-from predprey.transform import to_transformed
+from predprey.transform import pi_functional, shape_deviation, to_transformed
 
 from conftest import make_setup
-from oracles import (interaction_terms, step_direct, step_transformed,
+from oracles import (interaction_terms, march_transformed, step_direct, step_transformed,
                      transformed_step_reference)
 
 OPEN = ControllerSpec(kind="open_loop")
@@ -126,6 +129,104 @@ def test_step_matches_simulate(setup100, solver):
     assert len(traj.times) == 201
     assert np.array_equal(traj.eta, np.array(etas))
     assert np.array_equal(traj.u, np.array(us))
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("ic", ["FQ", "SQ"])
+@pytest.mark.parametrize("kind", ["open_loop", "control_b", "measured"])
+def test_transformed_march_is_its_stepwise_oracle(setup100, kind, ic, every):
+    # the march takes the history half once per run; a loop of one-step
+    # kernels renews the histories and takes their integrals step by step.
+    # Every recorded series and snapshot agrees bitwise over 300 steps
+    gains = dict(eps=0.01, beta=0.13, delta=0.2) if kind == "control_b" else {}
+    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ControllerSpec(kind=kind, **gains),
+                    ic=ICSpec(kind=ic), record_every=every, snapshot_times=(0.0, 1.37, 3.0))
+    traj = simulate_transformed(setup100, cfg)
+    times, eta, u, G, psi_min, snapshots = march_transformed(setup100, cfg)
+    assert len(times) == 300 // every + 1
+    for name, ref in (("times", times), ("eta", eta), ("u", u), ("G1", G[0]), ("G2", G[1]),
+                      ("psi_min", psi_min)):
+        assert np.array_equal(getattr(traj, name), ref), name
+    assert len(traj.snapshots) == len(snapshots) == 3
+    for (t_m, x_m), (t_o, x_o) in zip(traj.snapshots, snapshots):
+        assert t_m == t_o and np.array_equal(x_m, x_o)
+
+
+def _history_failure_setup(setup, reason):
+    """A Setup whose history half fails with ``reason``: doubled discounted
+    birth kernels amplify the histories until a newborn sample reaches -1, and
+    a predator interaction kernel that turns negative at old ages makes
+    quad(g2*x1) nonpositive once the young prey surplus of SQ has aged."""
+    eq = setup.eq
+    if reason == "psi_admissibility":
+        return replace(setup, eq=replace(eq, ktilde=2.0 * eq.ktilde))
+    g = eq.kernels.g.copy()
+    g[1] *= 1.0 - 2.5 * eq.grid.nodes
+    return replace(setup, eq=replace(eq, kernels=types.SimpleNamespace(g=g)))
+
+
+DIVERGING = SimConfig(t_final=2.0, ic=ICSpec(kind="SQ"),
+                      controller=ControllerSpec(kind="control_a", eps=0.2, beta=5000.0))
+
+
+@pytest.mark.parametrize("reason, ic, t_fail", [
+    ("nan_guard", "SQ", 0.02),
+    ("psi_admissibility", "SQ", 1.01),
+    ("psi_admissibility", "FQ", 1.01),
+    ("prey_collapse", "SQ", 0.43),
+    ("prey_collapse", "FQ", 0.0),
+])
+def test_transformed_march_fails_where_its_stepwise_oracle_fails(setup100, reason, ic, t_fail):
+    # the history half is marched before the eta loop; its failures are
+    # raised at the step where the stepwise march meets them, after that
+    # step's eta and u checks, with the same reason and t
+    if reason == "nan_guard":
+        setup, cfg = setup100, DIVERGING
+    else:
+        setup = _history_failure_setup(setup100, reason)
+        cfg = SimConfig(t_final=3.0, controller=OPEN, ic=ICSpec(kind=ic))
+    with pytest.raises(NumericalError) as marched:
+        simulate_transformed(setup, cfg)
+    with pytest.raises(NumericalError) as stepped:
+        march_transformed(setup, cfg)
+    assert (marched.value.reason, marched.value.t) == (stepped.value.reason, stepped.value.t)
+    assert marched.value.reason == reason
+    assert marched.value.t == pytest.approx(t_fail, abs=1e-12)
+    assert marched.value.row == 0
+
+
+@pytest.mark.parametrize("reason, ics", [
+    ("psi_admissibility", ("eta", "SQ")),
+    ("prey_collapse", ("SQ", "FQ")),
+])
+def test_history_failure_reports_its_row(setup100, reason, ics):
+    # the second row fails first: the eta start's flat histories never renew
+    # away from zero, and FQ collapses at t = 0 while SQ holds out until 0.43
+    setup = _history_failure_setup(setup100, reason)
+    cfgs = [SimConfig(t_final=3.0, controller=OPEN, ic=ICSpec(kind=ic)) for ic in ics]
+    with pytest.raises(NumericalError) as alone:
+        simulate_transformed(setup, cfgs[1])
+    with pytest.raises(NumericalError) as batch:
+        simulate_transformed_batch(setup, cfgs)
+    assert (batch.value.reason, batch.value.t, batch.value.row) == (reason, alone.value.t, 1)
+
+
+def test_direct_records_reduce_across_blocks(setup100):
+    # the recorder reduces psi_min and G a block of records at a time; at
+    # snapshot steps on both sides of a block boundary they equal the shape
+    # deviations of the snapshot profiles, reduced one by one
+    block = _block_len(1, setup100.grid.n_nodes)
+    da, eq = setup100.grid.da, setup100.eq
+    steps = (0, block - 1, block, block + 1, 2 * block + 5)
+    traj = simulate_direct(setup100, SimConfig(
+        t_final=steps[-1] * da, controller=OPEN, ic=ICSpec(kind="SQ"),
+        snapshot_times=tuple(s * da for s in steps)))
+    assert len(traj.times) == steps[-1] + 1
+    for step, (_, x) in zip(steps, traj.snapshots):
+        psi = shape_deviation(x, eq.x_star, pi_functional(x, setup100.adj)[:, None])
+        assert tuple(traj.psi_min[step]) == tuple(psi.min(axis=-1)), step
+        g = g_fn(psi, setup100.sigma, setup100.grid)
+        assert (traj.G1[step], traj.G2[step]) == tuple(g), step
 
 
 def test_direct_kernel_no_births():
