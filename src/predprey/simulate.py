@@ -2,10 +2,11 @@
 
 One loop, ``_march``, drives both solvers: it checks the batch, holds the
 control value over each step, records, takes snapshots and re-raises errors
-with t.  Each solver gives it a start and a kernel, built once per run, that
-observes its state and steps it.  Both solvers solve their newborn nodes by
-the renewal sum of ``_renew`` and take their interaction integrals from
-``_loss_integrals``.
+with t.  Each solver gives it a start and a half, marched once per run before
+the loop, of all that reads neither eta nor u; the loop keeps only eta, which
+both solvers step by the same Heun step, ``_heun_eta``.  Both halves march
+their samples with ``_march_histories`` and take their interaction integrals
+from ``_loss_integrals``.
 
 Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
 (B, 1) column, and the densities, shape deviations and profiles are
@@ -24,13 +25,21 @@ Direct kernel
     Marches the density profiles along characteristics.  The time step is
     locked to the age step, so transport is an exact one-node shift combined
     with an exponential loss factor: the one-cell survival of the
-    trapezoid-averaged mortality, precomputed per run, times the exponential
-    of the dilution and interaction losses, the latter averaged over the step
-    by a predictor pass.  The newborn node is solved implicitly from the
-    trapezoid renewal sum, which keeps the discrete birth identity exact.  Its
-    observe evaluates the Pi functionals, hence eta, once per step.  Each
-    record keeps the profiles and Pi values, and psi_min and G are reduced
-    once per block of records.
+    trapezoid-averaged mortality times exp(-(u + loss)*dt), the interaction
+    losses averaged over the step by a predictor pass.  The newborn node is
+    solved implicitly from the trapezoid renewal sum, which keeps the discrete
+    birth identity exact.  Transport and renewal are linear and the losses
+    scale a whole species, so each profile is x = C*y, with y the march
+    without harvest or interaction losses, discounted by zeta: y reads
+    neither u nor eta.  Divided by the discounted cumulative survival S,
+    z = y/S is a pure one-node shift with newborn weights w*k*S, marched once
+    per run into one (B, 2, n_steps + n) array as the transformed histories
+    are.  The Pi values P and the loss integrals Q of every step, psi_min and
+    G are reduced from it.  eta = log C + log P then follows the transformed
+    solver's Heun step with zeta + log(P_{s+1}/P_s)/dt and the loss rates
+    (Q1/P2, P1/Q2), and the profiles are e^{eta}/P * S * z.  A prey collapse
+    found up front is raised when the loop reaches its step, and an S out of
+    the floating-point range at t = 0 (``survival_range``).
 
 Transformed kernel
     Marches the log-abundances by Heun's two-stage method, evaluating the
@@ -65,7 +74,7 @@ from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError, first_row
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
-from .model import AgeGrid, KernelSet, PopulationState, row_dot
+from .model import AgeGrid, KernelSet, PopulationState, cumulative, row_dot
 from .transform import (
     AdjointData,
     TransformedState,
@@ -196,16 +205,6 @@ def _loss_integrals(x, wg):
     return row_dot(x[..., ::-1, :], wg)
 
 
-def _interaction_losses(x, wg):
-    """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
-    prey and 1/quad(g2*x1) on the predator, from ``_loss_integrals``."""
-    q = _loss_integrals(x, wg)
-    if not all(v > 0 for v in q[..., 1].ravel().tolist()):
-        raise _failure("prey_collapse", ~(q[..., 1] > 0))
-    q[..., 1] = 1.0 / q[..., 1]
-    return q
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run; dt is locked to the grid spacing."""
@@ -251,9 +250,10 @@ class Trajectory:
         return self
 
 
-# The recorder and the history half reduce their (B, 2, n) samples a block
-# of K steps or records at a time, in (B, K, 2, n) scratch arrays of this many
-# elements (256 KB), which stay in cache and are allocated once per run.
+# The recorder and the transformed solver's loss integrals reduce their
+# (B, 2, n) samples a block of K steps or records at a time, in (B, K, 2, n)
+# scratch arrays of this many elements (256 KB), which stay in cache and are
+# allocated once per run.
 _BLOCK = 1 << 15
 
 
@@ -264,10 +264,9 @@ def _block_len(rows: int, n: int) -> int:
 class _Recorder:
     """The recorded series of a batch of runs, rows on the leading axis.
 
-    psi_min and G are reduced a block of records at a time by ``reduce``: the
-    direct solver's records keep their profiles and Pi values in a block
-    (``record``), and the transformed solver hands over the histories of every
-    step before its loop (``reduce_steps``)."""
+    psi_min and G are reduced a block of records at a time by ``reduce``,
+    from the samples of every step that each solver hands over before its
+    loop (``reduce_steps``)."""
 
     def __init__(self, setup: Setup, cfgs, n_steps: int, dt: float):
         self.setup = setup
@@ -292,45 +291,45 @@ class _Recorder:
         }
         self.block = _block_len(n_rows, n)
         self.scratch = np.empty((n_rows, self.block, 2, n))
-        self.kept_block = None  # the direct solver's (x, Pi[x]) of a block of records
 
-    def record(self, t, eta, u, kept=None):
-        """eta (B, 2), u (B, 1) and, from the direct solver, the profiles x
-        (B, 2, n) and their Pi values (B, 2) as ``kept``."""
+    def record(self, t, eta, u):
+        """eta (B, 2) and u (B, 1)."""
         j = self.k
         self.times[j] = t
         self.eta[:, j] = eta
         self.u[:, j] = u[:, 0]
         self.k += 1
-        if kept is None:
-            return
-        if self.kept_block is None:
-            self.kept_block = (np.empty_like(self.scratch), np.empty(self.scratch.shape[:-1]))
-        xs, ps = self.kept_block
-        i = j % self.block
-        xs[:, i], ps[:, i] = kept
-        if i + 1 == self.block or self.k == self.n_rec:
-            psi = shape_deviation(xs[:, :i + 1], self.setup.eq.x_star, ps[:, :i + 1, :, None],
-                                  out=self.scratch[:, :i + 1])
-            self.reduce(j - i, psi, out=xs[:, :i + 1])
 
     def reduce(self, j0, psi, out):
         """psi_min and G of the records from j0 on, from their histories psi
-        (B, K, 2, n); ``out``, of psi's shape, is scratch for ``g_kernel``."""
+        (B, K, 2, n); ``out``, of psi's shape and possibly psi itself, is
+        scratch for ``g_kernel``."""
         j1 = j0 + psi.shape[1]
         m = psi.min(axis=-1)
         self.psi_min[:, j0:j1] = m
         self.G[:, :, j0:j1] = g_kernel(psi, self.weights, m, out=out).swapaxes(1, 2)
 
-    def reduce_steps(self, psi):
-        """psi_min and G of every record from the histories of every step,
-        psi (B, n_steps + 1, 2, n)."""
-        on = psi[:, ::self.every]
-        for j0 in range(0, on.shape[1], self.block):
-            block = on[:, j0:j0 + self.block]
-            self.reduce(j0, block, self.scratch[:, :block.shape[1]])
-        if self.n_rec > on.shape[1]:
-            self.reduce(self.n_rec - 1, psi[:, -1:], self.scratch[:, :1])
+    def reduce_steps(self, hist, p=None, base=None, psi0=None):
+        """psi_min and G of every record from the samples of every step, hist
+        (B, n_steps + 1, 2, n): the histories themselves or, given their Pi
+        values p (B, n_steps + 1, 2), profiles whose histories are their
+        ``shape_deviation`` against base (2, n), except at t = 0, where the
+        start's histories psi0 (B, 2, n) are at hand."""
+        n, every = hist.shape[1], self.every
+        stride = self.block * every
+        blocks = [slice(s0, s0 + stride, every) for s0 in range(0, n, stride)]
+        if self.n_rec > -(-n // every):
+            blocks.append(slice(n - 1, n))  # the final step, off the stride
+        j0 = 0
+        for steps in blocks:
+            samples = hist[:, steps]
+            out = self.scratch[:, :samples.shape[1]]
+            if p is not None:
+                samples = shape_deviation(samples, base, p[:, steps, :, None], out=out)
+                if j0 == 0:
+                    samples[:, 0] = psi0
+            self.reduce(j0, samples, out)
+            j0 += samples.shape[1]
 
     def snapshot(self, t, profiles):
         for snaps, x in zip(self.snapshots, profiles):
@@ -379,16 +378,35 @@ def _controller_groups(cfgs, eq: Equilibrium):
     return groups
 
 
-def _march(setup: Setup, cfgs, solver: str, start, kernel) -> list[Trajectory]:
+# exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
+_FLIP = np.array([1.0, -1.0])
+
+
+def _heun_eta(eta, u, q0, q1, dt, zeta):
+    """Heun step on eta (..., 2) with the loss rates q0 and q1 at the step's
+    two ends, per unit of (e^{eta2}, e^{-eta1}); u frozen, broadcasting
+    against eta."""
+    zu = zeta - u
+    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q0
+    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q1
+    return eta + 0.5 * dt * (f1 + f2)
+
+
+def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     """The time loop of both solvers, over a batch of runs that must share
-    one schedule.  ``start(cfgs)`` builds the start state, and
-    ``kernel(start, rec, n_steps)`` the loop's state and its two step
-    functions, inside the error re-raise, so a grid too coarse for a birth
-    kernel is reported at t = 0.  ``observe(state, step)`` returns eta
-    (B, 2), a zero-argument callable giving the profiles (B, 2, n), built only
-    when the control law or a snapshot needs them, and what ``rec.record``
-    keeps of the state.  ``update(state, u, step)`` takes u as a (B, 1)
-    column."""
+    one schedule.  ``start(cfgs)`` builds the start state.  ``half(start,
+    rec, n_steps)`` marches, once per run and inside the error re-raise (so a
+    grid too coarse for a birth kernel is reported at t = 0), all that reads
+    neither eta nor u; it fills the records' psi_min and G and returns:
+
+    - eta at t = 0, (B, 2)
+    - zeta and the loss rates q of ``_heun_eta``, indexed by step
+    - ``profiles(eta, step)``, the profiles (B, 2, n), called only when the
+      control law or a snapshot needs them
+    - the step whose update meets the half's first failure, and its error
+      (n_steps and None when none fails).
+
+    The loop keeps only eta, with u held over each step as a (B, 1) column."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
@@ -400,35 +418,40 @@ def _march(setup: Setup, cfgs, solver: str, start, kernel) -> list[Trajectory]:
     n_steps = max(int(round(cfg.t_final / dt)), 1)
     controllers = _controller_groups(cfgs, setup.eq)
     rec = _Recorder(setup, cfgs, n_steps, dt)
-    state = start(cfgs)
     u = np.empty((len(cfgs), 1))
     t = 0.0
-    try:
-        state, observe, update = kernel(state, rec, n_steps)
-        for step in range(n_steps + 1):
-            eta, profiles, kept = observe(state, step)
-            for controller, rows in controllers:
-                if controller.needs_profiles:
-                    u[rows, 0] = controller.u_from_state(profiles()[rows])
-                else:
-                    u[rows, 0] = controller.u_from_eta(eta[rows])
-            _check_finite(u)
-            if step % cfg.record_every == 0 or step == n_steps:
-                rec.record(t, eta, u, kept)
-            if step in rec.snap_steps:
-                rec.snapshot(t, profiles())
-            if step == n_steps:
-                break
-            state = update(state, u, step)
-            t = (step + 1) * dt
-    except NumericalError as err:
-        raise NumericalError(str(err), t=t, reason=err.reason, row=err.row) from None
+    # a diverging run overflows exp(eta) in the Heun step; the nan guard
+    # reports it, with t, in place of a RuntimeWarning
+    with np.errstate(over="ignore"):
+        state = start(cfgs)
+        try:
+            eta, zeta, q, profiles, fail, failure = half(state, rec, n_steps)
+            for step in range(n_steps + 1):
+                _check_finite(eta)
+                for controller, rows in controllers:
+                    if controller.needs_profiles:
+                        u[rows, 0] = controller.u_from_state(profiles(eta, step)[rows])
+                    else:
+                        u[rows, 0] = controller.u_from_eta(eta[rows])
+                _check_finite(u)
+                if step % cfg.record_every == 0 or step == n_steps:
+                    rec.record(t, eta, u)
+                if step in rec.snap_steps:
+                    rec.snapshot(t, profiles(eta, step))
+                if step == n_steps:
+                    break
+                if step == fail:
+                    raise failure
+                eta = _heun_eta(eta, u, q[step], q[step + 1], dt, zeta[step])
+                t = (step + 1) * dt
+        except NumericalError as err:
+            raise NumericalError(str(err), t=t, reason=err.reason, row=err.row) from None
     return rec.build(solver)
 
 
 def _renewal_weights(w, k):
     """The weighted birth kernels w*k on nodes 1.. and the newborn
-    denominators 1 - w0*k(0) of ``_renew``, for the kernels k (2, n)."""
+    denominators 1 - w0*k(0) of the renewal sum, for the kernels k (2, n)."""
     wk = w * k
     if wk[:, 0].max() >= 1.0:
         raise NumericalError(
@@ -439,43 +462,51 @@ def _renewal_weights(w, k):
     return np.ascontiguousarray(wk[:, 1:]), 1.0 - wk[:, 0]
 
 
-def _renew(moved, wk, d):
-    """The profile one step on, age last: ``moved`` (..., n - 1), nodes
-    0..n-2 carried one node along the characteristics, fills nodes 1.., and
-    the newborn node solves the trapezoid renewal sum: row_dot(moved, w*k) / d."""
-    out = np.empty(moved.shape[:-1] + (moved.shape[-1] + 1,))
-    out[..., 1:] = moved
-    out[..., 0] = row_dot(moved, wk) / d
-    return out
+def _march_histories(z0, n_steps: int, wk, d):
+    """The samples of every step of a march that carries each sample one
+    node along unchanged and solves the newborn node from the trapezoid
+    renewal sum row_dot(z[..., :-1], w*k) / d over the previous step.  From
+    z0 (B, 2, n), one (B, 2, n_steps + n) array holds the samples of step s
+    at [..., n_steps - s:n_steps - s + n]; returns its windows, the samples
+    of every step (B, n_steps + 1, 2, n)."""
+    n = z0.shape[-1]
+    ext = np.empty(z0.shape[:-1] + (n_steps + n,))
+    ext[..., n_steps:] = z0
+    for i in range(n_steps - 1, -1, -1):
+        ext[..., i] = row_dot(ext[..., i + 1:i + n], wk) / d
+    return sliding_window_view(ext, n, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
 
 
-def _direct_ops(kernels: KernelSet):
-    """Step-invariant arrays of the direct step: dt, the weighted interaction
-    kernels w*g, and the species data of ``_transport``: the one-cell survival
-    exp(-mu_avg*dt) of the cell-averaged mortality and the renewal weights."""
-    w, dt = kernels.grid.weights, kernels.grid.da
-    mu_avg = 0.5 * (kernels.mu[:, :-1] + kernels.mu[:, 1:])
-    return dt, w * kernels.g, (np.exp(-mu_avg * dt), *_renewal_weights(w, kernels.k))
+def _prey_collapse(q, fail, err):
+    """The earlier of the failure (fail, err) and the first prey collapse in
+    the loss integrals q (n_steps + 1, B, 2) of every step: the update of
+    step s reads them at both its ends, and quad(g2*x1) must be positive."""
+    collapse = ~(q[..., 1] > 0)
+    bad = np.flatnonzero(collapse.any(axis=1))
+    if bad.size and max(bad[0] - 1, 0) < fail:
+        fail = max(bad[0] - 1, 0)
+        err = _failure("prey_collapse", collapse[fail:fail + 2].T)
+    return fail, err
 
 
-def _transport(x, species, loss, dt: float) -> np.ndarray:
-    """Shift x one node along the characteristics (the last axis) with the
-    survival factor times exp(-loss*dt), then solve the newborn node from the
-    trapezoid renewal sum.  ``loss`` broadcasts against x[..., 0]."""
-    survival, wk, d = species
-    moved = x[..., :-1] * survival
-    moved *= np.exp(loss * -dt)[..., None]
-    return _renew(moved, wk, d)
-
-
-def _direct_update(x, u, ops):
-    """Predictor pass with the losses frozen at t, then the corrected step with
-    step-averaged interaction losses; u frozen.  x is (..., 2, n) and u
-    broadcasts against its losses (..., 2)."""
-    dt, wg, species = ops
-    i = _interaction_losses(x, wg)
-    j = _interaction_losses(_transport(x, species, u + i, dt), wg)
-    return _transport(x, species, u + 0.5 * (i + j), dt)
+def _direct_ops(setup: Setup):
+    """Step-invariant arrays of the direct march: dt; the discounted
+    survival S (2, n), exp(-zeta*a) times the product of the one-cell
+    survivals of the cell-averaged mortality from age 0; and the weights of
+    the scaled profiles z = y/S, with y the profiles marched without harvest
+    or interaction losses and discounted by zeta: w*pi0*S of Pi, w*g*S[::-1]
+    of ``_loss_integrals`` and the renewal weights of w*k*S."""
+    grid, kernels = setup.grid, setup.kernels
+    s = np.exp(-(setup.eq.zeta[:, None] * grid.nodes + cumulative(kernels.mu, grid)))
+    if not np.all((0.0 < s) & (s < np.inf)):
+        raise NumericalError(
+            "the discounted survival exp(-zeta*a - int mu) of the direct march leaves "
+            f"the floating-point range: min {s.min():.6g}, max {s.max():.6g}",
+            reason="survival_range",
+        )
+    w = grid.weights
+    return (grid.da, s, setup.adj.wpi0 * s, w * kernels.g * s[::-1],
+            *_renewal_weights(w, kernels.k * s))
 
 
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
@@ -495,62 +526,43 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
     eq = setup.eq
 
     def start(cfgs):
-        # a fresh array, so snapshot 0 does not alias a table IC's array; the
-        # kernel returns fresh arrays after that
         return np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
 
-    def kernel(x, rec, n_steps):
-        ops = _direct_ops(setup.kernels)
+    def half(x0, rec, n_steps):
+        dt, s, wpi, wg, wk, d = _direct_ops(setup)
+        # the start's Pi and histories, as to_transformed takes them
+        p0 = pi_functional(x0, setup.adj)
+        # a collapsing or diverging march divides by zero or overflows; the
+        # collapse check or the loop's nan guard on eta reports it
+        with np.errstate(all="ignore"):
+            z = _march_histories(x0 / s, n_steps, wk, d)
+            p = row_dot(z, wpi) / setup.adj.denom
+            p[:, 0] = p0
+            rec.reduce_steps(z, p, eq.x_star / s, shape_deviation(x0, eq.x_star, p0[..., None]))
+            p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, _loss_integrals(z, wg)))
+            fail, err = _prey_collapse(lq, n_steps, None)
+            # x = C*S*z with eta = log C + log P: the loss rates per unit of
+            # (e^{eta2}, e^{-eta1}) are (Q1/P2, P1/Q2), and zeta gains the
+            # growth of P
+            q = np.stack((lq[..., 0] / p[..., 1], p[..., 0] / lq[..., 1]), axis=-1)
+            zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
+            eta0 = np.log(p[0])
 
-        def observe(x, step):
-            # the Pi functionals, once per step: they give eta, and the
-            # recorder's shape deviations, and catch any non-finite profile
-            p = pi_functional(x, setup.adj)
-            return np.log(p), lambda: x, (x, p)
+        def profiles(eta, step):
+            return s * z[:, step] * (np.exp(eta) / p[step])[..., None]
 
-        def update(x, u, step):
-            return _direct_update(x, u, ops)
+        return eta0, zeta, q, profiles, fail, err
 
-        return x, observe, update
-
-    return _march(setup, cfgs, "direct", start, kernel)
+    return _march(setup, cfgs, "direct", start, half)
 
 
 def _transformed_ops(eq: Equilibrium):
-    """Step-invariant arrays of the transformed step: dt, zeta, the weighted
+    """Step-invariant arrays of the transformed histories: the weighted
     interaction kernels w*g*x_star[::-1], each species' kernel against the
     other's steady profile, and the renewal weights of the discounted birth
     kernels."""
     w = eq.grid.weights
-    return (eq.grid.da, eq.zeta, w * eq.kernels.g * eq.x_star[::-1],
-            *_renewal_weights(w, eq.ktilde))
-
-
-# exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
-_FLIP = np.array([1.0, -1.0])
-
-
-def _heun_eta(eta, u, q0, q1, dt, zeta):
-    """Heun step on eta (..., 2) with the loss rates q0 and q1 of
-    ``_interaction_losses`` at the step's two ends; u frozen, broadcasting
-    against eta."""
-    zu = zeta - u
-    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q0
-    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q1
-    return eta + 0.5 * dt * (f1 + f2)
-
-
-def _march_histories(psi0, n_steps: int, wk, d):
-    """The histories of every step in one array, newest node first: from
-    psi0 (B, 2, n), ext (B, 2, n_steps + n) holds the histories of step s as
-    ext[..., n_steps - s:n_steps - s + n].  Each newborn is the renewal sum of
-    ``_renew`` over the previous step's history."""
-    n = psi0.shape[-1]
-    ext = np.empty(psi0.shape[:-1] + (n_steps + n,))
-    ext[..., n_steps:] = psi0
-    for i in range(n_steps - 1, -1, -1):
-        ext[..., i] = row_dot(ext[..., i + 1:i + n], wk) / d
-    return ext
+    return w * eq.kernels.g * eq.x_star[::-1], *_renewal_weights(w, eq.ktilde)
 
 
 def _history_integrals(psi, wg):
@@ -578,28 +590,22 @@ def _history_half(psi0, n_steps: int, ops, rec: _Recorder):
     The failure is the one the stepwise march meets: the update of step s
     checks the newborn of step s + 1 for admissibility, then the loss rates
     at both ends of the step for prey collapse."""
-    _, _, wg, wk, d = ops
+    wg, wk, d = ops
     # a diverging history may overflow or divide by zero, also past its first
     # failure; the checks below, or the loop's nan guard on eta, report it
     with np.errstate(all="ignore"):
-        ext = _march_histories(psi0, n_steps, wk, d)
-        psi = sliding_window_view(ext, psi0.shape[-1], axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+        psi = _march_histories(psi0, n_steps, wk, d)
         q = _history_integrals(psi, wg)
+        rec.reduce_steps(psi)
         # quad(g1*x2) needs no check: every sample of an admissible history
         # is > -1, checked at the start and on each newborn
-        collapse = ~(q[..., 1] > 0)
+        fail, err = n_steps, None
+        inadmissible = psi[:, 1:, :, 0] <= -1.0  # index s: the newborn of step s + 1
+        bad = np.flatnonzero(inadmissible.any(axis=(0, 2)))
+        if bad.size:
+            fail, err = bad[0], _failure("psi_admissibility", inadmissible[:, bad[0]])
+        fail, err = _prey_collapse(q, fail, err)
         q[..., 1] = 1.0 / q[..., 1]
-        rec.reduce_steps(psi)
-    fail, err = n_steps, None
-    inadmissible = ext[..., :n_steps] <= -1.0  # index i: the newborn of step n_steps - i
-    bad = np.flatnonzero(inadmissible.any(axis=(0, 1)))
-    if bad.size:
-        fail = n_steps - 1 - bad[-1]
-        err = _failure("psi_admissibility", inadmissible[..., bad[-1]])
-    bad = np.flatnonzero(collapse.any(axis=1))
-    if bad.size and max(bad[0] - 1, 0) < fail:
-        fail = max(bad[0] - 1, 0)
-        err = _failure("prey_collapse", collapse[fail:fail + 2].T)
     return psi, q, fail, err
 
 
@@ -618,27 +624,17 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         starts = [transformed_ic(c.ic, setup) for c in cfgs]
         return np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
 
-    def kernel(state, rec, n_steps):
+    def half(state, rec, n_steps):
         eta0, psi0 = state
         ops = _transformed_ops(setup.eq)
-        dt, zeta = ops[:2]
         psi, q, fail, err = _history_half(psi0, n_steps, ops, rec)
 
-        def observe(eta, step):
-            _check_finite(eta)
-            return eta, lambda: profile(x_star, eta[..., None], psi[:, step]), None
+        def profiles(eta, step):
+            return profile(x_star, eta[..., None], psi[:, step])
 
-        def update(eta, u, step):
-            if step == fail:
-                raise err
-            return _heun_eta(eta, u, q[step], q[step + 1], dt, zeta)
+        return eta0, np.broadcast_to(setup.eq.zeta, (n_steps, 2)), q, profiles, fail, err
 
-        return eta0, observe, update
-
-    # a diverging run overflows exp(eta) in the kernel; the loop's nan guard
-    # reports it, with t, in place of a RuntimeWarning
-    with np.errstate(over="ignore"):
-        return _march(setup, cfgs, "transformed", start, kernel)
+    return _march(setup, cfgs, "transformed", start, half)
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

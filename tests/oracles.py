@@ -12,18 +12,18 @@ from predprey.controllers import BoundController, GainsA, control_A, control_B, 
 from predprey.equilibrium import Equilibrium
 from predprey.errors import NumericalError
 from predprey.lyapunov import LyapConfig, g_fn, v1
-from predprey.model import AgeGrid, KernelSet, PopulationState, bc_residual, check_grid_fn, quad
+from predprey.model import (AgeGrid, KernelSet, PopulationState, bc_residual, check_grid_fn, quad,
+                            row_dot)
 from predprey.simulate import (
-    _direct_ops,
-    _direct_update,
     _failure,
     _heun_eta,
-    _interaction_losses,
-    _renew,
+    _loss_integrals,
+    _renewal_weights,
     _transformed_ops,
+    ic_from_spec,
     transformed_ic,
 )
-from predprey.transform import TransformedState, profile, reconstruct
+from predprey.transform import TransformedState, pi_functional, profile, shape_deviation
 
 
 def saturated_k(cfg: LyapConfig) -> float:
@@ -148,7 +148,19 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
 
 # ---------------------------------------------------------------------------
 # one step of each solver kernel, and the interaction losses of one state, in
-# pure-function form: unbatched states through the kernels the runs march
+# pure-function form: unbatched states stepped one at a time, the stepwise
+# references of the marches, which take the parts of each step that read
+# neither eta nor u once per run
+
+
+def _interaction_losses(x, wg):
+    """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
+    prey and 1/quad(g2*x1) on the predator, from ``_loss_integrals``."""
+    q = _loss_integrals(x, wg)
+    if not all(v > 0 for v in q[..., 1].ravel().tolist()):
+        raise _failure("prey_collapse", ~(q[..., 1] > 0))
+    q[..., 1] = 1.0 / q[..., 1]
+    return q
 
 
 def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float, float]:
@@ -159,6 +171,45 @@ def interaction_terms(state: PopulationState, kernels: KernelSet) -> tuple[float
     except NumericalError as err:
         raise NumericalError(str(err), t=state.t, reason=err.reason) from None
     return float(i1), float(i2)
+
+
+def _renew(moved, wk, d):
+    """The profile one step on, age last: ``moved`` (..., n - 1), nodes
+    0..n-2 carried one node along the characteristics, fills nodes 1.., and
+    the newborn node solves the trapezoid renewal sum: row_dot(moved, w*k) / d."""
+    out = np.empty(moved.shape[:-1] + (moved.shape[-1] + 1,))
+    out[..., 1:] = moved
+    out[..., 0] = row_dot(moved, wk) / d
+    return out
+
+
+def _direct_step_ops(kernels: KernelSet):
+    """Step-invariant arrays of the direct step: dt, the weighted interaction
+    kernels w*g, and the species data of ``_transport``: the one-cell survival
+    exp(-mu_avg*dt) of the cell-averaged mortality and the renewal weights."""
+    w, dt = kernels.grid.weights, kernels.grid.da
+    mu_avg = 0.5 * (kernels.mu[:, :-1] + kernels.mu[:, 1:])
+    return dt, w * kernels.g, (np.exp(-mu_avg * dt), *_renewal_weights(w, kernels.k))
+
+
+def _transport(x, species, loss, dt: float) -> np.ndarray:
+    """Shift x one node along the characteristics (the last axis) with the
+    survival factor times exp(-loss*dt), then solve the newborn node from the
+    trapezoid renewal sum.  ``loss`` broadcasts against x[..., 0]."""
+    survival, wk, d = species
+    moved = x[..., :-1] * survival
+    moved *= np.exp(loss * -dt)[..., None]
+    return _renew(moved, wk, d)
+
+
+def _direct_update(x, u, ops):
+    """Predictor pass with the losses frozen at t, then the corrected step with
+    step-averaged interaction losses; u frozen.  x is (..., 2, n) and u
+    broadcasts against its losses (..., 2)."""
+    dt, wg, species = ops
+    i = _interaction_losses(x, wg)
+    j = _interaction_losses(_transport(x, species, u + i, dt), wg)
+    return _transport(x, species, u + 0.5 * (i + j), dt)
 
 
 def _step(solver: str, owner, build_ops, update, state, u, dt: float, t: float):
@@ -174,8 +225,13 @@ def _step(solver: str, owner, build_ops, update, state, u, dt: float, t: float):
 
 def step_direct(state: PopulationState, u: float, kernels: KernelSet, dt: float) -> PopulationState:
     """One characteristic step of the direct solver."""
-    x = _step("direct", kernels, _direct_ops, _direct_update, state.x, u, dt, state.t)
+    x = _step("direct", kernels, _direct_step_ops, _direct_update, state.x, u, dt, state.t)
     return PopulationState(t=state.t + dt, x=x)
+
+
+def _transformed_step_ops(eq: Equilibrium):
+    """dt, zeta and the history arrays of ``_transformed_ops``."""
+    return eq.grid.da, eq.zeta, _transformed_ops(eq)
 
 
 def _transformed_update(state, u, ops):
@@ -183,7 +239,7 @@ def _transformed_update(state, u, ops):
     half: renew the histories, check the newborn node, take the interaction
     integrals at both ends, then the march's Heun step on eta."""
     eta, psi = state
-    dt, zeta, wg, wk, d = ops
+    dt, zeta, (wg, wk, d) = ops
     psi_new = _renew(psi[..., :-1], wk, d)
     if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
         raise _failure("psi_admissibility", psi_new[..., 0] <= -1.0)
@@ -194,45 +250,78 @@ def _transformed_update(state, u, ops):
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
     """One step of the transformed solver."""
     with np.errstate(over="ignore"):
-        eta, psi = _step("transformed", eq, _transformed_ops, _transformed_update,
+        eta, psi = _step("transformed", eq, _transformed_step_ops, _transformed_update,
                          (ts.eta, ts.psi), u, dt, ts.t)
     return TransformedState(t=ts.t + dt, eta=eta, psi=psi).validate(eq.grid)
 
 
-def march_transformed(setup, cfg):
-    """One transformed run as a loop of ``step_transformed``, with the march's
-    control law, records, snapshots and checks: a failure raises the
+def _march_stepwise(setup, cfg, state, observe, advance):
+    """One run as a loop of one-step kernels, with the march's control law,
+    records, snapshots and checks: ``observe(state, t)`` gives eta, the
+    histories and a callable giving the profiles of a state, and
+    ``advance(state, u, t)`` the next state.  A failure raises the
     ``NumericalError`` the march raises, with its reason and t.  Returns the
     times, eta, u, G (2, R), psi_min (R, 2) and snapshots of the records."""
     eq, grid, dt = setup.eq, setup.grid, setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
     snap_steps = {int(round(t / dt)) for t in cfg.snapshot_times}
     controller = BoundController(cfg.controller, eq)
-    ts = transformed_ic(cfg.ic, setup)
     out = {"times": [], "eta": [], "u": [], "G": [], "psi_min": []}
     snapshots = []
     for step in range(n_steps + 1):
-        ts.t = step * dt  # the march's t, not a running sum of dt
-        if not np.all(np.isfinite(ts.eta)):
-            raise NumericalError("non-finite eta", t=ts.t, reason="nan_guard")
-        if controller.needs_profiles:
-            u = controller.u_from_state(profile(eq.x_star, ts.eta[:, None], ts.psi))
-        else:
-            u = controller.u_from_eta(ts.eta)
+        t = step * dt  # the march's t, not a running sum of dt
+        eta, psi, x = observe(state, t)
+        if not np.all(np.isfinite(eta)):
+            raise NumericalError("non-finite eta", t=t, reason="nan_guard")
+        u = controller.u_from_state(x()) if controller.needs_profiles else controller.u_from_eta(eta)
         if not np.isfinite(u):
-            raise NumericalError("non-finite u", t=ts.t, reason="nan_guard")
+            raise NumericalError("non-finite u", t=t, reason="nan_guard")
         if step % cfg.record_every == 0 or step == n_steps:
-            for name, value in (("times", ts.t), ("eta", ts.eta), ("u", u),
-                                ("G", g_fn(ts.psi, setup.sigma, grid)),
-                                ("psi_min", ts.psi.min(axis=-1))):
+            for name, value in (("times", t), ("eta", eta), ("u", u),
+                                ("G", g_fn(psi, setup.sigma, grid)),
+                                ("psi_min", psi.min(axis=-1))):
                 out[name].append(value)
         if step in snap_steps:
-            snapshots.append((ts.t, reconstruct(ts, eq).x))
+            snapshots.append((t, x()))
         if step == n_steps:
             break
-        ts = step_transformed(ts, u, eq, dt)
+        state = advance(state, u, t)
     return (*(np.array(out[name]) for name in ("times", "eta", "u")),
             np.array(out["G"]).T, np.array(out["psi_min"]), snapshots)
+
+
+def march_transformed(setup, cfg):
+    """One transformed run as a loop of ``step_transformed``: the stepwise
+    reference of ``simulate_transformed`` (``_march_stepwise``)."""
+    eq = setup.eq
+
+    def observe(ts, t):
+        return ts.eta, ts.psi, lambda: profile(eq.x_star, ts.eta[:, None], ts.psi)
+
+    def advance(ts, u, t):
+        ts.t = t
+        return step_transformed(ts, u, eq, setup.grid.da)
+
+    return _march_stepwise(setup, cfg, transformed_ic(cfg.ic, setup), observe, advance)
+
+
+def march_direct(setup, cfg):
+    """One direct run as a loop of ``step_direct`` on the profiles, with eta
+    and the histories taken from each step's profiles: the stepwise
+    reference of ``simulate_direct`` (``_march_stepwise``)."""
+    eq = setup.eq
+
+    def observe(x, t):
+        try:
+            p = pi_functional(x, setup.adj)
+        except NumericalError as err:
+            raise NumericalError(str(err), t=t, reason=err.reason) from None
+        return np.log(p), shape_deviation(x, eq.x_star, p[:, None]), lambda: x
+
+    def advance(x, u, t):
+        return step_direct(PopulationState(t=t, x=x), u, setup.kernels, setup.grid.da).x
+
+    return _march_stepwise(setup, cfg, ic_from_spec(cfg.ic, eq).x, observe, advance)
 
 
 def transformed_step_reference(eta, psi1, psi2, u: float, eq: Equilibrium):

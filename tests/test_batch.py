@@ -28,7 +28,7 @@ SPECS = (
 SERIES = ("times", "eta", "u", "G1", "G2", "psi_min", "V0", "V1", "V")
 # solver -> (single run, batch entry, name of its first piece of march work in simulate)
 SOLVERS = {
-    "direct": (simulate_direct, simulate_direct_batch, "_direct_update"),
+    "direct": (simulate_direct, simulate_direct_batch, "_march_histories"),
     "transformed": (simulate_transformed, simulate_transformed_batch, "_march_histories"),
 }
 

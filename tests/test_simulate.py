@@ -1,4 +1,5 @@
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ from predprey.model import AgeGrid, PopulationState, bc_residual, kernels_from_t
 from predprey.simulate import (
     ICSpec,
     SimConfig,
-    _transport,
     _block_len,
     cross_validate,
     ic_from_spec,
@@ -23,8 +23,8 @@ from predprey.simulate import (
 from predprey.transform import pi_functional, shape_deviation, to_transformed
 
 from conftest import make_setup
-from oracles import (interaction_terms, march_transformed, step_direct, step_transformed,
-                     transformed_step_reference)
+from oracles import (_transport, interaction_terms, march_direct, march_transformed, step_direct,
+                     step_transformed, transformed_step_reference)
 
 OPEN = ControllerSpec(kind="open_loop")
 
@@ -94,8 +94,10 @@ def test_step_direct_fixed_point(setup400):
 
 @pytest.mark.parametrize("solver", ["direct", "transformed"])
 def test_step_matches_simulate(setup100, solver):
-    # the pure-function step and the simulate loop run the same kernel, so
-    # the eta and u series agree bitwise
+    # the transformed loop runs the one-step kernel's Heun step on the same
+    # histories, so its eta and u agree bitwise; the direct march splits each
+    # profile into a scale and a loss-free march, so its series agree with
+    # the profile stepper to rounding
     eq, grid = setup100.eq, setup100.grid
     spec = ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2)
     cfg = SimConfig(t_final=200 * grid.da, controller=spec, ic=ICSpec(kind="SQ"))
@@ -127,8 +129,9 @@ def test_step_matches_simulate(setup100, solver):
         us.append(u)
         state = step(state, u)
     assert len(traj.times) == 201
-    assert np.array_equal(traj.eta, np.array(etas))
-    assert np.array_equal(traj.u, np.array(us))
+    tol = 1e-12 if solver == "direct" else 0.0
+    assert np.max(np.abs(traj.eta - np.array(etas))) <= tol
+    assert np.max(np.abs(traj.u - np.array(us))) <= tol
 
 
 @pytest.mark.parametrize("every", [1, 3])
@@ -150,6 +153,53 @@ def test_transformed_march_is_its_stepwise_oracle(setup100, kind, ic, every):
     assert len(traj.snapshots) == len(snapshots) == 3
     for (t_m, x_m), (t_o, x_o) in zip(traj.snapshots, snapshots):
         assert t_m == t_o and np.array_equal(x_m, x_o)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("ic", ["FQ", "SQ"])
+@pytest.mark.parametrize("kind", ["open_loop", "control_b", "measured"])
+def test_direct_march_matches_its_stepwise_oracle(setup100, kind, ic, every):
+    # the march takes the loss-free half once per run and keeps only eta; a
+    # loop of the profile stepper moves whole profiles.  Every recorded series
+    # agrees to 1e-12 over 300 steps, and every snapshot to 1e-12 relative
+    gains = dict(eps=0.01, beta=0.13, delta=0.2) if kind == "control_b" else {}
+    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ControllerSpec(kind=kind, **gains),
+                    ic=ICSpec(kind=ic), record_every=every, snapshot_times=(0.0, 1.37, 3.0))
+    traj = simulate_direct(setup100, cfg)
+    times, eta, u, G, psi_min, snapshots = march_direct(setup100, cfg)
+    assert len(times) == 300 // every + 1
+    assert np.array_equal(traj.times, times)
+    for name, ref in (("eta", eta), ("u", u), ("G1", G[0]), ("G2", G[1]), ("psi_min", psi_min)):
+        assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, name
+    assert len(traj.snapshots) == len(snapshots) == 3
+    for (t_m, x_m), (t_o, x_o) in zip(traj.snapshots, snapshots):
+        assert t_m == t_o and np.max(np.abs(x_m - x_o) / x_o) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("ic", ["SQ", "FQ"])
+@pytest.mark.parametrize("beta", [5000.0, 500.0, 50.0])
+def test_diverging_direct_run_fails_typed(setup100, setup400, beta, ic, n):
+    # large control-A gains drive the direct march out of range within a few
+    # steps; each run finishes or raises a typed error, with no RuntimeWarning
+    setup = {100: setup100, 400: setup400}[n]
+    cfg = SimConfig(t_final=2.0, ic=ICSpec(kind=ic),
+                    controller=ControllerSpec(kind="control_a", eps=0.2, beta=beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            simulate_direct(setup, cfg)
+        except NumericalError as err:
+            assert err.reason in ("nan_guard", "prey_collapse") and err.t < 0.1
+
+
+def test_direct_rejects_survival_out_of_range(setup100):
+    # a mortality whose survival to age A underflows cannot scale the march
+    kernels = replace(setup100.kernels, mu=1000.0 * setup100.kernels.mu)
+    with pytest.raises(NumericalError, match="floating-point range") as err:
+        simulate_direct(replace(setup100, kernels=kernels),
+                        SimConfig(t_final=0.1, controller=OPEN, ic=ICSpec(kind="FQ")))
+    assert (err.value.reason, err.value.t) == ("survival_range", 0.0)
 
 
 def _history_failure_setup(setup, reason):
@@ -213,8 +263,9 @@ def test_history_failure_reports_its_row(setup100, reason, ics):
 
 def test_direct_records_reduce_across_blocks(setup100):
     # the recorder reduces psi_min and G a block of records at a time; at
-    # snapshot steps on both sides of a block boundary they equal the shape
-    # deviations of the snapshot profiles, reduced one by one
+    # snapshot steps on both sides of a block boundary they equal, to 1e-12,
+    # the shape deviations of the snapshot profiles, reduced one by one.  A
+    # record off by one step moves them by about 1e-8 (psi_min) and 2e-4 (G)
     block = _block_len(1, setup100.grid.n_nodes)
     da, eq = setup100.grid.da, setup100.eq
     steps = (0, block - 1, block, block + 1, 2 * block + 5)
@@ -224,9 +275,9 @@ def test_direct_records_reduce_across_blocks(setup100):
     assert len(traj.times) == steps[-1] + 1
     for step, (_, x) in zip(steps, traj.snapshots):
         psi = shape_deviation(x, eq.x_star, pi_functional(x, setup100.adj)[:, None])
-        assert tuple(traj.psi_min[step]) == tuple(psi.min(axis=-1)), step
+        assert np.max(np.abs(traj.psi_min[step] - psi.min(axis=-1))) <= 1e-12, step
         g = g_fn(psi, setup100.sigma, setup100.grid)
-        assert (traj.G1[step], traj.G2[step]) == tuple(g), step
+        assert np.max(np.abs((traj.G1[step], traj.G2[step]) - g)) <= 1e-12, step
 
 
 def test_direct_kernel_no_births():
@@ -283,8 +334,10 @@ def test_direct_snapshot_does_not_alias_table_ic(setup100):
         setup100, SimConfig(t_final=0.1, controller=OPEN,
                             ic=ICSpec(kind="table", x=x), snapshot_times=(0.0,)),
     )
+    # the snapshot is rebuilt from eta and the scaled march: the start to
+    # rounding, in an array of its own
     t0, s = traj.snapshots[0]
-    assert t0 == 0.0 and np.array_equal(s[0], x[0]) and np.array_equal(s[1], x[1])
+    assert t0 == 0.0 and np.max(np.abs(s - x) / x) <= 1e-14
     assert not np.shares_memory(s, x)
 
 
