@@ -90,7 +90,7 @@ def ic_from_config(cfg: RunConfig) -> ICSpec:
 def lyap_config_from(cfg: RunConfig, setup: Setup):
     """The controller's analysis (``lyap_config_for``) with the ``[lyapunov]``
     weights, or None; sigma is the certified ``Setup.sigma``, the value the
-    recorder uses for G."""
+    recorded G use."""
     lb = cfg.lyapunov
     return lyap_config_for(cfg.controller, setup.eq, setup.sigma,
                            gamma1=lb.gamma1 or None, gamma2=lb.gamma2 or None,

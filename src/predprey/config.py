@@ -201,8 +201,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"model.n_cells must be >= 1, got {m.n_cells}")
     if not cfg.equilibrium.u_star > 0:
         raise ConfigError(f"equilibrium.u_star must be positive, got {cfg.equilibrium.u_star}")
-    if not cfg.simulation.t_final > 0:
-        raise ConfigError(f"simulation.t_final must be positive, got {cfg.simulation.t_final}")
+    if not 0 < cfg.simulation.t_final < np.inf:
+        raise ConfigError("simulation.t_final must be positive and finite, got "
+                          f"{cfg.simulation.t_final}")
     if cfg.simulation.record_every < 1:
         raise ConfigError("simulation.record_every must be a positive integer")
     if not all(t >= 0 for t in cfg.output.profile_times):

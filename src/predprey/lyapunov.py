@@ -522,7 +522,7 @@ def dini_check(traj, cfg: LyapConfig, eq: Equilibrium) -> float:
     DINI_ALLOWANCE * dt * (1 + |V|); nonpositive (up to a small tolerance)
     certifies the decrease numerically.
     """
-    if traj.V is None or traj.G1 is None:
+    if traj.V is None:
         raise ValueError("trajectory lacks recorded Lyapunov series")
     t = traj.times
     dt = np.diff(t)

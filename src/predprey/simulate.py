@@ -1,12 +1,14 @@
 """Time integration of the population system, in two equivalent forms.
 
 One loop, ``_march``, drives both solvers: it checks the batch, holds the
-control value over each step, records, takes snapshots and re-raises errors
-with t.  Each solver gives it a start and a half, marched once per run before
-the loop, of all that reads neither eta nor u; the loop keeps only eta, which
-both solvers step by the same Heun step, ``_heun_eta``.  Both halves march
-their samples with ``_march_histories`` and take their interaction integrals
-from ``_loss_integrals``.
+control value over each step and re-raises errors with t.  Each solver gives
+it a start and a half, marched once per run before the loop, of all that reads
+neither eta nor u; the loop keeps only eta, which both solvers step by the
+same Heun step, ``_heun_eta``, and stores each step's eta and u.  The records,
+their psi_min and G, and the snapshots are taken from those arrays and the
+half's histories after the loop, so a failed run reduces nothing.  Both
+halves march their samples with ``_march_histories`` and take their
+interaction integrals from ``_loss_integrals``.
 
 Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
 (B, 1) column, and the densities, shape deviations and profiles are
@@ -34,12 +36,13 @@ Direct kernel
     neither u nor eta.  Divided by the discounted cumulative survival S,
     z = y/S is a pure one-node shift with newborn weights w*k*S, marched once
     per run into one (B, 2, n_steps + n) array as the transformed histories
-    are.  The Pi values P and the loss integrals Q of every step, psi_min and
-    G are reduced from it.  eta = log C + log P then follows the transformed
-    solver's Heun step with zeta + log(P_{s+1}/P_s)/dt and the loss rates
-    (Q1/P2, P1/Q2), and the profiles are e^{eta}/P * S * z.  A prey collapse
-    found up front is raised when the loop reaches its step, and an S out of
-    the floating-point range at t = 0 (``survival_range``).
+    are.  The Pi values P and the loss integrals Q of every step are reduced
+    from it, and after the loop psi_min and G of the records.
+    eta = log C + log P follows the transformed solver's Heun step with
+    zeta + log(P_{s+1}/P_s)/dt and the loss rates (Q1/P2, P1/Q2), and the
+    profiles are e^{eta}/P * S * z.  A prey collapse found up front is raised
+    when the loop reaches its step, and an S out of the floating-point range
+    at t = 0 (``survival_range``).
 
 Transformed kernel
     Marches the log-abundances by Heun's two-stage method, evaluating the
@@ -49,10 +52,10 @@ Transformed kernel
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.  The histories read neither eta nor
     u, so this half is marched once per run, before the eta loop: one
-    (B, 2, n_steps + n) array holds the histories of every step, and the
-    interaction integrals, psi_min and G are reduced from it in blocks of
-    steps.  The loop keeps only eta; a history failure found up front is
-    raised when the loop reaches its step.
+    (B, 2, n_steps + n) array holds the histories of every step, the
+    interaction integrals are reduced from it in blocks of steps, and after
+    the loop psi_min and G in blocks of records.  The loop keeps only eta; a
+    history failure found up front is raised when the loop reaches its step.
 
 The accuracy model is second order in transport, in the eta update and in the
 interaction coupling; the control value is evaluated once per step and held,
@@ -65,6 +68,7 @@ deterministic: a fixed configuration reproduces bitwise-identical output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,10 +220,14 @@ class SimConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        try:
+            every = operator.index(self.record_every)
+        except TypeError:
+            every = 0
+        if every < 1:
+            raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
 
 
 @dataclass
@@ -229,9 +237,9 @@ class Trajectory:
     times: np.ndarray
     eta: np.ndarray
     u: np.ndarray
-    G1: np.ndarray | None = None
-    G2: np.ndarray | None = None
-    psi_min: np.ndarray | None = None
+    G1: np.ndarray
+    G2: np.ndarray
+    psi_min: np.ndarray
     V0: np.ndarray | None = None
     V1: np.ndarray | None = None
     V: np.ndarray | None = None
@@ -243,17 +251,17 @@ class Trajectory:
         self.V0 = np.asarray(v0(self.eta, eq), dtype=float)
         eps = lyap_cfg.eps if lyap_cfg is not None else 0.0
         self.V1 = np.asarray(v1(self.eta, eps, eq), dtype=float)
-        if lyap_cfg is not None and self.G1 is not None:
+        if lyap_cfg is not None:
             self.V = v_composite(self.eta, self.G1, self.G2, lyap_cfg, eq)
         else:
             self.V = np.full_like(self.V0, np.nan)
         return self
 
 
-# The recorder and the transformed solver's loss integrals reduce their
-# (B, 2, n) samples a block of K steps or records at a time, in (B, K, 2, n)
-# scratch arrays of this many elements (256 KB), which stay in cache and are
-# allocated once per run.
+# The transformed solver's loss integrals and the records' psi_min and G are
+# reduced a block of K steps or records at a time, in (B, K, 2, n) scratch
+# arrays of this many elements (256 KB), which stay in cache and are allocated
+# once per run.
 _BLOCK = 1 << 15
 
 
@@ -261,101 +269,29 @@ def _block_len(rows: int, n: int) -> int:
     return max(1, _BLOCK // (rows * 2 * n))
 
 
-class _Recorder:
-    """The recorded series of a batch of runs, rows on the leading axis.
+def _record_steps(n_steps: int, every: int) -> np.ndarray:
+    """The recorded steps: every ``every``-th step, and the final one."""
+    steps = np.arange(0, n_steps + 1, every)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
-    psi_min and G are reduced a block of records at a time by ``reduce``,
-    from the samples of every step that each solver hands over before its
-    loop (``reduce_steps``)."""
 
-    def __init__(self, setup: Setup, cfgs, n_steps: int, dt: float):
-        self.setup = setup
-        self.cfgs = cfgs
-        self.every = every = cfgs[0].record_every
-        # one slot per stride plus the final step when it is off-stride
-        n_rec = n_steps // every + 1
-        if n_steps % every:
-            n_rec += 1
-        n_rows, n = len(cfgs), setup.grid.n_nodes
-        self.n_rec = n_rec
-        self.times = np.empty(n_rec)
-        self.eta = np.empty((n_rows, n_rec, 2))
-        self.u = np.empty((n_rows, n_rec))
-        self.G = np.empty((n_rows, 2, n_rec))
-        self.psi_min = np.empty((n_rows, n_rec, 2))
-        self.snapshots = [[] for _ in cfgs]
-        self.k = 0
-        self.weights = g_fn_weights(setup.grid, setup.sigma)
-        self.snap_steps = {
-            int(round(ts / dt)) for ts in cfgs[0].snapshot_times if 0 <= ts <= n_steps * dt + 1e-9
-        }
-        self.block = _block_len(n_rows, n)
-        self.scratch = np.empty((n_rows, self.block, 2, n))
-
-    def record(self, t, eta, u):
-        """eta (B, 2) and u (B, 1)."""
-        j = self.k
-        self.times[j] = t
-        self.eta[:, j] = eta
-        self.u[:, j] = u[:, 0]
-        self.k += 1
-
-    def reduce(self, j0, psi, out):
-        """psi_min and G of the records from j0 on, from their histories psi
-        (B, K, 2, n); ``out``, of psi's shape and possibly psi itself, is
-        scratch for ``g_kernel``."""
-        j1 = j0 + psi.shape[1]
-        m = psi.min(axis=-1)
-        self.psi_min[:, j0:j1] = m
-        self.G[:, :, j0:j1] = g_kernel(psi, self.weights, m, out=out).swapaxes(1, 2)
-
-    def reduce_steps(self, hist, p=None, base=None, psi0=None):
-        """psi_min and G of every record from the samples of every step, hist
-        (B, n_steps + 1, 2, n): the histories themselves or, given their Pi
-        values p (B, n_steps + 1, 2), profiles whose histories are their
-        ``shape_deviation`` against base (2, n), except at t = 0, where the
-        start's histories psi0 (B, 2, n) are at hand."""
-        n, every = hist.shape[1], self.every
-        stride = self.block * every
-        blocks = [slice(s0, s0 + stride, every) for s0 in range(0, n, stride)]
-        if self.n_rec > -(-n // every):
-            blocks.append(slice(n - 1, n))  # the final step, off the stride
-        j0 = 0
-        for steps in blocks:
-            samples = hist[:, steps]
-            out = self.scratch[:, :samples.shape[1]]
-            if p is not None:
-                samples = shape_deviation(samples, base, p[:, steps, :, None], out=out)
-                if j0 == 0:
-                    samples[:, 0] = psi0
-            self.reduce(j0, samples, out)
-            j0 += samples.shape[1]
-
-    def snapshot(self, t, profiles):
-        for snaps, x in zip(self.snapshots, profiles):
-            snaps.append((t, x))
-
-    def build(self, solver: str) -> list[Trajectory]:
-        n = self.k
-        return [
-            Trajectory(
-                times=self.times[:n],
-                eta=self.eta[b, :n],
-                u=self.u[b, :n],
-                G1=self.G[b, 0, :n],
-                G2=self.G[b, 1, :n],
-                psi_min=self.psi_min[b, :n],
-                snapshots=self.snapshots[b],
-                meta={
-                    "solver": solver,
-                    "controller": cfg.controller.kind,
-                    "ic": cfg.ic.kind,
-                    "n_cells": self.setup.grid.n_cells,
-                    "dt": self.setup.grid.da,
-                },
-            )
-            for b, cfg in enumerate(self.cfgs)
-        ]
+def _reduce_histories(setup: Setup, histories, steps, rows: int):
+    """psi_min (B, K, 2) and G (B, 2, K) at the steps ``steps`` (K,), a block
+    of steps at a time: ``histories(block, out)`` gives their histories
+    (B, K', 2, n), and may fill ``out``, scratch of that shape."""
+    n = setup.grid.n_nodes
+    weights = g_fn_weights(setup.grid, setup.sigma)
+    psi_min = np.empty((rows, len(steps), 2))
+    G = np.empty((rows, 2, len(steps)))
+    block = _block_len(rows, n)
+    scratch = np.empty((rows, block, 2, n))
+    for j0 in range(0, len(steps), block):
+        j1 = min(j0 + block, len(steps))
+        out = scratch[:, :j1 - j0]
+        psi = histories(steps[j0:j1], out)
+        psi_min[:, j0:j1] = m = psi.min(axis=-1)
+        G[:, :, j0:j1] = g_kernel(psi, weights, m, out=out).swapaxes(1, 2)
+    return psi_min, G
 
 
 def _controller_groups(cfgs, eq: Equilibrium):
@@ -395,18 +331,22 @@ def _heun_eta(eta, u, q0, q1, dt, zeta):
 def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     """The time loop of both solvers, over a batch of runs that must share
     one schedule.  ``start(cfgs)`` builds the start state.  ``half(start,
-    rec, n_steps)`` marches, once per run and inside the error re-raise (so a
-    grid too coarse for a birth kernel is reported at t = 0), all that reads
-    neither eta nor u; it fills the records' psi_min and G and returns:
+    n_steps)`` marches, once per run and inside the error re-raise (so a grid
+    too coarse for a birth kernel is reported at t = 0), all that reads
+    neither eta nor u, and returns:
 
     - eta at t = 0, (B, 2)
     - zeta and the loss rates q of ``_heun_eta``, indexed by step
     - ``profiles(eta, step)``, the profiles (B, 2, n), called only when the
       control law or a snapshot needs them
+    - ``histories(steps, out)``, the histories at the steps, as
+      ``_reduce_histories`` takes them
     - the step whose update meets the half's first failure, and its error
       (n_steps and None when none fails).
 
-    The loop keeps only eta, with u held over each step as a (B, 1) column."""
+    The loop keeps each step's eta (B, 2) and u, held over the step as a
+    (B, 1) column; the records, their psi_min and G, and the snapshots are
+    taken from them after it."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
@@ -417,36 +357,48 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
     controllers = _controller_groups(cfgs, setup.eq)
-    rec = _Recorder(setup, cfgs, n_steps, dt)
-    u = np.empty((len(cfgs), 1))
-    t = 0.0
+    etas = np.empty((len(cfgs), n_steps + 1, 2))
+    us = np.empty((len(cfgs), n_steps + 1))
+    step = 0
     # a diverging run overflows exp(eta) in the Heun step; the nan guard
     # reports it, with t, in place of a RuntimeWarning
     with np.errstate(over="ignore"):
         state = start(cfgs)
         try:
-            eta, zeta, q, profiles, fail, failure = half(state, rec, n_steps)
+            eta, zeta, q, profiles, histories, fail, failure = half(state, n_steps)
             for step in range(n_steps + 1):
                 _check_finite(eta)
+                etas[:, step] = eta
+                u = us[:, step, None]
                 for controller, rows in controllers:
                     if controller.needs_profiles:
                         u[rows, 0] = controller.u_from_state(profiles(eta, step)[rows])
                     else:
                         u[rows, 0] = controller.u_from_eta(eta[rows])
                 _check_finite(u)
-                if step % cfg.record_every == 0 or step == n_steps:
-                    rec.record(t, eta, u)
-                if step in rec.snap_steps:
-                    rec.snapshot(t, profiles(eta, step))
                 if step == n_steps:
                     break
                 if step == fail:
                     raise failure
                 eta = _heun_eta(eta, u, q[step], q[step + 1], dt, zeta[step])
-                t = (step + 1) * dt
         except NumericalError as err:
-            raise NumericalError(str(err), t=t, reason=err.reason, row=err.row) from None
-    return rec.build(solver)
+            raise NumericalError(str(err), t=step * dt, reason=err.reason, row=err.row) from None
+        snap_steps = sorted({int(round(ts / dt)) for ts in cfg.snapshot_times
+                             if 0 <= ts <= n_steps * dt + 1e-9})
+        snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
+    steps = _record_steps(n_steps, cfg.record_every)
+    # the halves mute the floating-point warnings of their histories, and so
+    # does their reduction
+    with np.errstate(all="ignore"):
+        psi_min, G = _reduce_histories(setup, histories, steps, len(cfgs))
+    times, etas, us = steps * dt, etas[:, steps], us[:, steps]
+    return [
+        Trajectory(times=times, eta=etas[b], u=us[b], G1=G[b, 0], G2=G[b, 1],
+                   psi_min=psi_min[b], snapshots=[(t, x[b]) for t, x in snapshots],
+                   meta={"solver": solver, "controller": c.controller.kind, "ic": c.ic.kind,
+                         "n_cells": setup.grid.n_cells, "dt": dt})
+        for b, c in enumerate(cfgs)
+    ]
 
 
 def _renewal_weights(w, k):
@@ -528,7 +480,7 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
     def start(cfgs):
         return np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
 
-    def half(x0, rec, n_steps):
+    def half(x0, n_steps):
         dt, s, wpi, wg, wk, d = _direct_ops(setup)
         # the start's Pi and histories, as to_transformed takes them
         p0 = pi_functional(x0, setup.adj)
@@ -538,7 +490,6 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
             z = _march_histories(x0 / s, n_steps, wk, d)
             p = row_dot(z, wpi) / setup.adj.denom
             p[:, 0] = p0
-            rec.reduce_steps(z, p, eq.x_star / s, shape_deviation(x0, eq.x_star, p0[..., None]))
             p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, _loss_integrals(z, wg)))
             fail, err = _prey_collapse(lq, n_steps, None)
             # x = C*S*z with eta = log C + log P: the loss rates per unit of
@@ -551,7 +502,15 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
         def profiles(eta, step):
             return s * z[:, step] * (np.exp(eta) / p[step])[..., None]
 
-        return eta0, zeta, q, profiles, fail, err
+        def histories(steps, out):
+            # the shape deviations of the profiles, but at t = 0 the start's own
+            psi = shape_deviation(z[:, steps], eq.x_star / s, p[steps].swapaxes(0, 1)[..., None],
+                                  out=out)
+            if steps[0] == 0:
+                psi[:, 0] = shape_deviation(x0, eq.x_star, p0[..., None])
+            return psi
+
+        return eta0, zeta, q, profiles, histories, fail, err
 
     return _march(setup, cfgs, "direct", start, half)
 
@@ -580,12 +539,12 @@ def _history_integrals(psi, wg):
     return q
 
 
-def _history_half(psi0, n_steps: int, ops, rec: _Recorder):
+def _history_half(psi0, n_steps: int, ops):
     """March the histories psi0 (B, 2, n) over every step at once: they read
-    neither eta nor u.  Fills the records' psi_min and G, and returns the
-    histories of every step (B, n_steps + 1, 2, n), a view; the loss rates q
-    (n_steps + 1, B, 2) at every step; and the step whose update meets the
-    first failure, with its error (n_steps and None when none fails).
+    neither eta nor u.  Returns the histories of every step
+    (B, n_steps + 1, 2, n), a view; the loss rates q (n_steps + 1, B, 2) at
+    every step; and the step whose update meets the first failure, with its
+    error (n_steps and None when none fails).
 
     The failure is the one the stepwise march meets: the update of step s
     checks the newborn of step s + 1 for admissibility, then the loss rates
@@ -596,7 +555,6 @@ def _history_half(psi0, n_steps: int, ops, rec: _Recorder):
     with np.errstate(all="ignore"):
         psi = _march_histories(psi0, n_steps, wk, d)
         q = _history_integrals(psi, wg)
-        rec.reduce_steps(psi)
         # quad(g1*x2) needs no check: every sample of an admissible history
         # is > -1, checked at the start and on each newborn
         fail, err = n_steps, None
@@ -624,15 +582,18 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         starts = [transformed_ic(c.ic, setup) for c in cfgs]
         return np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
 
-    def half(state, rec, n_steps):
+    def half(state, n_steps):
         eta0, psi0 = state
-        ops = _transformed_ops(setup.eq)
-        psi, q, fail, err = _history_half(psi0, n_steps, ops, rec)
+        psi, q, fail, err = _history_half(psi0, n_steps, _transformed_ops(setup.eq))
 
         def profiles(eta, step):
             return profile(x_star, eta[..., None], psi[:, step])
 
-        return eta0, np.broadcast_to(setup.eq.zeta, (n_steps, 2)), q, profiles, fail, err
+        def histories(steps, out):
+            return psi[:, steps]
+
+        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, 2))
+        return eta0, zeta, q, profiles, histories, fail, err
 
     return _march(setup, cfgs, "transformed", start, half)
 

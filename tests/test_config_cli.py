@@ -460,6 +460,14 @@ def test_cli_profile_times_must_be_nonnegative(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "late").glob("profiles*")) == ["profiles_t0.csv"]
 
 
+def test_cli_infinite_t_final_exit_code(tmp_path, capsys):
+    # an infinite horizon is a config error, not an overflow in the step count
+    cfg_path = _write(tmp_path, "inf.ini", "[model]\nn_cells = 40\n[simulation]\nt_final = inf\n")
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "inf")]) == 2
+    assert "t_final must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "inf").exists()
+
+
 @pytest.mark.parametrize("solver", ["direct", "transformed"])
 def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
     # a huge control-A gain drives the populations to underflow within a step

@@ -1,3 +1,4 @@
+import math
 import types
 import warnings
 from dataclasses import replace
@@ -16,6 +17,7 @@ from predprey.simulate import (
     cross_validate,
     ic_from_spec,
     simulate_direct,
+    simulate_direct_batch,
     simulate_transformed,
     simulate_transformed_batch,
     transformed_ic,
@@ -262,7 +264,7 @@ def test_history_failure_reports_its_row(setup100, reason, ics):
 
 
 def test_direct_records_reduce_across_blocks(setup100):
-    # the recorder reduces psi_min and G a block of records at a time; at
+    # psi_min and G are reduced a block of records at a time; at
     # snapshot steps on both sides of a block boundary they equal, to 1e-12,
     # the shape deviations of the snapshot profiles, reduced one by one.  A
     # record off by one step moves them by about 1e-8 (psi_min) and 2e-4 (G)
@@ -410,7 +412,7 @@ def test_simulate_direct_positivity_and_bc(setup400):
 @pytest.mark.parametrize("ic", ["FQ", "SQ"])
 @pytest.mark.parametrize("run", [simulate_direct, simulate_transformed])
 def test_recorded_g_at_t0_is_g_fn_of_the_start(setup100, run, ic):
-    # the recorder and g_fn share one G kernel, so the first record equals
+    # the records and g_fn share one G kernel, so the first record equals
     # g_fn of the start's histories exactly
     traj = run(setup100, SimConfig(t_final=0.1, controller=OPEN, ic=ICSpec(kind=ic)))
     ts = to_transformed(ic_from_spec(ICSpec(kind=ic), setup100.eq), setup100.eq, setup100.adj)
@@ -445,6 +447,43 @@ def test_simulate_records_monotone_times(setup100):
                             record_every=7),
     )
     assert both.times[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("every", [3, 7])
+@pytest.mark.parametrize("run", [simulate_direct_batch, simulate_transformed_batch])
+def test_records_are_the_every_step_series_at_the_record_steps(setup100, run, every):
+    # a 2-row batch and a single run: the records of every 3rd or 7th step and
+    # of the final step 101, off both strides, are bitwise the stride-1 run's
+    # values there; snapshot times come back sorted and deduplicated
+    da, n_steps = setup100.grid.da, 101
+    rows = [(ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2), "FQ"),
+            (ControllerSpec(kind="measured", eps=0.2, beta=0.6), "SQ")]
+
+    def runs(record_every):
+        cfgs = [SimConfig(t_final=n_steps * da, controller=spec, ic=ICSpec(kind=ic),
+                          record_every=record_every, snapshot_times=(1.0, 0.0, 1.0, 0.25, 0.08))
+                for spec, ic in rows]
+        return run(setup100, cfgs) + run(setup100, cfgs[:1])
+
+    steps = [*range(0, n_steps + 1, every), n_steps]
+    for fine, coarse in zip(runs(1), runs(every)):
+        for name in ("times", "eta", "u", "G1", "G2", "psi_min"):
+            assert getattr(coarse, name).tobytes() == getattr(fine, name)[steps].tobytes(), name
+        assert [t for t, _ in coarse.snapshots] == [s * da for s in (0, 8, 25, 100)]
+        assert len(fine.snapshots) == 4
+        for (t_c, x_c), (t_f, x_f) in zip(coarse.snapshots, fine.snapshots):
+            assert t_c == t_f and x_c.tobytes() == x_f.tobytes()
+
+
+def test_sim_config_rejects_bad_schedules():
+    # an infinite horizon has no step count, and a stride must be an integer
+    for t_final in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            SimConfig(t_final=t_final)
+    for every in (3.0, "3", 0, -1):
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            SimConfig(t_final=1.0, record_every=every)
+    assert SimConfig(t_final=1.0, record_every=np.int64(3)).record_every == 3
 
 
 def test_simulate_deterministic(setup100):
