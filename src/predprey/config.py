@@ -206,6 +206,10 @@ def _validate(cfg: RunConfig):
                           f"{cfg.simulation.t_final}")
     if cfg.simulation.record_every < 1:
         raise ConfigError("simulation.record_every must be a positive integer")
+    for key in ("ic_log_offset_1", "ic_log_slope_1", "ic_log_offset_2", "ic_log_slope_2"):
+        value = getattr(cfg.simulation, key)
+        if not np.isfinite(value):
+            raise ConfigError(f"simulation.{key} must be finite, got {value}")
     if not all(t >= 0 for t in cfg.output.profile_times):
         raise ConfigError(f"output.profile_times must be >= 0, got {cfg.output.profile_times}")
     if cfg.sweep.workers < 0:

@@ -2,10 +2,14 @@
 
 All laws act on the log-abundance pair eta through the saturating functions
 phi_1, phi_2; evaluation broadcasts over numpy arrays so sweeps and region
-plots can run vectorized.
+plots can run vectorized.  Each eta law is one formula on eta's two
+components, which are floats (one state) or arrays of one shape; its
+primitives follow the components (``FloatOps``, ``ArrayOps``), and a state
+gives the same u either way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +23,43 @@ from .model import check_species_fn, quad, row_dot
 _ETA_CLIP = 700.0
 
 
+class ArrayOps:
+    """The primitives of the laws on arrays."""
+
+    exp, expm1, minimum, maximum, sqrt = np.exp, np.expm1, np.minimum, np.maximum, np.sqrt
+
+
+class FloatOps:
+    """The primitives of the laws on floats, each bitwise its ``ArrayOps``
+    twin on a finite float (min and max treat nan otherwise; the
+    simulation's nan guard runs first).  exp and expm1 are numpy's, returned
+    as floats: ``math.exp`` and ``math.expm1`` round differently on some
+    states."""
+
+    @staticmethod
+    def exp(x):
+        return float(np.exp(x))
+
+    @staticmethod
+    def expm1(x):
+        return float(np.expm1(x))
+
+    minimum, maximum, sqrt = min, max, math.sqrt
+
+
+def _clamp(e, ops):
+    return ops.minimum(ops.maximum(e, -_ETA_CLIP), _ETA_CLIP)
+
+
 def clamp_eta(eta):
     """eta (..., 2) as floats clamped to [-700, 700]: bitwise np.clip, which
     costs several times as much, and nan stays nan."""
-    return np.minimum(np.maximum(np.asarray(eta, dtype=float), -_ETA_CLIP), _ETA_CLIP)
+    return _clamp(np.asarray(eta, dtype=float), ArrayOps)
+
+
+def _phi(e1, e2, eq: Equilibrium, ops):
+    """(phi_1, phi_2) of the clamped components e1, e2."""
+    return -ops.expm1(-e1) / eq.lambda1, eq.lambda2 * ops.expm1(e2)
 
 
 def phi(eta, eq: Equilibrium):
@@ -32,9 +69,7 @@ def phi(eta, eq: Equilibrium):
     phi_2 = lambda2*(exp(eta2) - 1) >= -lambda2.
     """
     e = clamp_eta(eta)
-    phi1 = -np.expm1(-e[..., 0]) / eq.lambda1
-    phi2 = eq.lambda2 * np.expm1(e[..., 1])
-    return phi1, phi2
+    return _phi(e[..., 0], e[..., 1], eq, ArrayOps)
 
 
 def big_phi(eta, eq: Equilibrium):
@@ -96,10 +131,31 @@ class GainsB:
         return self
 
 
+def _components(eta):
+    """The two components of eta (..., 2), as float arrays."""
+    eta = np.asarray(eta, dtype=float)
+    return eta[..., 0], eta[..., 1]
+
+
+def _control_a(e1, e2, gains: GainsA, eq: Equilibrium, ops):
+    phi1, phi2 = _phi(_clamp(e1, ops), _clamp(e2, ops), eq, ops)
+    return eq.u_star + gains.beta * (phi1 + (1.0 + gains.eps) * phi2)
+
+
 def control_A(eta, gains: GainsA, eq: Equilibrium):
     """u = u_star + beta*(phi_1 + (1+eps)*phi_2); may go negative."""
-    phi1, phi2 = phi(eta, eq)
-    return eq.u_star + gains.beta * (phi1 + (1.0 + gains.eps) * phi2)
+    return _control_a(*_components(eta), gains, eq, ArrayOps)
+
+
+def _control_b(e1, e2, gains: GainsB, eq: Equilibrium, ops):
+    phi1, phi2 = _phi(_clamp(e1, ops), _clamp(e2, ops), eq, ops)
+    varphi = phi1 + (1.0 + gains.eps) * phi2
+    neg = ops.minimum(0.0, varphi)
+    # neg * neg, not neg**2: numpy squares a scalar by pow and an array by
+    # x*x, so one state would round differently alone and in a batch
+    return eq.u_star + gains.eps * phi2 + gains.beta * varphi / ops.sqrt(
+        gains.delta**2 + neg * neg
+    )
 
 
 def control_B(eta, gains: GainsB, eq: Equilibrium):
@@ -108,14 +164,7 @@ def control_B(eta, gains: GainsB, eq: Equilibrium):
     Under the gain constraint eps*lambda2 + beta < u_star the value stays
     above u_star - eps*lambda2 - beta > 0 for every state.
     """
-    phi1, phi2 = phi(eta, eq)
-    varphi = phi1 + (1.0 + gains.eps) * phi2
-    neg = np.minimum(0.0, varphi)
-    # neg * neg, not neg**2: numpy squares a scalar by pow and an array by
-    # x*x, so one state would round differently alone and in a batch
-    return eq.u_star + gains.eps * phi2 + gains.beta * varphi / np.sqrt(
-        gains.delta**2 + neg * neg
-    )
+    return _control_b(*_components(eta), gains, eq, ArrayOps)
 
 
 def control_B_floor(gains: GainsB, eq: Equilibrium) -> float:
@@ -129,14 +178,10 @@ def check_linearizing_gains(k1: float, k2: float):
         raise GainConstraintError(f"linearizing gains must be positive, got k1={k1}, k2={k2}")
 
 
-def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
-    """Exact feedback-linearizing law; kept for comparison runs only."""
-    check_linearizing_gains(k1, k2)
-    eta = np.asarray(eta, dtype=float)
-    e1, e2 = eta[..., 0], eta[..., 1]
-    phi1, phi2 = phi(eta, eq)
-    e = clamp_eta(eta)
-    e_pos, e_neg = np.exp(e[..., 1]), np.exp(-e[..., 0])
+def _control_fblin(e1, e2, k1: float, k2: float, eq: Equilibrium, ops):
+    c1, c2 = _clamp(e1, ops), _clamp(e2, ops)
+    phi1, phi2 = _phi(c1, c2, eq, ops)
+    e_pos, e_neg = ops.exp(c2), ops.exp(-c1)
     den = eq.lambda2 * e_pos + e_neg / eq.lambda1
     num = (
         -k1 * (e1 - e2)
@@ -145,6 +190,12 @@ def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
         - e_neg / eq.lambda1 * phi2
     )
     return eq.u_star + num / den
+
+
+def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
+    """Exact feedback-linearizing law; kept for comparison runs only."""
+    check_linearizing_gains(k1, k2)
+    return _control_fblin(*_components(eta), k1, k2, eq, ArrayOps)
 
 
 @dataclass(frozen=True)
@@ -222,11 +273,12 @@ class ControllerSpec:
 class BoundController:
     """A ControllerSpec bound to an equilibrium.
 
-    The eta-based laws are evaluated by ``u_from_eta``, the measurement-based
-    law by ``u_from_state`` on the population profiles.  Both broadcast over
-    leading axes: eta of shape (..., 2) and profiles of shape (..., 2, n) give
-    u of shape (...), a float for one state.  Gain constraints are checked here,
-    once, so the per-step evaluations stay unguarded.
+    The eta-based laws are evaluated by ``u_from_eta`` on eta's two
+    components, the measurement-based law by ``u_from_state`` on the
+    population profiles.  Both broadcast over leading axes: components of
+    shape (...) and profiles of shape (..., 2, n) give u of shape (...), a
+    float for one state.  Gain constraints are checked here, once, so the
+    per-step evaluations stay unguarded.
     """
 
     def __init__(self, spec: ControllerSpec, eq: Equilibrium):
@@ -253,16 +305,20 @@ class BoundController:
     def needs_profiles(self) -> bool:
         return self.spec.kind == "measured"
 
-    def u_from_eta(self, eta):
+    def u_from_eta(self, eta1, eta2):
+        """u of the state (eta1, eta2): two finite floats, or two arrays of one
+        shape.  A state gives bitwise the same u either way."""
         kind = self.spec.kind
         if kind == "open_loop":
             return self.eq.u_star
+        # numpy's float64 scalars are floats too
+        ops = FloatOps if isinstance(eta1, float) else ArrayOps
         if kind == "control_a":
-            return control_A(eta, self.gains_a, self.eq)
+            return _control_a(eta1, eta2, self.gains_a, self.eq, ops)
         if kind == "control_b":
-            return control_B(eta, self.gains_b, self.eq)
+            return _control_b(eta1, eta2, self.gains_b, self.eq, ops)
         if kind == "feedback_linearizing":
-            return control_fblin(eta, self.spec.k1, self.spec.k2, self.eq)
+            return _control_fblin(eta1, eta2, self.spec.k1, self.spec.k2, self.eq, ops)
         raise GainConstraintError(
             "the measurement-based law needs population profiles, not eta"
         )

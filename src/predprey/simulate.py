@@ -4,23 +4,27 @@ One loop, ``_march``, drives both solvers: it checks the batch, holds the
 control value over each step and re-raises errors with t.  Each solver gives
 it a start and a half, marched once per run before the loop, of all that reads
 neither eta nor u; the loop keeps only eta, which both solvers step by the
-same Heun step, ``_heun_eta``, and stores each step's eta and u.  The records,
-their psi_min and G, and the snapshots are taken from those arrays and the
-half's histories after the loop, so a failed run reduces nothing.  Both
-halves march their samples with ``_march_histories`` and take their
-interaction integrals from ``_loss_integrals``.
+same Heun step, and stores each step's eta and u.  A lone run keeps eta as two
+floats, evaluates its law on them and steps them by ``_heun_eta``, with numpy
+only for exp and expm1; a batch keeps eta (B, 2) and steps it by the same
+operations in ``_heun_rows``.  The records, their psi_min and G, and the
+snapshots are taken from the stored arrays and the half's histories after the
+loop, so a failed run reduces nothing.  Both halves march their samples with
+``_march_histories`` and take their interaction integrals from
+``_loss_integrals``.
 
 Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
-(B, 1) column, and the densities, shape deviations and profiles are
-(B, 2, n), the layout of ``model`` with the batch in front.  The rows of a
-batch share one Setup, t_final, record_every and snapshot times; each has its
-own controller and start, and each group of rows with one controller
-evaluates its law once per step.  ``simulate_direct`` and
-``simulate_transformed`` are the batches of one of ``simulate_direct_batch``
-and ``simulate_transformed_batch``.  Every age integral of a row is one 1-D
-dot (``row_dot``) and all else is elementwise, so a row of a batch reproduces
-its run alone bitwise.  A row that fails stops the batch with its reason and
-t: the earliest failing step, and within it the first check that fails.  The
+(B, 1) column, and the densities, shape deviations and profiles are (B, 2, n),
+the layout of ``model`` with the batch in front.  The rows of a batch share
+one Setup, t_final, record_every and snapshot times; each has its own
+controller and start, and each group of rows with one controller evaluates
+its law once per step.  ``simulate_direct`` and ``simulate_transformed`` are
+the batches of one of ``simulate_direct_batch`` and
+``simulate_transformed_batch``.  Every age integral of a row is one 1-D dot
+(``row_dot``), all else is elementwise, and each float operation of a lone
+run is the one its row meets in a batch, so a row of a batch reproduces its
+run alone bitwise.  A row that fails stops the batch with its reason and t:
+the earliest failing step, and within it the first check that fails.  The
 error's ``row`` is the first batch row that fails that check.
 
 Direct kernel
@@ -68,13 +72,14 @@ deterministic: a fixed configuration reproduces bitwise-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .controllers import BoundController, ControllerSpec
+from .controllers import BoundController, ControllerSpec, FloatOps
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError, first_row
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
@@ -138,7 +143,8 @@ class ICSpec:
       ``table``        explicit positive profiles x (2, n)
       ``eta``          transformed start (eta0, flat histories)
 
-    FQ, SQ and equilibrium are rows of ``NAMED_STARTS``.
+    FQ, SQ and equilibrium are rows of ``NAMED_STARTS``.  ``log_offset``,
+    ``log_slope`` and ``eta0`` are each two finite numbers, whatever the kind.
     """
 
     kind: str = "FQ"
@@ -151,6 +157,15 @@ class ICSpec:
         kinds = (*NAMED_STARTS, "multiplier", "table", "eta")
         if self.kind not in kinds:
             raise ValueError(f"unknown IC kind {self.kind!r}; expected one of {kinds}")
+        for name in ("log_offset", "log_slope", "eta0"):
+            pair = getattr(self, name)
+            try:
+                ok = len(pair) == 2 and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                            for v in pair)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be two finite numbers, got {pair!r}")
 
 
 def multiplier_profiles(eq: Equilibrium, offset, slope) -> np.ndarray:
@@ -197,10 +212,12 @@ def _failure(reason: str, bad) -> NumericalError:
 
 
 def _check_finite(values):
-    """The loop's nan guard on eta (B, 2) or u (B, 1)."""
-    if not all(map(math.isfinite, values.ravel().tolist())):
+    """The loop's nan guard on a lone row's floats, as a tuple, or on a
+    batch's eta (B, 2) or u (B, 1)."""
+    lone = isinstance(values, tuple)
+    if not all(map(math.isfinite, values if lone else values.ravel().tolist())):
         raise NumericalError("non-finite value in the control loop", reason="nan_guard",
-                             row=first_row(~np.isfinite(values)))
+                             row=0 if lone else first_row(~np.isfinite(values)))
 
 
 def _loss_integrals(x, wg):
@@ -211,7 +228,8 @@ def _loss_integrals(x, wg):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run; dt is locked to the grid spacing."""
+    """One simulation run; dt is locked to the grid spacing.  Snapshot times
+    are nonnegative and finite; those after t_final are skipped."""
 
     t_final: float
     controller: ControllerSpec = ControllerSpec()
@@ -228,6 +246,9 @@ class SimConfig:
             every = 0
         if every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+        if not all(0 <= ts < math.inf for ts in self.snapshot_times):
+            raise ValueError("snapshot_times must be nonnegative and finite, got "
+                             f"{self.snapshot_times}")
 
 
 @dataclass
@@ -296,9 +317,9 @@ def _reduce_histories(setup: Setup, histories, steps, rows: int):
 
 def _controller_groups(cfgs, eq: Equilibrium):
     """One ``BoundController`` per distinct controller of the batch, with the
-    rows it drives as an index into the batch axis.  A lone row is indexed by
-    its integer, the single-run fast path: a law costs about half as much on
-    one state as on a (1, 2) slice."""
+    rows it drives as an index into the batch axis.  A row alone in its group
+    is indexed by its integer, so its law runs on floats, as in its run
+    alone."""
     rows: dict[ControllerSpec, list[int]] = {}
     for b, cfg in enumerate(cfgs):
         rows.setdefault(cfg.controller, []).append(b)
@@ -314,18 +335,85 @@ def _controller_groups(cfgs, eq: Equilibrium):
     return groups
 
 
+def _heun_eta(eta, u, q0, q1, dt, zeta):
+    """Heun step on one state's eta = (eta1, eta2), floats, with u frozen,
+    zeta = (zeta1, zeta2) and the loss rates q0 and q1 at the step's two
+    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  Each operation is
+    the one ``_heun_rows`` applies to a batch row, exp numpy's included, so a
+    row steps bitwise alike alone and in a batch."""
+    exp = FloatOps.exp
+    e1, e2 = eta
+    z1, z2 = zeta[0] - u, zeta[1] - u
+    f1 = z1 - exp(e2) * q0[0]
+    f2 = z2 - exp(-e1) * q0[1]
+    g1 = z1 - exp(e2 + dt * f2) * q1[0]
+    g2 = z2 - exp(-(e1 + dt * f1)) * q1[1]
+    h = 0.5 * dt
+    return e1 + h * (f1 + g1), e2 + h * (f2 + g2)
+
+
 # exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
 _FLIP = np.array([1.0, -1.0])
 
 
-def _heun_eta(eta, u, q0, q1, dt, zeta):
-    """Heun step on eta (..., 2) with the loss rates q0 and q1 at the step's
-    two ends, per unit of (e^{eta2}, e^{-eta1}); u frozen, broadcasting
-    against eta."""
+def _heun_rows(eta, u, q0, q1, dt, zeta):
+    """``_heun_eta`` on a batch: eta, zeta, q0 and q1 (B, 2), u (B, 1).  On a
+    few rows, one ufunc over (B, 2) costs about as much as one over (B,), so
+    this form, with half the calls of the component form, is the faster."""
     zu = zeta - u
     f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q0
     f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q1
     return eta + 0.5 * dt * (f1 + f2)
+
+
+def _lone_row(eta, controllers, profiles, zeta, q, dt, etas, us):
+    """The loop's start eta, ``control(eta, step)`` and ``heun(eta, u,
+    step)`` for a batch of one row, whose eta is a pair of floats: its law
+    runs on floats and ``_heun_eta`` steps them.  The per-step arrays are
+    read and written through memoryviews, whose items are floats."""
+    ((controller, _),) = controllers
+    needs_profiles = controller.needs_profiles
+    e1_out, e2_out, u_out = (memoryview(a) for a in (etas[0, :, 0], etas[0, :, 1], us[0]))
+    z1, z2, q1, q2 = (memoryview(a[:, 0, i]) for a in (zeta, q) for i in (0, 1))
+
+    def control(eta, step):
+        _check_finite(eta)
+        e1_out[step], e2_out[step] = eta
+        if needs_profiles:
+            # a float, not numpy's scalar, keeps the Heun step on floats
+            u = float(controller.u_from_state(profiles(np.array([eta]), step)[0]))
+        else:
+            u = controller.u_from_eta(*eta)
+        _check_finite((u,))
+        u_out[step] = u
+        return u
+
+    def heun(eta, u, step):
+        return _heun_eta(eta, u, (q1[step], q2[step]), (q1[step + 1], q2[step + 1]), dt,
+                         (z1[step], z2[step]))
+
+    return tuple(eta[0].tolist()), control, heun
+
+
+def _batch_rows(eta, controllers, profiles, zeta, q, dt, etas, us):
+    """``_lone_row`` for a batch, whose eta is (B, 2): each group's law runs
+    on its rows' components, and u is a (B, 1) column."""
+    def control(eta, step):
+        _check_finite(eta)
+        etas[:, step] = eta
+        u = us[:, step, None]
+        for controller, rows in controllers:
+            if controller.needs_profiles:
+                u[rows, 0] = controller.u_from_state(profiles(eta, step)[rows])
+            else:
+                u[rows, 0] = controller.u_from_eta(eta[rows, 0], eta[rows, 1])
+        _check_finite(u)
+        return u
+
+    def heun(eta, u, step):
+        return _heun_rows(eta, u, q[step], q[step + 1], dt, zeta[step])
+
+    return eta, control, heun
 
 
 def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
@@ -336,7 +424,7 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     neither eta nor u, and returns:
 
     - eta at t = 0, (B, 2)
-    - zeta and the loss rates q of ``_heun_eta``, indexed by step
+    - zeta and the loss rates q of ``_heun_eta``, (B, 2) indexed by step
     - ``profiles(eta, step)``, the profiles (B, 2, n), called only when the
       control law or a snapshot needs them
     - ``histories(steps, out)``, the histories at the steps, as
@@ -344,9 +432,11 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     - the step whose update meets the half's first failure, and its error
       (n_steps and None when none fails).
 
-    The loop keeps each step's eta (B, 2) and u, held over the step as a
-    (B, 1) column; the records, their psi_min and G, and the snapshots are
-    taken from them after it."""
+    The loop keeps a lone row's eta as a pair of floats and a batch's as a
+    (B, 2) array (``_lone_row``, ``_batch_rows``), with u held over the
+    step.  It stores each step's eta and u in preallocated arrays; the
+    records, their psi_min and G, and the snapshots are taken from them after
+    it."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
@@ -366,25 +456,19 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
         state = start(cfgs)
         try:
             eta, zeta, q, profiles, histories, fail, failure = half(state, n_steps)
+            form = _lone_row if len(cfgs) == 1 else _batch_rows
+            eta, control, heun = form(eta, controllers, profiles, zeta, q, dt, etas, us)
             for step in range(n_steps + 1):
-                _check_finite(eta)
-                etas[:, step] = eta
-                u = us[:, step, None]
-                for controller, rows in controllers:
-                    if controller.needs_profiles:
-                        u[rows, 0] = controller.u_from_state(profiles(eta, step)[rows])
-                    else:
-                        u[rows, 0] = controller.u_from_eta(eta[rows])
-                _check_finite(u)
+                u = control(eta, step)
                 if step == n_steps:
                     break
                 if step == fail:
                     raise failure
-                eta = _heun_eta(eta, u, q[step], q[step + 1], dt, zeta[step])
+                eta = heun(eta, u, step)
         except NumericalError as err:
             raise NumericalError(str(err), t=step * dt, reason=err.reason, row=err.row) from None
         snap_steps = sorted({int(round(ts / dt)) for ts in cfg.snapshot_times
-                             if 0 <= ts <= n_steps * dt + 1e-9})
+                             if ts <= n_steps * dt + 1e-9})
         snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
     steps = _record_steps(n_steps, cfg.record_every)
     # the halves mute the floating-point warnings of their histories, and so
@@ -592,7 +676,7 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         def histories(steps, out):
             return psi[:, steps]
 
-        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, 2))
+        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, *eta0.shape))
         return eta0, zeta, q, profiles, histories, fail, err
 
     return _march(setup, cfgs, "transformed", start, half)

@@ -244,7 +244,8 @@ def _transformed_update(state, u, ops):
     if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
         raise _failure("psi_admissibility", psi_new[..., 0] <= -1.0)
     q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
-    return _heun_eta(eta, u, q[0], q[1], dt, zeta), psi_new
+    eta = _heun_eta(tuple(eta.tolist()), u, q[0].tolist(), q[1].tolist(), dt, zeta.tolist())
+    return np.array(eta), psi_new
 
 
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:
@@ -273,7 +274,7 @@ def _march_stepwise(setup, cfg, state, observe, advance):
         eta, psi, x = observe(state, t)
         if not np.all(np.isfinite(eta)):
             raise NumericalError("non-finite eta", t=t, reason="nan_guard")
-        u = controller.u_from_state(x()) if controller.needs_profiles else controller.u_from_eta(eta)
+        u = controller.u_from_state(x()) if controller.needs_profiles else controller.u_from_eta(*eta)
         if not np.isfinite(u):
             raise NumericalError("non-finite u", t=t, reason="nan_guard")
         if step % cfg.record_every == 0 or step == n_steps:

@@ -468,6 +468,16 @@ def test_cli_infinite_t_final_exit_code(tmp_path, capsys):
     assert not (tmp_path / "inf").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_multiplier_key_exit_code(tmp_path, capsys, value):
+    # a start that is no number is a config error before any start is built
+    cfg_path = _write(tmp_path, "cfg.ini", "[model]\nn_cells = 40\n[simulation]\nt_final = 1\n"
+                      f"ic = multiplier\nic_log_slope_2 = {value}\n")
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "simulation.ic_log_slope_2 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("solver", ["direct", "transformed"])
 def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
     # a huge control-A gain drives the populations to underflow within a step

@@ -181,13 +181,59 @@ def test_control_b_positive_dense_grid(eq400):
     assert u.min() >= control_B_floor(GAINS_B, eq400) - 1e-12
 
 
-def test_control_b_rounds_alike_alone_and_in_a_batch(eq400):
-    # a batch row and its run alone give one state the same u only if the law
-    # rounds alike on one state and on an array of them
-    etas = np.random.default_rng(7).uniform(-5, 5, size=(20_000, 2))
-    batch = control_B(etas, GAINS_B, eq400)
-    alone = np.array([control_B(eta, GAINS_B, eq400) for eta in etas])
-    assert np.array_equal(batch, alone)
+# the eta laws, each with the gains of its reference runs
+ETA_LAWS = {
+    "control_a": ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
+    "control_b": ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
+    "feedback_linearizing": ControllerSpec(kind="feedback_linearizing", k1=1.0, k2=2.0),
+}
+
+
+def law_states(which: str, eps: float, eq, n: int = 20_000):
+    """n states (n, 2) of one kind: uniform in [-5, 5]^2; in the clamp region,
+    |eta_i| in (700, 1000), plus the clamp edges; or about the curve
+    phi_1 + (1 + eps)*phi_2 = 0, where control B leaves its saturated mode."""
+    rng = np.random.default_rng(7)
+    if which == "uniform":
+        return rng.uniform(-5, 5, size=(n, 2))
+    if which == "clamp":
+        etas = rng.uniform(700, 1000, size=(n, 2)) * rng.choice([-1.0, 1.0], size=(n, 2))
+        edge = [700.0, np.nextafter(700.0, 0.0), np.nextafter(700.0, 1e3)]
+        return np.concatenate([etas, [[s1 * a, s2 * b] for a in edge for b in edge
+                                      for s1 in (-1, 1) for s2 in (-1, 1)]])
+    # phi_2 = -phi_1/(1 + eps) solved for eta2, then moved by a few ulps to 1e-9
+    e1 = rng.uniform(-1.5, 5, size=n)
+    phi1 = -np.expm1(-e1) / eq.lambda1
+    e2 = np.log1p(-phi1 / ((1.0 + eps) * eq.lambda2))
+    e2 = e2 + rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9], size=n)
+    return np.stack([e1, e2], axis=-1)
+
+
+@pytest.mark.parametrize("which", ["uniform", "clamp", "varphi_zero"])
+@pytest.mark.parametrize("kind", list(ETA_LAWS))
+def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
+    # a lone run evaluates its law on floats and a batch on arrays; a batch
+    # row and its run alone give one state the same u only if both forms
+    # round alike
+    spec = ETA_LAWS[kind]
+    bound = BoundController(spec, eq400)
+    etas = law_states(which, spec.eps, eq400)
+    assert np.all(np.isfinite(etas))
+    # far out, the laws overflow to inf or nan, as in the march, which mutes
+    # overflow; a float overflows silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = bound.u_from_eta(etas[:, 0], etas[:, 1])
+        alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
+        law = {"control_a": lambda: control_A(etas, GAINS_A, eq400),
+               "control_b": lambda: control_B(etas, GAINS_B, eq400),
+               "feedback_linearizing": lambda: control_fblin(etas, 1.0, 2.0, eq400)}[kind]()
+    assert all(type(u) is float for u in alone)
+    assert np.array_equal(batch, np.array(alone), equal_nan=True)
+    assert np.array_equal(batch, law, equal_nan=True)
+    if which == "varphi_zero" and kind == "control_b":
+        phi1, phi2 = phi(etas, eq400)
+        varphi = phi1 + (1.0 + spec.eps) * phi2
+        assert (varphi < 0).any() and (varphi >= 0).any()
 
 
 def test_fblin_equilibrium_input(eq400):
@@ -246,7 +292,7 @@ def test_control_in_x_composes(setup400):
     bound = BoundController(spec, eq)
 
     def u_of_x(x):
-        return bound.u_from_eta(np.log(pi_functional(x, setup400.adj)))
+        return bound.u_from_eta(*np.log(pi_functional(x, setup400.adj)))
 
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
     ts = to_transformed(state, eq, setup400.adj)
@@ -318,7 +364,7 @@ def test_bound_controller_dispatch(setup400):
         )
         bound = BoundController(spec, eq)
         assert not bound.needs_profiles
-        assert np.isfinite(bound.u_from_eta(eta))
+        assert np.isfinite(bound.u_from_eta(*eta))
         with pytest.raises(GainConstraintError, match="acts on eta"):
             bound.u_from_state(state.x)
     for sensor in ("interaction", "birth", "uniform"):
@@ -327,7 +373,7 @@ def test_bound_controller_dispatch(setup400):
         assert np.isfinite(bound.u_from_state(state.x))
         assert bound.sensors.y_star[0] > 0 and bound.sensors.y_star[1] > 0
         with pytest.raises(GainConstraintError, match="population profiles"):
-            bound.u_from_eta(eta)
+            bound.u_from_eta(*eta)
     with pytest.raises(GainConstraintError, match="unknown controller kind"):
         ControllerSpec(kind="bogus")
     with pytest.raises(GainConstraintError, match="sensor"):

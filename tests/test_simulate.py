@@ -51,6 +51,23 @@ def test_ic_sq_transforms_to_second_quadrant(setup400):
     assert ts.eta[1] == pytest.approx(1.57, abs=0.01)
 
 
+def test_ic_spec_rejects_starts_that_are_not_two_finite_numbers():
+    # a one-number pair used to stand for both species, and a nan start got
+    # past the constructor to fail the nan guard at t = 0
+    bad = [(0.5,), (0.1, 0.2, 0.3), (), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+           ("1", 0.0), (None, 0.0), 0.5, None]
+    for name in ("log_offset", "log_slope", "eta0"):
+        for value in bad:
+            with pytest.raises(ValueError, match=f"{name} must be two finite numbers"):
+                ICSpec(kind="eta" if name == "eta0" else "multiplier", **{name: value})
+        # the check holds whatever the kind: FQ would ignore the offsets
+        with pytest.raises(ValueError, match=f"{name} must be two finite numbers"):
+            ICSpec(kind="FQ", **{name: (0.5,)})
+    spec = ICSpec(kind="eta", eta0=np.array([1.0, np.int64(-2)]))
+    assert np.array_equal(spec.eta0, [1.0, -2.0])
+    ICSpec(kind="multiplier", log_offset=[0.5, -0.5], log_slope=(np.float64(1.0), 2))
+
+
 def test_ic_table_requires_positive(setup400):
     eq = setup400.eq
     with pytest.raises(NumericalError):
@@ -126,7 +143,7 @@ def test_step_matches_simulate(setup100, solver):
     etas, us = [], []
     for _ in range(201):
         eta = eta_of(state)
-        u = controller.u_from_eta(eta)
+        u = controller.u_from_eta(*eta)
         etas.append(eta)
         us.append(u)
         state = step(state, u)
@@ -484,6 +501,12 @@ def test_sim_config_rejects_bad_schedules():
         with pytest.raises(ValueError, match="record_every must be a positive integer"):
             SimConfig(t_final=1.0, record_every=every)
     assert SimConfig(t_final=1.0, record_every=np.int64(3)).record_every == 3
+    # a snapshot time is a time of the run: never negative, never infinite;
+    # times after t_final are kept in the config and skipped by the march
+    for times in ((-0.5,), (0.0, -1e-12), (math.inf,), (1.0, math.nan), (-math.inf,)):
+        with pytest.raises(ValueError, match="snapshot_times must be nonnegative and finite"):
+            SimConfig(t_final=1.0, snapshot_times=times)
+    assert SimConfig(t_final=1.0, snapshot_times=(0.0, 2.0)).snapshot_times == (0.0, 2.0)
 
 
 def test_simulate_deterministic(setup100):
