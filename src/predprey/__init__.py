@@ -31,7 +31,6 @@ from .controllers import (
     SensorSpec,
     control_A,
     control_B,
-    control_fblin,
     control_measured,
     sensor_equilibrium,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SensorSpec",
     "control_A",
     "control_B",
-    "control_fblin",
     "control_measured",
     "sensor_equilibrium",
     "ICSpec",

@@ -1,11 +1,13 @@
 """Dilution feedback laws and their gain constraints.
 
-All laws act on the log-abundance pair eta through the saturating functions
-phi_1, phi_2; evaluation broadcasts over numpy arrays so sweeps and region
-plots can run vectorized.  Each eta law is one formula on eta's two
-components, which are floats (one state) or arrays of one shape; its
-primitives follow the components (``FloatOps``, ``ArrayOps``), and a state
-gives the same u either way.
+The eta laws act on the log-abundance pair eta through the saturating
+functions phi_1, phi_2; the measured law acts on sensor outputs of the
+population profiles.  Each eta law is one formula on eta's two components,
+with its primitives passed in: the public laws (``control_A``, ``control_B``,
+``phi``) broadcast over numpy arrays (``ArrayOps``) for analysis and region
+plots, and ``BoundController.u_from_eta``, which the simulation calls once per
+step, runs the same formula on two floats (``FloatOps``).  A state gives the
+same u either way.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Equilibrium
-from .errors import GainConstraintError
+from .errors import GainConstraintError, NumericalError
 from .model import check_species_fn, quad, row_dot
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
@@ -151,8 +153,8 @@ def _control_b(e1, e2, gains: GainsB, eq: Equilibrium, ops):
     phi1, phi2 = _phi(_clamp(e1, ops), _clamp(e2, ops), eq, ops)
     varphi = phi1 + (1.0 + gains.eps) * phi2
     neg = ops.minimum(0.0, varphi)
-    # neg * neg, not neg**2: numpy squares a scalar by pow and an array by
-    # x*x, so one state would round differently alone and in a batch
+    # neg * neg, not neg**2: a float squares by pow and a numpy array by
+    # x*x, so one state would round differently as floats and in an array
     return eq.u_star + gains.eps * phi2 + gains.beta * varphi / ops.sqrt(
         gains.delta**2 + neg * neg
     )
@@ -170,32 +172,6 @@ def control_B(eta, gains: GainsB, eq: Equilibrium):
 def control_B_floor(gains: GainsB, eq: Equilibrium) -> float:
     """Analytic lower bound u_star - eps*lambda2 - beta of control B."""
     return eq.u_star - gains.eps * eq.lambda2 - gains.beta
-
-
-def check_linearizing_gains(k1: float, k2: float):
-    """The feedback-linearizing law needs k1 > 0 and k2 > 0."""
-    if not (k1 > 0 and k2 > 0):
-        raise GainConstraintError(f"linearizing gains must be positive, got k1={k1}, k2={k2}")
-
-
-def _control_fblin(e1, e2, k1: float, k2: float, eq: Equilibrium, ops):
-    c1, c2 = _clamp(e1, ops), _clamp(e2, ops)
-    phi1, phi2 = _phi(c1, c2, eq, ops)
-    e_pos, e_neg = ops.exp(c2), ops.exp(-c1)
-    den = eq.lambda2 * e_pos + e_neg / eq.lambda1
-    num = (
-        -k1 * (e1 - e2)
-        + k2 * (phi1 + phi2)
-        + eq.lambda2 * e_pos * phi1
-        - e_neg / eq.lambda1 * phi2
-    )
-    return eq.u_star + num / den
-
-
-def control_fblin(eta, k1: float, k2: float, eq: Equilibrium):
-    """Exact feedback-linearizing law; kept for comparison runs only."""
-    check_linearizing_gains(k1, k2)
-    return _control_fblin(*_components(eta), k1, k2, eq, ArrayOps)
 
 
 @dataclass(frozen=True)
@@ -241,7 +217,7 @@ def control_measured(y, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
     return eq.u_star + gains.beta * (term1 - term2)
 
 
-KINDS = ("open_loop", "control_a", "control_b", "feedback_linearizing", "measured")
+KINDS = ("open_loop", "control_a", "control_b", "measured")
 
 # the sensor kernels c (2, n) of each sensor choice of the measured law
 SENSORS = {
@@ -259,8 +235,6 @@ class ControllerSpec:
     eps: float = 0.2
     beta: float = 0.6
     delta: float = 0.2
-    k1: float = 1.0
-    k2: float = 2.0
     sensor: str = "interaction"  # one of SENSORS
 
     def __post_init__(self):
@@ -273,12 +247,10 @@ class ControllerSpec:
 class BoundController:
     """A ControllerSpec bound to an equilibrium.
 
-    The eta-based laws are evaluated by ``u_from_eta`` on eta's two
+    The eta-based laws are evaluated by ``u_from_eta`` on one state's two
     components, the measurement-based law by ``u_from_state`` on the
-    population profiles.  Both broadcast over leading axes: components of
-    shape (...) and profiles of shape (..., 2, n) give u of shape (...), a
-    float for one state.  Gain constraints are checked here, once, so the
-    per-step evaluations stay unguarded.
+    population profiles (..., 2, n).  Gain constraints are checked here, once,
+    so the per-step evaluations stay unguarded.
     """
 
     def __init__(self, spec: ControllerSpec, eq: Equilibrium):
@@ -291,8 +263,6 @@ class BoundController:
             self.gains_a = GainsA(eps=spec.eps, beta=spec.beta)
         if spec.kind == "control_b":
             self.gains_b = GainsB(eps=spec.eps, beta=spec.beta, delta=spec.delta).validate(eq)
-        if spec.kind == "feedback_linearizing":
-            check_linearizing_gains(spec.k1, spec.k2)
         if spec.kind == "measured":
             if spec.sensor not in SENSORS:
                 raise GainConstraintError(
@@ -306,26 +276,27 @@ class BoundController:
         return self.spec.kind == "measured"
 
     def u_from_eta(self, eta1, eta2):
-        """u of the state (eta1, eta2): two finite floats, or two arrays of one
-        shape.  A state gives bitwise the same u either way."""
+        """u, a float, of the state (eta1, eta2), two finite floats: bitwise
+        the public array law's u of that state."""
         kind = self.spec.kind
         if kind == "open_loop":
             return self.eq.u_star
-        # numpy's float64 scalars are floats too
-        ops = FloatOps if isinstance(eta1, float) else ArrayOps
         if kind == "control_a":
-            return _control_a(eta1, eta2, self.gains_a, self.eq, ops)
+            return _control_a(eta1, eta2, self.gains_a, self.eq, FloatOps)
         if kind == "control_b":
-            return _control_b(eta1, eta2, self.gains_b, self.eq, ops)
-        if kind == "feedback_linearizing":
-            return _control_fblin(eta1, eta2, self.spec.k1, self.spec.k2, self.eq, ops)
+            return _control_b(eta1, eta2, self.gains_b, self.eq, FloatOps)
         raise GainConstraintError(
             "the measurement-based law needs population profiles, not eta"
         )
 
     def u_from_state(self, x):
+        """The measured law's u of the profiles x (..., 2, n); a sensor output
+        <= 0 raises a ``NumericalError`` tagged ``measurement_nonpositive``."""
         if not self.needs_profiles:
             raise GainConstraintError(
                 f"the {self.spec.kind} law acts on eta, not on population profiles"
             )
-        return control_measured(row_dot(x, self._wc), self.sensors, self.gains_a, self.eq)
+        try:
+            return control_measured(row_dot(x, self._wc), self.sensors, self.gains_a, self.eq)
+        except ValueError as err:
+            raise NumericalError(str(err), reason="measurement_nonpositive") from None

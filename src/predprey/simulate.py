@@ -1,31 +1,26 @@
 """Time integration of the population system, in two equivalent forms.
 
-One loop, ``_march``, drives both solvers: it checks the batch, holds the
-control value over each step and re-raises errors with t.  Each solver gives
-it a start and a half, marched once per run before the loop, of all that reads
-neither eta nor u; the loop keeps only eta, which both solvers step by the
-same Heun step, and stores each step's eta and u.  A lone run keeps eta as two
-floats, evaluates its law on them and steps them by ``_heun_eta``, with numpy
-only for exp and expm1; a batch keeps eta (B, 2) and steps it by the same
-operations in ``_heun_rows``.  The records, their psi_min and G, and the
-snapshots are taken from the stored arrays and the half's histories after the
-loop, so a failed run reduces nothing.  Both halves march their samples with
-``_march_histories`` and take their interaction integrals from
-``_loss_integrals``.
+One loop, ``_march``, drives both solvers over a batch of B runs that share
+one Setup, t_final, record_every and snapshot times; each row has its own
+controller and start.  Each solver gives the loop a start and a half: all
+that reads neither eta nor u, marched once for the whole batch before the
+loop, with the batch in front of the layout of ``model`` ((B, 2, n)
+densities, shape deviations and profiles).  Both halves march their samples
+with ``_march_histories`` and take their interaction integrals from
+``_loss_integrals``.  The loop then marches one row after the other: it keeps
+the row's eta as two floats, evaluates the row's law on them, holds u over
+the step and steps eta by ``_heun_eta``, with numpy only for exp and expm1,
+and stores each step's eta and u.  The records, their psi_min and G, and the
+snapshots are taken from the stored arrays and the half's histories after
+the loop, so a failed run reduces nothing.
 
-Both solvers march a batch of B runs on a leading axis: eta is (B, 2), u a
-(B, 1) column, and the densities, shape deviations and profiles are (B, 2, n),
-the layout of ``model`` with the batch in front.  The rows of a batch share
-one Setup, t_final, record_every and snapshot times; each has its own
-controller and start, and each group of rows with one controller evaluates
-its law once per step.  ``simulate_direct`` and ``simulate_transformed`` are
-the batches of one of ``simulate_direct_batch`` and
-``simulate_transformed_batch``.  Every age integral of a row is one 1-D dot
-(``row_dot``), all else is elementwise, and each float operation of a lone
-run is the one its row meets in a batch, so a row of a batch reproduces its
-run alone bitwise.  A row that fails stops the batch with its reason and t:
-the earliest failing step, and within it the first check that fails.  The
-error's ``row`` is the first batch row that fails that check.
+Every age integral of a row is one 1-D dot (``row_dot``) and all else is
+elementwise, so a row of a batch reproduces its run alone bitwise;
+``simulate_direct`` and ``simulate_transformed`` are batches of one.  A row
+that fails stops the batch with its reason and t: the earliest failing step
+over all rows, and within it the first check that fails, in the order eta
+non-finite, a typed error of the law, u non-finite, the half's failure.  The
+error's ``row`` is the first row that fails that check.
 
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
@@ -38,9 +33,9 @@ Direct kernel
     scale a whole species, so each profile is x = C*y, with y the march
     without harvest or interaction losses, discounted by zeta: y reads
     neither u nor eta.  Divided by the discounted cumulative survival S,
-    z = y/S is a pure one-node shift with newborn weights w*k*S, marched once
-    per run into one (B, 2, n_steps + n) array as the transformed histories
-    are.  The Pi values P and the loss integrals Q of every step are reduced
+    z = y/S is a pure one-node shift with newborn weights w*k*S, marched
+    into one (B, 2, n_steps + n) array as the transformed histories are.
+    The Pi values P and the loss integrals Q of every step are reduced
     from it, and after the loop psi_min and G of the records.
     eta = log C + log P follows the transformed solver's Heun step with
     zeta + log(P_{s+1}/P_s)/dt and the loss rates (Q1/P2, P1/Q2), and the
@@ -55,11 +50,10 @@ Transformed kernel
     identity (the same solve, with survival 1 and no loss).  dt = da
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.  The histories read neither eta nor
-    u, so this half is marched once per run, before the eta loop: one
-    (B, 2, n_steps + n) array holds the histories of every step, the
+    u: one (B, 2, n_steps + n) array holds those of every step, the
     interaction integrals are reduced from it in blocks of steps, and after
-    the loop psi_min and G in blocks of records.  The loop keeps only eta; a
-    history failure found up front is raised when the loop reaches its step.
+    the loop psi_min and G in blocks of records.  A history failure found up
+    front is raised when the loop reaches its step.
 
 The accuracy model is second order in transport, in the eta update and in the
 interaction coupling; the control value is evaluated once per step and held,
@@ -198,26 +192,19 @@ def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
     return to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
 
 
-# the messages of the per-row checks of the history-dependent terms
+# the messages of the per-row checks of the half and of the eta loop
 _FAILURES = {
     "prey_collapse": "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
                      "term is singular",
     "psi_admissibility": "history admissibility lost: renewal produced a sample <= -1",
+    "nan_guard": "non-finite value in the control loop",
 }
 
 
-def _failure(reason: str, bad) -> NumericalError:
-    """The error of a failed per-row check, with its first failing row."""
+def _failure(reason: str, bad=None) -> NumericalError:
+    """The error of a failed per-row check, with its first failing row, if
+    ``bad`` marks the failing rows."""
     return NumericalError(_FAILURES[reason], reason=reason, row=first_row(bad))
-
-
-def _check_finite(values):
-    """The loop's nan guard on a lone row's floats, as a tuple, or on a
-    batch's eta (B, 2) or u (B, 1)."""
-    lone = isinstance(values, tuple)
-    if not all(map(math.isfinite, values if lone else values.ravel().tolist())):
-        raise NumericalError("non-finite value in the control loop", reason="nan_guard",
-                             row=0 if lone else first_row(~np.isfinite(values)))
 
 
 def _loss_integrals(x, wg):
@@ -315,32 +302,11 @@ def _reduce_histories(setup: Setup, histories, steps, rows: int):
     return psi_min, G
 
 
-def _controller_groups(cfgs, eq: Equilibrium):
-    """One ``BoundController`` per distinct controller of the batch, with the
-    rows it drives as an index into the batch axis.  A row alone in its group
-    is indexed by its integer, so its law runs on floats, as in its run
-    alone."""
-    rows: dict[ControllerSpec, list[int]] = {}
-    for b, cfg in enumerate(cfgs):
-        rows.setdefault(cfg.controller, []).append(b)
-    groups = []
-    for spec, idx in rows.items():
-        if len(idx) == 1:
-            index = idx[0]
-        elif len(idx) == len(cfgs):
-            index = slice(None)
-        else:
-            index = np.array(idx)
-        groups.append((BoundController(spec, eq), index))
-    return groups
-
-
 def _heun_eta(eta, u, q0, q1, dt, zeta):
     """Heun step on one state's eta = (eta1, eta2), floats, with u frozen,
     zeta = (zeta1, zeta2) and the loss rates q0 and q1 at the step's two
-    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  Each operation is
-    the one ``_heun_rows`` applies to a batch row, exp numpy's included, so a
-    row steps bitwise alike alone and in a batch."""
+    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  exp is numpy's, as
+    in the laws (``FloatOps``)."""
     exp = FloatOps.exp
     e1, e2 = eta
     z1, z2 = zeta[0] - u, zeta[1] - u
@@ -352,91 +318,55 @@ def _heun_eta(eta, u, q0, q1, dt, zeta):
     return e1 + h * (f1 + g1), e2 + h * (f2 + g2)
 
 
-# exp(eta[..., ::-1] * _FLIP) = (e^{eta2}, e^{-eta1})
-_FLIP = np.array([1.0, -1.0])
-
-
-def _heun_rows(eta, u, q0, q1, dt, zeta):
-    """``_heun_eta`` on a batch: eta, zeta, q0 and q1 (B, 2), u (B, 1).  On a
-    few rows, one ufunc over (B, 2) costs about as much as one over (B,), so
-    this form, with half the calls of the component form, is the faster."""
-    zu = zeta - u
-    f1 = zu - np.exp(eta[..., ::-1] * _FLIP) * q0
-    f2 = zu - np.exp((eta + dt * f1)[..., ::-1] * _FLIP) * q1
-    return eta + 0.5 * dt * (f1 + f2)
-
-
-def _lone_row(eta, controllers, profiles, zeta, q, dt, etas, us):
-    """The loop's start eta, ``control(eta, step)`` and ``heun(eta, u,
-    step)`` for a batch of one row, whose eta is a pair of floats: its law
-    runs on floats and ``_heun_eta`` steps them.  The per-step arrays are
-    read and written through memoryviews, whose items are floats."""
-    ((controller, _),) = controllers
-    needs_profiles = controller.needs_profiles
-    e1_out, e2_out, u_out = (memoryview(a) for a in (etas[0, :, 0], etas[0, :, 1], us[0]))
-    z1, z2, q1, q2 = (memoryview(a[:, 0, i]) for a in (zeta, q) for i in (0, 1))
-
-    def control(eta, step):
-        _check_finite(eta)
+def _march_row(eta, controller, profiles, row, zeta, q, dt, last, etas, us):
+    """March batch row ``row``'s eta, two floats, to step ``last``: check eta,
+    evaluate the law, check u, store both and take the Heun step with u held.
+    The row's zeta and q (steps, B, 2), etas and us are read and written
+    through memoryviews, whose items are floats.  Returns None, or the first
+    failure as (step, check, error), its checks numbered in their order."""
+    e1_out, e2_out, u_out = (memoryview(a) for a in (etas[row, :, 0], etas[row, :, 1], us[row]))
+    z1, z2, q1, q2 = (memoryview(a[:, row, i]) for a in (zeta, q) for i in (0, 1))
+    for step in range(last + 1):
+        e1, e2 = eta
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            return step, 0, _failure("nan_guard")
         e1_out[step], e2_out[step] = eta
-        if needs_profiles:
-            # a float, not numpy's scalar, keeps the Heun step on floats
-            u = float(controller.u_from_state(profiles(np.array([eta]), step)[0]))
-        else:
-            u = controller.u_from_eta(*eta)
-        _check_finite((u,))
-        u_out[step] = u
-        return u
-
-    def heun(eta, u, step):
-        return _heun_eta(eta, u, (q1[step], q2[step]), (q1[step + 1], q2[step + 1]), dt,
-                         (z1[step], z2[step]))
-
-    return tuple(eta[0].tolist()), control, heun
-
-
-def _batch_rows(eta, controllers, profiles, zeta, q, dt, etas, us):
-    """``_lone_row`` for a batch, whose eta is (B, 2): each group's law runs
-    on its rows' components, and u is a (B, 1) column."""
-    def control(eta, step):
-        _check_finite(eta)
-        etas[:, step] = eta
-        u = us[:, step, None]
-        for controller, rows in controllers:
+        try:
             if controller.needs_profiles:
-                u[rows, 0] = controller.u_from_state(profiles(eta, step)[rows])
+                # a float, not numpy's scalar, keeps the Heun step on floats
+                u = float(controller.u_from_state(profiles(np.array(eta), step, row)))
             else:
-                u[rows, 0] = controller.u_from_eta(eta[rows, 0], eta[rows, 1])
-        _check_finite(u)
-        return u
-
-    def heun(eta, u, step):
-        return _heun_rows(eta, u, q[step], q[step + 1], dt, zeta[step])
-
-    return eta, control, heun
+                u = controller.u_from_eta(e1, e2)
+        except NumericalError as err:
+            return step, 1, err
+        if not math.isfinite(u):
+            return step, 2, _failure("nan_guard")
+        u_out[step] = u
+        if step < last:
+            eta = _heun_eta(eta, u, (q1[step], q2[step]), (q1[step + 1], q2[step + 1]), dt,
+                            (z1[step], z2[step]))
 
 
 def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     """The time loop of both solvers, over a batch of runs that must share
     one schedule.  ``start(cfgs)`` builds the start state.  ``half(start,
-    n_steps)`` marches, once per run and inside the error re-raise (so a grid
-    too coarse for a birth kernel is reported at t = 0), all that reads
-    neither eta nor u, and returns:
+    n_steps)`` marches, once for the whole batch and inside the error
+    re-raise (so a grid too coarse for a birth kernel is reported at t = 0),
+    all that reads neither eta nor u, and returns:
 
     - eta at t = 0, (B, 2)
     - zeta and the loss rates q of ``_heun_eta``, (B, 2) indexed by step
-    - ``profiles(eta, step)``, the profiles (B, 2, n), called only when the
-      control law or a snapshot needs them
+    - ``profiles(eta, step, rows)``, the profiles (..., 2, n) of the batch
+      rows ``rows`` (an index or a slice) with eta (..., 2), called only when
+      the measured law or a snapshot needs them
     - ``histories(steps, out)``, the histories at the steps, as
       ``_reduce_histories`` takes them
     - the step whose update meets the half's first failure, and its error
       (n_steps and None when none fails).
 
-    The loop keeps a lone row's eta as a pair of floats and a batch's as a
-    (B, 2) array (``_lone_row``, ``_batch_rows``), with u held over the
-    step.  It stores each step's eta and u in preallocated arrays; the
-    records, their psi_min and G, and the snapshots are taken from them after
-    it."""
+    Then each row marches (``_march_row``) up to the earliest failure found
+    so far, which it replaces if it fails earlier, or at that step by an
+    earlier check; the failure left is raised with its t and row."""
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
@@ -446,30 +376,31 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     cfg = cfgs[0]
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
-    controllers = _controller_groups(cfgs, setup.eq)
+    controllers = {spec: BoundController(spec, setup.eq)
+                   for spec in dict.fromkeys(c.controller for c in cfgs)}
     etas = np.empty((len(cfgs), n_steps + 1, 2))
     us = np.empty((len(cfgs), n_steps + 1))
-    step = 0
     # a diverging run overflows exp(eta) in the Heun step; the nan guard
     # reports it, with t, in place of a RuntimeWarning
     with np.errstate(over="ignore"):
         state = start(cfgs)
         try:
-            eta, zeta, q, profiles, histories, fail, failure = half(state, n_steps)
-            form = _lone_row if len(cfgs) == 1 else _batch_rows
-            eta, control, heun = form(eta, controllers, profiles, zeta, q, dt, etas, us)
-            for step in range(n_steps + 1):
-                u = control(eta, step)
-                if step == n_steps:
-                    break
-                if step == fail:
-                    raise failure
-                eta = heun(eta, u, step)
+            eta0, zeta, q, profiles, histories, fail, failure = half(state, n_steps)
         except NumericalError as err:
-            raise NumericalError(str(err), t=step * dt, reason=err.reason, row=err.row) from None
+            raise NumericalError(str(err), t=0.0, reason=err.reason, row=err.row) from None
+        # the earliest failure (step, check, row, error); the half's checks last
+        best = (fail, 3, None if failure is None else failure.row, failure)
+        for b, c in enumerate(cfgs):
+            found = _march_row(tuple(eta0[b].tolist()), controllers[c.controller], profiles, b,
+                               zeta, q, dt, best[0], etas, us)
+            if found is not None and found[:2] < best[:2]:
+                best = (found[0], found[1], b, found[2])
+        step, _, row, err = best
+        if err is not None:
+            raise NumericalError(str(err), t=step * dt, reason=err.reason, row=row)
         snap_steps = sorted({int(round(ts / dt)) for ts in cfg.snapshot_times
                              if ts <= n_steps * dt + 1e-9})
-        snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
+        snapshots = [(s * dt, profiles(etas[:, s], s, slice(None))) for s in snap_steps]
     steps = _record_steps(n_steps, cfg.record_every)
     # the halves mute the floating-point warnings of their histories, and so
     # does their reduction
@@ -583,8 +514,8 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
             zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
             eta0 = np.log(p[0])
 
-        def profiles(eta, step):
-            return s * z[:, step] * (np.exp(eta) / p[step])[..., None]
+        def profiles(eta, step, rows):
+            return s * z[rows, step] * (np.exp(eta) / p[step, rows])[..., None]
 
         def histories(steps, out):
             # the shape deviations of the profiles, but at t = 0 the start's own
@@ -670,8 +601,8 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         eta0, psi0 = state
         psi, q, fail, err = _history_half(psi0, n_steps, _transformed_ops(setup.eq))
 
-        def profiles(eta, step):
-            return profile(x_star, eta[..., None], psi[:, step])
+        def profiles(eta, step, rows):
+            return profile(x_star, eta[..., None], psi[rows, step])
 
         def histories(steps, out):
             return psi[:, steps]

@@ -22,7 +22,6 @@ SPECS = (
     ControllerSpec(kind="open_loop"),
     ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
     ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
-    ControllerSpec(kind="feedback_linearizing", k1=1.0, k2=2.0),
     ControllerSpec(kind="measured", eps=0.2, beta=0.6),
 )
 SERIES = ("times", "eta", "u", "G1", "G2", "psi_min", "V0", "V1", "V")
@@ -47,21 +46,16 @@ def setup(request, setup100, setup400):
 
 @pytest.mark.parametrize("solver, record_every", per_solver([1, 3], ["1", "3"]))
 def test_batch_rows_agree_with_their_single_runs(setup, solver, record_every):
-    # all five laws from both starts in one mixed batch, with snapshots; each
+    # all four laws from both starts in one mixed batch, with snapshots; each
     # row is bitwise its run alone.  The transformed solver also starts far
-    # out, where exp(eta) is large.  From there the feedback-linearizing law
-    # drives eta2 toward -20, and at n = 400 the run fails the nan guard at
-    # t = 1.14; a failing row stops the batch, so that law runs from FQ and
-    # SQ only
+    # out, where exp(eta) is large
     single_run, batch_run, _ = SOLVERS[solver]
     starts = [ICSpec(kind="FQ"), ICSpec(kind="SQ")]
-    far = ICSpec(kind="eta", eta0=(-4.57, 3.23))
     if solver == "transformed":
-        starts.append(far)
+        starts.append(ICSpec(kind="eta", eta0=(-4.57, 3.23)))
     cfgs = [SimConfig(t_final=1.5, controller=spec, ic=ic,
                       record_every=record_every, snapshot_times=(0.0, 0.75, 1.5))
-            for spec in SPECS for ic in starts
-            if not (ic is far and spec.kind == "feedback_linearizing")]
+            for spec in SPECS for ic in starts]
     batch = batch_run(setup, cfgs)
     assert len(batch) == len(cfgs)
     for cfg, row in zip(cfgs, batch):
@@ -113,6 +107,24 @@ def test_failing_row_is_reported(setup100, solver):
     assert (batch.value.reason, batch.value.t, batch.value.row) == (
         single.value.reason, single.value.t, 1)
     assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_earliest_failure_wins_over_an_earlier_row(setup100, solver):
+    # alone, row 0 fails the nan guard at t = 0.04 and row 1 at t = 0.03: the
+    # batch reports row 1's earlier step, not the first row that fails
+    _, batch_run, _ = SOLVERS[solver]
+    cfgs = [SimConfig(t_final=4.0, ic=ICSpec(kind="SQ"),
+                      controller=ControllerSpec(kind="control_a", eps=0.2, beta=beta))
+            for beta in (40.0, 100.0)]
+    for cfg, t in zip(cfgs, (0.04, 0.03)):
+        with pytest.raises(NumericalError) as alone:
+            batch_run(setup100, [cfg])
+        assert (alone.value.reason, alone.value.t) == ("nan_guard", pytest.approx(t))
+    with pytest.raises(NumericalError) as batch:
+        batch_run(setup100, cfgs)
+    assert (batch.value.reason, batch.value.t, batch.value.row) == (
+        "nan_guard", pytest.approx(0.03), 1)
 
 
 CHANGES = [dict(t_final=1.0), dict(record_every=2), dict(snapshot_times=(0.5,))]

@@ -372,11 +372,11 @@ def test_cli_sweep_rejects_bad_axis_value(tmp_path, capsys, axis):
     "[sweep]\nu_star = 0.15, -1\n",
     "[sweep]\neps = 0.2, -1\n",
     "[controller]\nkind = control_b\neps = 0.01\n[sweep]\nbeta = 0.05, 0\n",
-    "[controller]\nkind = feedback_linearizing\nk1 = -1\n[sweep]\nic = FQ, SQ\n",
+    "[controller]\nkind = measured\nbeta = -1\n[sweep]\nic = FQ, SQ\n",
 ])
 def test_cli_sweep_checks_every_combo_before_running(tmp_path, capsys, lines):
     # an infeasible u_star, a gain constraint and an analysis without beta > 0
-    # each fail in the last combo, and a negative linearizing gain in every
+    # each fail in the last combo, and a negative measured-law gain in every
     # combo, before the first one runs
     cfg_path = _write(
         tmp_path, "cfg.ini",
@@ -478,17 +478,31 @@ def test_cli_non_finite_multiplier_key_exit_code(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("solver", ["direct", "transformed"])
-def test_cli_diverging_run_exit_code(tmp_path, capsys, solver):
-    # a huge control-A gain drives the populations to underflow within a step
+# id prefix -> ([controller] lines, t_final line, part of the stderr line):
+# a huge control-A gain drives the populations to underflow within a step,
+# and a large measured-law gain a sensor output to zero.  The control-A cases
+# keep the bare solver ids.
+DIVERGING = {
+    "": ("kind = control_a\neps = 0.2\nbeta = 5000\n", "t_final = 2\n", ""),
+    "measured-": ("kind = measured\nbeta = 40\n", "t_final = 4\n",
+                  "measurements must be strictly positive (t=0.03)"),
+}
+
+
+@pytest.mark.parametrize("law, solver", [
+    pytest.param(law, solver, id=f"{law}{solver}")
+    for law in DIVERGING for solver in ("direct", "transformed")])
+def test_cli_diverging_run_exit_code(tmp_path, capsys, law, solver):
+    controller, t_final, message = DIVERGING[law]
     cfg_path = _write(
         tmp_path, "cfg.ini",
-        "[model]\nn_cells = 100\n[controller]\nkind = control_a\neps = 0.2\n"
-        f"beta = 5000\n[simulation]\nt_final = 2\nic = SQ\nsolver = {solver}\n",
+        f"[model]\nn_cells = 100\n[controller]\n{controller}"
+        f"[simulation]\n{t_final}ic = SQ\nsolver = {solver}\n",
     )
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
 
 
 @pytest.mark.parametrize("solver", ["direct", "transformed"])

@@ -12,14 +12,13 @@ from predprey.controllers import (
     control_A,
     control_B,
     control_B_floor,
-    control_fblin,
     control_measured,
     phi,
     sensor_equilibrium,
 )
 from predprey.errors import GainConstraintError
 from predprey.model import quad
-from predprey.simulate import ICSpec, SimConfig, ic_from_spec, simulate_transformed
+from predprey.simulate import ICSpec, ic_from_spec
 from predprey.transform import pi_functional, to_transformed
 
 from oracles import sensor_equilibrium_closed_form
@@ -185,7 +184,6 @@ def test_control_b_positive_dense_grid(eq400):
 ETA_LAWS = {
     "control_a": ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
     "control_b": ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
-    "feedback_linearizing": ControllerSpec(kind="feedback_linearizing", k1=1.0, k2=2.0),
 }
 
 
@@ -212,77 +210,25 @@ def law_states(which: str, eps: float, eq, n: int = 20_000):
 @pytest.mark.parametrize("which", ["uniform", "clamp", "varphi_zero"])
 @pytest.mark.parametrize("kind", list(ETA_LAWS))
 def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
-    # a lone run evaluates its law on floats and a batch on arrays; a batch
-    # row and its run alone give one state the same u only if both forms
-    # round alike
+    # the march evaluates a law on one state's floats, the public law on
+    # arrays; a trajectory and the analysis of its states agree only if both
+    # forms round alike
     spec = ETA_LAWS[kind]
     bound = BoundController(spec, eq400)
     etas = law_states(which, spec.eps, eq400)
     assert np.all(np.isfinite(etas))
-    # far out, the laws overflow to inf or nan, as in the march, which mutes
+    alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
+    # far out, control B's square overflows, as in the march, which mutes
     # overflow; a float overflows silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = bound.u_from_eta(etas[:, 0], etas[:, 1])
-        alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
+    with np.errstate(over="ignore"):
         law = {"control_a": lambda: control_A(etas, GAINS_A, eq400),
-               "control_b": lambda: control_B(etas, GAINS_B, eq400),
-               "feedback_linearizing": lambda: control_fblin(etas, 1.0, 2.0, eq400)}[kind]()
+               "control_b": lambda: control_B(etas, GAINS_B, eq400)}[kind]()
     assert all(type(u) is float for u in alone)
-    assert np.array_equal(batch, np.array(alone), equal_nan=True)
-    assert np.array_equal(batch, law, equal_nan=True)
+    assert np.array_equal(law, np.array(alone))
     if which == "varphi_zero" and kind == "control_b":
         phi1, phi2 = phi(etas, eq400)
         varphi = phi1 + (1.0 + spec.eps) * phi2
         assert (varphi < 0).any() and (varphi >= 0).any()
-
-
-def test_fblin_equilibrium_input(eq400):
-    assert control_fblin(np.zeros(2), 1.0, 2.0, eq400) == pytest.approx(eq400.u_star, abs=1e-14)
-
-
-def test_fblin_second_implementation(eq400):
-    # independent transcription of the linearizing law at a sample point
-    eta = np.array([0.1, 0.1])
-    k1, k2 = 1.0, 2.0
-    lam1, lam2 = eq400.lambda1, eq400.lambda2
-    p1 = (1.0 - np.exp(-0.1)) / lam1
-    p2 = lam2 * (np.exp(0.1) - 1.0)
-    den = lam2 * np.exp(0.1) + np.exp(-0.1) / lam1
-    expected = eq400.u_star + (
-        -k1 * (0.1 - 0.1) + k2 * (p1 + p2) + lam2 * np.exp(0.1) * p1
-        - np.exp(-0.1) / lam1 * p2
-    ) / den
-    assert control_fblin(eta, k1, k2, eq400) == pytest.approx(expected, abs=1e-13)
-
-
-def test_fblin_closed_loop_matches_linear_reference(setup400):
-    # under the linearizing law, (y, z) = (eta1 - eta2, -phi1 - phi2) follows
-    # dy/dt = z, dz/dt = -k1 y - k2 z; compare against the matrix exponential,
-    # which for k1 = 1, k2 = 2 is exp(At) = e^{-t} (I + (A + I) t) since
-    # (A + I)^2 = 0
-    eq = setup400.eq
-    k1, k2 = 1.0, 2.0
-    traj = simulate_transformed(
-        setup400,
-        SimConfig(
-            t_final=5.0,
-            controller=ControllerSpec(kind="feedback_linearizing", k1=k1, k2=k2),
-            ic=ICSpec(kind="eta", eta0=(0.5, -0.5)),
-        ),
-    )
-    p1, p2 = phi(traj.eta, eq)
-    y = traj.eta[:, 0] - traj.eta[:, 1]
-    z = -p1 - p2
-    a_mat = np.array([[0.0, 1.0], [-k1, -k2]])
-    nil = a_mat + np.eye(2)
-    assert np.all(nil @ nil == 0.0)
-    yz0 = np.array([y[0], z[0]])
-    worst = 0.0
-    for idx in range(0, len(traj.times), 250):
-        t = traj.times[idx]
-        ref = np.exp(-t) * (np.eye(2) + nil * t) @ yz0
-        worst = max(worst, abs(y[idx] - ref[0]), abs(z[idx] - ref[1]))
-    assert worst < 5e-3
 
 
 def test_control_in_x_composes(setup400):
@@ -356,7 +302,7 @@ def test_bound_controller_dispatch(setup400):
     eq = setup400.eq
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
     eta = to_transformed(state, eq, setup400.adj).eta
-    for kind in ("open_loop", "control_a", "control_b", "feedback_linearizing"):
+    for kind in ("open_loop", "control_a", "control_b"):
         spec = (
             ControllerSpec(kind=kind, eps=0.01, beta=0.13, delta=0.2)
             if kind == "control_b"
