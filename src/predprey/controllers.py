@@ -1,13 +1,13 @@
 """Dilution feedback laws and their gain constraints.
 
 The eta laws act on the log-abundance pair eta through the saturating
-functions phi_1, phi_2; the measured law acts on sensor outputs of the
-population profiles.  Each eta law is one formula on eta's two components,
-with its primitives passed in: the public laws (``control_A``, ``control_B``,
-``phi``) broadcast over numpy arrays (``ArrayOps``) for analysis and region
-plots, and ``BoundController.u_from_eta``, which the simulation calls once per
-step, runs the same formula on two floats (``FloatOps``).  A state gives the
-same u either way.
+functions phi_1, phi_2; the measured law acts on sensor outputs
+y_i = e^{eta_i}*r_i of the profiles, r_i the sensor factors.  Each law is one
+formula: the public laws (``control_A``, ``control_B``, ``phi``,
+``control_measured``) broadcast over numpy arrays (``ArrayOps``) for analysis
+and region plots, and ``BoundController.u_from_eta`` and ``u_from_state``,
+which the simulation calls once per step, run it on floats (``FloatOps``).
+A state gives the same u either way.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
-from .model import check_species_fn, quad, row_dot
+from .model import check_species_fn, quad
 
 # Exponent clamp: keeps exp() finite for absurd eta without affecting any
 # realistic state (phi saturates long before |eta| = 700).
@@ -202,6 +202,15 @@ def sensor_equilibrium(c, eq: Equilibrium) -> SensorSpec:
     return SensorSpec(c=c, y_star=quad(c * eq.x_star, grid))
 
 
+_NONPOSITIVE = "measurements must be strictly positive"
+
+
+def _control_measured(y1, y2, y_star, gains: GainsA, eq: Equilibrium):
+    term1 = (1.0 - y_star[0] / y1) / eq.lambda1
+    term2 = (1.0 + gains.eps) * eq.lambda2 * (1.0 - y2 / y_star[1])
+    return eq.u_star + gains.beta * (term1 - term2)
+
+
 def control_measured(y, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
     """Measurement-based approximation of control A from the scalar outputs
     y (..., 2), one per species.
@@ -211,10 +220,8 @@ def control_measured(y, sensors: SensorSpec, gains: GainsA, eq: Equilibrium):
     """
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
-        raise ValueError("measurements must be strictly positive")
-    term1 = (1.0 - sensors.y_star[0] / y[..., 0]) / eq.lambda1
-    term2 = (1.0 + gains.eps) * eq.lambda2 * (1.0 - y[..., 1] / sensors.y_star[1])
-    return eq.u_star + gains.beta * (term1 - term2)
+        raise ValueError(_NONPOSITIVE)
+    return _control_measured(y[..., 0], y[..., 1], sensors.y_star, gains, eq)
 
 
 KINDS = ("open_loop", "control_a", "control_b", "measured")
@@ -247,10 +254,10 @@ class ControllerSpec:
 class BoundController:
     """A ControllerSpec bound to an equilibrium.
 
-    The eta-based laws are evaluated by ``u_from_eta`` on one state's two
-    components, the measurement-based law by ``u_from_state`` on the
-    population profiles (..., 2, n).  Gain constraints are checked here, once,
-    so the per-step evaluations stay unguarded.
+    The eta laws are evaluated by ``u_from_eta`` on one state's two
+    components, the measured law by ``u_from_state`` on them and the state's
+    two sensor factors.  Gain constraints are checked here, once, so the
+    per-step evaluations stay unguarded.
     """
 
     def __init__(self, spec: ControllerSpec, eq: Equilibrium):
@@ -269,11 +276,8 @@ class BoundController:
                     f"unknown sensor choice {spec.sensor!r}; expected one of {tuple(SENSORS)}"
                 )
             self.sensors = sensor_equilibrium(SENSORS[spec.sensor](eq), eq)
-            self._wc = eq.grid.weights * self.sensors.c
-
-    @property
-    def needs_profiles(self) -> bool:
-        return self.spec.kind == "measured"
+            self.weights = eq.grid.weights * self.sensors.c
+            self._y_star = tuple(self.sensors.y_star.tolist())
 
     def u_from_eta(self, eta1, eta2):
         """u, a float, of the state (eta1, eta2), two finite floats: bitwise
@@ -286,17 +290,17 @@ class BoundController:
         if kind == "control_b":
             return _control_b(eta1, eta2, self.gains_b, self.eq, FloatOps)
         raise GainConstraintError(
-            "the measurement-based law needs population profiles, not eta"
+            "the measurement-based law needs sensor factors, not eta alone"
         )
 
-    def u_from_state(self, x):
-        """The measured law's u of the profiles x (..., 2, n); a sensor output
-        <= 0 raises a ``NumericalError`` tagged ``measurement_nonpositive``."""
-        if not self.needs_profiles:
-            raise GainConstraintError(
-                f"the {self.spec.kind} law acts on eta, not on population profiles"
-            )
-        try:
-            return control_measured(row_dot(x, self._wc), self.sensors, self.gains_a, self.eq)
-        except ValueError as err:
-            raise NumericalError(str(err), reason="measurement_nonpositive") from None
+    def u_from_state(self, eta1, eta2, r1, r2):
+        """The measured law's u, a float: bitwise ``control_measured`` of the
+        outputs y_i = e^{eta_i}*r_i, the profiles' dots with ``weights`` (w*c),
+        of the finite floats eta1, eta2 and sensor factors r1, r2.  A y_i <= 0
+        raises a ``NumericalError`` tagged ``measurement_nonpositive``."""
+        if self.sensors is None:
+            raise GainConstraintError(f"the {self.spec.kind} law acts on eta alone")
+        y1, y2 = FloatOps.exp(eta1) * r1, FloatOps.exp(eta2) * r2
+        if y1 <= 0 or y2 <= 0:
+            raise NumericalError(_NONPOSITIVE, reason="measurement_nonpositive")
+        return _control_measured(y1, y2, self._y_star, self.gains_a, self.eq)

@@ -6,13 +6,14 @@ controller and start.  Each solver gives the loop a start and a half: all
 that reads neither eta nor u, marched once for the whole batch before the
 loop, with the batch in front of the layout of ``model`` ((B, 2, n)
 densities, shape deviations and profiles).  Both halves march their samples
-with ``_march_histories`` and take their interaction integrals from
-``_loss_integrals``.  The loop then marches one row after the other: it keeps
-the row's eta as two floats, evaluates the row's law on them, holds u over
-the step and steps eta by ``_heun_eta``, with numpy only for exp and expm1,
-and stores each step's eta and u.  The records, their psi_min and G, and the
-snapshots are taken from the stored arrays and the half's histories after
-the loop, so a failed run reduces nothing.
+with ``_march_histories``.  A profile is e^{eta} times a factor that reads
+neither, so the half also reduces that factor's age integrals of every step:
+the interaction integrals and the measured law's sensor factors.  The loop
+then marches one row after the other: it keeps the row's eta as two floats,
+evaluates the row's law on them, holds u over the step and steps eta by
+``_heun_eta``, with numpy only for exp and expm1, and stores each step's eta
+and u.  The records, their psi_min and G, and the snapshots are taken from the
+stored arrays and the half's histories after the loop.
 
 Every age integral of a row is one 1-D dot (``row_dot``) and all else is
 elementwise, so a row of a batch reproduces its run alone bitwise;
@@ -207,12 +208,6 @@ def _failure(reason: str, bad=None) -> NumericalError:
     return NumericalError(_FAILURES[reason], reason=reason, row=first_row(bad))
 
 
-def _loss_integrals(x, wg):
-    """(quad(g1*x2), quad(g2*x1)), (..., 2), of profiles x (..., 2, n); wg
-    (2, n) holds the trapezoid-weighted g1 and g2."""
-    return row_dot(x[..., ::-1, :], wg)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run; dt is locked to the grid spacing.  Snapshot times
@@ -318,25 +313,23 @@ def _heun_eta(eta, u, q0, q1, dt, zeta):
     return e1 + h * (f1 + g1), e2 + h * (f2 + g2)
 
 
-def _march_row(eta, controller, profiles, row, zeta, q, dt, last, etas, us):
+def _march_row(eta, controller, r, row, zeta, q, dt, last, etas, us):
     """March batch row ``row``'s eta, two floats, to step ``last``: check eta,
     evaluate the law, check u, store both and take the Heun step with u held.
-    The row's zeta and q (steps, B, 2), etas and us are read and written
-    through memoryviews, whose items are floats.  Returns None, or the first
-    failure as (step, check, error), its checks numbered in their order."""
+    The row's zeta, q and sensor factors r (steps, B, 2; None for an eta law),
+    etas and us go through memoryviews, whose items are floats.  Returns None,
+    or the first failure as (step, check, error), checks numbered in order."""
     e1_out, e2_out, u_out = (memoryview(a) for a in (etas[row, :, 0], etas[row, :, 1], us[row]))
     z1, z2, q1, q2 = (memoryview(a[:, row, i]) for a in (zeta, q) for i in (0, 1))
+    r1, r2 = (None, None) if r is None else (memoryview(r[:, row, i]) for i in (0, 1))
     for step in range(last + 1):
         e1, e2 = eta
         if not (math.isfinite(e1) and math.isfinite(e2)):
             return step, 0, _failure("nan_guard")
         e1_out[step], e2_out[step] = eta
         try:
-            if controller.needs_profiles:
-                # a float, not numpy's scalar, keeps the Heun step on floats
-                u = float(controller.u_from_state(profiles(np.array(eta), step, row)))
-            else:
-                u = controller.u_from_eta(e1, e2)
+            u = (controller.u_from_eta(e1, e2) if r1 is None
+                 else controller.u_from_state(e1, e2, r1[step], r2[step]))
         except NumericalError as err:
             return step, 1, err
         if not math.isfinite(u):
@@ -356,9 +349,10 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
 
     - eta at t = 0, (B, 2)
     - zeta and the loss rates q of ``_heun_eta``, (B, 2) indexed by step
-    - ``profiles(eta, step, rows)``, the profiles (..., 2, n) of the batch
-      rows ``rows`` (an index or a slice) with eta (..., 2), called only when
-      the measured law or a snapshot needs them
+    - ``integrals(w)``, the integrals (n_steps + 1, B, 2) of every step's
+      profiles over e^{eta} against weights w (2, n): the sensor factors r
+    - ``profiles(eta, step)``, the profiles (B, 2, n) of the batch with eta
+      (B, 2), called only for the snapshots
     - ``histories(steps, out)``, the histories at the steps, as
       ``_reduce_histories`` takes them
     - the step whose update meets the half's first failure, and its error
@@ -385,14 +379,18 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     with np.errstate(over="ignore"):
         state = start(cfgs)
         try:
-            eta0, zeta, q, profiles, histories, fail, failure = half(state, n_steps)
+            eta0, zeta, q, integrals, profiles, histories, fail, failure = half(state, n_steps)
         except NumericalError as err:
             raise NumericalError(str(err), t=0.0, reason=err.reason, row=err.row) from None
+        # a failing half leaves nonsense past its failure, which no law reads
+        with np.errstate(all="ignore"):
+            sensed = {spec: integrals(bound.weights) for spec, bound in controllers.items()
+                      if bound.sensors is not None}
         # the earliest failure (step, check, row, error); the half's checks last
         best = (fail, 3, None if failure is None else failure.row, failure)
         for b, c in enumerate(cfgs):
-            found = _march_row(tuple(eta0[b].tolist()), controllers[c.controller], profiles, b,
-                               zeta, q, dt, best[0], etas, us)
+            found = _march_row(tuple(eta0[b].tolist()), controllers[c.controller],
+                               sensed.get(c.controller), b, zeta, q, dt, best[0], etas, us)
             if found is not None and found[:2] < best[:2]:
                 best = (found[0], found[1], b, found[2])
         step, _, row, err = best
@@ -400,7 +398,7 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
             raise NumericalError(str(err), t=step * dt, reason=err.reason, row=row)
         snap_steps = sorted({int(round(ts / dt)) for ts in cfg.snapshot_times
                              if ts <= n_steps * dt + 1e-9})
-        snapshots = [(s * dt, profiles(etas[:, s], s, slice(None))) for s in snap_steps]
+        snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
     steps = _record_steps(n_steps, cfg.record_every)
     # the halves mute the floating-point warnings of their histories, and so
     # does their reduction
@@ -461,8 +459,8 @@ def _direct_ops(setup: Setup):
     survival S (2, n), exp(-zeta*a) times the product of the one-cell
     survivals of the cell-averaged mortality from age 0; and the weights of
     the scaled profiles z = y/S, with y the profiles marched without harvest
-    or interaction losses and discounted by zeta: w*pi0*S of Pi, w*g*S[::-1]
-    of ``_loss_integrals`` and the renewal weights of w*k*S."""
+    or interaction losses and discounted by zeta: w*pi0*S of Pi, w*g[::-1]*S
+    of the loss integrals and the renewal weights of w*k*S."""
     grid, kernels = setup.grid, setup.kernels
     s = np.exp(-(setup.eq.zeta[:, None] * grid.nodes + cumulative(kernels.mu, grid)))
     if not np.all((0.0 < s) & (s < np.inf)):
@@ -472,7 +470,7 @@ def _direct_ops(setup: Setup):
             reason="survival_range",
         )
     w = grid.weights
-    return (grid.da, s, setup.adj.wpi0 * s, w * kernels.g * s[::-1],
+    return (grid.da, s, setup.adj.wpi0 * s, w * kernels.g[::-1] * s,
             *_renewal_weights(w, kernels.k * s))
 
 
@@ -505,7 +503,7 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
             z = _march_histories(x0 / s, n_steps, wk, d)
             p = row_dot(z, wpi) / setup.adj.denom
             p[:, 0] = p0
-            p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, _loss_integrals(z, wg)))
+            p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, row_dot(z, wg)[..., ::-1]))
             fail, err = _prey_collapse(lq, n_steps, None)
             # x = C*S*z with eta = log C + log P: the loss rates per unit of
             # (e^{eta2}, e^{-eta1}) are (Q1/P2, P1/Q2), and zeta gains the
@@ -514,8 +512,11 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
             zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
             eta0 = np.log(p[0])
 
-        def profiles(eta, step, rows):
-            return s * z[rows, step] * (np.exp(eta) / p[step, rows])[..., None]
+        def integrals(w):
+            return row_dot(z, w * s).swapaxes(0, 1) / p
+
+        def profiles(eta, step):
+            return s * z[:, step] * (np.exp(eta) / p[step])[..., None]
 
         def histories(steps, out):
             # the shape deviations of the profiles, but at t = 0 the start's own
@@ -525,7 +526,7 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
                 psi[:, 0] = shape_deviation(x0, eq.x_star, p0[..., None])
             return psi
 
-        return eta0, zeta, q, profiles, histories, fail, err
+        return eta0, zeta, q, integrals, profiles, histories, fail, err
 
     return _march(setup, cfgs, "direct", start, half)
 
@@ -539,18 +540,18 @@ def _transformed_ops(eq: Equilibrium):
     return w * eq.kernels.g * eq.x_star[::-1], *_renewal_weights(w, eq.ktilde)
 
 
-def _history_integrals(psi, wg):
-    """``_loss_integrals`` (S, B, 2) of the profiles 1 + psi of the histories
-    psi (B, S, 2, n), a block of steps at a time: each dot runs over a
-    contiguous row, as it does on one profile."""
+def _history_integrals(psi, w):
+    """The integrals row_dot(1 + psi, w) (S, B, 2) of the histories psi
+    (B, S, 2, n) against the age weights w (2, n), a block of steps at a
+    time: each dot runs over a contiguous row, as it does on one profile."""
     rows, n_steps, _, n = psi.shape
     q = np.empty((n_steps, rows, 2))
     block = _block_len(rows, n)
     buf = np.empty((rows, block, 2, n))
     for s0 in range(0, n_steps, block):
         s1 = min(s0 + block, n_steps)
-        q[s0:s1] = _loss_integrals(np.add(1.0, psi[:, s0:s1], out=buf[:, :s1 - s0]),
-                                   wg).swapaxes(0, 1)
+        q[s0:s1] = row_dot(np.add(1.0, psi[:, s0:s1], out=buf[:, :s1 - s0]),
+                           w).swapaxes(0, 1)
     return q
 
 
@@ -569,7 +570,7 @@ def _history_half(psi0, n_steps: int, ops):
     # failure; the checks below, or the loop's nan guard on eta, report it
     with np.errstate(all="ignore"):
         psi = _march_histories(psi0, n_steps, wk, d)
-        q = _history_integrals(psi, wg)
+        q = _history_integrals(psi, wg[::-1])[..., ::-1]  # (quad(g1*x2), quad(g2*x1))
         # quad(g1*x2) needs no check: every sample of an admissible history
         # is > -1, checked at the start and on each newborn
         fail, err = n_steps, None
@@ -601,14 +602,17 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         eta0, psi0 = state
         psi, q, fail, err = _history_half(psi0, n_steps, _transformed_ops(setup.eq))
 
-        def profiles(eta, step, rows):
-            return profile(x_star, eta[..., None], psi[rows, step])
+        def integrals(w):
+            return _history_integrals(psi, w * x_star)
+
+        def profiles(eta, step):
+            return profile(x_star, eta[..., None], psi[:, step])
 
         def histories(steps, out):
             return psi[:, steps]
 
         zeta = np.broadcast_to(setup.eq.zeta, (n_steps, *eta0.shape))
-        return eta0, zeta, q, profiles, histories, fail, err
+        return eta0, zeta, q, integrals, profiles, histories, fail, err
 
     return _march(setup, cfgs, "transformed", start, half)
 
@@ -622,13 +626,5 @@ def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float
     cfg2 = replace(cfg, snapshot_times=tuple(np.linspace(0.0, cfg.t_final, n_snapshots)))
     td = simulate_direct(setup, cfg2)
     tt = simulate_transformed(setup, cfg2)
-    if len(td.snapshots) != len(tt.snapshots):
-        raise NumericalError("solvers recorded different snapshot sets",
-                             reason="snapshot_mismatch")
-    worst = 0.0
-    for (t_d, xd), (t_t, xt) in zip(td.snapshots, tt.snapshots):
-        if abs(t_d - t_t) > 1e-9:
-            raise NumericalError("snapshot times diverged between solvers",
-                                 reason="snapshot_mismatch")
-        worst = max(worst, float(np.max(np.abs(xd - xt) / xd)))
-    return worst
+    return max(float(np.max(np.abs(xd - xt) / xd))
+               for (_, xd), (_, xt) in zip(td.snapshots, tt.snapshots, strict=True))

@@ -8,7 +8,8 @@ they live here too.
 """
 import numpy as np
 
-from predprey.controllers import BoundController, GainsA, control_A, control_B, phi
+from predprey.controllers import (BoundController, GainsA, control_A, control_B, control_measured,
+                                 phi)
 from predprey.equilibrium import Equilibrium
 from predprey.errors import NumericalError
 from predprey.lyapunov import LyapConfig, g_fn, v1
@@ -17,7 +18,6 @@ from predprey.model import (AgeGrid, KernelSet, PopulationState, bc_residual, ch
 from predprey.simulate import (
     _failure,
     _heun_eta,
-    _loss_integrals,
     _renewal_weights,
     _transformed_ops,
     ic_from_spec,
@@ -155,8 +155,9 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
 
 def _interaction_losses(x, wg):
     """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
-    prey and 1/quad(g2*x1) on the predator, from ``_loss_integrals``."""
-    q = _loss_integrals(x, wg)
+    prey and 1/quad(g2*x1) on the predator; wg (2, n) holds the
+    trapezoid-weighted g1 and g2."""
+    q = row_dot(x[..., ::-1, :], wg)
     if not all(v > 0 for v in q[..., 1].ravel().tolist()):
         raise _failure("prey_collapse", ~(q[..., 1] > 0))
     q[..., 1] = 1.0 / q[..., 1]
@@ -260,7 +261,9 @@ def _march_stepwise(setup, cfg, state, observe, advance):
     """One run as a loop of one-step kernels, with the march's control law,
     records, snapshots and checks: ``observe(state, t)`` gives eta, the
     histories and a callable giving the profiles of a state, and
-    ``advance(state, u, t)`` the next state.  A failure raises the
+    ``advance(state, u, t)`` the next state.  The measured law takes its
+    sensor outputs from the state's profiles, where the march takes them
+    from eta and the sensor factors.  A failure raises the
     ``NumericalError`` the march raises, with its reason and t.  Returns the
     times, eta, u, G (2, R), psi_min (R, 2) and snapshots of the records."""
     eq, grid, dt = setup.eq, setup.grid, setup.grid.da
@@ -274,7 +277,14 @@ def _march_stepwise(setup, cfg, state, observe, advance):
         eta, psi, x = observe(state, t)
         if not np.all(np.isfinite(eta)):
             raise NumericalError("non-finite eta", t=t, reason="nan_guard")
-        u = controller.u_from_state(x()) if controller.needs_profiles else controller.u_from_eta(*eta)
+        if controller.sensors is None:
+            u = controller.u_from_eta(*eta)
+        else:
+            y = row_dot(x(), grid.weights * controller.sensors.c)
+            if np.any(y <= 0):
+                raise NumericalError("measurements must be strictly positive", t=t,
+                                     reason="measurement_nonpositive")
+            u = control_measured(y, controller.sensors, controller.gains_a, eq)
         if not np.isfinite(u):
             raise NumericalError("non-finite u", t=t, reason="nan_guard")
         if step % cfg.record_every == 0 or step == n_steps:

@@ -96,17 +96,30 @@ def test_failing_row_stops_the_batch_with_its_single_run_error(setup100, solver,
     assert 0.0 < batch.value.t < DIVERGING.t_final
 
 
-@pytest.mark.parametrize("solver", list(SOLVERS))
-def test_failing_row_is_reported(setup100, solver):
+# the measured law's prey output underflows with e^eta1 at t = 0.03
+MEASURED_DIVERGING = SimConfig(
+    t_final=2.0, ic=ICSpec(kind="SQ"),
+    controller=ControllerSpec(kind="measured", eps=0.2, beta=40.0),
+)
+
+
+@pytest.mark.parametrize("solver, bad, reason", [
+    pytest.param(solver, bad, reason, id=solver if law == "control_a" else f"{solver}-{law}")
+    for law, bad, reason in (("control_a", DIVERGING, None),
+                             ("measured", MEASURED_DIVERGING, "measurement_nonpositive"))
+    for solver in SOLVERS])
+def test_failing_row_is_reported(setup100, solver, bad, reason):
     single_run, batch_run, _ = SOLVERS[solver]
     with pytest.raises(NumericalError) as single:
-        single_run(setup100, DIVERGING)
+        single_run(setup100, bad)
     with pytest.raises(NumericalError) as batch:
-        batch_run(setup100, [HEALTHY, DIVERGING, HEALTHY])
+        batch_run(setup100, [HEALTHY, bad, HEALTHY])
     assert single.value.row == 0
     assert (batch.value.reason, batch.value.t, batch.value.row) == (
         single.value.reason, single.value.t, 1)
     assert str(batch.value) == str(single.value)
+    if reason is not None:
+        assert (batch.value.reason, batch.value.t) == (reason, pytest.approx(0.03))
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))

@@ -1,11 +1,13 @@
 """The benchmark's trace points still exist in the package.
 
 ``benchmark/traced.py`` wraps package functions and methods by name.  This
-test installs its wrappers, runs one small simulation of each solver through
-them and removes them again, so a rename of a traced name fails here rather
-than in a benchmark run.  It only reads ``benchmark/``.
+test installs its wrappers, runs one small simulation of each solver and one
+of the measured law through them, and removes them again, so a rename of a
+traced name fails here rather than in a benchmark run.  It only reads
+``benchmark/``.
 """
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 from predprey import simulate
@@ -30,12 +32,14 @@ def test_trace_points_install_record_and_uninstall(monkeypatch):
     setup = make_setup(40)
     cfg = SimConfig(t_final=0.2, controller=ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
                     ic=ICSpec(kind="FQ"))
+    measured = replace(cfg, controller=ControllerSpec(kind="measured", eps=0.2, beta=0.6))
     tracer = traced.Tracer()
     try:
         traced.install(tracer)
         patched = list(tracer._patched)
         simulate.simulate_direct(setup, cfg)
         simulate.simulate_transformed(setup, cfg)
+        simulate.simulate_transformed(setup, measured)
     finally:
         tracer.uninstall()
     # every binding of each traced name in the package: a rename, or a module
@@ -47,6 +51,6 @@ def test_trace_points_install_record_and_uninstall(monkeypatch):
     # run.py divides the transformed time by the steps fact of these spans
     steps = {tracer.spans[idx][0]: facts.get("steps") for idx, facts in tracer.facts}
     assert steps.get("simulate.simulate_transformed") == round(cfg.t_final / setup.grid.da) == 8
-    # u_from_eta, once per step of each run: a loop that bypasses the traced
-    # law fails here
-    assert tracer.hot_calls == 2 * (8 + 1)
+    # u_from_eta, or u_from_state for the measured run, once per step of each
+    # run: a loop that bypasses the traced law fails here
+    assert tracer.hot_calls == 3 * (8 + 1)

@@ -7,6 +7,7 @@ from predprey.controllers import (
     ControllerSpec,
     GainsA,
     GainsB,
+    SENSORS,
     big_phi,
     clamp_eta,
     control_A,
@@ -16,8 +17,8 @@ from predprey.controllers import (
     phi,
     sensor_equilibrium,
 )
-from predprey.errors import GainConstraintError
-from predprey.model import quad
+from predprey.errors import GainConstraintError, NumericalError
+from predprey.model import quad, row_dot
 from predprey.simulate import ICSpec, ic_from_spec
 from predprey.transform import pi_functional, to_transformed
 
@@ -180,10 +181,11 @@ def test_control_b_positive_dense_grid(eq400):
     assert u.min() >= control_B_floor(GAINS_B, eq400) - 1e-12
 
 
-# the eta laws, each with the gains of its reference runs
-ETA_LAWS = {
+# the laws, each with the gains of its reference runs
+LAWS = {
     "control_a": ControllerSpec(kind="control_a", eps=0.2, beta=0.6),
     "control_b": ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
+    "measured": ControllerSpec(kind="measured", eps=0.2, beta=0.6),
 }
 
 
@@ -207,22 +209,32 @@ def law_states(which: str, eps: float, eq, n: int = 20_000):
     return np.stack([e1, e2], axis=-1)
 
 
-@pytest.mark.parametrize("which", ["uniform", "clamp", "varphi_zero"])
-@pytest.mark.parametrize("kind", list(ETA_LAWS))
+@pytest.mark.parametrize("kind, which", [
+    *((kind, which) for kind in ("control_a", "control_b")
+      for which in ("uniform", "clamp", "varphi_zero")),
+    ("measured", "uniform"),
+])
 def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
     # the march evaluates a law on one state's floats, the public law on
     # arrays; a trajectory and the analysis of its states agree only if both
-    # forms round alike
-    spec = ETA_LAWS[kind]
+    # forms round alike.  The measured law also takes each state's sensor
+    # factors r, and the public law the outputs y = e^eta * r
+    spec = LAWS[kind]
     bound = BoundController(spec, eq400)
     etas = law_states(which, spec.eps, eq400)
     assert np.all(np.isfinite(etas))
-    alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
-    # far out, control B's square overflows, as in the march, which mutes
-    # overflow; a float overflows silently
-    with np.errstate(over="ignore"):
-        law = {"control_a": lambda: control_A(etas, GAINS_A, eq400),
-               "control_b": lambda: control_B(etas, GAINS_B, eq400)}[kind]()
+    if kind == "measured":
+        r = np.random.default_rng(8).uniform(0.05, 20.0, size=etas.shape)
+        alone = [bound.u_from_state(e1, e2, r1, r2)
+                 for (e1, e2), (r1, r2) in zip(etas.tolist(), r.tolist())]
+        law = control_measured(np.exp(etas) * r, bound.sensors, GAINS_A, eq400)
+    else:
+        alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
+        # far out, control B's square overflows, as in the march, which mutes
+        # overflow; a float overflows silently
+        with np.errstate(over="ignore"):
+            law = {"control_a": lambda: control_A(etas, GAINS_A, eq400),
+                   "control_b": lambda: control_B(etas, GAINS_B, eq400)}[kind]()
     assert all(type(u) is float for u in alone)
     assert np.array_equal(law, np.array(alone))
     if which == "varphi_zero" and kind == "control_b":
@@ -301,7 +313,7 @@ def test_control_measured_values(setup400):
 def test_bound_controller_dispatch(setup400):
     eq = setup400.eq
     state = ic_from_spec(ICSpec(kind="FQ"), eq)
-    eta = to_transformed(state, eq, setup400.adj).eta
+    e1, e2 = to_transformed(state, eq, setup400.adj).eta.tolist()
     for kind in ("open_loop", "control_a", "control_b"):
         spec = (
             ControllerSpec(kind=kind, eps=0.01, beta=0.13, delta=0.2)
@@ -309,17 +321,25 @@ def test_bound_controller_dispatch(setup400):
             else ControllerSpec(kind=kind)
         )
         bound = BoundController(spec, eq)
-        assert not bound.needs_profiles
-        assert np.isfinite(bound.u_from_eta(*eta))
-        with pytest.raises(GainConstraintError, match="acts on eta"):
-            bound.u_from_state(state.x)
-    for sensor in ("interaction", "birth", "uniform"):
+        assert bound.sensors is None
+        assert np.isfinite(bound.u_from_eta(e1, e2))
+        with pytest.raises(GainConstraintError, match="acts on eta alone"):
+            bound.u_from_state(e1, e2, 1.0, 1.0)
+    for sensor in SENSORS:
         bound = BoundController(ControllerSpec(kind="measured", sensor=sensor), eq)
-        assert bound.needs_profiles
-        assert np.isfinite(bound.u_from_state(state.x))
+        # the state's sensor outputs, and its factors: the outputs over e^eta
+        y = row_dot(state.x, bound.weights)
+        r1, r2 = (y / np.exp([e1, e2])).tolist()
+        u = bound.u_from_state(e1, e2, r1, r2)
+        assert u == pytest.approx(control_measured(y, bound.sensors, bound.gains_a, eq),
+                                  rel=1e-12)
         assert bound.sensors.y_star[0] > 0 and bound.sensors.y_star[1] > 0
-        with pytest.raises(GainConstraintError, match="population profiles"):
-            bound.u_from_eta(*eta)
+        with pytest.raises(GainConstraintError, match="sensor factors"):
+            bound.u_from_eta(e1, e2)
+        # e^-800 underflows to 0, and so does the prey's output
+        with pytest.raises(NumericalError, match="strictly positive") as err:
+            bound.u_from_state(-800.0, e2, r1, r2)
+        assert err.value.reason == "measurement_nonpositive"
     with pytest.raises(GainConstraintError, match="unknown controller kind"):
         ControllerSpec(kind="bogus")
     with pytest.raises(GainConstraintError, match="sensor"):

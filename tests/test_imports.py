@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and every private
+name a module defines is read somewhere in the package.
 
-A stdlib ``ast`` check: an imported name counts as used if the module reads
-it anywhere, or lists it in ``__all__`` (the package's re-exports).  It
-catches what a deletion leaves behind.
+Stdlib ``ast`` checks: an imported name counts as used if the module reads
+it anywhere, or lists it in ``__all__`` (the package's re-exports); a
+module-level ``_private`` function, class or constant counts as read if any
+package module loads it, reads it as an attribute or imports it.  They catch
+what a deletion leaves behind.
 """
 import ast
 from pathlib import Path
@@ -39,3 +42,41 @@ def test_rule_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_private`` names of the modules ``sources`` (name
+    -> source) that no module reads."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_rule_flags_an_unread_private_name():
+    sources = {"a": "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+               "b": "from .a import _C\n__all__ = []\n"}
+    assert unread_private_names(sources) == ["_B (a:2)", "_f (a:3)"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -153,36 +153,49 @@ def test_step_matches_simulate(setup100, solver):
     assert np.max(np.abs(traj.u - np.array(us))) <= tol
 
 
+# the laws of the stepwise oracle tests, by test id: the measured law with
+# each of its sensors
+ORACLE_LAWS = {
+    "open_loop": OPEN,
+    "control_b": ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2),
+    "measured": ControllerSpec(kind="measured"),
+    "measured_birth": ControllerSpec(kind="measured", sensor="birth"),
+    "measured_uniform": ControllerSpec(kind="measured", sensor="uniform"),
+}
+
+
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("ic", ["FQ", "SQ"])
-@pytest.mark.parametrize("kind", ["open_loop", "control_b", "measured"])
+@pytest.mark.parametrize("kind", list(ORACLE_LAWS))
 def test_transformed_march_is_its_stepwise_oracle(setup100, kind, ic, every):
     # the march takes the history half once per run; a loop of one-step
     # kernels renews the histories and takes their integrals step by step.
-    # Every recorded series and snapshot agrees bitwise over 300 steps
-    gains = dict(eps=0.01, beta=0.13, delta=0.2) if kind == "control_b" else {}
-    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ControllerSpec(kind=kind, **gains),
+    # Every recorded series and snapshot agrees bitwise over 300 steps.  The
+    # measured law takes its sensor outputs as e^eta times the half's sensor
+    # factors, the oracle as integrals of the profiles, so its runs round
+    # apart: they agree to 1e-12, and their snapshots to 1e-12 relative
+    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ORACLE_LAWS[kind],
                     ic=ICSpec(kind=ic), record_every=every, snapshot_times=(0.0, 1.37, 3.0))
     traj = simulate_transformed(setup100, cfg)
     times, eta, u, G, psi_min, snapshots = march_transformed(setup100, cfg)
     assert len(times) == 300 // every + 1
-    for name, ref in (("times", times), ("eta", eta), ("u", u), ("G1", G[0]), ("G2", G[1]),
-                      ("psi_min", psi_min)):
-        assert np.array_equal(getattr(traj, name), ref), name
+    tol = 1e-12 if cfg.controller.kind == "measured" else 0.0
+    assert np.array_equal(traj.times, times)
+    for name, ref in (("eta", eta), ("u", u), ("G1", G[0]), ("G2", G[1]), ("psi_min", psi_min)):
+        assert np.max(np.abs(getattr(traj, name) - ref)) <= tol, name
     assert len(traj.snapshots) == len(snapshots) == 3
     for (t_m, x_m), (t_o, x_o) in zip(traj.snapshots, snapshots):
-        assert t_m == t_o and np.array_equal(x_m, x_o)
+        assert t_m == t_o and np.max(np.abs(x_m - x_o) / x_o) <= tol
 
 
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("ic", ["FQ", "SQ"])
-@pytest.mark.parametrize("kind", ["open_loop", "control_b", "measured"])
+@pytest.mark.parametrize("kind", list(ORACLE_LAWS))
 def test_direct_march_matches_its_stepwise_oracle(setup100, kind, ic, every):
     # the march takes the loss-free half once per run and keeps only eta; a
     # loop of the profile stepper moves whole profiles.  Every recorded series
     # agrees to 1e-12 over 300 steps, and every snapshot to 1e-12 relative
-    gains = dict(eps=0.01, beta=0.13, delta=0.2) if kind == "control_b" else {}
-    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ControllerSpec(kind=kind, **gains),
+    cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ORACLE_LAWS[kind],
                     ic=ICSpec(kind=ic), record_every=every, snapshot_times=(0.0, 1.37, 3.0))
     traj = simulate_direct(setup100, cfg)
     times, eta, u, G, psi_min, snapshots = march_direct(setup100, cfg)
