@@ -6,14 +6,16 @@ controller and start.  Each solver gives the loop a start and a half: all
 that reads neither eta nor u, marched once for the whole batch before the
 loop, with the batch in front of the layout of ``model`` ((B, 2, n)
 densities, shape deviations and profiles).  Both halves march their samples
-with ``_march_histories``.  A profile is e^{eta} times a factor that reads
-neither, so the half also reduces that factor's age integrals of every step:
-the interaction integrals and the measured law's sensor factors.  The loop
-then marches one row after the other: it keeps the row's eta as two floats,
-evaluates the row's law on them, holds u over the step and steps eta by
-``_heun_eta``, with numpy only for exp and expm1, and stores each step's eta
-and u.  The records, their psi_min and G, and the snapshots are taken from the
-stored arrays and the half's histories after the loop.
+with ``_march_histories``, a block of steps per matrix product.  A profile is
+e^{eta} times a factor that reads neither, so the half also reduces that
+factor's age integrals of every step: the interaction integrals and the
+measured law's sensor factors.  The loop then marches one row after the
+other: it keeps the row's eta as two floats, evaluates the row's law on them,
+holds u over the step and steps eta by ``_heun_eta``, with numpy only for exp
+and expm1, and stores each step's eta and u.  The records and the snapshots
+are taken from the stored arrays and the half's histories after the loop.
+The records' psi_min and G are reduced from the histories on their first
+read, once for the whole batch.
 
 Every age integral of a row is one 1-D dot (``row_dot``) and all else is
 elementwise, so a row of a batch reproduces its run alone bitwise;
@@ -37,7 +39,7 @@ Direct kernel
     z = y/S is a pure one-node shift with newborn weights w*k*S, marched
     into one (B, 2, n_steps + n) array as the transformed histories are.
     The Pi values P and the loss integrals Q of every step are reduced
-    from it, and after the loop psi_min and G of the records.
+    from it, and on first read psi_min and G of the records.
     eta = log C + log P follows the transformed solver's Heun step with
     zeta + log(P_{s+1}/P_s)/dt and the loss rates (Q1/P2, P1/Q2), and the
     profiles are e^{eta}/P * S * z.  A prey collapse found up front is raised
@@ -52,8 +54,8 @@ Transformed kernel
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.  The histories read neither eta nor
     u: one (B, 2, n_steps + n) array holds those of every step, the
-    interaction integrals are reduced from it in blocks of steps, and after
-    the loop psi_min and G in blocks of records.  A history failure found up
+    interaction integrals are reduced from it in blocks of steps, and on
+    first read psi_min and G in blocks of records.  A history failure found up
     front is raised when the loop reaches its step.
 
 The accuracy model is second order in transport, in the eta update and in the
@@ -66,9 +68,11 @@ deterministic: a fixed configuration reproduces bitwise-identical output.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -235,19 +239,26 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded time series of one run, plus sparse profile snapshots."""
+    """Recorded time series of one run, plus sparse profile snapshots.
+
+    ``G1``, ``G2`` and ``psi_min`` are read-only: row ``row`` of psi_min
+    (B, R, 2) and G (B, 2, R) of the run's batch, which ``reduced()``
+    reduces on the first read, once for all the batch's trajectories."""
 
     times: np.ndarray
     eta: np.ndarray
     u: np.ndarray
-    G1: np.ndarray
-    G2: np.ndarray
-    psi_min: np.ndarray
+    reduced: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
+    row: int
     V0: np.ndarray | None = None
     V1: np.ndarray | None = None
     V: np.ndarray | None = None
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    G1 = property(lambda self: self.reduced()[1][self.row, 0])
+    G2 = property(lambda self: self.reduced()[1][self.row, 1])
+    psi_min = property(lambda self: self.reduced()[0][self.row])
 
     def finalize_lyapunov(self, eq: Equilibrium, lyap_cfg=None) -> "Trajectory":
         """Fill V0/V1/V columns from the recorded eta and G series."""
@@ -354,7 +365,8 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     - ``profiles(eta, step)``, the profiles (B, 2, n) of the batch with eta
       (B, 2), called only for the snapshots
     - ``histories(steps, out)``, the histories at the steps, as
-      ``_reduce_histories`` takes them
+      ``_reduce_histories`` takes them, at the records on the first read
+      of G or psi_min
     - the step whose update meets the half's first failure, and its error
       (n_steps and None when none fails).
 
@@ -400,14 +412,17 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
                              if ts <= n_steps * dt + 1e-9})
         snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
     steps = _record_steps(n_steps, cfg.record_every)
-    # the halves mute the floating-point warnings of their histories, and so
-    # does their reduction
-    with np.errstate(all="ignore"):
-        psi_min, G = _reduce_histories(setup, histories, steps, len(cfgs))
+
+    @functools.cache
+    def reduced():
+        # the halves mute the floating-point warnings of their histories, and
+        # so does their reduction
+        with np.errstate(all="ignore"):
+            return _reduce_histories(setup, histories, steps, len(cfgs))
     times, etas, us = steps * dt, etas[:, steps], us[:, steps]
     return [
-        Trajectory(times=times, eta=etas[b], u=us[b], G1=G[b, 0], G2=G[b, 1],
-                   psi_min=psi_min[b], snapshots=[(t, x[b]) for t, x in snapshots],
+        Trajectory(times=times, eta=etas[b], u=us[b], reduced=reduced, row=b,
+                   snapshots=[(t, x[b]) for t, x in snapshots],
                    meta={"solver": solver, "controller": c.controller.kind, "ic": c.ic.kind,
                          "n_cells": setup.grid.n_cells, "dt": dt})
         for b, c in enumerate(cfgs)
@@ -427,18 +442,43 @@ def _renewal_weights(w, k):
     return np.ascontiguousarray(wk[:, 1:]), 1.0 - wk[:, 0]
 
 
+# The renewal is marched this many steps at a time: one product of a fixed
+# (K, n - 1) map per row and species.
+_RENEWAL_BLOCK = 32
+
+
+def _renewal_map(c, rows: int):
+    """The map M (rows, n - 1) from a step's samples at ages 0..n-2 to the
+    newborns of the next ``rows`` steps, for the renewal weights c (n - 1,):
+    M[r] = H[r] + sum_{j < min(r, n - 1)} c_j M[r - 1 - j], H[r, m] = c_{r + m}."""
+    m = len(c)
+    out = np.zeros((rows, m))
+    for r in range(rows):
+        j = min(r, m)
+        out[r, :m - j] = c[j:]
+        out[r] += c[:j][::-1] @ out[r - j:r]
+    return out
+
+
 def _march_histories(z0, n_steps: int, wk, d):
     """The samples of every step of a march that carries each sample one
     node along unchanged and solves the newborn node from the trapezoid
     renewal sum row_dot(z[..., :-1], w*k) / d over the previous step.  From
     z0 (B, 2, n), one (B, 2, n_steps + n) array holds the samples of step s
     at [..., n_steps - s:n_steps - s + n]; returns its windows, the samples
-    of every step (B, n_steps + 1, 2, n)."""
+    of every step (B, n_steps + 1, 2, n).  The newborns of up to
+    ``_RENEWAL_BLOCK`` steps are one ``_renewal_map`` product per row and
+    species, so a row's samples do not depend on its batch."""
     n = z0.shape[-1]
     ext = np.empty(z0.shape[:-1] + (n_steps + n,))
     ext[..., n_steps:] = z0
-    for i in range(n_steps - 1, -1, -1):
-        ext[..., i] = row_dot(ext[..., i + 1:i + n], wk) / d
+    # reversed, as ext stores the newborns: the last row is the next step's
+    rows = min(_RENEWAL_BLOCK, n_steps)
+    maps = [np.ascontiguousarray(_renewal_map(c, rows)[::-1]) for c in wk / d[:, None]]
+    for i in range(n_steps, 0, -rows):
+        k = min(rows, i)
+        for b, species in np.ndindex(ext.shape[:2]):
+            ext[b, species, i - k:i] = maps[species][-k:] @ ext[b, species, i:i + n - 1]
     return sliding_window_view(ext, n, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
 
 

@@ -184,6 +184,16 @@ def _renew(moved, wk, d):
     return out
 
 
+def march_histories_stepwise(z0, n_steps: int, wk, d):
+    """The samples (B, n_steps + 1, 2, n) of every step of the renewal march
+    from z0 (B, 2, n), one ``_renew`` a step: the stepwise reference of
+    ``simulate._march_histories``."""
+    out = [z0]
+    for _ in range(n_steps):
+        out.append(_renew(out[-1][..., :-1], wk, d))
+    return np.stack(out, axis=1)
+
+
 def _direct_step_ops(kernels: KernelSet):
     """Step-invariant arrays of the direct step: dt, the weighted interaction
     kernels w*g, and the species data of ``_transport``: the one-cell survival

@@ -1,3 +1,4 @@
+import gc
 import math
 import types
 import warnings
@@ -6,14 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from predprey import acceptance, simulate
 from predprey.controllers import BoundController, ControllerSpec
 from predprey.errors import NumericalError
 from predprey.lyapunov import g_fn
 from predprey.model import AgeGrid, PopulationState, bc_residual, kernels_from_tables
 from predprey.simulate import (
+    _RENEWAL_BLOCK,
     ICSpec,
     SimConfig,
     _block_len,
+    _direct_ops,
+    _march_histories,
+    _transformed_ops,
     cross_validate,
     ic_from_spec,
     simulate_direct,
@@ -25,8 +31,8 @@ from predprey.simulate import (
 from predprey.transform import pi_functional, shape_deviation, to_transformed
 
 from conftest import make_setup
-from oracles import (_transport, interaction_terms, march_direct, march_transformed, step_direct,
-                     step_transformed, transformed_step_reference)
+from oracles import (_transport, interaction_terms, march_direct, march_histories_stepwise,
+                     march_transformed, step_direct, step_transformed, transformed_step_reference)
 
 OPEN = ControllerSpec(kind="open_loop")
 
@@ -168,24 +174,24 @@ ORACLE_LAWS = {
 @pytest.mark.parametrize("ic", ["FQ", "SQ"])
 @pytest.mark.parametrize("kind", list(ORACLE_LAWS))
 def test_transformed_march_is_its_stepwise_oracle(setup100, kind, ic, every):
-    # the march takes the history half once per run; a loop of one-step
-    # kernels renews the histories and takes their integrals step by step.
-    # Every recorded series and snapshot agrees bitwise over 300 steps.  The
-    # measured law takes its sensor outputs as e^eta times the half's sensor
-    # factors, the oracle as integrals of the profiles, so its runs round
-    # apart: they agree to 1e-12, and their snapshots to 1e-12 relative
+    # the march takes the history half once per run and renews the histories
+    # a block of steps at a time; a loop of one-step kernels renews them and
+    # takes their integrals step by step.  The measured law takes its sensor
+    # outputs as e^eta times the half's sensor factors, the oracle as
+    # integrals of the profiles.  So the runs round apart: every recorded
+    # series agrees to 1e-12 over 300 steps, and every snapshot to 1e-12
+    # relative
     cfg = SimConfig(t_final=300 * setup100.grid.da, controller=ORACLE_LAWS[kind],
                     ic=ICSpec(kind=ic), record_every=every, snapshot_times=(0.0, 1.37, 3.0))
     traj = simulate_transformed(setup100, cfg)
     times, eta, u, G, psi_min, snapshots = march_transformed(setup100, cfg)
     assert len(times) == 300 // every + 1
-    tol = 1e-12 if cfg.controller.kind == "measured" else 0.0
     assert np.array_equal(traj.times, times)
     for name, ref in (("eta", eta), ("u", u), ("G1", G[0]), ("G2", G[1]), ("psi_min", psi_min)):
-        assert np.max(np.abs(getattr(traj, name) - ref)) <= tol, name
+        assert np.max(np.abs(getattr(traj, name) - ref)) <= 1e-12, name
     assert len(traj.snapshots) == len(snapshots) == 3
     for (t_m, x_m), (t_o, x_o) in zip(traj.snapshots, snapshots):
-        assert t_m == t_o and np.max(np.abs(x_m - x_o) / x_o) <= tol
+        assert t_m == t_o and np.max(np.abs(x_m - x_o) / x_o) <= 1e-12
 
 
 @pytest.mark.parametrize("every", [1, 3])
@@ -310,6 +316,66 @@ def test_direct_records_reduce_across_blocks(setup100):
         assert np.max(np.abs(traj.psi_min[step] - psi.min(axis=-1))) <= 1e-12, step
         g = g_fn(psi, setup100.sigma, setup100.grid)
         assert np.max(np.abs((traj.G1[step], traj.G2[step]) - g)) <= 1e-12, step
+
+
+@pytest.mark.parametrize("n_cells, n_steps", [
+    pytest.param(30, 2 * _RENEWAL_BLOCK + 5, id="ages_within_a_block"),
+    pytest.param(100, 2 * _RENEWAL_BLOCK + 5, id="ages_beyond_a_block"),
+    pytest.param(100, _RENEWAL_BLOCK // 2 + 1, id="run_within_a_block"),
+])
+@pytest.mark.parametrize("solver", ["direct", "transformed"])
+def test_renewal_blocks_match_the_stepwise_renewal(setup100, solver, n_cells, n_steps):
+    # the renewal marches a block of steps per product with the last n - 1
+    # samples, also when fewer than n - 1 ages fit in a block or the run
+    # ends inside its first one; on both sides of the block boundaries its
+    # samples are the one-step renewal's to 1e-12 relative
+    setup = setup100 if n_cells == 100 else make_setup(n_cells)
+    if solver == "direct":
+        _, s, _, _, wk, d = _direct_ops(setup)
+        z0 = ic_from_spec(ICSpec(kind="SQ"), setup.eq).x / s
+    else:
+        _, wk, d = _transformed_ops(setup.eq)
+        z0 = transformed_ic(ICSpec(kind="SQ"), setup).psi
+    got = _march_histories(z0[None], n_steps, wk, d)[0]
+    ref = march_histories_stepwise(z0[None], n_steps, wk, d)[0]
+    k = _RENEWAL_BLOCK
+    for step in (1, k - 1, k, k + 1, 2 * k + 5, n_steps):
+        if step <= n_steps:
+            assert np.max(np.abs(got[step] - ref[step])) <= 1e-12 * np.max(np.abs(ref[step])), step
+
+
+def test_histories_are_reduced_once_on_first_read(setup100, monkeypatch):
+    # G and psi_min are reduced from a batch's histories on their first read,
+    # once for the whole batch: the criteria that read neither reduce nothing,
+    # and the values are bitwise those of the reduction called directly
+    calls = []
+    reduce = simulate._reduce_histories
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(simulate, "_reduce_histories", counted)
+    ctx = acceptance.VerifyContext(n_cells=acceptance.MIN_CELLS)
+    for check in (acceptance.criterion_03_conservation, acceptance.criterion_05_control_a_fq,
+                  acceptance.criterion_06_control_a_sq,
+                  acceptance.criterion_07_control_b_positive):
+        check(ctx)
+    assert calls == []
+    first, *others = (ctx.direct_run(*run) for run in acceptance.REFERENCE_RUNS)
+    read = [first.G1, *((traj.psi_min, traj.G2) for traj in others)]
+    assert len(calls) == 1
+    psi_min, G = reduce(*calls[0])
+    assert read[0].tobytes() == G[0, 0].tobytes()
+    for b, (p, g2) in enumerate(read[1:], 1):
+        assert p.tobytes() == psi_min[b].tobytes() and g2.tobytes() == G[b, 1].tobytes()
+    # a run keeps its batch's histories until it is dropped
+    cfgs = [SimConfig(t_final=0.5, controller=OPEN, ic=ICSpec(kind=ic)) for ic in ("FQ", "SQ")]
+    kept = simulate_transformed_batch(setup100, cfgs)[1]
+    gc.collect()
+    g1 = kept.G1
+    assert len(calls) == 2
+    assert g1.tobytes() == reduce(*calls[1])[1][1, 0].tobytes()
 
 
 def test_direct_kernel_no_births():
