@@ -19,7 +19,6 @@ from .controllers import ControllerSpec, GainsA, GainsB, control_A, control_B_fl
 from .equilibrium import compute_equilibrium, open_loop_jacobian, open_loop_jacobian_eigs
 from .lyapunov import (
     LyapConfig,
-    bisect,
     closed_loop_jacobian,
     control_b_discriminant,
     dini_check,
@@ -30,7 +29,7 @@ from .lyapunov import (
     v_full,
     verify_level_set,
 )
-from .model import bc_residual
+from .model import bc_residual, bisect
 from .simulate import (
     NAMED_STARTS,
     ICSpec,

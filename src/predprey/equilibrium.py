@@ -4,9 +4,11 @@ The renewal exponent zeta of each species solves
 
     F(zeta) = quad(k(a) * exp(-integral_0^a mu - zeta*a)) = 1,
 
-which has a unique real root because F is strictly decreasing.  Given a
-feasible dilution setpoint u_star, the steady profiles, interaction integrals
-and newborn densities follow in closed form.
+which has a unique real root exactly when w0*k(0) < 1 and births reach a
+positive age.  It is bisected from a closed-form bracket, so the discounted
+birth kernels have quad(ktilde) = 1 to rounding.  Given a feasible dilution
+setpoint u_star, the steady profiles, interaction integrals and newborn
+densities follow in closed form.
 """
 from __future__ import annotations
 
@@ -15,72 +17,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSetpointError, NumericalError
-from .model import AgeGrid, KernelSet, check_grid_fn, cumulative, quad
+from .model import AgeGrid, KernelSet, bisect, check_grid_fn, cumulative, quad, row_dot
 
 
 F_TOL = 1e-12
-MAX_ITER = 200
-BRACKET = (-10.0, 10.0)
-MAX_DOUBLINGS = 60
 
 
-def solve_lotka_sharpe(mu, k, grid: AgeGrid, cum_mu: np.ndarray | None = None) -> float:
-    """Solve quad(k * exp(-cum_mu - zeta*a)) = 1 for the real exponent zeta.
+def solve_lotka_sharpe(mu, k, grid: AgeGrid, cum_mu: np.ndarray | None = None):
+    """Solve quad(k * exp(-cum_mu - zeta*a)) = 1 for the real exponent zeta:
+    a float for kernels (n,), a (2,) array, bitwise the rows alone, for (2, n).
 
-    Bisection to |F - 1| <= F_TOL on a bracket found by doubling outward from
-    BRACKET; the cumulative mortality integral is built once (or passed in
-    when an exact closed form is available).
+    With c = w*k*exp(-cum_mu), C = sum c, abar = sum(c*a)/C and c0 = w0*k(0),
+    F(zeta) = sum c*exp(-zeta*a) falls strictly from +inf to c0 when abar > 0,
+    so a root exists exactly when c0 < 1 and abar > 0.  It lies in
+    [ln C / abar, max(0, ln((C - c0)/(1 - c0)) / da)]: F(ln C / abar) >= 1 by
+    Jensen's inequality, and F(zeta) <= c0 + (C - c0) exp(-zeta*da) for
+    zeta >= 0.  ``bisect`` halves that bracket with F evaluated as quad
+    evaluates the discounted kernel, so the kernel's unit mass holds to
+    rounding; |F - 1| <= F_TOL is checked after.  ``cum_mu`` is built here
+    unless an exact closed form is passed in.
     """
     mu = check_grid_fn(mu, grid, "mu")
     k = check_grid_fn(k, grid, "k")
     if np.any(mu < 0):
         raise ValueError("mortality kernel must be nonnegative")
-    if not quad(k, grid) > 0:
+    if not np.all(quad(k, grid) > 0):
         raise ValueError("birth kernel must have a strictly positive integral")
     if cum_mu is None:
         cum_mu = cumulative(mu, grid)
     a = grid.nodes
     w = grid.weights
 
-    def F(zeta: float) -> float:
+    def F(zeta):
         with np.errstate(over="ignore"):
-            return float(w @ (k * np.exp(-cum_mu - zeta * a)))
+            return row_dot(k * np.exp(-np.multiply.outer(zeta, a) - cum_mu), w)
 
-    # F is strictly decreasing: F(lo) > 1 > F(hi) brackets the root.
-    lo, hi = BRACKET
-    f_lo, f_hi = F(lo), F(hi)
-    for _ in range(MAX_DOUBLINGS):
-        if f_lo > 1.0:
-            break
-        lo = 2.0 * lo if lo < 0 else -1.0
-        f_lo = F(lo)
-    for _ in range(MAX_DOUBLINGS):
-        if f_hi < 1.0:
-            break
-        hi = 2.0 * hi if hi > 0 else 1.0
-        f_hi = F(hi)
-    if not (f_lo > 1.0 > f_hi):
+    c = w * k * np.exp(-cum_mu)
+    mass, moment, c0 = c.sum(axis=-1), row_dot(c, a), c[..., 0]
+    if not np.all((c0 < 1.0) & (moment > 0)):
         raise NumericalError(
-            "could not bracket the renewal exponent: "
-            f"F({lo:.3g})={f_lo:.6g}, F({hi:.3g})={f_hi:.6g}",
+            f"no renewal exponent: w0*k(0) = {np.ravel(c0).tolist()} must be below 1, "
+            "and births must reach a positive age",
             reason="lotka_sharpe_bracket",
         )
-
+    lo = np.log(mass) * mass / moment
+    hi = np.maximum(0.0, np.log((mass - c0) / (1.0 - c0)) / grid.da)
+    lo, hi = bisect(lambda z: F(z) > 1.0, lo, hi)
     zeta = 0.5 * (lo + hi)
-    for _ in range(MAX_ITER):
-        zeta = 0.5 * (lo + hi)
-        f_mid = F(zeta)
-        if abs(f_mid - 1.0) <= F_TOL:
-            return zeta
-        if f_mid > 1.0:
-            lo = zeta
-        else:
-            hi = zeta
-    raise NumericalError(
-        f"bisection did not reach |F - 1| <= {F_TOL:g} in {MAX_ITER} iterations "
-        f"(last F={F(zeta):.15g})",
-        reason="lotka_sharpe_tolerance",
-    )
+    defect = np.abs(F(zeta) - 1.0)
+    if not np.all(defect <= F_TOL):
+        raise NumericalError(
+            f"bisection did not reach |F - 1| <= {F_TOL:g} (|F - 1| = "
+            f"{np.ravel(defect).tolist()})",
+            reason="lotka_sharpe_tolerance",
+        )
+    return float(zeta) if zeta.ndim == 0 else zeta
 
 
 @dataclass(frozen=True)
@@ -107,8 +98,7 @@ class Equilibrium:
 def compute_equilibrium(kernels: KernelSet, u_star: float) -> Equilibrium:
     """Construct the full equilibrium for a feasible dilution setpoint."""
     grid = kernels.grid
-    zeta = np.array([solve_lotka_sharpe(mu, k, grid, cm)
-                     for mu, k, cm in zip(kernels.mu, kernels.k, kernels.cum_mu)])
+    zeta = solve_lotka_sharpe(kernels.mu, kernels.k, grid, kernels.cum_mu)
     xtilde = np.exp(-zeta[:, None] * grid.nodes - kernels.cum_mu)
 
     z_min = float(zeta.min())

@@ -19,7 +19,7 @@ import numpy as np
 from .controllers import ControllerSpec, GainsA, GainsB, big_phi, phi
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
-from .model import AgeGrid, check_grid_fn, quad, tail_integral
+from .model import AgeGrid, bisect, check_grid_fn, quad, tail_integral
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,10 @@ def find_sigma(ktilde, grid: AgeGrid) -> tuple[float, float]:
     exp(sigma*a)-weighted integral still below one is located by bisection;
     the weighted integral at the returned sigma lies in [1 - SIGMA_REL_GAP, 1)
     unless it stays below one up to SIGMA_MAX.
+
+    This loop, not ``bisect``, because its stop rule fixes sigma, and sigma
+    weights every recorded G: bisecting sigma to the last bit moves it by
+    2.1-3.9e-7 relative at n_cells 200-800, and G by about 1e-6 relative.
     """
     ktilde = check_grid_fn(ktilde, grid, "ktilde")
     a = grid.nodes
@@ -172,11 +176,13 @@ def find_sigma(ktilde, grid: AgeGrid) -> tuple[float, float]:
 
     if J(best_kappa, SIGMA_MAX) < 1.0:
         return best_kappa, SIGMA_MAX
-    s_lo, s_hi = 0.0, SIGMA_MAX
-    while J(best_kappa, s_lo) < 1.0 - SIGMA_REL_GAP:
+    # J at s_lo comes from the round that set it; J(kappa, 0) is best_val
+    s_lo, s_hi, j_lo = 0.0, SIGMA_MAX, best_val
+    while j_lo < 1.0 - SIGMA_REL_GAP:
         s_mid = 0.5 * (s_lo + s_hi)
-        if J(best_kappa, s_mid) < 1.0:
-            s_lo = s_mid
+        j_mid = J(best_kappa, s_mid)
+        if j_mid < 1.0:
+            s_lo, j_lo = s_mid, j_mid
         else:
             s_hi = s_mid
     if s_lo == 0.0:
@@ -444,32 +450,24 @@ def roa_estimate(cfg: LyapConfig, eq: Equilibrium) -> RoaResult:
     )
 
 
-def bisect(inside, lo, hi):
-    """60 batched bisection rounds on the arrays [lo, hi]: each round moves lo
-    up to the midpoint where ``inside(mid)`` holds and hi down to it elsewhere.
-    Returns the final (lo, hi)."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = inside(mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return lo, hi
+def level_ray_bound(c: float, eps: float, eq: Equilibrium, dirs) -> np.ndarray:
+    """Per unit direction d (..., 2), the radius (c + 1/lambda1 + (1+eps)*lambda2)
+    / (|d1|/lambda1 + (1+eps)*lambda2*|d2|), at which V1 >= c: within the
+    clamp of eta, Phi_1 >= (|e1| - 1)/lambda1 and Phi_2 >= lambda2*(|e2| - 1)."""
+    d1, d2 = np.abs(np.moveaxis(np.asarray(dirs, dtype=float), -1, 0))
+    weight = (1.0 + eps) * eq.lambda2
+    return (c + 1.0 / eq.lambda1 + weight) / (d1 / eq.lambda1 + weight * d2)
 
 
 def level_contour(c: float, eps: float, eq: Equilibrium, n_rays: int = 400) -> np.ndarray:
-    """Closed polyline of V1 = c, traced by radial bisection from the origin."""
+    """Closed polyline of V1 = c, traced by radial bisection from the origin
+    up to ``level_ray_bound``: V1 is convex with minimum 0 at the origin."""
     if not c > 0:
         raise ValueError(f"level must be positive, got {c}")
     angles = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    r_hi = np.full(n_rays, 1.0)
-    # V1 is convex with minimum 0 at the origin: push radii out until outside.
-    for _ in range(60):
-        vals = v1(r_hi[:, None] * dirs, eps, eq)
-        inside = vals < c
-        if not np.any(inside):
-            break
-        r_hi[inside] *= 2.0
-    r_lo, r_hi = bisect(lambda r: v1(r[:, None] * dirs, eps, eq) < c, np.zeros(n_rays), r_hi)
+    r_lo, r_hi = bisect(lambda r: v1(r[:, None] * dirs, eps, eq) < c, np.zeros(n_rays),
+                        level_ray_bound(c, eps, eq, dirs))
     r = 0.5 * (r_lo + r_hi)
     pts = r[:, None] * dirs
     return np.vstack([pts, pts[:1]])

@@ -4,7 +4,8 @@ Populations are carried as plain numpy arrays sampled on a uniform
 :class:`AgeGrid`; all age integrals in the package are composite trapezoid
 sums (:func:`quad`, or :func:`row_dot` against the weights in the step
 kernels), exact for piecewise-linear integrands, so that every module shares
-one discrete calculus.
+one discrete calculus.  Every root the package finds from a closed-form
+bracket, batched over rows, is bisected by :func:`bisect`.
 
 Species layout: every per-species array over age is one (2, n) array,
 species first (row 0 the prey, row 1 the predator) and age last.  That holds
@@ -99,6 +100,17 @@ def quad(f, grid: AgeGrid):
     one function, a (2,) array for one per species."""
     q = row_dot(check_grid_fn(f, grid), grid.weights)
     return float(q) if q.ndim == 0 else q
+
+
+def bisect(inside, lo, hi):
+    """60 batched bisection rounds on the arrays [lo, hi]: each round moves lo
+    up to the midpoint where ``inside(mid)`` holds and hi down to it elsewhere.
+    Returns the final (lo, hi)."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo, hi
 
 
 def cumulative(f, grid: AgeGrid) -> np.ndarray:

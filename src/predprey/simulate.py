@@ -353,10 +353,10 @@ def _march_row(eta, controller, r, row, zeta, q, dt, last, etas, us):
 
 def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     """The time loop of both solvers, over a batch of runs that must share
-    one schedule.  ``start(cfgs)`` builds the start state.  ``half(start,
-    n_steps)`` marches, once for the whole batch and inside the error
-    re-raise (so a grid too coarse for a birth kernel is reported at t = 0),
-    all that reads neither eta nor u, and returns:
+    one schedule, from the start state ``start`` built from ``cfgs``.
+    ``half(start, n_steps)`` marches, once for the whole batch and inside the
+    error re-raise (so a grid too coarse for a birth kernel is reported at
+    t = 0), all that reads neither eta nor u, and returns:
 
     - eta at t = 0, (B, 2)
     - zeta and the loss rates q of ``_heun_eta``, (B, 2) indexed by step
@@ -373,7 +373,6 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
     Then each row marches (``_march_row``) up to the earliest failure found
     so far, which it replaces if it fails earlier, or at that step by an
     earlier check; the failure left is raised with its t and row."""
-    cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("a batch needs at least one run")
     if len({(c.t_final, c.record_every, c.snapshot_times) for c in cfgs}) > 1:
@@ -386,18 +385,17 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
                    for spec in dict.fromkeys(c.controller for c in cfgs)}
     etas = np.empty((len(cfgs), n_steps + 1, 2))
     us = np.empty((len(cfgs), n_steps + 1))
-    # a diverging run overflows exp(eta) in the Heun step; the nan guard
-    # reports it, with t, in place of a RuntimeWarning
-    with np.errstate(over="ignore"):
-        state = start(cfgs)
+    # a diverging run overflows or divides by zero in the half or the Heun
+    # step, and a failing half leaves nonsense past its failure, which no law
+    # reads; the half's checks and the loop's nan guard report the failure,
+    # with t, in place of a RuntimeWarning
+    with np.errstate(all="ignore"):
         try:
-            eta0, zeta, q, integrals, profiles, histories, fail, failure = half(state, n_steps)
+            eta0, zeta, q, integrals, profiles, histories, fail, failure = half(start, n_steps)
         except NumericalError as err:
             raise NumericalError(str(err), t=0.0, reason=err.reason, row=err.row) from None
-        # a failing half leaves nonsense past its failure, which no law reads
-        with np.errstate(all="ignore"):
-            sensed = {spec: integrals(bound.weights) for spec, bound in controllers.items()
-                      if bound.sensors is not None}
+        sensed = {spec: integrals(bound.weights) for spec, bound in controllers.items()
+                  if bound.sensors is not None}
         # the earliest failure (step, check, row, error); the half's checks last
         best = (fail, 3, None if failure is None else failure.row, failure)
         for b, c in enumerate(cfgs):
@@ -530,27 +528,23 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
     """
     eq = setup.eq
 
-    def start(cfgs):
-        return np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
-
     def half(x0, n_steps):
         dt, s, wpi, wg, wk, d = _direct_ops(setup)
         # the start's Pi and histories, as to_transformed takes them
         p0 = pi_functional(x0, setup.adj)
-        # a collapsing or diverging march divides by zero or overflows; the
-        # collapse check or the loop's nan guard on eta reports it
-        with np.errstate(all="ignore"):
-            z = _march_histories(x0 / s, n_steps, wk, d)
-            p = row_dot(z, wpi) / setup.adj.denom
-            p[:, 0] = p0
-            p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, row_dot(z, wg)[..., ::-1]))
-            fail, err = _prey_collapse(lq, n_steps, None)
-            # x = C*S*z with eta = log C + log P: the loss rates per unit of
-            # (e^{eta2}, e^{-eta1}) are (Q1/P2, P1/Q2), and zeta gains the
-            # growth of P
-            q = np.stack((lq[..., 0] / p[..., 1], p[..., 0] / lq[..., 1]), axis=-1)
-            zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
-            eta0 = np.log(p[0])
+        # a collapsing or diverging march divides by zero or overflows, muted
+        # by _march; the collapse check or the loop's nan guard on eta reports it
+        z = _march_histories(x0 / s, n_steps, wk, d)
+        p = row_dot(z, wpi) / setup.adj.denom
+        p[:, 0] = p0
+        p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, row_dot(z, wg)[..., ::-1]))
+        fail, err = _prey_collapse(lq, n_steps, None)
+        # x = C*S*z with eta = log C + log P: the loss rates per unit of
+        # (e^{eta2}, e^{-eta1}) are (Q1/P2, P1/Q2), and zeta gains the
+        # growth of P
+        q = np.stack((lq[..., 0] / p[..., 1], p[..., 0] / lq[..., 1]), axis=-1)
+        zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
+        eta0 = np.log(p[0])
 
         def integrals(w):
             return row_dot(z, w * s).swapaxes(0, 1) / p
@@ -568,7 +562,9 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
 
         return eta0, zeta, q, integrals, profiles, histories, fail, err
 
-    return _march(setup, cfgs, "direct", start, half)
+    cfgs = list(cfgs)
+    x0 = np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
+    return _march(setup, cfgs, "direct", x0, half)
 
 
 def _transformed_ops(eq: Equilibrium):
@@ -607,19 +603,19 @@ def _history_half(psi0, n_steps: int, ops):
     at both ends of the step for prey collapse."""
     wg, wk, d = ops
     # a diverging history may overflow or divide by zero, also past its first
-    # failure; the checks below, or the loop's nan guard on eta, report it
-    with np.errstate(all="ignore"):
-        psi = _march_histories(psi0, n_steps, wk, d)
-        q = _history_integrals(psi, wg[::-1])[..., ::-1]  # (quad(g1*x2), quad(g2*x1))
-        # quad(g1*x2) needs no check: every sample of an admissible history
-        # is > -1, checked at the start and on each newborn
-        fail, err = n_steps, None
-        inadmissible = psi[:, 1:, :, 0] <= -1.0  # index s: the newborn of step s + 1
-        bad = np.flatnonzero(inadmissible.any(axis=(0, 2)))
-        if bad.size:
-            fail, err = bad[0], _failure("psi_admissibility", inadmissible[:, bad[0]])
-        fail, err = _prey_collapse(q, fail, err)
-        q[..., 1] = 1.0 / q[..., 1]
+    # failure, muted by _march; the checks below, or the loop's nan guard on
+    # eta, report it
+    psi = _march_histories(psi0, n_steps, wk, d)
+    q = _history_integrals(psi, wg[::-1])[..., ::-1]  # (quad(g1*x2), quad(g2*x1))
+    # quad(g1*x2) needs no check: every sample of an admissible history
+    # is > -1, checked at the start and on each newborn
+    fail, err = n_steps, None
+    inadmissible = psi[:, 1:, :, 0] <= -1.0  # index s: the newborn of step s + 1
+    bad = np.flatnonzero(inadmissible.any(axis=(0, 2)))
+    if bad.size:
+        fail, err = bad[0], _failure("psi_admissibility", inadmissible[:, bad[0]])
+    fail, err = _prey_collapse(q, fail, err)
+    q[..., 1] = 1.0 / q[..., 1]
     return psi, q, fail, err
 
 
@@ -633,10 +629,6 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
     """Integrate several runs of one Setup as one march of eta (B, 2) and the
     histories (B, 2, n), with the contract of ``simulate_direct_batch``."""
     x_star = setup.eq.x_star
-
-    def start(cfgs):
-        starts = [transformed_ic(c.ic, setup) for c in cfgs]
-        return np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
 
     def half(state, n_steps):
         eta0, psi0 = state
@@ -654,7 +646,10 @@ def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
         zeta = np.broadcast_to(setup.eq.zeta, (n_steps, *eta0.shape))
         return eta0, zeta, q, integrals, profiles, histories, fail, err
 
-    return _march(setup, cfgs, "transformed", start, half)
+    cfgs = list(cfgs)
+    starts = [transformed_ic(c.ic, setup) for c in cfgs]
+    state = np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
+    return _march(setup, cfgs, "transformed", state, half)
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

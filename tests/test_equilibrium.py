@@ -9,7 +9,8 @@ from predprey.equilibrium import (
     open_loop_jacobian_eigs,
     solve_lotka_sharpe,
 )
-from predprey.errors import InfeasibleSetpointError
+from predprey.config import EquilibriumBlock, ModelBlock, kernels_from_model
+from predprey.errors import InfeasibleSetpointError, NumericalError
 from predprey.model import AgeGrid, bc_residual, build_kernels, quad
 
 from conftest import make_setup
@@ -52,17 +53,47 @@ def test_reference_kernels_exponent(setup400):
     assert eq.zeta[1] == pytest.approx(1.17, abs=0.01)
 
 
-def test_discounted_kernel_normalized(setup400):
-    eq, grid = setup400.eq, setup400.grid
-    assert quad(eq.ktilde[0], grid) == pytest.approx(1.0, abs=1e-11)
-    assert quad(eq.ktilde[1], grid) == pytest.approx(1.0, abs=1e-11)
+def test_discounted_kernel_normalized():
+    # zeta is bisected to the last bits, evaluating F as quad evaluates the
+    # discounted kernel, so its unit mass holds to 2 ulp
+    for n in (50, 100, 400, 800, 1600):
+        kernels = kernels_from_model(ModelBlock(n_cells=n))
+        eq = compute_equilibrium(kernels, EquilibriumBlock.u_star)
+        assert np.all(np.abs(quad(eq.ktilde, kernels.grid) - 1.0) <= 4.5e-16), n
 
 
-def test_solver_reports_failed_bracket():
+def test_solver_rejects_a_birth_kernel_without_positive_integral():
     grid = AgeGrid(A=1.0, n_cells=20)
     k = np.zeros(grid.n_nodes)
     with pytest.raises(ValueError, match="positive integral"):
         solve_lotka_sharpe(np.zeros(grid.n_nodes), k, grid)
+
+
+@pytest.mark.parametrize("n_cells, k0, k_rest", [
+    (2, 5.0, 5.0),     # w0*k(0) = 1.25 >= 1: the age-0 births alone renew
+    (20, 1.0, 0.0),    # births only at age 0: F is constant in zeta
+], ids=["age0_weight_above_one", "births_only_at_age0"])
+def test_solver_reports_a_missing_root(n_cells, k0, k_rest):
+    grid = AgeGrid(A=1.0, n_cells=n_cells)
+    k = np.full(grid.n_nodes, k_rest)
+    k[0] = k0
+    with pytest.raises(NumericalError, match="no renewal exponent") as err:
+        solve_lotka_sharpe(np.zeros(grid.n_nodes), k, grid)
+    assert err.value.reason == "lotka_sharpe_bracket"
+
+
+def test_both_species_solve_as_each_alone():
+    # the (2, n) call returns each species' (n,) result bitwise
+    grid = AgeGrid(A=1.0, n_cells=400)
+    ks = build_kernels(0.5, 3.0, 0.4, 0.8, 4.5, 0.3, grid)
+    for cum_mu in (ks.cum_mu, None):
+        both = solve_lotka_sharpe(ks.mu, ks.k, grid, cum_mu)
+        assert both.shape == (2,)
+        for i in range(2):
+            alone = solve_lotka_sharpe(ks.mu[i], ks.k[i], grid,
+                                       None if cum_mu is None else cum_mu[i])
+            assert isinstance(alone, float) and both[i] == alone
+    assert both[0] != both[1]
 
 
 def test_reference_equilibrium_values(setup400):

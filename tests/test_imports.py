@@ -1,13 +1,14 @@
 """Every name a package module imports is used in it, and every private
-name a module defines is read somewhere in the package.
+name or constant a module defines is read somewhere in the package.
 
 Stdlib ``ast`` checks: an imported name counts as used if the module reads
 it anywhere, or lists it in ``__all__`` (the package's re-exports); a
-module-level ``_private`` function, class or constant counts as read if any
-package module loads it, reads it as an attribute or imports it.  They catch
-what a deletion leaves behind.
+module-level ``_private`` function, class or constant, or an UPPER_CASE
+constant, counts as read if any package module loads it, reads it as an
+attribute or imports it.  They catch what a deletion leaves behind.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,8 +46,8 @@ def test_module_has_no_unused_import(path):
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The module-level ``_private`` names of the modules ``sources`` (name
-    -> source) that no module reads."""
+    """The module-level ``_private`` names and UPPER_CASE constants of the
+    modules ``sources`` (name -> source) that no module reads."""
     defined, read = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -59,7 +60,8 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 names = []
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
+                if (name.startswith("_") and not name.startswith("__")
+                        or re.fullmatch(r"[A-Z][A-Z0-9_]*", name)):
                     defined[name] = f"{module}:{node.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -75,6 +77,15 @@ def test_rule_flags_an_unread_private_name():
     sources = {"a": "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n",
                "b": "from .a import _C\n__all__ = []\n"}
     assert unread_private_names(sources) == ["_B (a:2)", "_f (a:3)"]
+
+
+def test_rule_flags_an_unread_constant():
+    # an UPPER_CASE constant counts as read where a module loads it, reads it
+    # as an attribute or imports it; a leftover one is flagged
+    sources = {"a": "TOL = 1e-12\nBRACKET = (-10.0, 10.0)\nLIMIT: int = 3\nSIZE = 2\n"
+                    "Mixed = 1\ndef f(x):\n    return abs(x) <= TOL\n",
+               "b": "from . import a\nfrom .a import SIZE\nprint(a.LIMIT)\n"}
+    assert unread_private_names(sources) == ["BRACKET (a:2)"]
 
 
 def test_package_reads_every_private_name():

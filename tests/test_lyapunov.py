@@ -20,6 +20,7 @@ from predprey.lyapunov import (
     h_fn,
     lambda_min_q,
     level_contour,
+    level_ray_bound,
     lyap_config_for,
     q_matrix,
     region_membership,
@@ -514,6 +515,20 @@ def test_reduced_model_decrease_control_a(setup400):
     dt = np.diff(traj.times)
     viol = np.diff(v1_series) / dt + w[:-1] - 5.0 * dt * (1.0 + np.abs(v1_series[:-1]))
     assert np.max(viol) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["gradient", "saturated"])
+def test_level_ray_bound_is_outside_the_level(setup400, cfg2, cfg4, mode):
+    # the contour's bisection starts each ray at level_ray_bound, which must
+    # reach V1 >= c in every direction: Phi_1 >= (|e1| - 1)/lambda1 and
+    # Phi_2 >= lambda2*(|e2| - 1)
+    eq = setup400.eq
+    cfg = {"gradient": cfg2, "saturated": cfg4}[mode]
+    angles = np.random.default_rng(24).uniform(0.0, 2.0 * np.pi, 256)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    for c in (1e-3, roa_estimate(cfg, eq).c_star, 0.5, 5.0, 50.0):
+        r_hi = level_ray_bound(c, cfg.eps, eq, dirs)
+        assert np.all(v1(r_hi[:, None] * dirs, cfg.eps, eq) >= c)
 
 
 def test_level_sets_change_shape_with_eps(setup400):
