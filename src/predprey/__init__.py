@@ -43,9 +43,7 @@ from .simulate import (
     cross_validate,
     ic_from_spec,
     simulate_direct,
-    simulate_direct_batch,
     simulate_transformed,
-    simulate_transformed_batch,
 )
 from . import lyapunov
 
@@ -86,8 +84,6 @@ __all__ = [
     "cross_validate",
     "ic_from_spec",
     "simulate_direct",
-    "simulate_direct_batch",
     "simulate_transformed",
-    "simulate_transformed_batch",
     "lyapunov",
 ]

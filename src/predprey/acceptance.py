@@ -38,9 +38,8 @@ from .simulate import (
     cross_validate,
     ic_from_spec,
     multiplier_profiles,
-    simulate_direct_batch,
+    simulate_direct,
     simulate_transformed,
-    simulate_transformed_batch,
 )
 from .transform import check_S, pi_functional, reconstruct, shape_deviation, to_transformed
 
@@ -50,7 +49,7 @@ REFERENCE_GAINS_A = dict(eps=0.2, beta=0.6)
 REFERENCE_GAINS_B = dict(eps=0.01, beta=0.13, delta=0.2)
 
 # the closed-loop reference runs of criteria 03 and 05-07, (controller, start),
-# marched as one batch over t in [0, REFERENCE_T_FINAL]
+# each marched over t in [0, REFERENCE_T_FINAL]
 REFERENCE_RUNS = (
     ("open_loop", "FQ"),
     ("control_a", "FQ"),
@@ -99,16 +98,12 @@ class VerifyContext:
             kernels_from_model(ModelBlock(n_cells=n)), self.u_star))
 
     def direct_run(self, kind: str, ic: str):
-        """The reference run (kind, ic) of ``REFERENCE_RUNS``; the first call
-        marches them all as one batch."""
-        def build():
-            cfgs = [SimConfig(t_final=REFERENCE_T_FINAL, controller=self._controller(k),
-                              ic=ICSpec(kind=i)) for k, i in REFERENCE_RUNS]
-            return dict(zip(REFERENCE_RUNS, simulate_direct_batch(self.setup(), cfgs)))
-        runs = self._get("direct", build)
-        if (kind, ic) not in runs:
+        """The reference run (kind, ic) of ``REFERENCE_RUNS``, marched on its
+        first call."""
+        if (kind, ic) not in REFERENCE_RUNS:
             raise KeyError(f"({kind!r}, {ic!r}) is not one of the REFERENCE_RUNS")
-        return runs[(kind, ic)]
+        return self._get(("direct", kind, ic), lambda: simulate_direct(self.setup(), SimConfig(
+            t_final=REFERENCE_T_FINAL, controller=self._controller(kind), ic=ICSpec(kind=ic))))
 
     def _controller(self, kind: str) -> ControllerSpec:
         if kind == "control_a":
@@ -348,10 +343,10 @@ def criterion_10_roundtrip(ctx: VerifyContext):
     min_psi = np.inf
     bc_link = 0.0
     # each start evolved past one age window, where the renewal identity holds
-    late_runs = simulate_transformed_batch(setup, [SimConfig(
-        t_final=1.5, controller=ControllerSpec(kind="open_loop"), ic=ICSpec(kind=ick),
-        snapshot_times=(1.5,)) for ick in ("FQ", "SQ")])
-    for ick, traj in zip(("FQ", "SQ"), late_runs):
+    for ick in ("FQ", "SQ"):
+        traj = simulate_transformed(setup, SimConfig(
+            t_final=1.5, controller=ControllerSpec(kind="open_loop"), ic=ICSpec(kind=ick),
+            snapshot_times=(1.5,)))
         state = ic_from_spec(ICSpec(kind=ick), eq)
         ts = to_transformed(state, eq, setup.adj)
         back = reconstruct(ts, eq)
@@ -387,11 +382,9 @@ def criterion_11_decrease(ctx: VerifyContext):
     eq = setup.eq
     details = []
     ok = True
-    kinds = ("control_a", "control_b")
-    runs = simulate_transformed_batch(setup, [SimConfig(
-        t_final=12.0, controller=ctx._controller(kind), ic=ctx.scaled_ic_inside(kind))
-        for kind in kinds])
-    for kind, traj in zip(kinds, runs):
+    for kind in ("control_a", "control_b"):
+        traj = simulate_transformed(setup, SimConfig(
+            t_final=12.0, controller=ctx._controller(kind), ic=ctx.scaled_ic_inside(kind)))
         cfg = ctx.lyap_config(kind)
         traj.finalize_lyapunov(eq, cfg)
         if traj.V[0] > ctx.roa(kind).c_star:

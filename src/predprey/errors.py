@@ -1,5 +1,4 @@
 """Exception types shared across the package."""
-import numpy as np
 
 
 class PredPreyError(Exception):
@@ -30,27 +29,15 @@ class InfeasibleSetpointError(ConfigError):
 class NumericalError(PredPreyError):
     """A simulation or solve failed numerically.
 
-    Carries a machine-readable record: the time of failure, a reason tag and,
-    for a check on a batch of runs, the first failing row.
+    Carries a machine-readable record: the time of failure and a reason tag.
     """
 
-    def __init__(self, message, t=None, reason=None, row=None):
+    def __init__(self, message, t=None, reason=None):
         self.t = t
         self.reason = reason
-        self.row = row
         if t is not None:
             message = f"{message} (t={t:.6g})"
         super().__init__(message)
-
-
-def first_row(bad):
-    """The first row of a batch with a failure: the lowest index along the
-    leading axis of ``bad`` that holds a True, None when ``bad`` has no axis
-    (one unbatched state)."""
-    bad = np.asarray(bad)
-    if bad.ndim == 0:
-        return None
-    return int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
 
 
 class VerificationFailure(PredPreyError):

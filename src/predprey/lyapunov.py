@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSpec, GainsA, GainsB, big_phi, phi
+from .controllers import _ETA_CLIP, ControllerSpec, GainsA, GainsB, big_phi, phi
 from .equilibrium import Equilibrium
 from .errors import GainConstraintError, NumericalError
 from .model import AgeGrid, bisect, check_grid_fn, quad, tail_integral
@@ -461,9 +461,22 @@ def level_ray_bound(c: float, eps: float, eq: Equilibrium, dirs) -> np.ndarray:
 
 def level_contour(c: float, eps: float, eq: Equilibrium, n_rays: int = 400) -> np.ndarray:
     """Closed polyline of V1 = c, traced by radial bisection from the origin
-    up to ``level_ray_bound``: V1 is convex with minimum 0 at the origin."""
+    up to ``level_ray_bound``: V1 is convex with minimum 0 at the origin.
+
+    V1 reads eta clamped to |eta_i| <= ``_ETA_CLIP``, so its least value on
+    the clamp's edge, at (+-clip, 0) or (0, +-clip), bounds the levels whose
+    contour lies inside the clamp; a level at or past it raises a
+    ``NumericalError`` tagged ``level_beyond_clamp``."""
     if not c > 0:
         raise ValueError(f"level must be positive, got {c}")
+    edge = _ETA_CLIP * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    limit = float(np.min(v1(edge, eps, eq)))
+    if not c < limit:
+        raise NumericalError(
+            f"level {c:.6g} has no contour inside the eta clamp |eta_i| <= {_ETA_CLIP:g}: "
+            f"V1 reaches only {limit:.6g} on its edge",
+            reason="level_beyond_clamp",
+        )
     angles = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     r_lo, r_hi = bisect(lambda r: v1(r[:, None] * dirs, eps, eq) < c, np.zeros(n_rays),

@@ -11,9 +11,9 @@ Species layout: every per-species array over age is one (2, n) array,
 species first (row 0 the prey, row 1 the predator) and age last.  That holds
 for the kernels, the steady and unit-newborn profiles, the adjoint weights,
 the densities, the shape-deviation histories, the sensor kernels and the
-snapshots; per-species scalars such as zeta and x0_star are (2,) arrays.  A
-batch of runs adds a leading axis, (B, 2, n).  The age calculus reduces
-along the last axis, so one call serves both species.
+snapshots; per-species scalars such as zeta and x0_star are (2,) arrays.  The
+histories of every step of a run add a leading step axis, (steps, 2, n).  The
+age calculus reduces along the last axis, so one call serves both species.
 """
 from __future__ import annotations
 

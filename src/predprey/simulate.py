@@ -1,29 +1,22 @@
 """Time integration of the population system, in two equivalent forms.
 
-One loop, ``_march``, drives both solvers over a batch of B runs that share
-one Setup, t_final, record_every and snapshot times; each row has its own
-controller and start.  Each solver gives the loop a start and a half: all
-that reads neither eta nor u, marched once for the whole batch before the
-loop, with the batch in front of the layout of ``model`` ((B, 2, n)
-densities, shape deviations and profiles).  Both halves march their samples
-with ``_march_histories``, a block of steps per matrix product.  A profile is
+One loop, ``_march``, drives both solvers over one run.  Each solver gives
+the loop a start and a half: all that reads neither eta nor u, marched before
+the loop on the layout of ``model``, with the steps in front ((steps, 2, n)
+profiles and shape deviations).  Both halves march their samples with
+``_march_histories``, a block of steps per matrix product.  A profile is
 e^{eta} times a factor that reads neither, so the half also reduces that
 factor's age integrals of every step: the interaction integrals and the
-measured law's sensor factors.  The loop then marches one row after the
-other: it keeps the row's eta as two floats, evaluates the row's law on them,
-holds u over the step and steps eta by ``_heun_eta``, with numpy only for exp
-and expm1, and stores each step's eta and u.  The records and the snapshots
-are taken from the stored arrays and the half's histories after the loop.
-The records' psi_min and G are reduced from the histories on their first
-read, once for the whole batch.
+measured law's sensor factors.  The loop then keeps eta as two floats,
+evaluates the law on them, holds u over the step and steps eta by
+``_heun_eta``, with numpy only for exp and expm1, and stores each step's eta
+and u.  The records and the snapshots are taken from the stored arrays and
+the half's histories after the loop.  The records' psi_min and G are reduced
+from the histories on their first read.
 
-Every age integral of a row is one 1-D dot (``row_dot``) and all else is
-elementwise, so a row of a batch reproduces its run alone bitwise;
-``simulate_direct`` and ``simulate_transformed`` are batches of one.  A row
-that fails stops the batch with its reason and t: the earliest failing step
-over all rows, and within it the first check that fails, in the order eta
-non-finite, a typed error of the law, u non-finite, the half's failure.  The
-error's ``row`` is the first row that fails that check.
+A run that fails raises its reason and t: the earliest failing step, and
+within it the first check that fails, in the order eta non-finite, a typed
+error of the law, u non-finite, the half's failure.
 
 Direct kernel
     Marches the density profiles along characteristics.  The time step is
@@ -37,7 +30,7 @@ Direct kernel
     without harvest or interaction losses, discounted by zeta: y reads
     neither u nor eta.  Divided by the discounted cumulative survival S,
     z = y/S is a pure one-node shift with newborn weights w*k*S, marched
-    into one (B, 2, n_steps + n) array as the transformed histories are.
+    into one (2, n_steps + n) array as the transformed histories are.
     The Pi values P and the loss integrals Q of every step are reduced
     from it, and on first read psi_min and G of the records.
     eta = log C + log P follows the transformed solver's Heun step with
@@ -53,10 +46,26 @@ Transformed kernel
     identity (the same solve, with survival 1 and no loss).  dt = da
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.  The histories read neither eta nor
-    u: one (B, 2, n_steps + n) array holds those of every step, the
+    u: one (2, n_steps + n) array holds those of every step, the
     interaction integrals are reduced from it in blocks of steps, and on
     first read psi_min and G in blocks of records.  A history failure found up
     front is raised when the loop reaches its step.
+
+What the solvers' agreement measures
+    The two share ``_march_histories``, the eta loop and the held u, so
+    ``cross_validate`` sees only the two places where they differ:
+
+    - the mortality quadrature: the direct survival S takes the trapezoid
+      ``cumulative(mu)``, the transformed ktilde the exact ``cum_mu``.  Their
+      renewal weights differ by max|cumulative(mu) - cum_mu|, 7.2e-6 at
+      n 100 and 1.1e-7 at n 800; with S from ``cum_mu`` the open-loop FQ
+      profiles agree to 1.6e-14 at n 200.
+    - the eta offset: the direct eta is ln Pi of the discrete profile.  From
+      a start that breaks the renewal condition (FQ, SQ), the direct Pi jumps
+      once, at step 1, when the newborn node is solved, so the direct eta
+      stays offset from the transformed one by ln(P_1/P_0) of the loss-free
+      march, O(da) per species.  The profiles still agree: the transformed
+      psi carries the jump.
 
 The accuracy model is second order in transport, in the eta update and in the
 interaction coupling; the control value is evaluated once per step and held,
@@ -80,7 +89,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import BoundController, ControllerSpec, FloatOps
 from .equilibrium import Equilibrium, compute_equilibrium
-from .errors import NumericalError, first_row
+from .errors import NumericalError
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
 from .model import AgeGrid, KernelSet, PopulationState, cumulative, row_dot
 from .transform import (
@@ -197,7 +206,7 @@ def transformed_ic(spec: ICSpec, setup: Setup) -> TransformedState:
     return to_transformed(ic_from_spec(spec, setup.eq), setup.eq, setup.adj)
 
 
-# the messages of the per-row checks of the half and of the eta loop
+# the messages of the checks of the half and of the eta loop
 _FAILURES = {
     "prey_collapse": "prey collapse: quad(g2*x1) is nonpositive, the predator loss "
                      "term is singular",
@@ -206,10 +215,9 @@ _FAILURES = {
 }
 
 
-def _failure(reason: str, bad=None) -> NumericalError:
-    """The error of a failed per-row check, with its first failing row, if
-    ``bad`` marks the failing rows."""
-    return NumericalError(_FAILURES[reason], reason=reason, row=first_row(bad))
+def _failure(reason: str) -> NumericalError:
+    """The error of a failed check of the half or of the eta loop."""
+    return NumericalError(_FAILURES[reason], reason=reason)
 
 
 @dataclass(frozen=True)
@@ -241,24 +249,22 @@ class SimConfig:
 class Trajectory:
     """Recorded time series of one run, plus sparse profile snapshots.
 
-    ``G1``, ``G2`` and ``psi_min`` are read-only: row ``row`` of psi_min
-    (B, R, 2) and G (B, 2, R) of the run's batch, which ``reduced()``
-    reduces on the first read, once for all the batch's trajectories."""
+    ``G1``, ``G2`` and ``psi_min`` are read-only: the rows of G (2, R) and
+    psi_min (R, 2), which ``reduced()`` reduces on the first read."""
 
     times: np.ndarray
     eta: np.ndarray
     u: np.ndarray
     reduced: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
-    row: int
     V0: np.ndarray | None = None
     V1: np.ndarray | None = None
     V: np.ndarray | None = None
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    G1 = property(lambda self: self.reduced()[1][self.row, 0])
-    G2 = property(lambda self: self.reduced()[1][self.row, 1])
-    psi_min = property(lambda self: self.reduced()[0][self.row])
+    G1 = property(lambda self: self.reduced()[1][0])
+    G2 = property(lambda self: self.reduced()[1][1])
+    psi_min = property(lambda self: self.reduced()[0])
 
     def finalize_lyapunov(self, eq: Equilibrium, lyap_cfg=None) -> "Trajectory":
         """Fill V0/V1/V columns from the recorded eta and G series."""
@@ -273,14 +279,14 @@ class Trajectory:
 
 
 # The transformed solver's loss integrals and the records' psi_min and G are
-# reduced a block of K steps or records at a time, in (B, K, 2, n) scratch
+# reduced a block of K steps or records at a time, in (K, 2, n) scratch
 # arrays of this many elements (256 KB), which stay in cache and are allocated
 # once per run.
 _BLOCK = 1 << 15
 
 
-def _block_len(rows: int, n: int) -> int:
-    return max(1, _BLOCK // (rows * 2 * n))
+def _block_len(n: int) -> int:
+    return max(1, _BLOCK // (2 * n))
 
 
 def _record_steps(n_steps: int, every: int) -> np.ndarray:
@@ -289,22 +295,22 @@ def _record_steps(n_steps: int, every: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _reduce_histories(setup: Setup, histories, steps, rows: int):
-    """psi_min (B, K, 2) and G (B, 2, K) at the steps ``steps`` (K,), a block
-    of steps at a time: ``histories(block, out)`` gives their histories
-    (B, K', 2, n), and may fill ``out``, scratch of that shape."""
+def _reduce_histories(setup: Setup, histories, steps):
+    """psi_min (K, 2) and G (2, K) at the steps ``steps`` (K,), a block of
+    steps at a time: ``histories(block, out)`` gives their histories
+    (K', 2, n), and may fill ``out``, scratch of that shape."""
     n = setup.grid.n_nodes
     weights = g_fn_weights(setup.grid, setup.sigma)
-    psi_min = np.empty((rows, len(steps), 2))
-    G = np.empty((rows, 2, len(steps)))
-    block = _block_len(rows, n)
-    scratch = np.empty((rows, block, 2, n))
+    psi_min = np.empty((len(steps), 2))
+    G = np.empty((2, len(steps)))
+    block = _block_len(n)
+    scratch = np.empty((block, 2, n))
     for j0 in range(0, len(steps), block):
         j1 = min(j0 + block, len(steps))
-        out = scratch[:, :j1 - j0]
+        out = scratch[:j1 - j0]
         psi = histories(steps[j0:j1], out)
-        psi_min[:, j0:j1] = m = psi.min(axis=-1)
-        G[:, :, j0:j1] = g_kernel(psi, weights, m, out=out).swapaxes(1, 2)
+        psi_min[j0:j1] = m = psi.min(axis=-1)
+        G[:, j0:j1] = g_kernel(psi, weights, m, out=out).T
     return psi_min, G
 
 
@@ -324,67 +330,58 @@ def _heun_eta(eta, u, q0, q1, dt, zeta):
     return e1 + h * (f1 + g1), e2 + h * (f2 + g2)
 
 
-def _march_row(eta, controller, r, row, zeta, q, dt, last, etas, us):
-    """March batch row ``row``'s eta, two floats, to step ``last``: check eta,
-    evaluate the law, check u, store both and take the Heun step with u held.
-    The row's zeta, q and sensor factors r (steps, B, 2; None for an eta law),
-    etas and us go through memoryviews, whose items are floats.  Returns None,
-    or the first failure as (step, check, error), checks numbered in order."""
-    e1_out, e2_out, u_out = (memoryview(a) for a in (etas[row, :, 0], etas[row, :, 1], us[row]))
-    z1, z2, q1, q2 = (memoryview(a[:, row, i]) for a in (zeta, q) for i in (0, 1))
-    r1, r2 = (None, None) if r is None else (memoryview(r[:, row, i]) for i in (0, 1))
+def _march_eta(eta, controller, r, zeta, q, dt, last, etas, us):
+    """March eta, two floats, to step ``last``: check eta, evaluate the law,
+    check u, store both and take the Heun step with u held.  zeta, q and the
+    sensor factors r (steps, 2; None for an eta law), etas and us go through
+    memoryviews, whose items are floats.  Returns None, or the first failure
+    as (step, error)."""
+    e1_out, e2_out, u_out = (memoryview(a) for a in (etas[:, 0], etas[:, 1], us))
+    z1, z2, q1, q2 = (memoryview(a[:, i]) for a in (zeta, q) for i in (0, 1))
+    r1, r2 = (None, None) if r is None else (memoryview(r[:, i]) for i in (0, 1))
     for step in range(last + 1):
         e1, e2 = eta
         if not (math.isfinite(e1) and math.isfinite(e2)):
-            return step, 0, _failure("nan_guard")
+            return step, _failure("nan_guard")
         e1_out[step], e2_out[step] = eta
         try:
             u = (controller.u_from_eta(e1, e2) if r1 is None
                  else controller.u_from_state(e1, e2, r1[step], r2[step]))
         except NumericalError as err:
-            return step, 1, err
+            return step, err
         if not math.isfinite(u):
-            return step, 2, _failure("nan_guard")
+            return step, _failure("nan_guard")
         u_out[step] = u
         if step < last:
             eta = _heun_eta(eta, u, (q1[step], q2[step]), (q1[step + 1], q2[step + 1]), dt,
                             (z1[step], z2[step]))
 
 
-def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
-    """The time loop of both solvers, over a batch of runs that must share
-    one schedule, from the start state ``start`` built from ``cfgs``.
-    ``half(start, n_steps)`` marches, once for the whole batch and inside the
-    error re-raise (so a grid too coarse for a birth kernel is reported at
-    t = 0), all that reads neither eta nor u, and returns:
+def _march(setup: Setup, cfg: SimConfig, solver: str, start, half) -> Trajectory:
+    """The time loop of both solvers over one run, from the start state
+    ``start`` built from ``cfg``.  ``half(start, n_steps)`` marches, inside
+    the error re-raise (so a grid too coarse for a birth kernel is reported
+    at t = 0), all that reads neither eta nor u, and returns:
 
-    - eta at t = 0, (B, 2)
-    - zeta and the loss rates q of ``_heun_eta``, (B, 2) indexed by step
-    - ``integrals(w)``, the integrals (n_steps + 1, B, 2) of every step's
+    - eta at t = 0, (2,)
+    - zeta and the loss rates q of ``_heun_eta``, (2,) indexed by step
+    - ``integrals(w)``, the integrals (n_steps + 1, 2) of every step's
       profiles over e^{eta} against weights w (2, n): the sensor factors r
-    - ``profiles(eta, step)``, the profiles (B, 2, n) of the batch with eta
-      (B, 2), called only for the snapshots
+    - ``profiles(eta, step)``, the profiles (2, n) with eta (2,), called only
+      for the snapshots
     - ``histories(steps, out)``, the histories at the steps, as
       ``_reduce_histories`` takes them, at the records on the first read
       of G or psi_min
     - the step whose update meets the half's first failure, and its error
       (n_steps and None when none fails).
 
-    Then each row marches (``_march_row``) up to the earliest failure found
-    so far, which it replaces if it fails earlier, or at that step by an
-    earlier check; the failure left is raised with its t and row."""
-    if not cfgs:
-        raise ValueError("a batch needs at least one run")
-    if len({(c.t_final, c.record_every, c.snapshot_times) for c in cfgs}) > 1:
-        raise ValueError("the runs of a batch must share t_final, record_every "
-                         "and snapshot_times")
-    cfg = cfgs[0]
+    Then eta marches (``_march_eta``) up to that step; its own first
+    failure, or else the half's, is raised with its t."""
     dt = setup.grid.da
     n_steps = max(int(round(cfg.t_final / dt)), 1)
-    controllers = {spec: BoundController(spec, setup.eq)
-                   for spec in dict.fromkeys(c.controller for c in cfgs)}
-    etas = np.empty((len(cfgs), n_steps + 1, 2))
-    us = np.empty((len(cfgs), n_steps + 1))
+    controller = BoundController(cfg.controller, setup.eq)
+    etas = np.empty((n_steps + 1, 2))
+    us = np.empty(n_steps + 1)
     # a diverging run overflows or divides by zero in the half or the Heun
     # step, and a failing half leaves nonsense past its failure, which no law
     # reads; the half's checks and the loop's nan guard report the failure,
@@ -393,22 +390,15 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
         try:
             eta0, zeta, q, integrals, profiles, histories, fail, failure = half(start, n_steps)
         except NumericalError as err:
-            raise NumericalError(str(err), t=0.0, reason=err.reason, row=err.row) from None
-        sensed = {spec: integrals(bound.weights) for spec, bound in controllers.items()
-                  if bound.sensors is not None}
-        # the earliest failure (step, check, row, error); the half's checks last
-        best = (fail, 3, None if failure is None else failure.row, failure)
-        for b, c in enumerate(cfgs):
-            found = _march_row(tuple(eta0[b].tolist()), controllers[c.controller],
-                               sensed.get(c.controller), b, zeta, q, dt, best[0], etas, us)
-            if found is not None and found[:2] < best[:2]:
-                best = (found[0], found[1], b, found[2])
-        step, _, row, err = best
+            raise NumericalError(str(err), t=0.0, reason=err.reason) from None
+        r = None if controller.sensors is None else integrals(controller.weights)
+        step, err = (_march_eta(tuple(eta0.tolist()), controller, r, zeta, q, dt, fail, etas, us)
+                     or (fail, failure))
         if err is not None:
-            raise NumericalError(str(err), t=step * dt, reason=err.reason, row=row)
+            raise NumericalError(str(err), t=step * dt, reason=err.reason)
         snap_steps = sorted({int(round(ts / dt)) for ts in cfg.snapshot_times
                              if ts <= n_steps * dt + 1e-9})
-        snapshots = [(s * dt, profiles(etas[:, s], s)) for s in snap_steps]
+        snapshots = [(s * dt, profiles(etas[s], s)) for s in snap_steps]
     steps = _record_steps(n_steps, cfg.record_every)
 
     @functools.cache
@@ -416,15 +406,11 @@ def _march(setup: Setup, cfgs, solver: str, start, half) -> list[Trajectory]:
         # the halves mute the floating-point warnings of their histories, and
         # so does their reduction
         with np.errstate(all="ignore"):
-            return _reduce_histories(setup, histories, steps, len(cfgs))
-    times, etas, us = steps * dt, etas[:, steps], us[:, steps]
-    return [
-        Trajectory(times=times, eta=etas[b], u=us[b], reduced=reduced, row=b,
-                   snapshots=[(t, x[b]) for t, x in snapshots],
-                   meta={"solver": solver, "controller": c.controller.kind, "ic": c.ic.kind,
-                         "n_cells": setup.grid.n_cells, "dt": dt})
-        for b, c in enumerate(cfgs)
-    ]
+            return _reduce_histories(setup, histories, steps)
+    return Trajectory(times=steps * dt, eta=etas[steps], u=us[steps], reduced=reduced,
+                      snapshots=snapshots,
+                      meta={"solver": solver, "controller": cfg.controller.kind,
+                            "ic": cfg.ic.kind, "n_cells": setup.grid.n_cells, "dt": dt})
 
 
 def _renewal_weights(w, k):
@@ -441,7 +427,7 @@ def _renewal_weights(w, k):
 
 
 # The renewal is marched this many steps at a time: one product of a fixed
-# (K, n - 1) map per row and species.
+# (K, n - 1) map per species.
 _RENEWAL_BLOCK = 32
 
 
@@ -462,33 +448,30 @@ def _march_histories(z0, n_steps: int, wk, d):
     """The samples of every step of a march that carries each sample one
     node along unchanged and solves the newborn node from the trapezoid
     renewal sum row_dot(z[..., :-1], w*k) / d over the previous step.  From
-    z0 (B, 2, n), one (B, 2, n_steps + n) array holds the samples of step s
-    at [..., n_steps - s:n_steps - s + n]; returns its windows, the samples
-    of every step (B, n_steps + 1, 2, n).  The newborns of up to
-    ``_RENEWAL_BLOCK`` steps are one ``_renewal_map`` product per row and
-    species, so a row's samples do not depend on its batch."""
+    z0 (2, n), one (2, n_steps + n) array holds the samples of step s at
+    [:, n_steps - s:n_steps - s + n]; returns its windows, the samples of
+    every step (n_steps + 1, 2, n).  The newborns of up to ``_RENEWAL_BLOCK``
+    steps are one ``_renewal_map`` product per species."""
     n = z0.shape[-1]
-    ext = np.empty(z0.shape[:-1] + (n_steps + n,))
-    ext[..., n_steps:] = z0
+    ext = np.empty((2, n_steps + n))
+    ext[:, n_steps:] = z0
     # reversed, as ext stores the newborns: the last row is the next step's
     rows = min(_RENEWAL_BLOCK, n_steps)
     maps = [np.ascontiguousarray(_renewal_map(c, rows)[::-1]) for c in wk / d[:, None]]
     for i in range(n_steps, 0, -rows):
         k = min(rows, i)
-        for b, species in np.ndindex(ext.shape[:2]):
-            ext[b, species, i - k:i] = maps[species][-k:] @ ext[b, species, i:i + n - 1]
-    return sliding_window_view(ext, n, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+        for species, m in enumerate(maps):
+            ext[species, i - k:i] = m[-k:] @ ext[species, i:i + n - 1]
+    return sliding_window_view(ext, n, axis=-1)[:, ::-1].swapaxes(0, 1)
 
 
 def _prey_collapse(q, fail, err):
     """The earlier of the failure (fail, err) and the first prey collapse in
-    the loss integrals q (n_steps + 1, B, 2) of every step: the update of
-    step s reads them at both its ends, and quad(g2*x1) must be positive."""
-    collapse = ~(q[..., 1] > 0)
-    bad = np.flatnonzero(collapse.any(axis=1))
+    the loss integrals q (n_steps + 1, 2) of every step: the update of step
+    s reads them at both its ends, and quad(g2*x1) must be positive."""
+    bad = np.flatnonzero(~(q[:, 1] > 0))
     if bad.size and max(bad[0] - 1, 0) < fail:
-        fail = max(bad[0] - 1, 0)
-        err = _failure("prey_collapse", collapse[fail:fail + 2].T)
+        fail, err = max(bad[0] - 1, 0), _failure("prey_collapse")
     return fail, err
 
 
@@ -513,19 +496,7 @@ def _direct_ops(setup: Setup):
 
 
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
-    """Integrate the density profiles and record the transformed series: the
-    batch of one run."""
-    return simulate_direct_batch(setup, [cfg])[0]
-
-
-def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
-    """Integrate several runs of one Setup as one (B, 2, n) march.
-
-    The rows share ``t_final``, ``record_every`` and ``snapshot_times``; each
-    has its own controller and start.  Returns one Trajectory per row, in the
-    order of ``cfgs``; each agrees bitwise with the row's run alone.  A
-    failing row stops the batch with its reason and t.
-    """
+    """Integrate the density profiles and record the transformed series."""
     eq = setup.eq
 
     def half(x0, n_steps):
@@ -536,35 +507,32 @@ def simulate_direct_batch(setup: Setup, cfgs) -> list[Trajectory]:
         # by _march; the collapse check or the loop's nan guard on eta reports it
         z = _march_histories(x0 / s, n_steps, wk, d)
         p = row_dot(z, wpi) / setup.adj.denom
-        p[:, 0] = p0
-        p, lq = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in (p, row_dot(z, wg)[..., ::-1]))
+        p[0] = p0
+        lq = row_dot(z, wg)[:, ::-1]
         fail, err = _prey_collapse(lq, n_steps, None)
         # x = C*S*z with eta = log C + log P: the loss rates per unit of
         # (e^{eta2}, e^{-eta1}) are (Q1/P2, P1/Q2), and zeta gains the
         # growth of P
-        q = np.stack((lq[..., 0] / p[..., 1], p[..., 0] / lq[..., 1]), axis=-1)
+        q = np.stack((lq[:, 0] / p[:, 1], p[:, 0] / lq[:, 1]), axis=-1)
         zeta = eq.zeta + np.log(p[1:] / p[:-1]) / dt
         eta0 = np.log(p[0])
 
         def integrals(w):
-            return row_dot(z, w * s).swapaxes(0, 1) / p
+            return row_dot(z, w * s) / p
 
         def profiles(eta, step):
-            return s * z[:, step] * (np.exp(eta) / p[step])[..., None]
+            return s * z[step] * (np.exp(eta) / p[step])[:, None]
 
         def histories(steps, out):
             # the shape deviations of the profiles, but at t = 0 the start's own
-            psi = shape_deviation(z[:, steps], eq.x_star / s, p[steps].swapaxes(0, 1)[..., None],
-                                  out=out)
+            psi = shape_deviation(z[steps], eq.x_star / s, p[steps][..., None], out=out)
             if steps[0] == 0:
-                psi[:, 0] = shape_deviation(x0, eq.x_star, p0[..., None])
+                psi[0] = shape_deviation(x0, eq.x_star, p0[:, None])
             return psi
 
         return eta0, zeta, q, integrals, profiles, histories, fail, err
 
-    cfgs = list(cfgs)
-    x0 = np.array([ic_from_spec(c.ic, eq).x for c in cfgs])
-    return _march(setup, cfgs, "direct", x0, half)
+    return _march(setup, cfg, "direct", ic_from_spec(cfg.ic, eq).x, half)
 
 
 def _transformed_ops(eq: Equilibrium):
@@ -577,26 +545,25 @@ def _transformed_ops(eq: Equilibrium):
 
 
 def _history_integrals(psi, w):
-    """The integrals row_dot(1 + psi, w) (S, B, 2) of the histories psi
-    (B, S, 2, n) against the age weights w (2, n), a block of steps at a
-    time: each dot runs over a contiguous row, as it does on one profile."""
-    rows, n_steps, _, n = psi.shape
-    q = np.empty((n_steps, rows, 2))
-    block = _block_len(rows, n)
-    buf = np.empty((rows, block, 2, n))
+    """The integrals row_dot(1 + psi, w) (S, 2) of the histories psi
+    (S, 2, n) against the age weights w (2, n), a block of steps at a time:
+    each dot runs over a contiguous row, as it does on one profile."""
+    n_steps, _, n = psi.shape
+    q = np.empty((n_steps, 2))
+    block = _block_len(n)
+    buf = np.empty((block, 2, n))
     for s0 in range(0, n_steps, block):
         s1 = min(s0 + block, n_steps)
-        q[s0:s1] = row_dot(np.add(1.0, psi[:, s0:s1], out=buf[:, :s1 - s0]),
-                           w).swapaxes(0, 1)
+        q[s0:s1] = row_dot(np.add(1.0, psi[s0:s1], out=buf[:s1 - s0]), w)
     return q
 
 
 def _history_half(psi0, n_steps: int, ops):
-    """March the histories psi0 (B, 2, n) over every step at once: they read
+    """March the histories psi0 (2, n) over every step at once: they read
     neither eta nor u.  Returns the histories of every step
-    (B, n_steps + 1, 2, n), a view; the loss rates q (n_steps + 1, B, 2) at
-    every step; and the step whose update meets the first failure, with its
-    error (n_steps and None when none fails).
+    (n_steps + 1, 2, n), a view; the loss rates q (n_steps + 1, 2) at every
+    step; and the step whose update meets the first failure, with its error
+    (n_steps and None when none fails).
 
     The failure is the one the stepwise march meets: the update of step s
     checks the newborn of step s + 1 for admissibility, then the loss rates
@@ -610,46 +577,34 @@ def _history_half(psi0, n_steps: int, ops):
     # quad(g1*x2) needs no check: every sample of an admissible history
     # is > -1, checked at the start and on each newborn
     fail, err = n_steps, None
-    inadmissible = psi[:, 1:, :, 0] <= -1.0  # index s: the newborn of step s + 1
-    bad = np.flatnonzero(inadmissible.any(axis=(0, 2)))
+    bad = np.flatnonzero((psi[1:, :, 0] <= -1.0).any(axis=1))  # s: the newborn of step s + 1
     if bad.size:
-        fail, err = bad[0], _failure("psi_admissibility", inadmissible[:, bad[0]])
+        fail, err = bad[0], _failure("psi_admissibility")
     fail, err = _prey_collapse(q, fail, err)
-    q[..., 1] = 1.0 / q[..., 1]
+    q[:, 1] = 1.0 / q[:, 1]
     return psi, q, fail, err
 
 
 def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
-    """Integrate (eta, psi) and reconstruct profiles for snapshots: the batch
-    of one run."""
-    return simulate_transformed_batch(setup, [cfg])[0]
-
-
-def simulate_transformed_batch(setup: Setup, cfgs) -> list[Trajectory]:
-    """Integrate several runs of one Setup as one march of eta (B, 2) and the
-    histories (B, 2, n), with the contract of ``simulate_direct_batch``."""
+    """Integrate (eta, psi) and reconstruct profiles for snapshots."""
     x_star = setup.eq.x_star
 
-    def half(state, n_steps):
-        eta0, psi0 = state
-        psi, q, fail, err = _history_half(psi0, n_steps, _transformed_ops(setup.eq))
+    def half(start, n_steps):
+        psi, q, fail, err = _history_half(start.psi, n_steps, _transformed_ops(setup.eq))
 
         def integrals(w):
             return _history_integrals(psi, w * x_star)
 
         def profiles(eta, step):
-            return profile(x_star, eta[..., None], psi[:, step])
+            return profile(x_star, eta[:, None], psi[step])
 
         def histories(steps, out):
-            return psi[:, steps]
+            return psi[steps]
 
-        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, *eta0.shape))
-        return eta0, zeta, q, integrals, profiles, histories, fail, err
+        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, 2))
+        return start.eta, zeta, q, integrals, profiles, histories, fail, err
 
-    cfgs = list(cfgs)
-    starts = [transformed_ic(c.ic, setup) for c in cfgs]
-    state = np.array([s.eta for s in starts]), np.array([s.psi for s in starts])
-    return _march(setup, cfgs, "transformed", state, half)
+    return _march(setup, cfg, "transformed", transformed_ic(cfg.ic, setup), half)
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import Equilibrium
-from .errors import NumericalError, first_row
+from .errors import NumericalError
 from .model import (AgeGrid, PopulationState, check_grid_fn, check_species_fn, quad, row_dot,
                     tail_integral)
 
@@ -76,14 +76,12 @@ def pi_functional(x, adj: AdjointData):
     (..., 2, n), one per species, broadcast over the leading axes.
 
     Strictly positive and finite for a valid profile; anything else raises a
-    ``NumericalError`` tagged ``nan_guard``, with the first failing row of a
-    batch.
+    ``NumericalError`` tagged ``nan_guard``.
     """
     val = row_dot(x, adj.wpi0) / adj.denom
     if not all(0.0 < v < np.inf for v in val.ravel().tolist()):
-        bad = ~((0.0 < val) & (val < np.inf))
         raise NumericalError("nonpositive or non-finite abundance functional",
-                             reason="nan_guard", row=first_row(bad.any(axis=-1)))
+                             reason="nan_guard")
     return val
 
 

@@ -148,7 +148,7 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
 
 # ---------------------------------------------------------------------------
 # one step of each solver kernel, and the interaction losses of one state, in
-# pure-function form: unbatched states stepped one at a time, the stepwise
+# pure-function form: one state stepped at a time, the stepwise
 # references of the marches, which take the parts of each step that read
 # neither eta nor u once per run
 
@@ -159,7 +159,7 @@ def _interaction_losses(x, wg):
     trapezoid-weighted g1 and g2."""
     q = row_dot(x[..., ::-1, :], wg)
     if not all(v > 0 for v in q[..., 1].ravel().tolist()):
-        raise _failure("prey_collapse", ~(q[..., 1] > 0))
+        raise _failure("prey_collapse")
     q[..., 1] = 1.0 / q[..., 1]
     return q
 
@@ -185,13 +185,13 @@ def _renew(moved, wk, d):
 
 
 def march_histories_stepwise(z0, n_steps: int, wk, d):
-    """The samples (B, n_steps + 1, 2, n) of every step of the renewal march
-    from z0 (B, 2, n), one ``_renew`` a step: the stepwise reference of
+    """The samples (n_steps + 1, 2, n) of every step of the renewal march
+    from z0 (2, n), one ``_renew`` a step: the stepwise reference of
     ``simulate._march_histories``."""
     out = [z0]
     for _ in range(n_steps):
         out.append(_renew(out[-1][..., :-1], wk, d))
-    return np.stack(out, axis=1)
+    return np.stack(out)
 
 
 def _direct_step_ops(kernels: KernelSet):
@@ -253,7 +253,7 @@ def _transformed_update(state, u, ops):
     dt, zeta, (wg, wk, d) = ops
     psi_new = _renew(psi[..., :-1], wk, d)
     if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
-        raise _failure("psi_admissibility", psi_new[..., 0] <= -1.0)
+        raise _failure("psi_admissibility")
     q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
     eta = _heun_eta(tuple(eta.tolist()), u, q[0].tolist(), q[1].tolist(), dt, zeta.tolist())
     return np.array(eta), psi_new

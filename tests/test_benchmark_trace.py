@@ -2,15 +2,15 @@
 
 ``benchmark/traced.py`` wraps package functions and methods by name.  This
 test installs its wrappers, runs one small simulation of each solver and one
-of the measured law through them, and removes them again, so a rename of a
-traced name fails here rather than in a benchmark run.  It only reads
-``benchmark/``.
+of the measured law through them, and verify's reference runs, and removes
+them again, so a rename of a traced name fails here rather than in a
+benchmark run.  It only reads ``benchmark/``.
 """
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
-from predprey import simulate
+from predprey import acceptance, simulate
 from predprey.controllers import ControllerSpec
 from predprey.simulate import ICSpec, SimConfig
 
@@ -40,17 +40,23 @@ def test_trace_points_install_record_and_uninstall(monkeypatch):
         simulate.simulate_direct(setup, cfg)
         simulate.simulate_transformed(setup, cfg)
         simulate.simulate_transformed(setup, measured)
+        ctx = acceptance.VerifyContext(n_cells=40)
+        for run in acceptance.REFERENCE_RUNS:
+            ctx.direct_run(*run)
     finally:
         tracer.uninstall()
     # every binding of each traced name in the package: a rename, or a module
     # that stops importing a traced function, changes the count
-    assert len(patched) == 32
+    assert len(patched) == 33
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+    # the direct run above and verify's reference runs, one span each
     spans = [span for span in tracer.spans if span[0] == "simulate.simulate_direct"]
-    assert len(spans) == 1 and spans[0][2] is not None
+    assert len(spans) == 1 + len(acceptance.REFERENCE_RUNS) == 6
+    assert all(span[2] is not None for span in spans)
     # run.py divides the transformed time by the steps fact of these spans
     steps = {tracer.spans[idx][0]: facts.get("steps") for idx, facts in tracer.facts}
     assert steps.get("simulate.simulate_transformed") == round(cfg.t_final / setup.grid.da) == 8
     # u_from_eta, or u_from_state for the measured run, once per step of each
-    # run: a loop that bypasses the traced law fails here
-    assert tracer.hot_calls == 3 * (8 + 1)
+    # run, t_final 20 of a reference run being 800 steps: a loop that
+    # bypasses the traced law fails here
+    assert tracer.hot_calls == 3 * (8 + 1) + len(acceptance.REFERENCE_RUNS) * (800 + 1)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it, and every private
-name or constant a module defines is read somewhere in the package.
+"""Every name a module of the package, the tests or the scripts imports is
+used in it, and every private name or constant a package module defines is
+read somewhere in the package.
 
 Stdlib ``ast`` checks: an imported name counts as used if the module reads
 it anywhere, or lists it in ``__all__`` (the package's re-exports); a
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "predprey"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "predprey"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +42,10 @@ def test_rule_flags_an_unused_import():
     assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
+             *sorted(ROOT.glob("scripts/*.py"))],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -5,7 +5,7 @@ import pytest
 
 from predprey.acceptance import bisect_scale
 from predprey.controllers import ControllerSpec, GainsA, GainsB, control_A, phi
-from predprey.errors import GainConstraintError
+from predprey.errors import GainConstraintError, NumericalError
 from predprey.lyapunov import (
     _curve_stationary_eta1,
     closed_loop_jacobian,
@@ -529,6 +529,23 @@ def test_level_ray_bound_is_outside_the_level(setup400, cfg2, cfg4, mode):
     for c in (1e-3, roa_estimate(cfg, eq).c_star, 0.5, 5.0, 50.0):
         r_hi = level_ray_bound(c, cfg.eps, eq, dirs)
         assert np.all(v1(r_hi[:, None] * dirs, cfg.eps, eq) >= c)
+
+
+def test_level_contour_fails_past_the_eta_clamp(setup100):
+    # V1 reads eta clamped to |eta_i| <= 700, so no contour of a level at or
+    # past its least value on the clamp's edge lies inside the clamp: such a
+    # level fails typed, and just below it the contour is on V1 = c
+    eq, eps = setup100.eq, 0.2
+    edge = [(700.0, 0.0), (-700.0, 0.0), (0.0, 700.0), (0.0, -700.0)]
+    limit = min(float(v1(np.array(point), eps, eq)) for point in edge)
+    assert limit == pytest.approx(713.28, abs=0.01)
+    c = 0.999 * limit
+    contour = level_contour(c, eps, eq, n_rays=128)
+    assert np.max(np.abs(v1(contour, eps, eq) / c - 1.0)) <= 1e-14
+    for c in (limit, 1000.0):
+        with pytest.raises(NumericalError, match="eta clamp") as err:
+            level_contour(c, eps, eq, n_rays=128)
+        assert err.value.reason == "level_beyond_clamp"
 
 
 def test_level_sets_change_shape_with_eps(setup400):

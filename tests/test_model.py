@@ -172,3 +172,16 @@ def test_population_state_positivity():
     bad = PopulationState(t=0.0, x=np.array([np.ones(6), np.zeros(6)]))
     with pytest.raises(NumericalError):
         bad.validate(grid)
+
+
+def test_row_dot_sums_each_row_as_one_dot():
+    # both forms, the numpy >= 2 gufunc and the matmul used before it, give
+    # each row of a stacked array bitwise its 1-D dot
+    from predprey.model import _row_dot_matmul, row_dot
+
+    rng = np.random.default_rng(3)
+    x, w = rng.random((4, 2, 401)), rng.random((2, 401))
+    ref = np.array([[w[s] @ x[b, s] for s in range(2)] for b in range(4)])
+    assert np.array_equal(row_dot(x, w), ref)
+    assert np.array_equal(_row_dot_matmul(x, w), ref)
+    assert row_dot(x[0, 1], w[1]) == ref[0, 1]

@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from predprey.acceptance import REFERENCE_GAINS_A, REFERENCE_GAINS_B, bisect_scale, multiplier_v
 from predprey.controllers import ControllerSpec, GainsB, control_B_floor
 from predprey.lyapunov import dini_check, lyap_config_for, roa_estimate
-from predprey.simulate import (ICSpec, SimConfig, simulate_direct, simulate_direct_batch,
-                               simulate_transformed)
+from predprey.simulate import ICSpec, SimConfig, simulate_direct, simulate_transformed
 
 from conftest import make_setup
 
@@ -61,7 +60,7 @@ ROA_T_FINAL = 12.0
 def test_starts_inside_the_roa_level_converge(setup100, kind, gains, seed):
     # each row: a random multiplier direction (log offset and slope per
     # species), bisected along its ray to V(eta0, psi0) <= 0.9 c*, then
-    # scaled by sqrt(U(0, 1)); all rows march as one batch
+    # scaled by sqrt(U(0, 1)); each row marches as one run
     setup, eq = setup100, setup100.eq
     spec = ControllerSpec(kind=kind, **gains)
     cfg = lyap_config_for(spec, eq, setup.sigma)
@@ -72,11 +71,10 @@ def test_starts_inside_the_roa_level_converge(setup100, kind, gains, seed):
     scale = bisect_scale(setup, cfg, 0.9 * c_star, offset, slope)
     scale *= np.sqrt(rng.uniform(0.0, 1.0, ROA_STARTS))
     assert np.all(multiplier_v(setup, cfg, scale, offset, slope) <= 0.9 * c_star)
-    cfgs = [SimConfig(t_final=ROA_T_FINAL, controller=spec,
-                      ic=ICSpec(kind="multiplier", log_offset=tuple(s * o),
-                                log_slope=tuple(s * k)))
-            for s, o, k in zip(scale, offset, slope)]
-    for row, traj in enumerate(simulate_direct_batch(setup, cfgs)):
+    for row, (s, o, k) in enumerate(zip(scale, offset, slope)):
+        traj = simulate_direct(setup, SimConfig(
+            t_final=ROA_T_FINAL, controller=spec,
+            ic=ICSpec(kind="multiplier", log_offset=tuple(s * o), log_slope=tuple(s * k))))
         traj.finalize_lyapunov(eq, cfg)
         assert traj.V[0] <= c_star, row
         # criterion 11's bound on the forward-difference decrease violation

@@ -23,9 +23,7 @@ from predprey.simulate import (
     cross_validate,
     ic_from_spec,
     simulate_direct,
-    simulate_direct_batch,
     simulate_transformed,
-    simulate_transformed_batch,
     transformed_ic,
 )
 from predprey.transform import pi_functional, shape_deviation, to_transformed
@@ -280,23 +278,6 @@ def test_transformed_march_fails_where_its_stepwise_oracle_fails(setup100, reaso
     assert (marched.value.reason, marched.value.t) == (stepped.value.reason, stepped.value.t)
     assert marched.value.reason == reason
     assert marched.value.t == pytest.approx(t_fail, abs=1e-12)
-    assert marched.value.row == 0
-
-
-@pytest.mark.parametrize("reason, ics", [
-    ("psi_admissibility", ("eta", "SQ")),
-    ("prey_collapse", ("SQ", "FQ")),
-])
-def test_history_failure_reports_its_row(setup100, reason, ics):
-    # the second row fails first: the eta start's flat histories never renew
-    # away from zero, and FQ collapses at t = 0 while SQ holds out until 0.43
-    setup = _history_failure_setup(setup100, reason)
-    cfgs = [SimConfig(t_final=3.0, controller=OPEN, ic=ICSpec(kind=ic)) for ic in ics]
-    with pytest.raises(NumericalError) as alone:
-        simulate_transformed(setup, cfgs[1])
-    with pytest.raises(NumericalError) as batch:
-        simulate_transformed_batch(setup, cfgs)
-    assert (batch.value.reason, batch.value.t, batch.value.row) == (reason, alone.value.t, 1)
 
 
 def test_direct_records_reduce_across_blocks(setup100):
@@ -304,7 +285,7 @@ def test_direct_records_reduce_across_blocks(setup100):
     # snapshot steps on both sides of a block boundary they equal, to 1e-12,
     # the shape deviations of the snapshot profiles, reduced one by one.  A
     # record off by one step moves them by about 1e-8 (psi_min) and 2e-4 (G)
-    block = _block_len(1, setup100.grid.n_nodes)
+    block = _block_len(setup100.grid.n_nodes)
     da, eq = setup100.grid.da, setup100.eq
     steps = (0, block - 1, block, block + 1, 2 * block + 5)
     traj = simulate_direct(setup100, SimConfig(
@@ -336,8 +317,8 @@ def test_renewal_blocks_match_the_stepwise_renewal(setup100, solver, n_cells, n_
     else:
         _, wk, d = _transformed_ops(setup.eq)
         z0 = transformed_ic(ICSpec(kind="SQ"), setup).psi
-    got = _march_histories(z0[None], n_steps, wk, d)[0]
-    ref = march_histories_stepwise(z0[None], n_steps, wk, d)[0]
+    got = _march_histories(z0, n_steps, wk, d)
+    ref = march_histories_stepwise(z0, n_steps, wk, d)
     k = _RENEWAL_BLOCK
     for step in (1, k - 1, k, k + 1, 2 * k + 5, n_steps):
         if step <= n_steps:
@@ -345,9 +326,9 @@ def test_renewal_blocks_match_the_stepwise_renewal(setup100, solver, n_cells, n_
 
 
 def test_histories_are_reduced_once_on_first_read(setup100, monkeypatch):
-    # G and psi_min are reduced from a batch's histories on their first read,
-    # once for the whole batch: the criteria that read neither reduce nothing,
-    # and the values are bitwise those of the reduction called directly
+    # G and psi_min are reduced from a run's histories on their first read,
+    # once for that run: the criteria that read neither reduce nothing, and
+    # the values are bitwise those of the reduction called directly
     calls = []
     reduce = simulate._reduce_histories
 
@@ -362,20 +343,26 @@ def test_histories_are_reduced_once_on_first_read(setup100, monkeypatch):
                   acceptance.criterion_07_control_b_positive):
         check(ctx)
     assert calls == []
-    first, *others = (ctx.direct_run(*run) for run in acceptance.REFERENCE_RUNS)
-    read = [first.G1, *((traj.psi_min, traj.G2) for traj in others)]
-    assert len(calls) == 1
-    psi_min, G = reduce(*calls[0])
-    assert read[0].tobytes() == G[0, 0].tobytes()
-    for b, (p, g2) in enumerate(read[1:], 1):
-        assert p.tobytes() == psi_min[b].tobytes() and g2.tobytes() == G[b, 1].tobytes()
-    # a run keeps its batch's histories until it is dropped
-    cfgs = [SimConfig(t_final=0.5, controller=OPEN, ic=ICSpec(kind=ic)) for ic in ("FQ", "SQ")]
-    kept = simulate_transformed_batch(setup100, cfgs)[1]
+    # the first read of a run's G reduces that run once; later reads of it
+    # reduce nothing
+    for count, run in enumerate(acceptance.REFERENCE_RUNS, 1):
+        traj = ctx.direct_run(*run)
+        g1 = traj.G1
+        assert len(calls) == count, run
+        psi_min, G = reduce(*calls[-1])
+        assert g1.tobytes() == G[0].tobytes(), run
+        assert traj.psi_min.tobytes() == psi_min.tobytes(), run
+        assert traj.G2.tobytes() == G[1].tobytes(), run
+    for run in acceptance.REFERENCE_RUNS:
+        ctx.direct_run(*run).G1
+    assert len(calls) == len(acceptance.REFERENCE_RUNS)
+    # a run keeps its histories until it is dropped
+    kept = simulate_transformed(setup100, SimConfig(t_final=0.5, controller=OPEN,
+                                                     ic=ICSpec(kind="SQ")))
     gc.collect()
     g1 = kept.G1
-    assert len(calls) == 2
-    assert g1.tobytes() == reduce(*calls[1])[1][1, 0].tobytes()
+    assert len(calls) == len(acceptance.REFERENCE_RUNS) + 1
+    assert g1.tobytes() == reduce(*calls[-1])[1][0].tobytes()
 
 
 def test_direct_kernel_no_births():
@@ -546,20 +533,20 @@ def test_simulate_records_monotone_times(setup100):
 
 
 @pytest.mark.parametrize("every", [3, 7])
-@pytest.mark.parametrize("run", [simulate_direct_batch, simulate_transformed_batch])
+@pytest.mark.parametrize("run", [simulate_direct, simulate_transformed])
 def test_records_are_the_every_step_series_at_the_record_steps(setup100, run, every):
-    # a 2-row batch and a single run: the records of every 3rd or 7th step and
-    # of the final step 101, off both strides, are bitwise the stride-1 run's
-    # values there; snapshot times come back sorted and deduplicated
+    # two runs: the records of every 3rd or 7th step and of the final step
+    # 101, off both strides, are bitwise the stride-1 run's values there;
+    # snapshot times come back sorted and deduplicated
     da, n_steps = setup100.grid.da, 101
-    rows = [(ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2), "FQ"),
-            (ControllerSpec(kind="measured", eps=0.2, beta=0.6), "SQ")]
+    runs_of = [(ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2), "FQ"),
+               (ControllerSpec(kind="measured", eps=0.2, beta=0.6), "SQ")]
 
     def runs(record_every):
-        cfgs = [SimConfig(t_final=n_steps * da, controller=spec, ic=ICSpec(kind=ic),
-                          record_every=record_every, snapshot_times=(1.0, 0.0, 1.0, 0.25, 0.08))
-                for spec, ic in rows]
-        return run(setup100, cfgs) + run(setup100, cfgs[:1])
+        return [run(setup100, SimConfig(t_final=n_steps * da, controller=spec,
+                                        ic=ICSpec(kind=ic), record_every=record_every,
+                                        snapshot_times=(1.0, 0.0, 1.0, 0.25, 0.08)))
+                for spec, ic in runs_of]
 
     steps = [*range(0, n_steps + 1, every), n_steps]
     for fine, coarse in zip(runs(1), runs(every)):
@@ -720,7 +707,9 @@ def test_controller_negative_dilution_recorded(setup200):
     [
         # the measured law holds a smooth function of the profiles: second order
         (ControllerSpec(kind="measured"), 3.0, np.inf),
-        # the held eta feedback makes the closed loop first order in dt
+        # both solvers hold u alike; from SQ, which breaks the renewal
+        # condition, the direct eta is offset by ln(P1/P0) of the start's
+        # jump, O(da), so the gap of an eta law is first order in dt
         (ControllerSpec(kind="control_b", eps=0.01, beta=0.13, delta=0.2), 1.6, 2.5),
     ],
 )
