@@ -5,14 +5,15 @@ the loop a start and a half: all that reads neither eta nor u, marched before
 the loop on the layout of ``model``, with the steps in front ((steps, 2, n)
 profiles and shape deviations).  Both halves march their samples with
 ``_march_histories``, a block of steps per matrix product.  A profile is
-e^{eta} times a factor that reads neither, so the half also reduces that
-factor's age integrals of every step: the interaction integrals and the
-measured law's sensor factors.  The loop then keeps eta as two floats,
-evaluates the law on them, holds u over the step and steps eta by
-``_heun_eta``, with numpy only for exp and expm1, and stores each step's eta
-and u.  The records and the snapshots are taken from the stored arrays and
-the half's histories after the loop.  The records' psi_min and G are reduced
-from the histories on their first read.
+e^{eta} times a factor that reads neither, so the half also takes that
+factor's age integrals of every step, one ``row_dot`` on the view of every
+step's samples: the interaction integrals and the measured law's sensor
+factors.  The loop then keeps eta as two floats, evaluates the law on them,
+holds u over the step and steps eta by ``_heun_eta``, with numpy only for exp
+and expm1, and stores each step's eta and u.  The records and the snapshots
+are taken from the stored arrays and the half's histories after the loop.
+The records' psi_min and G are reduced from the histories on their first
+read.
 
 A run that fails raises its reason and t: the earliest failing step, and
 within it the first check that fails, in the order eta non-finite, a typed
@@ -46,10 +47,11 @@ Transformed kernel
     identity (the same solve, with survival 1 and no loss).  dt = da
     makes every delayed lookup land exactly on a stored sample, so the delay
     integrals involve no interpolation.  The histories read neither eta nor
-    u: one (2, n_steps + n) array holds those of every step, the
-    interaction integrals are reduced from it in blocks of steps, and on
-    first read psi_min and G in blocks of records.  A history failure found up
-    front is raised when the loop reaches its step.
+    u: one (2, n_steps + n) array holds those of every step.  The
+    interaction integrals of the profiles x_star*(1 + psi) are summed on its
+    view as row_dot(psi, w) + sum(w), and on first read psi_min and G are
+    reduced in blocks of records.  A history failure found up front is
+    raised when the loop reaches its step.
 
 What the solvers' agreement measures
     The two share ``_march_histories``, the eta loop and the held u, so
@@ -278,10 +280,9 @@ class Trajectory:
         return self
 
 
-# The transformed solver's loss integrals and the records' psi_min and G are
-# reduced a block of K steps or records at a time, in (K, 2, n) scratch
-# arrays of this many elements (256 KB), which stay in cache and are allocated
-# once per run.
+# The records' psi_min and G are reduced a block of K records at a time, in a
+# (K, 2, n) scratch array of this many elements (256 KB), which stays in cache
+# and is allocated once per run.
 _BLOCK = 1 << 15
 
 
@@ -357,11 +358,11 @@ def _march_eta(eta, controller, r, zeta, q, dt, last, etas, us):
                             (z1[step], z2[step]))
 
 
-def _march(setup: Setup, cfg: SimConfig, solver: str, start, half) -> Trajectory:
-    """The time loop of both solvers over one run, from the start state
-    ``start`` built from ``cfg``.  ``half(start, n_steps)`` marches, inside
-    the error re-raise (so a grid too coarse for a birth kernel is reported
-    at t = 0), all that reads neither eta nor u, and returns:
+def _march(setup: Setup, cfg: SimConfig, solver: str, half) -> Trajectory:
+    """The time loop of both solvers over one run.  ``half(n_steps)``
+    marches from the run's start, inside the error re-raise (so a grid too
+    coarse for a birth kernel is reported at t = 0), all that reads neither
+    eta nor u, and returns:
 
     - eta at t = 0, (2,)
     - zeta and the loss rates q of ``_heun_eta``, (2,) indexed by step
@@ -388,7 +389,7 @@ def _march(setup: Setup, cfg: SimConfig, solver: str, start, half) -> Trajectory
     # with t, in place of a RuntimeWarning
     with np.errstate(all="ignore"):
         try:
-            eta0, zeta, q, integrals, profiles, histories, fail, failure = half(start, n_steps)
+            eta0, zeta, q, integrals, profiles, histories, fail, failure = half(n_steps)
         except NumericalError as err:
             raise NumericalError(str(err), t=0.0, reason=err.reason) from None
         r = None if controller.sensors is None else integrals(controller.weights)
@@ -498,8 +499,9 @@ def _direct_ops(setup: Setup):
 def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
     """Integrate the density profiles and record the transformed series."""
     eq = setup.eq
+    x0 = ic_from_spec(cfg.ic, eq).x
 
-    def half(x0, n_steps):
+    def half(n_steps):
         dt, s, wpi, wg, wk, d = _direct_ops(setup)
         # the start's Pi and histories, as to_transformed takes them
         p0 = pi_functional(x0, setup.adj)
@@ -532,7 +534,7 @@ def simulate_direct(setup: Setup, cfg: SimConfig) -> Trajectory:
 
         return eta0, zeta, q, integrals, profiles, histories, fail, err
 
-    return _march(setup, cfg, "direct", ic_from_spec(cfg.ic, eq).x, half)
+    return _march(setup, cfg, "direct", half)
 
 
 def _transformed_ops(eq: Equilibrium):
@@ -544,67 +546,47 @@ def _transformed_ops(eq: Equilibrium):
     return w * eq.kernels.g * eq.x_star[::-1], *_renewal_weights(w, eq.ktilde)
 
 
-def _history_integrals(psi, w):
-    """The integrals row_dot(1 + psi, w) (S, 2) of the histories psi
-    (S, 2, n) against the age weights w (2, n), a block of steps at a time:
-    each dot runs over a contiguous row, as it does on one profile."""
-    n_steps, _, n = psi.shape
-    q = np.empty((n_steps, 2))
-    block = _block_len(n)
-    buf = np.empty((block, 2, n))
-    for s0 in range(0, n_steps, block):
-        s1 = min(s0 + block, n_steps)
-        q[s0:s1] = row_dot(np.add(1.0, psi[s0:s1], out=buf[:s1 - s0]), w)
-    return q
-
-
-def _history_half(psi0, n_steps: int, ops):
-    """March the histories psi0 (2, n) over every step at once: they read
-    neither eta nor u.  Returns the histories of every step
-    (n_steps + 1, 2, n), a view; the loss rates q (n_steps + 1, 2) at every
-    step; and the step whose update meets the first failure, with its error
-    (n_steps and None when none fails).
-
-    The failure is the one the stepwise march meets: the update of step s
-    checks the newborn of step s + 1 for admissibility, then the loss rates
-    at both ends of the step for prey collapse."""
-    wg, wk, d = ops
-    # a diverging history may overflow or divide by zero, also past its first
-    # failure, muted by _march; the checks below, or the loop's nan guard on
-    # eta, report it
-    psi = _march_histories(psi0, n_steps, wk, d)
-    q = _history_integrals(psi, wg[::-1])[..., ::-1]  # (quad(g1*x2), quad(g2*x1))
-    # quad(g1*x2) needs no check: every sample of an admissible history
-    # is > -1, checked at the start and on each newborn
-    fail, err = n_steps, None
-    bad = np.flatnonzero((psi[1:, :, 0] <= -1.0).any(axis=1))  # s: the newborn of step s + 1
-    if bad.size:
-        fail, err = bad[0], _failure("psi_admissibility")
-    fail, err = _prey_collapse(q, fail, err)
-    q[:, 1] = 1.0 / q[:, 1]
-    return psi, q, fail, err
-
-
 def simulate_transformed(setup: Setup, cfg: SimConfig) -> Trajectory:
     """Integrate (eta, psi) and reconstruct profiles for snapshots."""
-    x_star = setup.eq.x_star
+    eq = setup.eq
+    start = transformed_ic(cfg.ic, setup)
 
-    def half(start, n_steps):
-        psi, q, fail, err = _history_half(start.psi, n_steps, _transformed_ops(setup.eq))
+    def half(n_steps):
+        wg, wk, d = _transformed_ops(eq)
+        # a diverging history may overflow or divide by zero, also past its
+        # first failure, muted by _march; the checks below, or the loop's nan
+        # guard on eta, report it
+        psi = _march_histories(start.psi, n_steps, wk, d)
+
+        def dots(w):
+            # row_dot(1 + psi, w) of every step, summed on the view
+            return row_dot(psi, w) + w.sum(axis=-1)
+
+        q = dots(wg[::-1])[..., ::-1]  # (quad(g1*x2), quad(g2*x1))
+        # the update of step s checks the newborn of step s + 1 for
+        # admissibility, then the loss rates at both ends of the step for
+        # prey collapse; quad(g1*x2) needs no check: every sample of an
+        # admissible history is > -1, checked at the start and on each newborn
+        fail, err = n_steps, None
+        bad = np.flatnonzero((psi[1:, :, 0] <= -1.0).any(axis=1))
+        if bad.size:
+            fail, err = bad[0], _failure("psi_admissibility")
+        fail, err = _prey_collapse(q, fail, err)
+        q[:, 1] = 1.0 / q[:, 1]
 
         def integrals(w):
-            return _history_integrals(psi, w * x_star)
+            return dots(w * eq.x_star)
 
         def profiles(eta, step):
-            return profile(x_star, eta[:, None], psi[step])
+            return profile(eq.x_star, eta[:, None], psi[step])
 
         def histories(steps, out):
             return psi[steps]
 
-        zeta = np.broadcast_to(setup.eq.zeta, (n_steps, 2))
+        zeta = np.broadcast_to(eq.zeta, (n_steps, 2))
         return start.eta, zeta, q, integrals, profiles, histories, fail, err
 
-    return _march(setup, cfg, "transformed", transformed_ic(cfg.ic, setup), half)
+    return _march(setup, cfg, "transformed", half)
 
 
 def cross_validate(setup: Setup, cfg: SimConfig, n_snapshots: int = 21) -> float:

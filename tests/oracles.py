@@ -153,11 +153,12 @@ def g_decrease_violations(traj, cfg: LyapConfig, tol_frac: float = 0.1,
 # neither eta nor u once per run
 
 
-def _interaction_losses(x, wg):
-    """The loss rates (..., 2) of profiles x (..., 2, n): quad(g1*x2) on the
-    prey and 1/quad(g2*x1) on the predator; wg (2, n) holds the
-    trapezoid-weighted g1 and g2."""
-    q = row_dot(x[..., ::-1, :], wg)
+def _interaction_losses(x, wg, offset=0.0):
+    """The loss rates (..., 2) of profiles x + offset (..., 2, n):
+    quad(g1*x2) on the prey and 1/quad(g2*x1) on the predator; wg (2, n)
+    holds the trapezoid-weighted g1 and g2.  The offset's integrals are added
+    after the dot, as the transformed march sums 1 + psi."""
+    q = row_dot(x[..., ::-1, :], wg) + offset * wg.sum(axis=-1)
     if not all(v > 0 for v in q[..., 1].ravel().tolist()):
         raise _failure("prey_collapse")
     q[..., 1] = 1.0 / q[..., 1]
@@ -254,7 +255,7 @@ def _transformed_update(state, u, ops):
     psi_new = _renew(psi[..., :-1], wk, d)
     if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
         raise _failure("psi_admissibility")
-    q = _interaction_losses(1.0 + np.array((psi, psi_new)), wg)
+    q = _interaction_losses(np.array((psi, psi_new)), wg, 1.0)
     eta = _heun_eta(tuple(eta.tolist()), u, q[0].tolist(), q[1].tolist(), dt, zeta.tolist())
     return np.array(eta), psi_new
 

@@ -1,12 +1,13 @@
 """Every name a module of the package, the tests or the scripts imports is
 used in it, and every private name or constant a package module defines is
-read somewhere in the package.
+read somewhere in the package; the tests and the scripts, taken together,
+read every one they define.
 
 Stdlib ``ast`` checks: an imported name counts as used if the module reads
 it anywhere, or lists it in ``__all__`` (the package's re-exports); a
 module-level ``_private`` function, class or constant, or an UPPER_CASE
-constant, counts as read if any package module loads it, reads it as an
-attribute or imports it.  They catch what a deletion leaves behind.
+constant, counts as read if any module of its group loads it, reads it as
+an attribute or imports it.  They catch what a deletion leaves behind.
 """
 import ast
 import re
@@ -95,4 +96,12 @@ def test_rule_flags_an_unread_constant():
 
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_tests_and_scripts_read_every_private_name():
+    # on their own names: a test helper or an oracle left behind by a
+    # deletion is flagged, whatever the package defines
+    sources = {f"{path.parent.name}/{path.name}": path.read_text()
+               for path in (*sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("scripts/*.py")))}
     assert unread_private_names(sources) == []
