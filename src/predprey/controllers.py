@@ -3,11 +3,13 @@
 The eta laws act on the log-abundance pair eta through the saturating
 functions phi_1, phi_2; the measured law acts on sensor outputs
 y_i = e^{eta_i}*r_i of the profiles, r_i the sensor factors.  Each law is one
-formula: the public laws (``control_A``, ``control_B``, ``phi``,
-``control_measured``) broadcast over numpy arrays (``ArrayOps``) for analysis
-and region plots, and ``BoundController.u_from_eta`` and ``u_from_state``,
-which the simulation calls once per step, run it on floats (``FloatOps``).
-A state gives the same u either way.
+formula over a namespace ``ops`` of five primitives: the public laws
+(``control_A``, ``control_B``, ``phi``, ``control_measured``) pass numpy and
+broadcast over arrays for analysis and region plots, and
+``BoundController.u_from_eta`` and ``u_from_state``, which the simulation
+calls once per step, pass ``FloatOps``, the stdlib's, and run on floats.  The
+two forms of a law agree to rounding: their exp and expm1 may differ in the
+last bit.
 """
 from __future__ import annotations
 
@@ -25,28 +27,22 @@ from .model import check_species_fn, quad
 _ETA_CLIP = 700.0
 
 
-class ArrayOps:
-    """The primitives of the laws on arrays."""
-
-    exp, expm1, minimum, maximum, sqrt = np.exp, np.expm1, np.minimum, np.maximum, np.sqrt
-
-
 class FloatOps:
-    """The primitives of the laws on floats, each bitwise its ``ArrayOps``
-    twin on a finite float (min and max treat nan otherwise; the
-    simulation's nan guard runs first).  exp and expm1 are numpy's, returned
-    as floats: ``math.exp`` and ``math.expm1`` round differently on some
-    states."""
+    """The primitives of the laws on floats, from the stdlib: on a finite
+    float each is the array primitive of its name to rounding (min and max
+    treat nan otherwise; the simulation's nan guard runs first).  exp returns
+    inf where ``math.exp`` overflows, as the array exp does, so a diverging
+    march reaches its nan guard; the laws' expm1 reads a clamped eta and
+    cannot overflow."""
 
     @staticmethod
     def exp(x):
-        return float(np.exp(x))
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
 
-    @staticmethod
-    def expm1(x):
-        return float(np.expm1(x))
-
-    minimum, maximum, sqrt = min, max, math.sqrt
+    expm1, minimum, maximum, sqrt = math.expm1, min, max, math.sqrt
 
 
 def _clamp(e, ops):
@@ -56,7 +52,7 @@ def _clamp(e, ops):
 def clamp_eta(eta):
     """eta (..., 2) as floats clamped to [-700, 700]: bitwise np.clip, which
     costs several times as much, and nan stays nan."""
-    return _clamp(np.asarray(eta, dtype=float), ArrayOps)
+    return _clamp(np.asarray(eta, dtype=float), np)
 
 
 def _phi(e1, e2, eq: Equilibrium, ops):
@@ -71,7 +67,7 @@ def phi(eta, eq: Equilibrium):
     phi_2 = lambda2*(exp(eta2) - 1) >= -lambda2.
     """
     e = clamp_eta(eta)
-    return _phi(e[..., 0], e[..., 1], eq, ArrayOps)
+    return _phi(e[..., 0], e[..., 1], eq, np)
 
 
 def big_phi(eta, eq: Equilibrium):
@@ -146,15 +142,13 @@ def _control_a(e1, e2, gains: GainsA, eq: Equilibrium, ops):
 
 def control_A(eta, gains: GainsA, eq: Equilibrium):
     """u = u_star + beta*(phi_1 + (1+eps)*phi_2); may go negative."""
-    return _control_a(*_components(eta), gains, eq, ArrayOps)
+    return _control_a(*_components(eta), gains, eq, np)
 
 
 def _control_b(e1, e2, gains: GainsB, eq: Equilibrium, ops):
     phi1, phi2 = _phi(_clamp(e1, ops), _clamp(e2, ops), eq, ops)
     varphi = phi1 + (1.0 + gains.eps) * phi2
     neg = ops.minimum(0.0, varphi)
-    # neg * neg, not neg**2: a float squares by pow and a numpy array by
-    # x*x, so one state would round differently as floats and in an array
     return eq.u_star + gains.eps * phi2 + gains.beta * varphi / ops.sqrt(
         gains.delta**2 + neg * neg
     )
@@ -166,7 +160,7 @@ def control_B(eta, gains: GainsB, eq: Equilibrium):
     Under the gain constraint eps*lambda2 + beta < u_star the value stays
     above u_star - eps*lambda2 - beta > 0 for every state.
     """
-    return _control_b(*_components(eta), gains, eq, ArrayOps)
+    return _control_b(*_components(eta), gains, eq, np)
 
 
 def control_B_floor(gains: GainsB, eq: Equilibrium) -> float:
@@ -280,8 +274,8 @@ class BoundController:
             self._y_star = tuple(self.sensors.y_star.tolist())
 
     def u_from_eta(self, eta1, eta2):
-        """u, a float, of the state (eta1, eta2), two finite floats: bitwise
-        the public array law's u of that state."""
+        """u, a float, of the state (eta1, eta2), two finite floats: the
+        public array law's u of that state, to rounding."""
         kind = self.spec.kind
         if kind == "open_loop":
             return self.eq.u_star
@@ -294,10 +288,11 @@ class BoundController:
         )
 
     def u_from_state(self, eta1, eta2, r1, r2):
-        """The measured law's u, a float: bitwise ``control_measured`` of the
-        outputs y_i = e^{eta_i}*r_i, the profiles' dots with ``weights`` (w*c),
-        of the finite floats eta1, eta2 and sensor factors r1, r2.  A y_i <= 0
-        raises a ``NumericalError`` tagged ``measurement_nonpositive``."""
+        """The measured law's u, a float: ``control_measured``, to rounding,
+        of the outputs y_i = e^{eta_i}*r_i, the profiles' dots with
+        ``weights`` (w*c), of the finite floats eta1, eta2 and sensor factors
+        r1, r2.  A y_i <= 0 raises a ``NumericalError`` tagged
+        ``measurement_nonpositive``."""
         if self.sensors is None:
             raise GainConstraintError(f"the {self.spec.kind} law acts on eta alone")
         y1, y2 = FloatOps.exp(eta1) * r1, FloatOps.exp(eta2) * r2

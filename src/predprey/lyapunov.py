@@ -342,7 +342,7 @@ def region_membership(eta, cfg: LyapConfig, eq: Equilibrium):
 def constraint_curve(eta1, cfg: LyapConfig, eq: Equilibrium):
     """eta2 on which varphi = K, decreasing in eta1; nan where varphi > K for every eta2."""
     eta1 = np.asarray(eta1, dtype=float)
-    phi1 = (1.0 - np.exp(-eta1)) / eq.lambda1
+    phi1 = -np.expm1(-eta1) / eq.lambda1
     arg = 1.0 + (cfg.K - phi1) / ((1.0 + cfg.eps) * eq.lambda2)
     out = np.full_like(arg, np.nan)
     ok = arg > 0

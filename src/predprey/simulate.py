@@ -9,11 +9,11 @@ e^{eta} times a factor that reads neither, so the half also takes that
 factor's age integrals of every step, one ``row_dot`` on the view of every
 step's samples: the interaction integrals and the measured law's sensor
 factors.  The loop then keeps eta as two floats, evaluates the law on them,
-holds u over the step and steps eta by ``_heun_eta``, with numpy only for exp
-and expm1, and stores each step's eta and u.  The records and the snapshots
-are taken from the stored arrays and the half's histories after the loop.
-The records' psi_min and G are reduced from the histories on their first
-read.
+holds u over the step and steps eta by ``_heun_eta``, all on the stdlib's
+float primitives (``FloatOps``), and stores each step's eta and u.  The
+records and the snapshots are taken from the stored arrays and the half's
+histories after the loop.  The records' psi_min and G are reduced from the
+histories on their first read.
 
 A run that fails raises its reason and t: the earliest failing step, and
 within it the first check that fails, in the order eta non-finite, a typed
@@ -318,8 +318,8 @@ def _reduce_histories(setup: Setup, histories, steps):
 def _heun_eta(eta, u, q0, q1, dt, zeta):
     """Heun step on one state's eta = (eta1, eta2), floats, with u frozen,
     zeta = (zeta1, zeta2) and the loss rates q0 and q1 at the step's two
-    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  exp is numpy's, as
-    in the laws (``FloatOps``)."""
+    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  exp is the laws'
+    (``FloatOps``): it returns inf where it overflows, for the nan guard."""
     exp = FloatOps.exp
     e1, e2 = eta
     z1, z2 = zeta[0] - u, zeta[1] - u

@@ -209,16 +209,24 @@ def law_states(which: str, eps: float, eq, n: int = 20_000):
     return np.stack([e1, e2], axis=-1)
 
 
+# the float and array laws differ by rounding only: each exp and expm1 is
+# within an ulp of e^x on either side, so a law's two forms differ by a few
+# eps times the sum of its terms' magnitudes (measured: at most 2.4 eps)
+ROUNDING = 4.0 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("kind, which", [
     *((kind, which) for kind in ("control_a", "control_b")
       for which in ("uniform", "clamp", "varphi_zero")),
     ("measured", "uniform"),
 ])
 def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
-    # the march evaluates a law on one state's floats, the public law on
-    # arrays; a trajectory and the analysis of its states agree only if both
-    # forms round alike.  The measured law also takes each state's sensor
-    # factors r, and the public law the outputs y = e^eta * r
+    # the march evaluates a law on one state's floats with the stdlib's exp
+    # and expm1, the public law on arrays with numpy's; a trajectory and the
+    # analysis of its states agree to that rounding.  The bound is stated on
+    # the terms, not in ulps of u, which cancels near 0.  The measured law
+    # also takes each state's sensor factors r, and the public law the
+    # outputs y = e^eta * r
     spec = LAWS[kind]
     bound = BoundController(spec, eq400)
     etas = law_states(which, spec.eps, eq400)
@@ -227,7 +235,12 @@ def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
         r = np.random.default_rng(8).uniform(0.05, 20.0, size=etas.shape)
         alone = [bound.u_from_state(e1, e2, r1, r2)
                  for (e1, e2), (r1, r2) in zip(etas.tolist(), r.tolist())]
-        law = control_measured(np.exp(etas) * r, bound.sensors, GAINS_A, eq400)
+        y = np.exp(etas) * r
+        law = control_measured(y, bound.sensors, GAINS_A, eq400)
+        y_star = bound.sensors.y_star
+        terms = ((1.0 + y_star[0] / y[:, 0]) / eq400.lambda1
+                 + (1.0 + spec.eps) * eq400.lambda2 * (1.0 + y[:, 1] / y_star[1]))
+        scale = eq400.u_star + abs(spec.beta) * terms
     else:
         alone = [bound.u_from_eta(e1, e2) for e1, e2 in etas.tolist()]
         # far out, control B's square overflows, as in the march, which mutes
@@ -235,12 +248,30 @@ def test_eta_laws_round_alike_alone_and_in_a_batch(eq400, kind, which):
         with np.errstate(over="ignore"):
             law = {"control_a": lambda: control_A(etas, GAINS_A, eq400),
                    "control_b": lambda: control_B(etas, GAINS_B, eq400)}[kind]()
-    assert all(type(u) is float for u in alone)
-    assert np.array_equal(law, np.array(alone))
-    if which == "varphi_zero" and kind == "control_b":
         phi1, phi2 = phi(etas, eq400)
+        terms = abs(spec.beta) * (np.abs(phi1) + (1.0 + spec.eps) * np.abs(phi2))
+        # control B divides the beta term by sqrt(delta^2 + neg^2) >= delta
+        scale = eq400.u_star + (terms if kind == "control_a"
+                                else spec.eps * np.abs(phi2) + terms / spec.delta)
+    assert all(type(u) is float for u in alone)
+    assert np.all(np.abs(law - np.array(alone)) <= ROUNDING * scale)
+    if which == "varphi_zero" and kind == "control_b":
         varphi = phi1 + (1.0 + spec.eps) * phi2
         assert (varphi < 0).any() and (varphi >= 0).any()
+
+
+def test_measured_law_overflows_as_the_array_law(setup100):
+    # the measured law takes e^eta of an eta that is not clamped: where exp
+    # overflows, the float law gives the array law's u, finite where the
+    # prey's output is infinite and inf where the predator's is
+    eq = setup100.eq
+    bound = BoundController(LAWS["measured"], eq)
+    with np.errstate(over="ignore"):
+        y = np.exp([710.0, 0.0])
+        u = control_measured(y, bound.sensors, bound.gains_a, eq)
+    assert np.isfinite(u)
+    assert bound.u_from_state(710.0, 0.0, 1.0, 1.0) == u
+    assert bound.u_from_state(0.0, 710.0, 1.0, 1.0) == np.inf
 
 
 def test_control_in_x_composes(setup400):

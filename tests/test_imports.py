@@ -105,3 +105,41 @@ def test_tests_and_scripts_read_every_private_name():
     sources = {f"{path.parent.name}/{path.name}": path.read_text()
                for path in (*sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("scripts/*.py")))}
     assert unread_private_names(sources) == []
+
+
+def numpy_references(source: str, names: list[str]) -> dict[str, list[int]]:
+    """The lines on which each definition ``names`` (a module-level function
+    or class, or ``Class.method``) of ``source`` reads ``np`` or ``numpy``."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+    return {name: sorted(n.lineno for n in ast.walk(defs[name])
+                         if isinstance(n, ast.Name) and n.id in ("np", "numpy")
+                         or isinstance(n, (ast.Import, ast.ImportFrom)))
+            for name in names}
+
+
+def test_rule_flags_numpy_in_a_definition():
+    source = ("import numpy as np\nclass Ops:\n    exp = np.exp\n"
+              "class C:\n    def f(self):\n        return 1.0\n    def g(self):\n"
+              "        import numpy\n        return numpy.pi\ndef h(x):\n    return x\n")
+    assert numpy_references(source, ["Ops", "C.f", "C.g", "h"]) == {
+        "Ops": [3], "C.f": [], "C.g": [8, 9], "h": []}
+
+
+def test_per_step_path_names_no_numpy():
+    # the eta loop runs on the stdlib: the float primitives, the laws' one
+    # formula each, the two per-step calls and the loop itself read no numpy
+    per_step = {
+        "controllers.py": ["FloatOps", "_clamp", "_phi", "_control_a", "_control_b",
+                           "_control_measured", "BoundController.u_from_eta",
+                           "BoundController.u_from_state"],
+        "simulate.py": ["_heun_eta", "_march_eta"],
+    }
+    for module, names in per_step.items():
+        refs = numpy_references((PACKAGE / module).read_text(), names)
+        assert refs == {name: [] for name in names}, module

@@ -231,6 +231,31 @@ def test_diverging_direct_run_fails_typed(setup100, setup400, beta, ic, n):
             assert err.reason in ("nan_guard", "prey_collapse") and err.t < 0.1
 
 
+@pytest.mark.parametrize("solve, kind", [
+    (simulate_direct, "control_b"), (simulate_direct, "measured"),
+    *((simulate_transformed, kind) for kind in ("control_a", "control_b", "measured")),
+], ids=["direct-control_b", "direct-measured",
+        "transformed-control_a", "transformed-control_b", "transformed-measured"])
+def test_diverging_run_fails_typed_on_both_solvers(setup100, solve, kind):
+    # as the direct control-A runs above, on the other laws and the
+    # transformed solver: the Heun step's exp and the measured law's e^eta
+    # read an eta that is not clamped, and where exp overflows each run
+    # finishes or raises a typed error, with no bare exception and no
+    # RuntimeWarning.  Control B keeps its admissible beta 0.13 and takes the
+    # large gain as beta/delta
+    for beta in (5000.0, 500.0, 50.0):
+        spec = (ControllerSpec(kind=kind, eps=0.01, beta=0.13, delta=0.13 / beta)
+                if kind == "control_b" else ControllerSpec(kind=kind, eps=0.2, beta=beta))
+        for ic in ("SQ", "FQ"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    solve(setup100, SimConfig(t_final=2.0, ic=ICSpec(kind=ic), controller=spec))
+                except NumericalError as err:
+                    assert err.reason in ("nan_guard", "measurement_nonpositive")
+                    assert err.t < 0.1
+
+
 def test_direct_rejects_survival_out_of_range(setup100):
     # a mortality whose survival to age A underflows cannot scale the march
     kernels = replace(setup100.kernels, mu=1000.0 * setup100.kernels.mu)
