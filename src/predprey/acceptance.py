@@ -306,12 +306,13 @@ def criterion_08_lambda_min(ctx: VerifyContext):
             abs(lam - eps / (2.0 * (1.0 + eps))),
             abs(eigs[1] - eps * (1.0 + eps) / 2.0),
         )
-    worst_grid = 0.0
-    for eps in np.linspace(0.05, 2.0, 50):
-        for beta in np.linspace(1.01, 4.0, 50) * (eps / (4 * (1 + eps))):
-            lam = lambda_min_q(eps, beta)
-            ev = np.linalg.eigvalsh(q_matrix(eps, beta))[0]
-            worst_grid = max(worst_grid, abs(lam - ev))
+    eps_axis = np.linspace(0.05, 2.0, 50)
+    eps_grid = np.repeat(eps_axis, 50)
+    beta_grid = np.outer(eps_axis / (4 * (1 + eps_axis)), np.linspace(1.01, 4.0, 50)).ravel()
+    qs, lam = np.empty((eps_grid.size, 2, 2)), np.empty(eps_grid.size)
+    for i, (eps, beta) in enumerate(zip(eps_grid, beta_grid)):
+        qs[i], lam[i] = q_matrix(eps, beta), lambda_min_q(eps, beta)
+    worst_grid = float(np.max(np.abs(lam - np.linalg.eigvalsh(qs)[:, 0])))
     ok = worst_special <= 1e-12 and worst_value <= 1e-12 and worst_grid <= 1e-12
     return ok, (
         f"special-beta defect {worst_special:.2e}, eigenvalue-pair defect "

@@ -63,6 +63,13 @@ def lambda_min_q(eps: float, beta: float) -> float:
 # h and the history functionals
 
 
+# h sums its series a block of entries at a time: up to this many elements
+# (256 KB) of terms in one array, or, while more than _H_WIDE entries remain,
+# one row of up to this many entries per term.
+_H_BLOCK = 1 << 15
+_H_WIDE = 1 << 10
+
+
 def h_fn(p):
     """Radially unbounded weight h(p) = integral_0^p (e^z - 1)^2 / z dz.
 
@@ -70,27 +77,59 @@ def h_fn(p):
     which follows from (e^z - 1)^2 = sum_{n>=2} (2^n - 2) z^n / n!.  Every
     term is positive, so the partial sums carry no cancellation, and the
     2p + 12*sqrt(2p + 1) + 40 terms kept leave a tail below double precision.
-    Broadcasts over arrays and returns a float for scalar input; h is inf
-    where (e^p - 1)^2 overflows (p above ~354.9) and nan for nan.
+    Each entry sums its own terms, left to right, whatever the other entries
+    of the array.  Broadcasts over arrays and returns a float for scalar
+    input; h is inf where (e^p - 1)^2 overflows (p above ~354.9) and nan for
+    nan.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("h is defined for nonnegative arguments")
     with np.errstate(over="ignore"):
         overflow = np.isinf(np.expm1(p) ** 2)
-    q = np.where(overflow, 0.0, p)
-    top = float(q[~np.isnan(q)].max(initial=0.0))
-    # (2p)^n/n! and p^n/n! by ratio recursion; their difference is
-    # (2^n - 2) p^n/n! without forming 2^n, which overflows past n = 1023
-    s2 = 2.0 * q * q
-    s1 = 0.5 * q * q
-    out = np.zeros_like(q)
-    for n in range(2, int(2.0 * top + 12.0 * math.sqrt(2.0 * top + 1.0)) + 40):
-        out += (s2 - 2.0 * s1) / n
-        s2 = s2 * (2.0 * q / (n + 1))
-        s1 = s1 * (q / (n + 1))
-    out[overflow] = np.inf
+    q = np.where(overflow, 0.0, p).ravel()
+    m = np.where(np.isnan(q), 0.0, q)
+    # the row of each entry's last term, n = 2 + last (nan counts as 0);
+    # sorted by it, descending, a block's first entry has the most rows
+    last = (2.0 * m + 12.0 * np.sqrt(2.0 * m + 1.0)).astype(np.intp) + 37
+    order = np.argsort(last)[::-1]
+    out = np.empty_like(q)
+    start = 0
+    while start < q.size:
+        width = (_H_BLOCK if q.size - start > _H_WIDE
+                 else _H_BLOCK // (2 * (last[order[start]] + 1)))
+        block = order[start:start + width]
+        out[block] = _h_sums(q[block], last[block])
+        start += width
+    out[overflow.ravel()] = np.inf
+    out = out.reshape(p.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _h_sums(q, last):
+    """h's series of the entries q (e,), summed up to the rows ``last`` (e,),
+    sorted descending.  (2p)^n/n! and p^n/n! follow by ratio recursion; their
+    difference is (2^n - 2) p^n/n! without forming 2^n, which overflows past
+    n = 1023.  A block of up to _H_BLOCK elements holds every term, each
+    recursion an accumulate along the terms; a wider one steps through the
+    terms, each on the entries whose series still runs."""
+    e, rows = len(q), last[0] + 1
+    # the two series at n = 2, and the numerators of their ratios
+    s = np.array([[2.0], [0.5]]) * q * q
+    ratio = np.array([[2.0], [1.0]]) * q
+    if 2 * rows * e <= _H_BLOCK:
+        n = np.arange(2.0, rows + 2.0)[:, None]
+        series = np.empty((rows, 2, e))
+        series[0] = s
+        np.divide(ratio, n[1:, None], out=series[1:])
+        np.multiply.accumulate(series, axis=0, out=series)
+        sums = np.add.accumulate((series[:, 0] - 2.0 * series[:, 1]) / n, axis=0)
+        return sums[last, np.arange(e)]
+    sums = np.zeros(e)
+    for n, k in enumerate(np.searchsorted(-last, -np.arange(rows), side="right"), start=2):
+        sums[:k] += (s[0, :k] - 2.0 * s[1, :k]) / n
+        s[:, :k] *= ratio[:, :k] / (n + 1)
+    return sums
 
 
 def g_fn(psi, sigma, grid: AgeGrid):

@@ -8,12 +8,12 @@ profiles and shape deviations).  Both halves march their samples with
 e^{eta} times a factor that reads neither, so the half also takes that
 factor's age integrals of every step, one ``row_dot`` on the view of every
 step's samples: the interaction integrals and the measured law's sensor
-factors.  The loop then keeps eta as two floats, evaluates the law on them,
-holds u over the step and steps eta by ``_heun_eta``, all on the stdlib's
-float primitives (``FloatOps``), and stores each step's eta and u.  The
-records and the snapshots are taken from the stored arrays and the half's
-histories after the loop.  The records' psi_min and G are reduced from the
-histories on their first read.
+factors.  The loop then keeps eta as two floats, evaluates the law on them
+(on ``FloatOps``, the stdlib's float primitives), holds u over the step,
+takes Heun's step in the loop body on ``math.exp`` and stores each step's
+eta and u.  The records and the snapshots are taken from the stored arrays
+and the half's histories after the loop.  The records' psi_min and G are
+reduced from the histories on their first read.
 
 A run that fails raises its reason and t: the earliest failing step, and
 within it the first check that fails, in the order eta non-finite, a typed
@@ -89,7 +89,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .controllers import BoundController, ControllerSpec, FloatOps
+from .controllers import BoundController, ControllerSpec
 from .equilibrium import Equilibrium, compute_equilibrium
 from .errors import NumericalError
 from .lyapunov import find_sigma, g_fn_weights, g_kernel, v0, v1, v_composite, SIGMA_SAFETY
@@ -315,36 +315,24 @@ def _reduce_histories(setup: Setup, histories, steps):
     return psi_min, G
 
 
-def _heun_eta(eta, u, q0, q1, dt, zeta):
-    """Heun step on one state's eta = (eta1, eta2), floats, with u frozen,
-    zeta = (zeta1, zeta2) and the loss rates q0 and q1 at the step's two
-    ends, each a pair per unit of (e^{eta2}, e^{-eta1}).  exp is the laws'
-    (``FloatOps``): it returns inf where it overflows, for the nan guard."""
-    exp = FloatOps.exp
-    e1, e2 = eta
-    z1, z2 = zeta[0] - u, zeta[1] - u
-    f1 = z1 - exp(e2) * q0[0]
-    f2 = z2 - exp(-e1) * q0[1]
-    g1 = z1 - exp(e2 + dt * f2) * q1[0]
-    g2 = z2 - exp(-(e1 + dt * f1)) * q1[1]
-    h = 0.5 * dt
-    return e1 + h * (f1 + g1), e2 + h * (f2 + g2)
-
-
 def _march_eta(eta, controller, r, zeta, q, dt, last, etas, us):
     """March eta, two floats, to step ``last``: check eta, evaluate the law,
-    check u, store both and take the Heun step with u held.  zeta, q and the
-    sensor factors r (steps, 2; None for an eta law), etas and us go through
-    memoryviews, whose items are floats.  Returns None, or the first failure
-    as (step, error)."""
+    check u, store both and take Heun's step with u held, zeta = (zeta1,
+    zeta2) and the loss rates q at the step's two ends, each a pair per unit
+    of (e^{eta2}, e^{-eta1}).  zeta, q and the sensor factors r (steps, 2;
+    None for an eta law), etas and us go through memoryviews, whose items are
+    floats.  Where ``math.exp`` overflows the step sets eta to nan, which the
+    next step's check reports.  Returns None, or the first failure as (step,
+    error)."""
     e1_out, e2_out, u_out = (memoryview(a) for a in (etas[:, 0], etas[:, 1], us))
-    z1, z2, q1, q2 = (memoryview(a[:, i]) for a in (zeta, q) for i in (0, 1))
+    zeta1, zeta2, q1, q2 = (memoryview(a[:, i]) for a in (zeta, q) for i in (0, 1))
     r1, r2 = (None, None) if r is None else (memoryview(r[:, i]) for i in (0, 1))
+    exp, h = math.exp, 0.5 * dt
+    e1, e2 = eta
     for step in range(last + 1):
-        e1, e2 = eta
         if not (math.isfinite(e1) and math.isfinite(e2)):
             return step, _failure("nan_guard")
-        e1_out[step], e2_out[step] = eta
+        e1_out[step], e2_out[step] = e1, e2
         try:
             u = (controller.u_from_eta(e1, e2) if r1 is None
                  else controller.u_from_state(e1, e2, r1[step], r2[step]))
@@ -354,8 +342,16 @@ def _march_eta(eta, controller, r, zeta, q, dt, last, etas, us):
             return step, _failure("nan_guard")
         u_out[step] = u
         if step < last:
-            eta = _heun_eta(eta, u, (q1[step], q2[step]), (q1[step + 1], q2[step + 1]), dt,
-                            (z1[step], z2[step]))
+            z1, z2 = zeta1[step] - u, zeta2[step] - u
+            try:
+                f1 = z1 - exp(e2) * q1[step]
+                f2 = z2 - exp(-e1) * q2[step]
+                g1 = z1 - exp(e2 + dt * f2) * q1[step + 1]
+                g2 = z2 - exp(-(e1 + dt * f1)) * q2[step + 1]
+            except OverflowError:
+                e1 = e2 = math.nan
+            else:
+                e1, e2 = e1 + h * (f1 + g1), e2 + h * (f2 + g2)
 
 
 def _march(setup: Setup, cfg: SimConfig, solver: str, half) -> Trajectory:
@@ -365,7 +361,7 @@ def _march(setup: Setup, cfg: SimConfig, solver: str, half) -> Trajectory:
     eta nor u, and returns:
 
     - eta at t = 0, (2,)
-    - zeta and the loss rates q of ``_heun_eta``, (2,) indexed by step
+    - zeta and the loss rates q of the Heun step, (2,) indexed by step
     - ``integrals(w)``, the integrals (n_steps + 1, 2) of every step's
       profiles over e^{eta} against weights w (2, n): the sensor factors r
     - ``profiles(eta, step)``, the profiles (2, n) with eta (2,), called only

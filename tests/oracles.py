@@ -8,8 +8,8 @@ they live here too.
 """
 import numpy as np
 
-from predprey.controllers import (BoundController, GainsA, control_A, control_B, control_measured,
-                                 phi)
+from predprey.controllers import (BoundController, FloatOps, GainsA, control_A, control_B,
+                                 control_measured, phi)
 from predprey.equilibrium import Equilibrium
 from predprey.errors import NumericalError
 from predprey.lyapunov import LyapConfig, g_fn, v1
@@ -17,7 +17,6 @@ from predprey.model import (AgeGrid, KernelSet, PopulationState, bc_residual, ch
                             row_dot)
 from predprey.simulate import (
     _failure,
-    _heun_eta,
     _renewal_weights,
     _transformed_ops,
     ic_from_spec,
@@ -120,6 +119,30 @@ def contraction_integral(ktilde, kappa: float, sigma: float, grid: AgeGrid) -> f
     tail = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
     z = 1.0 / trapezoid(a * ktilde)
     return trapezoid(np.abs(ktilde - z * kappa * tail) * np.exp(sigma * a))
+
+
+def h_term_loop(p, last=None):
+    """h(p) by its series summed in one loop over the terms, on the whole
+    array at once, with the ratio recursion and the left-to-right order of
+    ``lyapunov.h_fn``.  Every entry takes the terms n = 2 .. last + 2; by
+    default the 2*top + 12*sqrt(2*top + 1) + 38 terms that the array's
+    largest finite entry, top, needs."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(np.expm1(p) ** 2)
+    q = np.where(overflow, 0.0, p)
+    if last is None:
+        top = float(q[~np.isnan(q)].max(initial=0.0))
+        last = int(2.0 * top + 12.0 * np.sqrt(2.0 * top + 1.0)) + 37
+    s2 = 2.0 * q * q
+    s1 = 0.5 * q * q
+    out = np.zeros_like(q)
+    for n in range(2, last + 3):
+        out += (s2 - 2.0 * s1) / n
+        s2 = s2 * (2.0 * q / (n + 1))
+        s1 = s1 * (q / (n + 1))
+    out[overflow] = np.inf
+    return out
 
 
 G_DEFECT_ALLOWANCE = 10.0
@@ -255,9 +278,15 @@ def _transformed_update(state, u, ops):
     psi_new = _renew(psi[..., :-1], wk, d)
     if any(v <= -1.0 for v in psi_new[..., 0].ravel().tolist()):
         raise _failure("psi_admissibility")
-    q = _interaction_losses(np.array((psi, psi_new)), wg, 1.0)
-    eta = _heun_eta(tuple(eta.tolist()), u, q[0].tolist(), q[1].tolist(), dt, zeta.tolist())
-    return np.array(eta), psi_new
+    (q1, q2), (r1, r2) = _interaction_losses(np.array((psi, psi_new)), wg, 1.0).tolist()
+    # Heun's step on floats with u held; exp is inf where it overflows
+    exp = FloatOps.exp
+    (e1, e2), (z1, z2), h = eta.tolist(), (zeta - u).tolist(), 0.5 * dt
+    f1 = z1 - exp(e2) * q1
+    f2 = z2 - exp(-e1) * q2
+    g1 = z1 - exp(e2 + dt * f2) * r1
+    g2 = z2 - exp(-(e1 + dt * f1)) * r2
+    return np.array((e1 + h * (f1 + g1), e2 + h * (f2 + g2))), psi_new
 
 
 def step_transformed(ts: TransformedState, u: float, eq: Equilibrium, dt: float) -> TransformedState:

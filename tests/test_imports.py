@@ -138,8 +138,33 @@ def test_per_step_path_names_no_numpy():
         "controllers.py": ["FloatOps", "_clamp", "_phi", "_control_a", "_control_b",
                            "_control_measured", "BoundController.u_from_eta",
                            "BoundController.u_from_state"],
-        "simulate.py": ["_heun_eta", "_march_eta"],
+        "simulate.py": ["_march_eta"],
     }
     for module, names in per_step.items():
         refs = numpy_references((PACKAGE / module).read_text(), names)
         assert refs == {name: [] for name in names}, module
+
+
+def loop_calls(source: str, name: str) -> set[str]:
+    """The names of the functions that the loop bodies of the module-level
+    function ``name`` of ``source`` call: a called name, or the attribute
+    of a called attribute."""
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for loop in ast.walk(func) if isinstance(loop, (ast.For, ast.While))
+            for stmt in loop.body for call in ast.walk(stmt) if isinstance(call, ast.Call)}
+
+
+def test_rule_lists_the_calls_of_a_loop_body():
+    source = ("def f(xs, g):\n    y = len(xs)\n    for x in range(y):\n"
+              "        if math.isfinite(x):\n            g.step(x)\n        y = helper(x)\n")
+    assert loop_calls(source, "f") == {"isfinite", "step", "helper"}
+
+
+def test_eta_loop_calls_only_exp_the_checks_and_the_law():
+    # Heun's step sits in the loop body on the stdlib's exp: no helper call,
+    # and the law is the one call per step that the benchmark's tracer counts
+    source = (PACKAGE / "simulate.py").read_text()
+    assert loop_calls(source, "_march_eta") == {"exp", "isfinite", "u_from_eta",
+                                                "u_from_state", "_failure"}

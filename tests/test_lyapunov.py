@@ -8,6 +8,7 @@ from predprey.controllers import ControllerSpec, GainsA, GainsB, control_A, phi
 from predprey.errors import GainConstraintError, NumericalError
 from predprey.lyapunov import (
     _curve_stationary_eta1,
+    _h_sums,
     closed_loop_jacobian,
     constraint_curve,
     control_b_discriminant,
@@ -40,6 +41,7 @@ from oracles import (
     contraction_integral,
     fd_jacobian,
     g_decrease_violations,
+    h_term_loop,
     hyperbola_boundary,
     sampled_roa_min,
     zero_history,
@@ -176,12 +178,45 @@ def test_h_convex_increasing():
 
 
 def test_h_many_matches_scalar():
-    # an array sums as many terms as its largest entry needs; a scalar, its own
+    # each entry of an array sums its own terms, as a scalar does
     ps = np.array([0.0, 0.3, 2.2, 0.3, 4.0, 70.0])
     many = h_fn(ps)
     each = np.array([h_fn(p) for p in ps])
-    assert np.allclose(many, each, rtol=1e-14, atol=0.0)
+    assert np.array_equal(many, each)
     assert h_fn(ps.reshape(2, 3)).shape == (2, 3)
+
+
+def test_h_matches_the_term_loop_bitwise():
+    # the loop gives every entry the terms its array's largest entry needs;
+    # past an entry's own, they fall below half an ulp of its sum.  Single
+    # values take one block of terms, and the 3000-entry arrays also the
+    # row recursion over the entries whose series still runs
+    rng = np.random.default_rng(29)
+    for p in rng.uniform(0.0, 350.0, 40):
+        assert h_fn(p) == h_term_loop(p)
+    mixed = 10.0 ** rng.uniform(-12.0, np.log10(350.0), 3000)
+    mixed[::97] = 0.0
+    for shape in ((4, 3), (60, 50), (5, 20, 30)):
+        x = mixed[:np.prod(shape)].reshape(shape)
+        assert np.array_equal(h_fn(x), h_term_loop(x))
+    edge = np.array([0.0, np.nan, np.inf, 354.8, 355.0, 400.0, 1e-160, 5e-324])
+    assert np.array_equal(h_fn(edge), h_term_loop(edge), equal_nan=True)
+    assert h_fn(np.array([])).shape == h_term_loop(np.array([])).shape == (0,)
+
+
+def test_h_sums_stop_at_each_entrys_own_last_term():
+    # h_fn keeps terms past where they still count, so its values cannot show
+    # where an entry stops; cut short, each partial sum is the loop's after
+    # exactly the entry's own terms, in one block (5 entries) and in the row
+    # recursion (2000)
+    rng = np.random.default_rng(7)
+    for size in (5, 2000):
+        q = rng.uniform(20.0, 60.0, size)
+        last = np.sort(rng.integers(0, 40, size))[::-1]
+        want = np.empty(size)
+        for k in np.unique(last):
+            want[last == k] = h_term_loop(q[last == k], last=int(k))
+        assert np.array_equal(_h_sums(q, last), want)
 
 
 def test_h_edge_cases():
