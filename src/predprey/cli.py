@@ -4,6 +4,10 @@ CSV files are the normative outputs (17 significant digits, deterministic);
 JSON summaries accompany them, and ``--plot`` adds self-contained SVG charts.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 verification failure.
+
+``simulate`` with ``solver = both`` and ``sweep`` run their marches through
+``_map_runs``: the command's own process runs the first, and a fork pool the
+others, one process per usable CPU; results and stdout keep the job order.
 """
 from __future__ import annotations
 
@@ -95,6 +99,52 @@ def lyap_config_from(cfg: RunConfig, setup: Setup):
     return lyap_config_for(cfg.controller, setup.eq, setup.sigma,
                            gamma1=lb.gamma1 or None, gamma2=lb.gamma2 or None,
                            varpi=lb.varpi or None)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has
+    one (``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_runs(fn, jobs: list[tuple], workers: int):
+    """Yield ``fn(*job)`` for each job, in job order.
+
+    With ``workers`` > 1, more than one job and a platform that forks, this
+    process runs ``jobs[0]`` while a fork pool of ``min(workers, len(jobs) - 1)``
+    processes runs the others; otherwise every job runs here.  A job's error
+    is raised once, at its turn, and the jobs not yet started are dropped; a
+    pool that cannot start its processes leaves every job to this process.
+    No pool process outlives the generator.
+    """
+    if workers < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
+        yield from (fn(*job) for job in jobs)
+        return
+    import multiprocessing  # here: a command that starts no pool never loads it (~1 MB)
+    # fork, not spawn: a spawned process imports the package again, which costs
+    # about what one run takes.  A fork pool starts all of its processes at the
+    # first submit, before its manager thread, so this process forks with no
+    # other Python thread, and an OSError there comes before any job has run.
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(workers, len(jobs) - 1), mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs[1:]]
+    except OSError:
+        # stop the processes that did start; the pool has no public handle on them
+        for proc in (pool._processes or {}).values():
+            proc.terminate()
+            proc.join()
+        pool.shutdown(wait=False, cancel_futures=True)
+        yield from (fn(*job) for job in jobs)
+        return
+    try:
+        yield fn(*jobs[0])
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
@@ -226,9 +276,11 @@ def cmd_simulate(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     solver = cfg.simulation.solver
     solvers = SOLVERS if solver == "both" else (solver,)
     sim_cfg, lyap = _checked_run(cfg, setup)
-    for s in solvers:
-        summary = _run_and_write(setup, sim_cfg, lyap, s, outdir,
-                                 f"_{s}" if solver == "both" else "", plot)
+    jobs = [(setup, sim_cfg, lyap, s, outdir, f"_{s}" if solver == "both" else "", plot)
+            for s in solvers]
+    # strict: zip also draws the end of the runs, which shuts their pool down
+    for s, summary in zip(solvers, _map_runs(_run_and_write, jobs, _usable_cpus()),
+                          strict=True):
         print(f"{s} run: {summary['records']} records, final |eta| = "
               f"{summary['final_eta_norm']:.3e}, min u = {summary['min_u']:.4f} -> {outdir}")
     return 0
@@ -292,8 +344,8 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
     return 0
 
 
-def _sweep_worker(args) -> dict:
-    setup, sim_cfg, lyap, solver, combo, outdir = args
+def _sweep_worker(setup: Setup, sim_cfg: SimConfig, lyap, solver: str, combo: dict,
+                  outdir: str) -> dict:
     run_dir = Path(outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
     return {**combo, "dir": str(run_dir), **_run_and_write(setup, sim_cfg, lyap, solver, run_dir)}
@@ -327,17 +379,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
         slug = "_".join(f"{k.split('.')[1]}-{v}" for k, v in combo.items())
         jobs.append((setups[u_star], *_checked_run(run_cfg, setups[u_star]), solver, combo,
                      str(outdir / f"run_{idx:03d}_{slug}")))
-    # a fork pool starts all of its workers at the first submit, so it gets
-    # no more of them than there are jobs
-    workers = min(cfg.sweep.workers or os.cpu_count() or 1, len(jobs))
-    if workers > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_worker, jobs))
-        except (OSError, concurrent.futures.process.BrokenProcessPool):
-            rows = [_sweep_worker(job) for job in jobs]
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+    rows = list(_map_runs(_sweep_worker, jobs, cfg.sweep.workers or _usable_cpus()))
     keys = names + ["dir", "final_eta_norm", "min_u"]
     write_csv(
         outdir / "sweep_index.csv",

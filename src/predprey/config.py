@@ -76,7 +76,7 @@ class SweepBlock:
     beta: tuple[float, ...] = ()
     delta: tuple[float, ...] = ()
     u_star: tuple[float, ...] = ()
-    workers: int = 0  # 0 means "use the cpu count"
+    workers: int = 0  # 0 means "use the usable CPUs"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +14,7 @@ from predprey.acceptance import VerifyContext
 from predprey.cli import build_setup_from_config, main, write_csv
 from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.controllers import ControllerSpec
-from predprey.errors import ConfigError
+from predprey.errors import ConfigError, NumericalError
 from predprey import lyapunov
 from predprey.lyapunov import lyap_config_for, v_full
 from predprey.simulate import ICSpec, build_setup, ic_from_spec
@@ -610,17 +613,16 @@ def test_cli_sweep_pool_has_no_more_workers_than_combos(tmp_path, monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
     for workers in (64, 2):
@@ -629,7 +631,123 @@ def test_cli_sweep_pool_has_no_more_workers_than_combos(tmp_path, monkeypatch):
         assert main(["sweep", "--config", _write(tmp_path, "sw.ini", ini),
                      "--out", str(out)]) == 0
         assert len((out / "sweep_index.csv").read_text().splitlines()) == 3
-    assert sizes == [2, 2]
+    # this process runs the first of the two combos, the pool the other
+    assert sizes == [1, 1]
+
+
+def test_cli_sweep_runs_each_job_at_most_once(tmp_path, monkeypatch):
+    # a job's own OSError (here the second combo's run dir is a file) is
+    # raised once; it is not taken for a pool that could not start
+    log = tmp_path / "runs.log"
+    run_and_write = cli._run_and_write
+
+    def logged(setup, sim_cfg, lyap, solver, outdir, *rest):
+        with open(log, "a") as fh:
+            fh.write(f"{Path(outdir).name}\n")
+        return run_and_write(setup, sim_cfg, lyap, solver, outdir, *rest)
+
+    monkeypatch.setattr(cli, "_run_and_write", logged)
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "run_001_ic-SQ").write_text("")
+    ini = SWEEP_INI.format(solver="direct", workers=2)
+    with pytest.raises(FileExistsError):
+        main(["sweep", "--config", _write(tmp_path, "sw.ini", ini), "--out", str(out)])
+    assert log.read_text().splitlines() == ["run_000_ic-FQ"]
+
+
+def _job_and_pid(k):
+    return k, os.getpid()
+
+
+@pytest.mark.parametrize("workers, n_jobs", [(1, 4), (2, 4), (3, 4), (3, 2)])
+def test_map_runs_yields_in_job_order(workers, n_jobs):
+    # this process runs the first job and a pool of at most workers processes,
+    # and never more than the other jobs, runs the rest
+    results = list(cli._map_runs(_job_and_pid, [(k,) for k in range(n_jobs)], workers))
+    assert [k for k, _ in results] == list(range(n_jobs))
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    if workers == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids[1:]
+        assert len(set(pids[1:])) <= min(workers, n_jobs - 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_map_runs_runs_here_when_the_pool_cannot_start(monkeypatch):
+    # the pool's first process starts and its second fails to fork: the one
+    # that started is stopped, and every job runs once, in this process
+    popen = multiprocessing.context.ForkProcess._Popen
+    calls = []
+
+    def failing_second(process_obj):
+        calls.append(process_obj)
+        if len(calls) == 2:
+            raise OSError("fork failed")
+        return popen(process_obj)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(failing_second))
+    results = list(cli._map_runs(_job_and_pid, [(k,) for k in range(3)], 3))
+    assert results == [(k, os.getpid()) for k in range(3)]
+    assert len(calls) == 2
+    assert multiprocessing.active_children() == []
+
+
+
+BOTH_INI = ("[model]\nn_cells = 60\n[simulation]\nt_final = 1\nsolver = both\n"
+            "[output]\nprofile_times = 0, 0.5\n")
+
+
+def _simulate_both(tmp_path, capsys, monkeypatch, cpus: int):
+    # simulate with solver = both on the given CPU count: its exit code, its
+    # files' bytes and its stdout and stderr with the output dir taken out
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    out = tmp_path / f"cpus{cpus}"
+    rc = main(["simulate", "--config", _write(tmp_path, "both.ini", BOTH_INI),
+               "--out", str(out), "--plot"])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return rc, files, captured.out.replace(str(out), "OUT"), captured.err
+
+
+def test_cli_simulate_both_in_parallel_writes_the_serial_files(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    serial = _simulate_both(tmp_path, capsys, monkeypatch, 1)
+    assert pools == []
+    parallel = _simulate_both(tmp_path, capsys, monkeypatch, 2)
+    assert pools == [1]
+    assert parallel == serial
+    rc, files, out, err = parallel
+    assert rc == 0 and err == ""
+    assert "trajectory_transformed.csv" in files and "profiles_direct_t1.csv" in files
+    assert [line.split(":")[0] for line in out.splitlines()] == ["direct run", "transformed run"]
+
+
+@pytest.mark.parametrize("failing", ["direct", "transformed"])
+def test_cli_simulate_both_failure_is_the_serial_one(tmp_path, capsys, monkeypatch, failing):
+    # the failing run's stderr line and exit code do not depend on the path;
+    # when the transformed run fails, the direct run's line is printed first
+    def diverge(setup, sim_cfg):
+        raise NumericalError(f"{failing} march diverged", t=0.25, reason="test")
+
+    monkeypatch.setattr(cli, f"simulate_{failing}", diverge)
+    serial = _simulate_both(tmp_path, capsys, monkeypatch, 1)
+    parallel = _simulate_both(tmp_path, capsys, monkeypatch, 2)
+    for rc, _, out, err in (serial, parallel):
+        assert rc == 3
+        assert err == f"numerical failure: {failing} march diverged (t=0.25)\n"
+        assert out.startswith("direct run: ") == (failing == "transformed")
+        assert "transformed run" not in out
+    assert parallel[2] == serial[2]
 
 
 NON_REFERENCE = [("model", "mu_bar_1 = 0.6"), ("model", "kernel_table = kernels.csv"),

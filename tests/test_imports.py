@@ -168,3 +168,40 @@ def test_eta_loop_calls_only_exp_the_checks_and_the_law():
     source = (PACKAGE / "simulate.py").read_text()
     assert loop_calls(source, "_march_eta") == {"exp", "isfinite", "u_from_eta",
                                                 "u_from_state", "_failure"}
+
+
+def pool_builders(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each call that builds a ``ProcessPoolExecutor``
+    in the modules ``sources`` (name -> source); ``module`` at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ProcessPoolExecutor":
+                    found.append(where)
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_rule_finds_each_pool_builder():
+    sources = {"a": ("import concurrent.futures as cf\nPOOL = cf.ProcessPoolExecutor(2)\n"
+                     "def f(fn, jobs):\n    with cf.ProcessPoolExecutor() as pool:\n"
+                     "        return list(pool.map(fn, jobs))\n"),
+               "b": ("from concurrent.futures import ProcessPoolExecutor\nclass C:\n"
+                     "    def g(self):\n        return [ProcessPoolExecutor(n) for n in (1, 2)]\n")}
+    assert pool_builders(sources) == ["a", "a.f", "b.C.g"]
+
+
+def test_one_parallel_path():
+    # `simulate` and `sweep` share the one helper that runs jobs on processes
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert pool_builders(sources) == ["cli._map_runs"]
