@@ -6,6 +6,10 @@ expensive pieces (setups, simulations) so several criteria can share one run.
 The ``criterion`` decorator gives each check its id and name, and skips
 the checks that need a converged grid below ``MIN_CELLS``, with an
 explanatory message, instead of letting them fail cryptically.
+
+``CRITERION_GROUPS`` splits the criteria into two groups of about equal cost
+that share no cached run but the Setup, and ``run_criteria`` runs one group:
+``predprey verify`` runs the two at once when two CPUs are usable.
 """
 from __future__ import annotations
 
@@ -59,6 +63,15 @@ REFERENCE_RUNS = (
 )
 REFERENCE_T_FINAL = 20.0
 
+# the criteria by id, in two groups of about equal cost that share no cached
+# run; the first holds every criterion that calls ``ctx.direct_run``, so the
+# reference runs stay in the process that runs the first group, the command's
+# own, where the benchmark's tracer counts their steps and law calls
+CRITERION_GROUPS = (
+    ("01", "02", "03", "04", "05", "06", "07", "12"),
+    ("08", "09", "10", "11", "13"),
+)
+
 
 @dataclass
 class CriterionResult:
@@ -86,6 +99,13 @@ class VerifyContext:
         self.n_cells = n_cells
         self.u_star = u_star
         self._cache: dict = {}
+
+    def detached(self) -> VerifyContext:
+        """A context that starts from what this one has cached and then keeps
+        its own cache, for a job that runs beside another on this one."""
+        other = VerifyContext(self.n_cells, self.u_star)
+        other._cache = dict(self._cache)
+        return other
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -172,6 +192,7 @@ def criterion(cid: str, name: str, needs_grid: bool = False):
                 )
             passed, detail = check(ctx)
             return CriterionResult(cid, name, bool(passed), detail)
+        run.cid = cid  # functools.wraps carries it onto a wrapper of run
         _CRITERIA.append(run)
         return run
     return wrap
@@ -457,6 +478,9 @@ def criterion_13_roa_geometry(ctx: VerifyContext):
 REGISTRY = tuple(_CRITERIA)
 
 
-def run_all(ctx: VerifyContext) -> list[CriterionResult]:
-    # reads the module global, which a tracer may swap for wrapped criteria
-    return [criterion(ctx) for criterion in REGISTRY]
+def run_criteria(ctx: VerifyContext, ids) -> list[CriterionResult]:
+    """The results of the criteria ``ids`` on ``ctx``, in ``REGISTRY`` order."""
+    # reads the module global, which a tracer may swap for wrapped criteria;
+    # those are closures that cannot be pickled, so a pool job names its
+    # criteria by id
+    return [criterion(ctx) for criterion in REGISTRY if criterion.cid in ids]

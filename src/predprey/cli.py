@@ -8,6 +8,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 ``simulate`` with ``solver = both`` and ``sweep`` run their marches through
 ``_map_runs``: the command's own process runs the first, and a fork pool the
 others, one process per usable CPU; results and stdout keep the job order.
+``verify`` runs its criteria the same way, as the two jobs of
+``acceptance.CRITERION_GROUPS`` when two CPUs are usable; its stdout and
+``verify_report.json`` are those of the serial run.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import svgplot
-from .acceptance import VerifyContext, run_all
 from .config import SWEEP_AXES, RunConfig, kernels_from_model, load_config, override, sweep_axes
 from .controllers import BoundController
 from .errors import ConfigError, NumericalError, PredPreyError, VerificationFailure
@@ -174,6 +175,7 @@ def cmd_equilibrium(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         },
     )
     if plot:
+        from . import svgplot
         svgplot.line_chart(
             outdir / "equilibrium_profiles.svg",
             grid.nodes,
@@ -241,6 +243,7 @@ def _write_trajectory(outdir: Path, setup: Setup, traj, suffix: str, plot: bool)
             [setup.grid.nodes, *x, *setup.eq.x_star],
         )
     if plot:
+        from . import svgplot
         svgplot.line_chart(
             outdir / f"eta_vs_t{suffix}.svg",
             traj.times,
@@ -329,6 +332,7 @@ def cmd_roa(cfg: RunConfig, outdir: Path, plot: bool) -> int:
         summary["phi_lower_bound"] = lyap.K
     write_json(outdir / "roa_summary.json", summary)
     if plot:
+        from . import svgplot
         curves = [("level set V1=c*", contour, "")]
         for label, (eta, _) in result.pieces.items():
             order = np.argsort(eta[:, 0] if label != "H1" else eta[:, 1])
@@ -399,8 +403,15 @@ def cmd_verify(cfg: RunConfig, outdir: Path) -> int:
     if changed:
         raise ConfigError(f"verify checks the reference scenario; {', '.join(changed)} "
                           "must keep their defaults (only [model] n_cells may change)")
-    ctx = VerifyContext(n_cells=cfg.model.n_cells)
-    results = run_all(ctx)
+    from . import acceptance  # here: the other commands never load it
+    ctx = acceptance.VerifyContext(n_cells=cfg.model.n_cells)
+    ctx.setup()  # once, before any fork: each job starts from it
+    # each job on a context of its own: the pool pickles its job in a thread
+    # while this process runs the other job and fills that job's cache
+    jobs = [(ctx.detached(), ids) for ids in acceptance.CRITERION_GROUPS]
+    # the jobs' results in REGISTRY order, which is id order
+    results = sorted(itertools.chain.from_iterable(
+        _map_runs(acceptance.run_criteria, jobs, _usable_cpus())), key=lambda res: res.cid)
     for res in results:
         print(res.line())
     payload = {

@@ -25,6 +25,10 @@ class InfeasibleSetpointError(ConfigError):
             f"({interval[0]:.6g}, {interval[1]:.6g})"
         )
 
+    def __reduce__(self):
+        # its args hold the message only, which __init__ does not take
+        return type(self), (self.u_star, self.interval)
+
 
 class NumericalError(PredPreyError):
     """A simulation or solve failed numerically.

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import predprey.cli as cli
+from predprey import acceptance
 from predprey.acceptance import VerifyContext
 from predprey.cli import build_setup_from_config, main, write_csv
 from predprey.config import _SECTIONS, effective_ini, load_config, override
 from predprey.controllers import ControllerSpec
-from predprey.errors import ConfigError, NumericalError
+from predprey.errors import ConfigError, InfeasibleSetpointError, NumericalError
 from predprey import lyapunov
 from predprey.lyapunov import lyap_config_for, v_full
 from predprey.simulate import ICSpec, build_setup, ic_from_spec
@@ -712,19 +713,26 @@ def _simulate_both(tmp_path, capsys, monkeypatch, cpus: int):
     return rc, files, captured.out.replace(str(out), "OUT"), captured.err
 
 
-def test_cli_simulate_both_in_parallel_writes_the_serial_files(tmp_path, capsys, monkeypatch):
-    pools = []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each process pool the CLI builds during the test."""
+    sizes = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, mp_context):
-            pools.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers=max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return sizes
+
+
+def test_cli_simulate_both_in_parallel_writes_the_serial_files(tmp_path, capsys, monkeypatch,
+                                                               pool_sizes):
     serial = _simulate_both(tmp_path, capsys, monkeypatch, 1)
-    assert pools == []
+    assert pool_sizes == []
     parallel = _simulate_both(tmp_path, capsys, monkeypatch, 2)
-    assert pools == [1]
+    assert pool_sizes == [1]
     assert parallel == serial
     rc, files, out, err = parallel
     assert rc == 0 and err == ""
@@ -748,6 +756,62 @@ def test_cli_simulate_both_failure_is_the_serial_one(tmp_path, capsys, monkeypat
         assert out.startswith("direct run: ") == (failing == "transformed")
         assert "transformed run" not in out
     assert parallel[2] == serial[2]
+
+
+def _verify(tmp_path, capsys, monkeypatch, cpus: int, n_cells: int):
+    # verify at n_cells on the given CPU count: its exit code, its report's
+    # bytes (None if it wrote none) and its stdout and stderr with the output
+    # dir taken out
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    out = tmp_path / f"n{n_cells}_cpus{cpus}"
+    rc = main(["verify", "--config", _write(tmp_path, "v.ini", f"[model]\nn_cells = {n_cells}\n"),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    report = out / "verify_report.json"
+    return (rc, report.read_bytes() if report.exists() else None,
+            captured.out.replace(str(out), "OUT"), captured.err)
+
+
+@pytest.mark.parametrize("n_cells", [100, 25])
+def test_cli_verify_in_parallel_reports_the_serial_run(tmp_path, capsys, monkeypatch, pool_sizes,
+                                                       n_cells):
+    # the criteria run as two jobs, the second in a pool of one process, and
+    # the report and stdout are the serial run's, in REGISTRY order; below
+    # MIN_CELLS the grid criteria are skipped and verify fails
+    serial = _verify(tmp_path, capsys, monkeypatch, 1, n_cells)
+    assert pool_sizes == []
+    parallel = _verify(tmp_path, capsys, monkeypatch, 2, n_cells)
+    assert pool_sizes == [1]
+    assert multiprocessing.active_children() == []
+    assert parallel == serial
+    rc, report, out, err = parallel
+    assert rc == (0 if n_cells >= acceptance.MIN_CELLS else 4)
+    assert [c["id"] for c in json.loads(report)["criteria"]] == [c.cid for c in acceptance.REGISTRY]
+    assert [line.split()[1] for line in out.splitlines()[:13]] == [
+        c.cid for c in acceptance.REGISTRY]
+
+
+@pytest.mark.parametrize("error, rc, prefix", [
+    (NumericalError("criterion march diverged", t=0.25, reason="test"), 3, "numerical failure: "),
+    (InfeasibleSetpointError(0.3, (0.0, 0.2)), 2, "config error: "),
+], ids=["numerical", "infeasible"])
+def test_cli_verify_failure_in_the_pool_is_the_serial_one(tmp_path, capsys, monkeypatch,
+                                                          pool_sizes, error, rc, prefix):
+    # a criterion of the pool's group raises: the error crosses back from the
+    # pool and gives the serial run's exit code and stderr line, and no report
+    pooled = acceptance.CRITERION_GROUPS[1][-1]
+
+    def failing(ctx):
+        raise error
+
+    failing.cid = pooled
+    monkeypatch.setattr(acceptance, "REGISTRY", tuple(
+        failing if c.cid == pooled else c for c in acceptance.REGISTRY))
+    serial = _verify(tmp_path, capsys, monkeypatch, 1, 25)
+    parallel = _verify(tmp_path, capsys, monkeypatch, 2, 25)
+    assert serial == parallel == (rc, None, "", f"{prefix}{error}\n")
+    assert pool_sizes == [1]
+    assert multiprocessing.active_children() == []
 
 
 NON_REFERENCE = [("model", "mu_bar_1 = 0.6"), ("model", "kernel_table = kernels.csv"),

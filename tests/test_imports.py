@@ -170,6 +170,56 @@ def test_eta_loop_calls_only_exp_the_checks_and_the_law():
                                                 "u_from_state", "_failure"}
 
 
+def import_sites(source: str, module: str) -> list[str]:
+    """Where ``source`` imports ``module`` (the last part of an imported or
+    imported-from dotted name): ``<module>`` at module level, else the
+    enclosing function, with `` if <test>`` for each enclosing ``if`` and
+    `` if not <test>`` for each enclosing ``else``."""
+    sites = []
+
+    def visit(nodes, where):
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    named.append(node.module or "")
+                if module in (name.rsplit(".", 1)[-1] for name in named):
+                    sites.append(where)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.If):
+                visit(node.body, f"{where} if {ast.unparse(node.test)}")
+                visit(node.orelse, f"{where} if not {ast.unparse(node.test)}")
+            else:
+                visit(ast.iter_child_nodes(node), where)
+
+    visit(ast.parse(source).body, "<module>")
+    return sorted(sites)
+
+
+def test_rule_places_each_import():
+    source = ("import pkg.b as bb\nfrom .c import d\ndef f(plot):\n    if plot:\n"
+              "        from .b import x\n    else:\n        from . import b\n"
+              "    for _ in range(2):\n        try:\n            import b\n"
+              "        except ImportError:\n            pass\n"
+              "class C:\n    def g(self):\n        from .b.e import y\n")
+    assert import_sites(source, "b") == ["<module>", "f", "f if not plot", "f if plot"]
+    assert import_sites(source, "e") == ["g"]
+    assert import_sites(source, "c") == ["<module>"]
+
+
+def test_cli_loads_verify_and_plotting_only_when_used():
+    # `simulate` and `sweep` load neither: acceptance costs about 5 ms of
+    # import and svgplot about 2 ms, and no other module imports them
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: import_sites(source, "acceptance") for name, source in sources.items()
+            if import_sites(source, "acceptance")} == {"cli.py": ["cmd_verify"]}
+    plotting = {name: import_sites(source, "svgplot") for name, source in sources.items()
+                if import_sites(source, "svgplot")}
+    assert list(plotting) == ["cli.py"]
+    assert plotting["cli.py"] and all(site.endswith(" if plot") for site in plotting["cli.py"])
+
+
 def pool_builders(sources: dict[str, str]) -> list[str]:
     """``module.function`` for each call that builds a ``ProcessPoolExecutor``
     in the modules ``sources`` (name -> source); ``module`` at module level."""
