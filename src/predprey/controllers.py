@@ -91,9 +91,9 @@ class GainsA:
     beta: float
 
     def __post_init__(self):
-        if not self.eps > 0:
+        if not 0 < self.eps < math.inf:
             raise GainConstraintError(
-                f"control A requires eps > 0, got eps={self.eps}"
+                f"control A requires eps > 0 and finite, got eps={self.eps}"
             )
         bound = self.eps / (4.0 * (1.0 + self.eps))
         if not self.beta > bound:
@@ -101,6 +101,32 @@ class GainsA:
                 "control A requires beta > eps/(4*(1+eps)) = "
                 f"{bound:.6g} for a positive definite decrease form; got beta={self.beta}"
             )
+        # the analysis weighs the histories by gamma_circ: past the range of a
+        # float it overflows, or lambda_min(Q) rounds to 0
+        try:
+            finite = self.gamma_circ() < math.inf
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise GainConstraintError(
+                "control A's analysis needs a finite reference weight "
+                f"(1+eps)/(2*lambda_min(Q)); eps={self.eps} and beta={self.beta} "
+                "overflow it"
+            )
+
+    def lambda_min_q(self) -> float:
+        """Smaller eigenvalue of the decrease form (``lyapunov.q_matrix``), by
+        rationalized closed form, in Python floats: past their range it
+        raises and does not warn."""
+        eps, beta = float(self.eps), float(self.beta)
+        c = 1.0 + (1.0 + eps) ** 2
+        num = eps * (4.0 * (1.0 + eps) * beta - eps)
+        disc = beta * beta * c * c - num
+        return 0.5 * num / (beta * c + math.sqrt(disc))
+
+    def gamma_circ(self) -> float:
+        """Reference weight (1+eps) / (2*lambda_min(Q)) of the gradient mode."""
+        return (1.0 + self.eps) / (2.0 * self.lambda_min_q())
 
 
 @dataclass(frozen=True)

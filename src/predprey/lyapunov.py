@@ -52,22 +52,22 @@ def q_matrix(eps: float, beta: float) -> np.ndarray:
 
 def lambda_min_q(eps: float, beta: float) -> float:
     """Smaller eigenvalue of the decrease form, by rationalized closed form."""
-    GainsA(eps=eps, beta=beta)
-    c = 1.0 + (1.0 + eps) ** 2
-    num = eps * (4.0 * (1.0 + eps) * beta - eps)
-    disc = beta * beta * c * c - num
-    return 0.5 * num / (beta * c + math.sqrt(disc))
+    return GainsA(eps=eps, beta=beta).lambda_min_q()
 
 
 # ---------------------------------------------------------------------------
 # h and the history functionals
 
 
-# h sums its series a block of entries at a time: up to this many elements
-# (256 KB) of terms in one array, or, while more than _H_WIDE entries remain,
-# one row of up to this many entries per term.
+# h sums its series a block of entries at a time, up to this many elements
+# (256 KB) of terms in one array.
 _H_BLOCK = 1 << 15
-_H_WIDE = 1 << 10
+# ln 2^55: an entry stops where every later term is below 2^-55 of its sum
+_H_TAIL = 55.0 * math.log(2.0)
+# per unit p^2, the terms n = 2 of (2p)^n/n! and p^n/n!; per unit p/(n+1),
+# the ratios of their next terms
+_H_FIRST = np.array([[2.0], [0.5]])
+_H_RATIO = np.array([[2.0], [1.0]])
 
 
 def h_fn(p):
@@ -75,61 +75,76 @@ def h_fn(p):
 
     Summed exactly as the series h(p) = sum_{n>=2} (2^n - 2) p^n / (n * n!),
     which follows from (e^z - 1)^2 = sum_{n>=2} (2^n - 2) z^n / n!.  Every
-    term is positive, so the partial sums carry no cancellation, and the
-    2p + 12*sqrt(2p + 1) + 40 terms kept leave a tail below double precision.
+    term is positive, so the partial sums carry no cancellation.  Each entry
+    stops at its own last term, where ``_h_last`` proves every later term
+    below half an ulp of the sum: summing on would return the same float.
     Each entry sums its own terms, left to right, whatever the other entries
     of the array.  Broadcasts over arrays and returns a float for scalar
     input; h is inf where (e^p - 1)^2 overflows (p above ~354.9) and nan for
     nan.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("h is defined for nonnegative arguments")
     with np.errstate(over="ignore"):
         overflow = np.isinf(np.expm1(p) ** 2)
     q = np.where(overflow, 0.0, p).ravel()
-    m = np.where(np.isnan(q), 0.0, q)
-    # the row of each entry's last term, n = 2 + last (nan counts as 0);
-    # sorted by it, descending, a block's first entry has the most rows
-    last = (2.0 * m + 12.0 * np.sqrt(2.0 * m + 1.0)).astype(np.intp) + 37
+    # sorted by their last rows, descending, a block's first entry has the
+    # most rows
+    last = _h_last(q)
     order = np.argsort(last)[::-1]
     out = np.empty_like(q)
     start = 0
     while start < q.size:
-        width = (_H_BLOCK if q.size - start > _H_WIDE
-                 else _H_BLOCK // (2 * (last[order[start]] + 1)))
-        block = order[start:start + width]
+        block = order[start:start + _H_BLOCK // (2 * (last[order[start]] + 1))]
         out[block] = _h_sums(q[block], last[block])
-        start += width
+        start += len(block)
     out[overflow.ravel()] = np.inf
     out = out.reshape(p.shape)
     return float(out) if out.ndim == 0 else out
 
 
+def _h_last(p):
+    """The row of the last term that h's series keeps at each p >= 0 (nan
+    counts as 0), the term n = 2 + last.
+
+    With x = 2p, the terms t_n = (2^n - 2) p^n / (n * n!) fall by
+    t_{n+1}/t_n <= x/(n+1).  From j = max(2, ceil(x)) on that ratio is at
+    most 1, and the terms past n = j + m - 1 are at most
+    t_j * prod_{i=1..m} x/(j + i).  The log of that product is at most
+    -(m*a + m^2/(2j + 2m/3)), with a = ln(j/x): sum ln(1 + i/j) is at least
+    the integral j*phi(m/j), and phi(u) = (1+u)ln(1+u) - u is at least
+    u^2/(2 + 2u/3).  The least m at which this reaches -_H_TAIL is the
+    positive root of a quadratic.  The partial sum is at least t_j, and half
+    an ulp of it exceeds 2^-54 of it, so every later term rounds away, with
+    a factor 2 to spare for the rounding of the terms and of this root.
+    """
+    # x is floored to keep j/x finite; one term is kept below the floor
+    x = np.fmax(2.0 * p, 1e-300)
+    j = np.fmax(np.ceil(x), 2.0)
+    a = np.log(j / x)
+    # m^2 (1/2 + a/3) + m b - jL = 0 with L = _H_TAIL and b = ja - L/3, its
+    # positive root written without cancellation
+    b = j * a - _H_TAIL / 3.0
+    m = 2.0 * _H_TAIL * j / (b + np.sqrt(b * b + j * (2.0 * _H_TAIL + 4.0 * _H_TAIL / 3.0 * a)))
+    return (j + np.ceil(m)).astype(np.intp) - 3
+
+
 def _h_sums(q, last):
-    """h's series of the entries q (e,), summed up to the rows ``last`` (e,),
-    sorted descending.  (2p)^n/n! and p^n/n! follow by ratio recursion; their
-    difference is (2^n - 2) p^n/n! without forming 2^n, which overflows past
-    n = 1023.  A block of up to _H_BLOCK elements holds every term, each
-    recursion an accumulate along the terms; a wider one steps through the
-    terms, each on the entries whose series still runs."""
+    """h's series of the entries q (e,), each summed up to its row ``last``
+    (e,), sorted descending, left to right, in one block of every term up to
+    the first entry's row.  (2p)^n/n! and p^n/n! follow by ratio recursion,
+    each an accumulate along the terms; their difference is
+    (2^n - 2) p^n/n! without forming 2^n, which overflows past n = 1023."""
     e, rows = len(q), last[0] + 1
-    # the two series at n = 2, and the numerators of their ratios
-    s = np.array([[2.0], [0.5]]) * q * q
-    ratio = np.array([[2.0], [1.0]]) * q
-    if 2 * rows * e <= _H_BLOCK:
-        n = np.arange(2.0, rows + 2.0)[:, None]
-        series = np.empty((rows, 2, e))
-        series[0] = s
-        np.divide(ratio, n[1:, None], out=series[1:])
-        np.multiply.accumulate(series, axis=0, out=series)
-        sums = np.add.accumulate((series[:, 0] - 2.0 * series[:, 1]) / n, axis=0)
-        return sums[last, np.arange(e)]
-    sums = np.zeros(e)
-    for n, k in enumerate(np.searchsorted(-last, -np.arange(rows), side="right"), start=2):
-        sums[:k] += (s[0, :k] - 2.0 * s[1, :k]) / n
-        s[:, :k] *= ratio[:, :k] / (n + 1)
-    return sums
+    n = np.arange(2.0, rows + 2.0)[:, None]
+    series = np.empty((rows, 2, e))
+    # the two series at n = 2, then the ratios of the next terms
+    series[0] = _H_FIRST * q * q
+    np.divide(_H_RATIO * q, n[1:, None], out=series[1:])
+    np.multiply.accumulate(series, axis=0, out=series)
+    sums = np.add.accumulate((series[:, 0] - 2.0 * series[:, 1]) / n, axis=0)
+    return sums[last, np.arange(e)]
 
 
 def g_fn(psi, sigma, grid: AgeGrid):
@@ -269,7 +284,7 @@ class LyapConfig:
 
 def gamma_circ(eps: float, beta: float) -> float:
     """Reference weight (1+eps) / (2*lambda_min(Q)) of the gradient mode."""
-    return (1.0 + eps) / (2.0 * lambda_min_q(eps, beta))
+    return GainsA(eps=eps, beta=beta).gamma_circ()
 
 
 def gamma_lower_bounds(mode: str, eps: float, beta: float, eq: Equilibrium,

@@ -6,6 +6,8 @@ check that both routes agree.  The trajectory and profile checks below them
 the one-step forms of the solver kernels have no caller in the package, so
 they live here too.
 """
+import itertools
+
 import numpy as np
 
 from predprey.controllers import (BoundController, FloatOps, GainsA, control_A, control_B,
@@ -121,12 +123,24 @@ def contraction_integral(ktilde, kappa: float, sigma: float, grid: AgeGrid) -> f
     return trapezoid(np.abs(ktilde - z * kappa * tail) * np.exp(sigma * a))
 
 
+def h_terms(q):
+    """The terms n = 2, 3, ... of h's series at the entries q, each an array,
+    by the ratio recursion of ``lyapunov.h_fn``."""
+    s2 = 2.0 * q * q
+    s1 = 0.5 * q * q
+    for n in itertools.count(2):
+        yield (s2 - 2.0 * s1) / n
+        s2 = s2 * (2.0 * q / (n + 1))
+        s1 = s1 * (q / (n + 1))
+
+
 def h_term_loop(p, last=None):
     """h(p) by its series summed in one loop over the terms, on the whole
     array at once, with the ratio recursion and the left-to-right order of
-    ``lyapunov.h_fn``.  Every entry takes the terms n = 2 .. last + 2; by
-    default the 2*top + 12*sqrt(2*top + 1) + 38 terms that the array's
-    largest finite entry, top, needs."""
+    ``lyapunov.h_fn``.  Every entry takes the terms n = 2 .. last + 2, with
+    ``last`` an int or an array of one per entry; by default the
+    2*top + 12*sqrt(2*top + 1) + 38 terms that the array's largest finite
+    entry, top, needs."""
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):
         overflow = np.isinf(np.expm1(p) ** 2)
@@ -134,13 +148,11 @@ def h_term_loop(p, last=None):
     if last is None:
         top = float(q[~np.isnan(q)].max(initial=0.0))
         last = int(2.0 * top + 12.0 * np.sqrt(2.0 * top + 1.0)) + 37
-    s2 = 2.0 * q * q
-    s1 = 0.5 * q * q
+    last = np.asarray(last)
     out = np.zeros_like(q)
-    for n in range(2, last + 3):
-        out += (s2 - 2.0 * s1) / n
-        s2 = s2 * (2.0 * q / (n + 1))
-        s1 = s1 * (q / (n + 1))
+    for n, term in zip(range(2, int(last.max(initial=0)) + 3), h_terms(q)):
+        # adding 0 leaves a sum as it is
+        out += np.where(n <= last + 2, term, 0.0)
     out[overflow] = np.inf
     return out
 

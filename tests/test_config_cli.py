@@ -224,6 +224,27 @@ def test_cli_gain_constraint_exit_code(tmp_path, capsys):
     assert "0.0416" in err  # the violated bound is echoed numerically
 
 
+@pytest.mark.parametrize("kind", ["control_a", "measured"])
+@pytest.mark.parametrize("key, value", [
+    ("eps", "5e-324"), ("eps", "1e78"), ("eps", "1e154"), ("eps", "1e155"), ("eps", "inf"),
+    ("beta", "1e154"), ("beta", "1e200"), ("beta", "1e308"), ("beta", "inf"),
+])
+def test_cli_refuses_gains_past_the_range_of_the_analysis(tmp_path, capsys, kind, key, value):
+    # control A's analysis squares the entries of its decrease form and divides
+    # by its smallest eigenvalue; gains at which a float overflows or rounds
+    # that eigenvalue to 0 are refused up front, by name
+    cfg_path = _write(
+        tmp_path, "cfg.ini",
+        f"[model]\nn_cells = 20\n[controller]\nkind = {kind}\n{key} = {value}\n"
+        "[simulation]\nt_final = 0.5\n",
+    )
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error:" in err and f"{key}=" in err
+    assert "nan" not in err
+
+
 def test_cli_simulate_outputs_and_determinism(tmp_path):
     cfg_path = _write(tmp_path, "cfg.ini", BASE_INI)
     rc1 = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s1"), "--plot"])

@@ -8,6 +8,7 @@ from predprey.controllers import ControllerSpec, GainsA, GainsB, control_A, phi
 from predprey.errors import GainConstraintError, NumericalError
 from predprey.lyapunov import (
     _curve_stationary_eta1,
+    _h_last,
     _h_sums,
     closed_loop_jacobian,
     constraint_curve,
@@ -42,6 +43,7 @@ from oracles import (
     fd_jacobian,
     g_decrease_violations,
     h_term_loop,
+    h_terms,
     hyperbola_boundary,
     sampled_roa_min,
     zero_history,
@@ -189,8 +191,8 @@ def test_h_many_matches_scalar():
 def test_h_matches_the_term_loop_bitwise():
     # the loop gives every entry the terms its array's largest entry needs;
     # past an entry's own, they fall below half an ulp of its sum.  Single
-    # values take one block of terms, and the 3000-entry arrays also the
-    # row recursion over the entries whose series still runs
+    # values take one block of terms, and the 3000-entry arrays many blocks
+    # of entries sorted by their last rows
     rng = np.random.default_rng(29)
     for p in rng.uniform(0.0, 350.0, 40):
         assert h_fn(p) == h_term_loop(p)
@@ -205,10 +207,10 @@ def test_h_matches_the_term_loop_bitwise():
 
 
 def test_h_sums_stop_at_each_entrys_own_last_term():
-    # h_fn keeps terms past where they still count, so its values cannot show
-    # where an entry stops; cut short, each partial sum is the loop's after
-    # exactly the entry's own terms, in one block (5 entries) and in the row
-    # recursion (2000)
+    # h_fn stops only where the later terms no longer count, so its values
+    # cannot show where an entry stops; cut short, each partial sum is the
+    # loop's after exactly the entry's own terms, in a block of 5 entries and
+    # in one of 2000
     rng = np.random.default_rng(7)
     for size in (5, 2000):
         q = rng.uniform(20.0, 60.0, size)
@@ -217,6 +219,24 @@ def test_h_sums_stop_at_each_entrys_own_last_term():
         for k in np.unique(last):
             want[last == k] = h_term_loop(q[last == k], last=int(k))
         assert np.array_equal(_h_sums(q, last), want)
+
+
+def test_h_last_term_is_proven_and_tight():
+    # at each entry's last row the next computed term is below half an ulp of
+    # the sum, so every later one rounds away (the terms fall from there on)
+    ps = np.concatenate([np.linspace(0.0, 354.8, 3001),
+                         10.0 ** np.linspace(-320.0, np.log10(354.8), 3001),
+                         [5e-324, 1e-160, 1e-8, 0.05, 1.0, 50.0, 354.8]])
+    last = _h_last(ps)
+    sums = h_term_loop(ps, last)
+    following = np.empty_like(ps)
+    for k, term in zip(range(last.max() + 2), h_terms(ps)):
+        following[last + 1 == k] = term[last + 1 == k]
+    assert np.all(2.0 * following < np.spacing(sums))
+    # few terms where the traffic sits, and fewer than the old fixed tail
+    # bound of 2p + 12*sqrt(2p + 1) + 38 terms everywhere
+    assert _h_last(1e-8) + 1 <= 4
+    assert np.all(last + 1 < (2.0 * ps + 12.0 * np.sqrt(2.0 * ps + 1.0)).astype(int) + 38)
 
 
 def test_h_edge_cases():
